@@ -13,8 +13,13 @@ alternating signs).  Small arguments go through the normalized power
 series; beyond the cutoff the Bessel product form is used, with explicit
 sine/cosine ladders replacing the generic Bessel routine whenever 2k is an
 integer (the ladder is stable there because the cutoff keeps |z| above the
-largest order).  At k = 0 they reduce to exp(-i z) and exp(z).  The
-d-dimensional kernel is the coordinatewise product.
+largest order).  Every other order takes the generic branch, which
+evaluates the Bessel pair once per distinct |z| and gathers the result back
+(grids are symmetric and callers pass outer products, so |z| repeats).
+There J comes from scipy below max(20, (k + 1/2)^2) and from the Hankel
+large-argument expansion (DLMF 10.17.3) from there on; I always comes from
+scipy.  At k = 0 they reduce to exp(-i z) and exp(z).  The d-dimensional
+kernel is the coordinatewise product.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .root_system import MultiplicityConfig
 _SERIES_TERMS = 30
 _SERIES_CUTOFF = 6.0
 _LADDER_MAX_KAPPA = 8.0
+_HANKEL_TERMS = 20
+_HANKEL_MIN_ARG = 20.0
 
 
 def _check_kappa(kappa: float) -> float:
@@ -70,6 +77,53 @@ def _bessel_pair_ladder(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
     return lo, hi
 
 
+@lru_cache(maxsize=128)
+def _hankel_coeffs(kappa: float) -> np.ndarray:
+    """Columns P_lo, Q_lo, P_hi, Q_hi of DLMF 10.17.3 for the orders
+    k -+ 1/2, as polynomials in 1/z^2 (Q without its leading 1/z)."""
+    cols = []
+    for nu in (kappa - 0.5, kappa + 0.5):
+        a = np.empty(2 * _HANKEL_TERMS)
+        a[0] = 1.0
+        for k in range(1, a.size):
+            a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+        signs = (-1.0) ** np.arange(_HANKEL_TERMS)
+        cols += [a[0::2] * signs, a[1::2] * signs]
+    return np.stack(cols, axis=1)
+
+
+def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_{k-1/2}(az), J_{k+1/2}(az)) by the large-argument expansion
+    J_nu(z) = sqrt(2/(pi z)) (cos(w) P - sin(w) Q), w = z - (nu/2 + 1/4) pi.
+    For the order k + 1/2 the phase is w - pi/2, so one cos/sin of az
+    serves both orders."""
+    phi = 0.5 * math.pi * kappa
+    c, s = np.cos(az), np.sin(az)
+    cw = c * math.cos(phi) + s * math.sin(phi)
+    sw = s * math.cos(phi) - c * math.sin(phi)
+    p_lo, q_lo, p_hi, q_hi = np.polynomial.polynomial.polyval(1.0 / (az * az), _hankel_coeffs(kappa))
+    amp = np.sqrt(2.0 / (np.pi * az))
+    return amp * (cw * p_lo - sw * q_lo / az), amp * (sw * p_hi + cw * q_hi / az)
+
+
+def _bessel_pair_generic(kappa: float, az: np.ndarray, modified: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(C_{k-1/2}(az), C_{k+1/2}(az)) with C = I if modified else J, computed
+    once per distinct argument (grid axes are symmetric and consumers pass
+    outer products, so arguments repeat).  J switches to the Hankel
+    expansion from max(20, (k + 1/2)^2) on: there no term exceeds 1/2 and
+    the first one left out is below 1e-18."""
+    u, back = np.unique(az, return_inverse=True)
+    if modified:
+        lo, hi = sps.iv(kappa - 0.5, u), sps.iv(kappa + 0.5, u)
+    else:
+        split = np.searchsorted(u, max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2))
+        near = u[:split]
+        far_lo, far_hi = _bessel_pair_hankel(kappa, u[split:])
+        lo = np.concatenate((sps.jv(kappa - 0.5, near), far_lo))
+        hi = np.concatenate((sps.jv(kappa + 0.5, near), far_hi))
+    return lo[back], hi[back]
+
+
 def _parts(kappa: float, z: np.ndarray, modified: bool) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) parts of the rank-1 kernel as functions of z = x*y."""
     z = np.asarray(z, dtype=float)
@@ -99,8 +153,7 @@ def _parts(kappa: float, z: np.ndarray, modified: bool) -> tuple[np.ndarray, np.
         elif modified and kappa == 0.5:
             lo, hi = sps.i0(az), sps.i1(az)
         else:
-            fn = sps.iv if modified else sps.jv
-            lo, hi = fn(kappa - 0.5, az), fn(kappa + 0.5, az)
+            lo, hi = _bessel_pair_generic(kappa, az, modified)
         even[big] = pref * lo
         odd[big] = np.sign(z[big]) * pref * hi
     return even, odd
@@ -138,10 +191,23 @@ def kernel_1d(kappa: float, x: float, y: float) -> complex:
     return complex(_phase_1d(k, np.asarray(float(x) * float(y)), -1))
 
 
+def _finite_real(val: float, z) -> float:
+    if not math.isfinite(val):
+        raise DomainError(
+            f"E_kappa(x, y) overflows at x*y = {z}; evaluate the rescaled form "
+            "exp(-|x y|) E_kappa(x, y) (kernel._real_1d_scaled), as heat_kernel does"
+        )
+    return val
+
+
 def kernel_real_1d(kappa: float, x: float, y: float) -> float:
-    """Rank-1 kernel at real arguments, E_kappa(x, y); positive."""
+    """Rank-1 kernel at real arguments, E_kappa(x, y); positive.
+
+    Grows like exp(|x y|), so it overflows past |x y| ~ 710; raises
+    DomainError there."""
     k = _check_kappa(kappa)
-    return float(_real_1d(k, np.asarray(float(x) * float(y))))
+    z = float(x) * float(y)
+    return _finite_real(float(_real_1d(k, np.asarray(z))), z)
 
 
 def _point_pair(config: MultiplicityConfig, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +230,13 @@ def kernel_nd(config: MultiplicityConfig, x, y) -> complex:
 
 
 def kernel_real_nd(config: MultiplicityConfig, x, y) -> float:
-    """Product kernel at real arguments, E_kappa(x, y)."""
+    """Product kernel at real arguments, E_kappa(x, y); raises DomainError
+    where it overflows."""
     xa, ya = _point_pair(config, x, y)
     val = 1.0
     for i, k in enumerate(config.kappa):
         val *= float(_real_1d(k, np.asarray(xa[i] * ya[i])))
-    return val
+    return _finite_real(val, (xa * ya).tolist())
 
 
 def dunkl_operator_1d(kappa: float, f: Callable[[float], complex], x: float, h: float = 0.01) -> complex:

@@ -3,8 +3,8 @@
 The rank-one kernel with the spectral sign convention splits into a real
 even part and an odd part built from Bessel functions; the frozen values
 below were produced with 40-digit arbitrary-precision arithmetic and pin
-every evaluation branch (power series, trigonometric ladder, generic
-order fallback).
+every evaluation branch (power series, trigonometric ladder, and the
+generic-order branch in both its scipy and Hankel-expansion zones).
 """
 
 import math
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from dunklpd import DomainError, make_config
 from dunklpd.kernel import (
+    _phase_1d,
+    _real_1d,
     dunkl_operator_1d,
     kernel_1d,
     kernel_nd,
@@ -31,6 +33,64 @@ _FROZEN = [
     (2.0, 8.5, 0.0288976427540540982 + 0.0229560061957382887j),
     (3.0, 10.0, 0.0116913290442843668 + 0.00592437674767054865j),
 ]
+
+# (kappa, z, value) on the generic-order branch (2*kappa not an integer, or
+# kappa above the ladder's limit of 8).  Per kappa: the series zone
+# (|z| <= 6), the scipy jv zone (6 < |z| < max(20, (kappa+1/2)^2)) and the
+# Hankel zone beyond it, up to |z| = 300.
+_FROZEN_GENERIC = [
+    (0.3, 2.5, complex(-0.24789885316949632435, -0.53673777452124051296)),
+    (0.3, 5.75, complex(0.24905788706737524696, 0.39608352484748645423)),
+    (0.3, 9.0, complex(-0.25736130016188228335, -0.32131126895524989145)),
+    (0.3, 19.5, complex(0.32666904901423734189, -0.062399969707525115254)),
+    (0.3, 20.5, complex(0.12624395162256268225, -0.30327903874430377576)),
+    (0.3, 97.3, complex(-0.17333632921582913674, -0.10854849455980479087)),
+    (0.3, 300.0, complex(-0.069231052698497692323, 0.12871962370025907553)),
+    (1.7, 2.5, complex(0.44320237629817085702, -0.33749815920517430664)),
+    (1.7, 5.75, complex(-0.10406399082513472922, 0.035203338123945040551)),
+    (1.7, 9.0, complex(0.048073257127871247855, -0.014498752604286737715)),
+    (1.7, 19.5, complex(-0.0052678421026482433297, 0.012280820187241427234)),
+    (1.7, 20.5, complex(0.0065211967200992004293, 0.0094007099490451838772)),
+    (1.7, 97.3, complex(0.00077975822855638153575, -0.00033228928550177482798)),
+    (1.7, 300.0, complex(-0.000054155038950913472757, -0.00011148090323099706632)),
+    (3.25, 2.5, complex(0.64600171013339216033, -0.23748857891601795803)),
+    (3.25, 5.75, complex(0.024386884343095247092, -0.087201789851730644703)),
+    (3.25, 9.0, complex(-0.0076845585942792341318, 0.019658417808867690279)),
+    (3.25, 19.5, complex(-0.00065944057121055205802, -0.001258171432638094887)),
+    (3.25, 20.5, complex(-0.0012889556515966098564, 0.000031800410706311274622)),
+    (3.25, 97.3, complex(-3.5291889892129625227e-6, 7.5249060892544596972e-6)),
+    (3.25, 300.0, complex(1.9438399513136281053e-7, 8.0673709202077147693e-8)),
+    (8.5, 2.5, complex(0.8393304638093999509, -0.11866386148428505325)),
+    (8.5, 5.75, complex(0.38056540747820519959, -0.13505896643221173481)),
+    (8.5, 13.0, complex(-0.0017847345413544271191, -0.0008474891858507487676)),
+    (8.5, 80.5, complex(1.2863153523635766739e-13, 5.1921956654303749195e-10)),
+    (8.5, 81.5, complex(3.9414065879796537834e-10, 2.1329599157065296007e-10)),
+    (8.5, 300.0, complex(-4.6764735251245958375e-15, 5.6686867709243936111e-15)),
+    (12.3, 2.5, complex(0.88460307639790874005, -0.087164028421577871796)),
+    (12.3, 5.75, complex(0.51591434392987461944, -0.1218300250224390235)),
+    (12.3, 40.0, complex(-1.503947559205850033e-8, 1.1368878994304751727e-8)),
+    (12.3, 163.5, complex(4.8776918635270414625e-16, -8.1177581903308213204e-17)),
+    (12.3, 164.5, complex(2.1072793911895771082e-16, -4.1731269409639678164e-16)),
+    (12.3, 300.0, complex(-7.2455056878857012975e-20, 2.7331996941417057489e-19)),
+]
+
+# (z, value) of the real-argument kernel at kappa = 1.7 (the scipy iv path)
+_FROZEN_REAL_GENERIC = [
+    (2.5, 2.8095539030502644601),
+    (-2.5, 1.0040955077290800971),
+    (5.75, 24.9805599438360834),
+    (-5.75, 3.958862835975409335),
+    (10.0, 765.53700061236205039),
+    (-10.0, 68.095159199346456412),
+    (40.0, 866504750034633.75268),
+    (-40.0, 18640511989379.347724),
+    (300.0, 2.4011796324310223856e126),
+]
+
+
+def _hankel_cutoff(kappa):
+    return max(20.0, (kappa + 0.5) ** 2)
+
 
 _KAPPAS = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.25]),
@@ -56,6 +116,49 @@ class TestFrozenValues:
             np.testing.assert_allclose(
                 kernel_real_1d(0.0, 1.0, z), math.exp(z), rtol=1e-14, atol=math.cosh(z) * 1e-15
             )
+
+
+class TestGenericBranch:
+    @pytest.mark.parametrize("kappa,z,expected", _FROZEN_GENERIC)
+    def test_pinned_values_both_signs(self, kappa, z, expected):
+        # relative to |E|, which follows the Bessel envelope at large |z|
+        # instead of passing through zero
+        rtol = 5e-15 if z >= _hankel_cutoff(kappa) else 1e-13
+        np.testing.assert_allclose(kernel_1d(kappa, 1.0, z), expected, rtol=rtol, atol=0)
+        np.testing.assert_allclose(kernel_1d(kappa, 1.0, -z), np.conj(expected), rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("z,expected", _FROZEN_REAL_GENERIC)
+    def test_pinned_real_kernel(self, z, expected):
+        np.testing.assert_allclose(kernel_real_1d(1.7, 1.0, z), expected, rtol=5e-14, atol=0)
+
+    def test_jv_hankel_seam_is_smooth(self):
+        for kappa in (0.3, 3.25, 8.5):
+            cutoff = _hankel_cutoff(kappa)
+            z = np.linspace(cutoff - 0.05, cutoff + 0.05, 401)
+            vals = np.array([kernel_1d(kappa, 1.0, zz) for zz in z])
+            steps = np.abs(np.diff(vals))
+            assert np.max(steps) < 5.0 * np.median(steps)
+            # one ulp apart, the two evaluators agree to the jv zone's accuracy
+            below = kernel_1d(kappa, 1.0, np.nextafter(cutoff, 0.0))
+            np.testing.assert_allclose(below, kernel_1d(kappa, 1.0, cutoff), rtol=1e-13, atol=0)
+
+    def test_repeated_arguments_match_scalar_evaluation(self, rng):
+        # the Bessel pair is evaluated once per distinct |z|; the gathered
+        # result must be bit-identical to evaluating each element alone
+        base = np.concatenate((rng.uniform(0.0, 320.0, 200), [0.0, 6.0, 20.0, 81.0, 300.0]))
+        z = rng.permutation(np.concatenate((base, -base, base[::3], -base[::7])))
+        for kappa in (0.3, 8.5):
+            for fn in (lambda zz: _phase_1d(kappa, zz, -1), lambda zz: _real_1d(kappa, zz)):
+                one_by_one = np.array([fn(np.asarray(v)) for v in z])
+                assert np.array_equal(fn(z), one_by_one)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 0.3, 2.0])
+    @pytest.mark.parametrize("z", [800.0, -800.0])
+    def test_real_kernel_overflow_raises(self, kappa, z):
+        with pytest.raises(DomainError, match="heat_kernel"):
+            kernel_real_1d(kappa, 1.0, z)
+        with pytest.raises(DomainError, match="heat_kernel"):
+            kernel_real_nd(make_config(2, [kappa, 0.5]), [1.0, 0.5], [z, 0.5])
 
 
 class TestStructure:
