@@ -52,8 +52,7 @@ from .posdef import (
 )
 from .quadrature import Grid, QuadratureSpec, default_spec
 from .reports import GramReport, IdentityReport, reports_to_json
-from .root_system import MultiplicityConfig, Reflection, make_config, reflect, weight
-from .special import bessel_j, bessel_k, gamma_fn
+from .root_system import MultiplicityConfig, make_config, weight
 from .transform import (
     catalog_partner,
     closed_form_transform,
@@ -88,11 +87,8 @@ __all__ = [
     "NotInCatalogError",
     "PointSet",
     "QuadratureSpec",
-    "Reflection",
     "SampledFunction",
     "bessel_integral_identity",
-    "bessel_j",
-    "bessel_k",
     "bessel_k_profile",
     "bochner_certify",
     "bochner_forward",
@@ -110,7 +106,6 @@ __all__ = [
     "evaluate_handle",
     "forward",
     "forward_grid",
-    "gamma_fn",
     "gaussian",
     "gaussian_density",
     "generalized_cauchy",
@@ -129,7 +124,6 @@ __all__ = [
     "plancherel_duality",
     "quadratic_form",
     "quadratic_form_heat",
-    "reflect",
     "reports_to_json",
     "run_suites",
     "sample_on_axes",

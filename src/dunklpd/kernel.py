@@ -207,7 +207,11 @@ def kernel_real_1d(kappa: float, x: float, y: float) -> float:
     DomainError there."""
     k = _check_kappa(kappa)
     z = float(x) * float(y)
-    return _finite_real(float(_real_1d(k, np.asarray(z))), z)
+    # past the overflow point cosh/sinh give inf and inf - inf gives nan;
+    # _finite_real turns either into a DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(_real_1d(k, np.asarray(z)))
+    return _finite_real(val, z)
 
 
 def _point_pair(config: MultiplicityConfig, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -234,8 +238,9 @@ def kernel_real_nd(config: MultiplicityConfig, x, y) -> float:
     where it overflows."""
     xa, ya = _point_pair(config, x, y)
     val = 1.0
-    for i, k in enumerate(config.kappa):
-        val *= float(_real_1d(k, np.asarray(xa[i] * ya[i])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, k in enumerate(config.kappa):
+            val *= float(_real_1d(k, np.asarray(xa[i] * ya[i])))
     return _finite_real(val, (xa * ya).tolist())
 
 

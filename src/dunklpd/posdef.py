@@ -32,7 +32,7 @@ from .functions import (
     uniform_axes,
 )
 from .kernel import _phase_1d, _real_1d_scaled
-from .quadrature import Grid, QuadratureSpec
+from .quadrature import Grid, QuadratureSpec, integrate_with_check, two_pass
 from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
@@ -142,12 +142,11 @@ def _weighted_density(config, grid, density) -> np.ndarray:
 
 
 def _gram_from_density(config, spec, density, pts) -> tuple[np.ndarray, float]:
-    coarse_grid = Grid(config, spec)
-    fine_grid = Grid(config, spec.doubled())
-    coarse = _gram_at(config, coarse_grid, _weighted_density(config, coarse_grid, density), pts)
-    fine = _gram_at(config, fine_grid, _weighted_density(config, fine_grid, density), pts)
-    delta = float(np.max(np.abs(fine - coarse)))
-    return fine, delta
+    def run(sp):
+        grid = Grid(config, sp)
+        return _gram_at(config, grid, _weighted_density(config, grid, density), pts)
+
+    return two_pass(run, spec)
 
 
 def gram(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, pts: PointSet) -> GramReport:
@@ -167,10 +166,13 @@ def quadratic_form(config: MultiplicityConfig, quad: QuadratureSpec | None, phi,
     return complex(a.conj() @ report.matrix @ a)
 
 
-def _certification_axes(config: MultiplicityConfig, spec: QuadratureSpec):
+def _certification_points(config: MultiplicityConfig, spec: QuadratureSpec) -> np.ndarray:
+    """Uniform mesh on which the certificates sample the transform, (N, d)."""
     extent = {1: 8.0, 2: 6.0, 3: 4.0}[config.dimension]
     count = {1: 641, 2: 121, 3: 41}[config.dimension]
-    return uniform_axes(config.dimension, min(extent, spec.radius), count)
+    axes = uniform_axes(config.dimension, min(extent, spec.radius), count)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi):
@@ -204,9 +206,7 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
     """
     spec = _resolve_spec(config, quad)
     density = spectral_density(config, spec, phi)
-    axes = _certification_axes(config, spec)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    pts = _certification_points(config, spec)
     psi = np.asarray(density(pts), dtype=complex)
     scale = float(np.max(np.abs(psi))) if psi.size else 0.0
     k = int(np.argmin(psi.real))
@@ -246,9 +246,7 @@ def _translate_diagonal(config, spec, density, xs: np.ndarray) -> tuple[np.ndarr
             out[m] = block
         return out
 
-    coarse = run(spec)
-    fine = run(spec.doubled())
-    return fine, float(np.max(np.abs(fine - coarse)))
+    return two_pass(run, spec)
 
 
 def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs) -> IdentityReport:
@@ -312,7 +310,7 @@ def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1,
     product = lambda p: evaluate_handle(config, phi1, p) * evaluate_handle(config, phi2, p)
     # the gram integrals only query the density on the spec grid and its
     # doubling, so a separable tabulation beats point-by-point transforms
-    fwd = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 64), spec.rule)
+    fwd = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 64))
     prod_density = tabulated_density(config, fwd, product, spec)
     prod_matrix, prod_delta = _gram_from_density(config, spec, prod_density, pts.points)
     reports.append(
@@ -350,9 +348,8 @@ def quadratic_form_heat(
         g = _gram_at(config, grid, dvec, pts.points)
         return complex(a.conj() @ g @ a)
 
-    coarse = run(spec)
-    fine = run(spec.doubled())
-    _warn_if_underresolved("heat-smoothed form", np.asarray([fine]), abs(fine - coarse))
+    fine, delta = two_pass(run, spec)
+    _warn_if_underresolved("heat-smoothed form", np.asarray([fine]), delta)
     return fine
 
 
@@ -397,25 +394,18 @@ def heat_kernel_mass(
     spread = QuadratureSpec(
         radius=max(spec.radius, need),
         nodes_per_axis=max(spec.nodes_per_axis, {1: 160, 2: 128}.get(config.dimension, 96)),
-        rule=spec.rule,
     )
-
-    def run(sp):
-        grid = Grid(config, sp)
-        gp = grid.points()
-        vals = heat_kernel(config, t, np.broadcast_to(xv, gp.shape), gp)
-        return float(np.real(grid.integrate(np.asarray(vals).reshape(grid.shape))))
-
-    coarse = run(spread)
-    fine = run(spread.doubled())
+    mass, delta = integrate_with_check(
+        config, spread, lambda gp: heat_kernel(config, t, np.broadcast_to(xv, gp.shape), gp)
+    )
     alt = 2.0 ** -(config.gamma + config.dimension / 2.0)
     return IdentityReport(
         identity_name="heat_kernel_weighted_mass",
         expected=1.0,
-        computed=fine,
+        computed=mass,
         tolerance=tolerance,
         notes=(
-            f"t={t}, x={xv.tolist()}, resolution delta {abs(fine - coarse):.3e}; "
+            f"t={t}, x={xv.tolist()}, resolution delta {delta:.3e}; "
             f"alternate (4t)-power prefactor would give mass {alt:.6f} (non-matching, kept for reference)"
         ),
     )
@@ -434,23 +424,16 @@ def bessel_integral_identity(config: MultiplicityConfig, quad: QuadratureSpec | 
     spec = _resolve_spec(config, quad)
     profile = bessel_k_profile(p)
     norm = sps.gamma(p) * 2.0 ** (p - 1.0)
-
-    def run(sp):
-        grid = Grid(config, sp)
-        vals = norm * evaluate_handle(config, profile, grid.points())
-        return float(np.real(grid.integrate(vals.reshape(grid.shape))))
-
-    coarse = run(spec)
-    fine = run(spec.doubled())
+    mass, delta = integrate_with_check(config, spec, lambda gp: norm * evaluate_handle(config, profile, gp))
     oracle = norm / config.mehta
     alternate = sps.gamma(p) / (config.mehta * 2.0 ** (p - 1.0))
     return IdentityReport(
         identity_name="radial_bessel_profile_weighted_mass",
         expected=oracle,
-        computed=fine,
+        computed=mass,
         tolerance=1e-5,
         notes=(
-            f"p={p}; resolution delta {abs(fine - coarse):.3e}; "
+            f"p={p}; resolution delta {delta:.3e}; "
             f"alternate constant {alternate:.9e} deviates by factor {alternate / oracle:.3e} (non-matching)"
         ),
     )
@@ -490,9 +473,7 @@ def strict_pd_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, p
     if not cert.passed:
         raise InputError(f"not certified positive definite: {cert.notes}")
     density = spectral_density(config, spec, phi)
-    axes = _certification_axes(config, spec)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    pts = _certification_points(config, spec)
     peak = float(np.max(np.abs(density(pts))))
     phi0 = abs(complex(np.asarray(evaluate_handle(config, phi, np.zeros((1, config.dimension)))).reshape(-1)[0]))
     if peak <= 1e-10 * max(1.0, phi0):

@@ -90,8 +90,9 @@ def reports_to_json(reports, path: str | None = None, extra: dict | None = None)
 class GramReport:
     """Eigenvalue summary of a translation Gram matrix.
 
-    psd / spd verdicts use a tolerance scaled to the largest eigenvalue so
-    that verdicts are stable under overall rescaling of the base function.
+    psd / spd verdicts use a tolerance relative to the largest eigenvalue
+    magnitude, so verdicts do not change when the matrix is rescaled; a zero
+    matrix gets tolerance 0 (psd, not spd) unless quadrature_delta widens it.
     """
 
     matrix: np.ndarray
@@ -114,7 +115,7 @@ class GramReport:
         eigs = np.linalg.eigvalsh(herm)
         lo = float(eigs[0])
         hi = float(eigs[-1])
-        scale = max(1.0, hi)
+        scale = max(abs(lo), abs(hi))
         tol = max(1e-8 * scale, quadrature_delta * g.shape[0])
         return cls(
             matrix=g,

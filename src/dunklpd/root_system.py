@@ -21,17 +21,6 @@ MAX_DIMENSION = 3
 
 
 @dataclass(frozen=True)
-class Reflection:
-    """Sign flip of one coordinate axis.  Axes are numbered 1..d."""
-
-    axis: int
-
-    def __post_init__(self):
-        if not isinstance(self.axis, int) or self.axis < 1:
-            raise ConfigurationError(f"reflection axis must be a positive integer, got {self.axis!r}")
-
-
-@dataclass(frozen=True)
 class MultiplicityConfig:
     """Dimension, per-axis multiplicities, and derived constants.
 
@@ -102,14 +91,3 @@ def weight(config: MultiplicityConfig, x) -> float | np.ndarray:
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def reflect(config: MultiplicityConfig, x, reflection: Reflection) -> np.ndarray:
-    """Apply the sign flip of the given axis to a point."""
-    if reflection.axis > config.dimension:
-        raise ConfigurationError(
-            f"reflection axis {reflection.axis} out of range for dimension {config.dimension}"
-        )
-    pts = np.array(x, dtype=float, copy=True)
-    pts[..., reflection.axis - 1] *= -1.0
-    return pts

@@ -7,9 +7,10 @@ involution up to the sign flip x -> -x, reduces to the unitary Fourier
 transform when every multiplicity vanishes, and maps the catalog pairs onto
 each other exactly.
 
-Every integral runs at the requested resolution and at doubled nodes; the
-doubled value is returned and the difference drives an AccuracyWarning when
-it exceeds 1e-6 relative to the result scale.
+Every integral runs through quadrature.two_pass, at the requested
+resolution and at doubled nodes; the doubled value is returned and the
+difference drives an AccuracyWarning when it exceeds 1e-6 relative to the
+result scale.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .functions import (
     uniform_axes,
 )
 from .kernel import _phase_1d
-from .quadrature import Grid, QuadratureSpec, default_spec
+from .quadrature import Grid, QuadratureSpec, default_spec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
 
@@ -117,11 +118,7 @@ def _transform_at(config, spec, f, out_pts, sign) -> np.ndarray:
 
 
 def _transform_points(config, quad, f, out_pts, sign) -> tuple[np.ndarray, float]:
-    spec = _resolve_spec(config, quad)
-    coarse = _transform_at(config, spec, f, out_pts, sign)
-    fine = _transform_at(config, spec.doubled(), f, out_pts, sign)
-    delta = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
-    return fine, delta
+    return two_pass(lambda sp: _transform_at(config, sp, f, out_pts, sign), _resolve_spec(config, quad))
 
 
 def _warn_if_underresolved(what: str, values: np.ndarray, delta: float) -> None:
@@ -179,9 +176,7 @@ def forward_grid(
         ]
         return config.mehta * _grid_contract(mats, vw)
 
-    coarse = run(spec)
-    fine = run(spec.doubled())
-    delta = float(np.max(np.abs(fine - coarse)))
+    fine, delta = two_pass(run, spec)
     _warn_if_underresolved("grid transform", fine, delta)
     flip = -1.0 if sign == FORWARD else 1.0
     hint = lambda pts: evaluate_handle(config, f, flip * np.asarray(pts, dtype=float))
@@ -284,15 +279,9 @@ def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p:
     """L^p norm against the reflection weight, (int |f|^p h^2)^(1/p)."""
     if p < 1:
         raise InputError(f"norm order must be >= 1, got {p}")
-    spec = _resolve_spec(config, quad)
-
-    def run(sp):
-        grid = Grid(config, sp)
-        vals = np.abs(evaluate_handle(config, f, grid.points())) ** p
-        return float(np.real(grid.integrate(vals)))
-
-    fine = run(spec.doubled())
-    return fine ** (1.0 / p)
+    grid = Grid(config, _resolve_spec(config, quad).doubled())
+    vals = np.abs(evaluate_handle(config, f, grid.points())) ** p
+    return float(np.real(grid.integrate(vals))) ** (1.0 / p)
 
 
 def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g) -> IdentityReport:
@@ -308,13 +297,11 @@ def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, 
         rhs = grid.integrate(evaluate_handle(config, f, pts) * dg(pts))
         return complex(lhs), complex(rhs)
 
-    l1, r1 = run(spec)
-    l2, r2 = run(spec.doubled())
-    delta = max(abs(l2 - l1), abs(r2 - r1))
+    (lhs, rhs), delta = two_pass(run, spec)
     return IdentityReport(
         identity_name="transform_pairing_symmetry",
-        expected=l2,
-        computed=r2,
+        expected=lhs,
+        computed=rhs,
         tolerance=1e-7,
         notes=f"resolution delta {delta:.3e}",
     )

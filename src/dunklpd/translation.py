@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .functions import CatalogFunction, SampledFunction, evaluate_handle
 from .kernel import _phase_1d
-from .quadrature import Grid, QuadratureSpec
+from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
@@ -55,9 +55,7 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     yv = _point(config, y)
     pts, squeeze = _as_points(config, x)
     density = spectral_density(config, spec, f)
-    coarse = _translate_at(config, Grid(config, spec), density, yv, pts)
-    fine = _translate_at(config, Grid(config, spec.doubled()), density, yv, pts)
-    delta = float(np.max(np.abs(fine - coarse)))
+    fine, delta = two_pass(lambda sp: _translate_at(config, Grid(config, sp), density, yv, pts), spec)
     _warn_if_underresolved("translation", fine, delta)
     return complex(fine[0]) if squeeze else fine
 
@@ -112,13 +110,11 @@ def translate_mass(
         rhs = go.integrate(evaluate_handle(config, f, go.points()).reshape(go.shape))
         return lhs, complex(rhs)
 
-    l1, r1 = run(spec, outer_spec)
-    l2, r2 = run(spec.doubled(), outer_spec.doubled())
-    delta = max(abs(l2 - l1), abs(r2 - r1))
+    (lhs, rhs), delta = two_pass(run, spec, outer_spec)
     return IdentityReport(
         identity_name="translation_preserves_weighted_mass",
-        expected=r2,
-        computed=l2,
+        expected=rhs,
+        computed=lhs,
         tolerance=tolerance,
         notes=f"shift {yv.tolist()}; resolution delta {delta:.3e}",
     )
@@ -137,9 +133,7 @@ def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
         vw = (df(gp) * dg(gp)).reshape(grid.shape) * grid.weight_grid()
         return config.mehta * _blocked_scatter(config, grid, vw, pts, INVERSE)
 
-    coarse = run(spec)
-    fine = run(spec.doubled())
-    delta = float(np.max(np.abs(fine - coarse)))
+    fine, delta = two_pass(run, spec)
     _warn_if_underresolved("convolution", fine, delta)
     return complex(fine[0]) if squeeze else fine
 
@@ -165,9 +159,7 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
             out[m] = config.mehta * grid.integrate(fvals * shifted)
         return out
 
-    coarse = run(spec)
-    fine = run(spec.doubled())
-    delta = float(np.max(np.abs(fine - coarse)))
+    fine, delta = two_pass(run, spec)
     _warn_if_underresolved("direct convolution", fine, delta)
     return complex(fine[0]) if squeeze else fine
 
@@ -180,11 +172,8 @@ def convolve_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g)
     """
     spec = _resolve_spec(config, quad)
     grid = Grid(config, spec)
-    axes = grid.axes
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    vals = convolve(config, spec, f, g, pts).reshape(grid.shape)
+    vals = convolve(config, spec, f, g, grid.points()).reshape(grid.shape)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
     hint = lambda p: df(p) * dg(p)
-    return SampledFunction(axes, vals, spectral_hint=hint)
+    return SampledFunction(grid.axes, vals, spectral_hint=hint)

@@ -154,7 +154,10 @@ class TestGenericBranch:
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 0.3, 2.0])
     @pytest.mark.parametrize("z", [800.0, -800.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_real_kernel_overflow_raises(self, kappa, z):
+        # the overflow must surface as DomainError alone, with no numpy
+        # overflow or invalid-value warning leaking out first
         with pytest.raises(DomainError, match="heat_kernel"):
             kernel_real_1d(kappa, 1.0, z)
         with pytest.raises(DomainError, match="heat_kernel"):

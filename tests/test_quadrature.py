@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dunklpd import ConfigurationError, make_config
-from dunklpd.quadrature import Grid, QuadratureSpec, default_spec, integrate_with_check
+from dunklpd.quadrature import Grid, QuadratureSpec, default_spec, integrate_with_check, two_pass
 
 
 class TestSpec:
@@ -21,8 +21,6 @@ class TestSpec:
             QuadratureSpec(10.0, 4)
         with pytest.raises(ConfigurationError):
             QuadratureSpec(10.0, 64.0)
-        with pytest.raises(ConfigurationError):
-            QuadratureSpec(10.0, 64, rule="simpson")
 
     def test_doubled(self):
         spec = QuadratureSpec(8.0, 48)
@@ -104,3 +102,44 @@ class TestTwoPassCheck:
             cfg, QuadratureSpec(12.0, 8), lambda p: np.cos(37.0 * p[:, 0]) * np.exp(-p[:, 0] ** 2)
         )
         assert delta > 1e-3
+
+
+class TestTwoPass:
+    def test_runs_spec_then_doubled_and_returns_fine(self):
+        calls = []
+
+        def run(sp):
+            calls.append(sp.nodes_per_axis)
+            return float(sp.nodes_per_axis)
+
+        fine, delta = two_pass(run, QuadratureSpec(4.0, 16))
+        assert calls == [16, 32]
+        assert fine == 32.0 and delta == 16.0
+
+    def test_tuple_result(self):
+        fine, delta = two_pass(lambda sp: (1.0 / sp.nodes_per_axis, 2.0 + 1j), QuadratureSpec(4.0, 8))
+        assert fine == (1.0 / 16, 2.0 + 1j)
+        assert delta == pytest.approx(1.0 / 8 - 1.0 / 16, rel=1e-15)
+
+    def test_doubles_every_spec_together(self):
+        seen = []
+
+        def run(inner, outer):
+            seen.append((inner.nodes_per_axis, outer.nodes_per_axis, outer.radius))
+            return inner.nodes_per_axis + outer.nodes_per_axis
+
+        fine, delta = two_pass(run, QuadratureSpec(4.0, 8), QuadratureSpec(9.0, 12))
+        assert seen == [(8, 12, 9.0), (16, 24, 9.0)]
+        assert fine == 40 and delta == 20.0
+
+    def test_empty_result_has_zero_delta(self):
+        fine, delta = two_pass(lambda sp: np.empty(0, dtype=complex), QuadratureSpec(4.0, 8))
+        assert fine.size == 0
+        assert delta == 0.0 and isinstance(delta, float)
+
+    def test_delta_is_largest_entrywise_change(self):
+        coarse = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fine = np.array([[1.5, 2.0], [3.0, 4.0 - 3.0j]])
+        got, delta = two_pass(lambda sp: fine if sp.nodes_per_axis == 16 else coarse, QuadratureSpec(4.0, 8))
+        assert got is fine
+        assert delta == 3.0

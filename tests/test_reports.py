@@ -79,6 +79,19 @@ class TestGramReport:
         assert not small.psd
         assert large.psd
 
+    @pytest.mark.parametrize("factor", [1.0, 1e-9, 1e3])
+    def test_verdicts_invariant_under_rescaling(self, rng, factor):
+        b = rng.normal(size=(5, 5))
+        spd_matrix = b @ b.T + 0.1 * np.eye(5)
+        indefinite = spd_matrix - 2.0 * np.linalg.eigvalsh(spd_matrix)[1] * np.eye(5)
+        for matrix, verdict in ((spd_matrix, (True, True)), (indefinite, (False, False))):
+            rep = GramReport.from_matrix(factor * matrix)
+            assert (rep.psd, rep.spd) == verdict
+
+    def test_zero_matrix_is_psd_not_spd(self):
+        rep = GramReport.from_matrix(np.zeros((3, 3)))
+        assert rep.psd and not rep.spd
+
     def test_hermitian_residual_reported(self):
         m = np.array([[1.0, 0.1 + 0.05j], [0.1 - 0.02j, 1.0]])
         rep = GramReport.from_matrix(m)
