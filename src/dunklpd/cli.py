@@ -31,7 +31,6 @@ from .functions import (
 )
 from .identities import _indefinite_profile, run_suites
 from .posdef import PointSet, bochner_certify, builtin_points, gram, strict_pd_certify
-from .quadrature import QuadratureSpec, default_spec
 from .reports import reports_to_json
 from .root_system import MultiplicityConfig
 from .transform import FORWARD, INVERSE, forward_grid

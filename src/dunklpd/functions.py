@@ -148,8 +148,8 @@ class SampledFunction:
         if vals.shape != shape:
             raise InputError(f"values shape {vals.shape} does not match grid shape {shape}")
         for a in self.axes:
-            if len(a) < 2 or np.any(np.diff(a) <= 0):
-                raise InputError("grid axes must be strictly increasing with >= 2 nodes")
+            if len(a) < 2 or not np.all(np.isfinite(a)) or not np.all(np.diff(a) > 0):
+                raise InputError("grid axes must be finite and strictly increasing with >= 2 nodes")
 
     @property
     def dimension(self) -> int:
@@ -227,7 +227,10 @@ def sample_on_axes(
 def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray, ...]:
     if count < 2:
         raise InputError("need at least 2 nodes per axis")
-    ax = np.linspace(-float(extent), float(extent), int(count))
+    extent = float(extent)
+    if not np.isfinite(extent) or extent <= 0.0:
+        raise InputError(f"grid extent must be finite and positive, got {extent}")
+    ax = np.linspace(-extent, extent, int(count))
     return tuple(ax for _ in range(dimension))
 
 
@@ -270,6 +273,8 @@ def load_sampled_csv(path: str) -> SampledFunction:
             raise InputError(f"{path}: malformed CSV body: {exc}") from exc
     if data.shape[1] != d + 2:
         raise InputError(f"{path}: rows have {data.shape[1]} fields, expected {d + 2}")
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"{path}: every field must be finite (found nan or inf)")
     axes = [np.unique(data[:, i]) for i in range(d)]
     shape = tuple(len(a) for a in axes)
     if int(np.prod(shape)) != data.shape[0]:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InputError
 from .functions import (
-    CatalogFunction,
     bessel_k_profile,
     evaluate_handle,
     gaussian,
@@ -28,7 +27,6 @@ from .functions import (
 )
 from .kernel import _phase_1d, dunkl_operator_1d, kernel_1d, kernel_nd, kernel_real_nd
 from .posdef import (
-    PointSet,
     bessel_integral_identity,
     bochner_certify,
     bound_check,
@@ -47,11 +45,9 @@ from .reports import IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
-    INVERSE,
     _resolve_spec,
     forward,
     inverse,
-    numeric_density,
     plancherel_duality,
     spectral_density,
     tabulated_density,

@@ -26,19 +26,20 @@ from scipy import special as sps
 from .errors import DomainError, InputError
 from .functions import (
     CatalogFunction,
-    SampledFunction,
     bessel_k_profile,
     evaluate_handle,
     uniform_axes,
 )
-from .kernel import _phase_1d, _real_1d_scaled
+from .kernel import _real_1d_scaled
 from .quadrature import Grid, QuadratureSpec, integrate_with_check, two_pass
 from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
     INVERSE,
+    _axis_matrices,
     _resolve_spec,
+    _scatter_contract,
     _warn_if_underresolved,
     catalog_partner,
     forward_grid,
@@ -67,6 +68,8 @@ class PointSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InputError(f"points must form an (n, d) array, got shape {np.shape(self.points)}")
+        if not np.all(np.isfinite(pts)):
+            raise InputError("points must be finite")
         if _pairwise_min_separation(pts) <= _MIN_SEPARATION:
             raise InputError(f"points must be pairwise distinct (separation > {_MIN_SEPARATION})")
         object.__setattr__(self, "points", pts)
@@ -74,6 +77,8 @@ class PointSet:
             coef = np.asarray(self.coefficients, dtype=complex).reshape(-1)
             if coef.shape[0] != pts.shape[0]:
                 raise InputError(f"{coef.shape[0]} coefficients for {pts.shape[0]} points")
+            if not np.all(np.isfinite(coef)):
+                raise InputError("coefficients must be finite")
             if np.max(np.abs(coef)) == 0.0:
                 raise InputError("coefficients must not all vanish")
             object.__setattr__(self, "coefficients", coef)
@@ -108,32 +113,11 @@ def builtin_points(dimension: int, n: int, coefficients=None) -> PointSet:
 
 
 def _gram_at(config: MultiplicityConfig, grid: Grid, dvec: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """G[j, l] = sum_k conj(C[j, k]) dvec[k] C[l, k], C[p, k] = E(i x_p, xi_k)."""
-    p = len(pts)
-    mats = [
-        _phase_1d(config.kappa[i], np.multiply.outer(pts[:, i], grid.axes[i]), INVERSE)
-        for i in range(config.dimension)
-    ]
-    shape = grid.shape
-    rest = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-    step = max(1, int(4_000_000 // max(1, rest * p)))
-    gram = np.zeros((p, p), dtype=complex)
-    for s in range(0, shape[0], step):
-        sl = slice(s, min(s + step, shape[0]))
-        if config.dimension == 1:
-            block = mats[0][:, sl]
-        elif config.dimension == 2:
-            block = mats[0][:, sl, None] * mats[1][:, None, :]
-        else:
-            block = (
-                mats[0][:, sl, None, None]
-                * mats[1][:, None, :, None]
-                * mats[2][:, None, None, :]
-            )
-        block = block.reshape(p, -1)
-        db = dvec[sl].reshape(-1)
-        gram += (block.conj() * db) @ block.T
-    return gram
+    """G[j, l] = sum_k conj(C[j, k]) dvec[k] C[l, k], C[p, k] = E(i x_p, xi_k).
+
+    One contraction per row j; all p^2 pair rows at once would take p^2 n memory per axis."""
+    mats = _axis_matrices(config, pts.T, grid.axes, INVERSE)
+    return np.stack([_scatter_contract([m[j].conj() * m for m in mats], dvec) for j in range(len(pts))])
 
 
 def _weighted_density(config, grid, density) -> np.ndarray:
@@ -229,22 +213,8 @@ def _translate_diagonal(config, spec, density, xs: np.ndarray) -> tuple[np.ndarr
 
     def run(sp):
         grid = Grid(config, sp)
-        vw = _weighted_density(config, grid, density)
-        mats = [
-            np.abs(
-                _phase_1d(config.kappa[i], np.multiply.outer(xs[:, i], grid.axes[i]), INVERSE)
-            )
-            ** 2
-            for i in range(config.dimension)
-        ]
-        t = vw
-        out = np.zeros(len(xs), dtype=complex)
-        for m in range(len(xs)):
-            block = t
-            for i in range(config.dimension):
-                block = np.tensordot(mats[i][m], block, axes=(0, 0))
-            out[m] = block
-        return out
+        mats = _axis_matrices(config, xs.T, grid.axes, INVERSE)
+        return _scatter_contract([np.abs(m) ** 2 for m in mats], _weighted_density(config, grid, density))
 
     return two_pass(run, spec)
 
@@ -456,11 +426,7 @@ def kernel_independence(
         raise InputError("need at least as many probes as points")
     if enforce_distinct and _pairwise_min_separation(xpts) <= _MIN_SEPARATION:
         raise InputError("points must be pairwise distinct")
-    matrix = np.ones((xpts.shape[0], probes.shape[0]), dtype=complex)
-    for i in range(config.dimension):
-        matrix = matrix * _phase_1d(
-            config.kappa[i], np.multiply.outer(xpts[:, i], probes[:, i]), FORWARD
-        )
+    matrix = np.prod(_axis_matrices(config, xpts.T, probes.T, FORWARD), axis=0)
     return float(np.linalg.svd(matrix, compute_uv=False)[-1])
 
 

@@ -108,10 +108,10 @@ class GramReport:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, quadrature_delta: float = 0.0, notes: str = "") -> "GramReport":
         g = np.asarray(matrix, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"gram matrix must be square, got shape {g.shape}")
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
+            raise ValueError(f"gram matrix must be square and non-empty, got shape {g.shape}")
         herm = 0.5 * (g + g.conj().T)
-        residual = float(np.max(np.abs(g - herm))) if g.size else 0.0
+        residual = float(np.max(np.abs(g - herm)))
         eigs = np.linalg.eigvalsh(herm)
         lo = float(eigs[0])
         hi = float(eigs[-1])

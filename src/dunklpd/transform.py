@@ -11,6 +11,11 @@ Every integral runs through quadrature.two_pass, at the requested
 resolution and at doubled nodes; the doubled value is returned and the
 difference drives an AccuracyWarning when it exceeds 1e-6 relative to the
 result scale.
+
+Every kernel sum (transforms, convolution, translates, the translated mass,
+Gram matrices, translate diagonals) contracts a weighted grid against
+per-axis phase matrices, all built by _axis_matrices, in one of two places:
+_scatter_contract for scattered outputs, _grid_contract for grid outputs.
 """
 
 from __future__ import annotations
@@ -55,12 +60,9 @@ def _as_points(config: MultiplicityConfig, x) -> tuple[np.ndarray, bool]:
     return pts, squeeze
 
 
-def _axis_matrices(config: MultiplicityConfig, out_pts: np.ndarray, grid: Grid, sign: int) -> list:
-    mats = []
-    for i in range(config.dimension):
-        z = np.multiply.outer(out_pts[:, i], grid.axes[i])
-        mats.append(_phase_1d(config.kappa[i], z, sign))
-    return mats
+def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
+    """Phase matrices E_k(r, sign i c) over rows[i] x cols[i], given as pts.T, grid.axes or y[:, None]."""
+    return [_phase_1d(k, np.multiply.outer(r, c), sign) for k, r, c in zip(config.kappa, rows, cols)]
 
 
 def _scatter_contract(mats: list, vw: np.ndarray) -> np.ndarray:
@@ -97,15 +99,15 @@ def _blocked_scatter(config, grid, vw, pts, sign, axis_factors=None) -> np.ndarr
 
     Phase matrices are (points x nodes) per axis; blocking the points keeps
     huge requests from materializing multi-GB matrices at once.
-    axis_factors, when given, holds one extra per-node factor per axis
+    axis_factors, when given, holds one extra (1, nodes) factor row per axis
     (translation folds the shift phases in this way).
     """
     out = np.empty(len(pts), dtype=complex)
     for s in range(0, len(pts), _POINT_BLOCK):
         sl = slice(s, min(s + _POINT_BLOCK, len(pts)))
-        mats = _axis_matrices(config, pts[sl], grid, sign)
+        mats = _axis_matrices(config, pts[sl].T, grid.axes, sign)
         if axis_factors is not None:
-            mats = [m * fac[None, :] for m, fac in zip(mats, axis_factors)]
+            mats = [m * fac for m, fac in zip(mats, axis_factors)]
         out[sl] = _scatter_contract(mats, vw)
     return out
 
@@ -170,11 +172,7 @@ def forward_grid(
         grid = Grid(config, sp)
         vals = evaluate_handle(config, f, grid.points()).reshape(grid.shape)
         vw = vals * grid.weight_grid()
-        mats = [
-            _phase_1d(config.kappa[i], np.multiply.outer(out_axes[i], grid.axes[i]), sign)
-            for i in range(config.dimension)
-        ]
-        return config.mehta * _grid_contract(mats, vw)
+        return config.mehta * _grid_contract(_axis_matrices(config, out_axes, grid.axes, sign), vw)
 
     fine, delta = two_pass(run, spec)
     _warn_if_underresolved("grid transform", fine, delta)
@@ -256,20 +254,23 @@ def tabulated_density(
     node sets; evaluating them through forward_grid keeps the contraction
     separable, which is far cheaper than point-by-point quadrature when the
     forward and inverse legs need very different radii.  Off-grid points
-    fall back to the honest scattered path.
+    fall back to the honest scattered path, built on first use.
     """
-    fallback = numeric_density(config, quad, f)
     tables = []
+    fallback = None
     for sp in (eval_spec, eval_spec.doubled()):
         grid = Grid(config, sp)
         sampled = forward_grid(config, quad, f, out_axes=grid.axes)
         tables.append((grid.points(), sampled.values.ravel()))
 
     def density(pts):
+        nonlocal fallback
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         for nodes, vals in tables:
             if pts.shape == nodes.shape and np.array_equal(pts, nodes):
                 return vals
+        if fallback is None:
+            fallback = numeric_density(config, quad, f)
         return fallback(pts)
 
     return density

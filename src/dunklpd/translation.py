@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .functions import CatalogFunction, SampledFunction, evaluate_handle
-from .kernel import _phase_1d
 from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
@@ -26,8 +25,11 @@ from .transform import (
     FORWARD,
     INVERSE,
     _as_points,
+    _axis_matrices,
     _blocked_scatter,
     _resolve_spec,
+    _scatter_contract,
+    _transform_points,
     _warn_if_underresolved,
     spectral_density,
 )
@@ -43,9 +45,7 @@ def _point(config: MultiplicityConfig, y) -> np.ndarray:
 def _translate_at(config, grid, density, y, out_pts) -> np.ndarray:
     rho = np.asarray(density(grid.points()), dtype=complex).reshape(grid.shape)
     vw = rho * grid.weight_grid()
-    shift_phases = [
-        _phase_1d(config.kappa[i], y[i] * grid.axes[i], FORWARD) for i in range(config.dimension)
-    ]
+    shift_phases = _axis_matrices(config, y[:, None], grid.axes, FORWARD)
     return config.mehta * _blocked_scatter(config, grid, vw, out_pts, INVERSE, axis_factors=shift_phases)
 
 
@@ -99,14 +99,10 @@ def translate_mass(
         gi = Grid(config, sp_in)
         go = Grid(config, sp_out)
         rho = np.asarray(density(gi.points()), dtype=complex).reshape(gi.shape)
-        vw = rho * gi.weight_grid()
-        for i in range(config.dimension):
-            phases = _phase_1d(config.kappa[i], yv[i] * gi.axes[i], FORWARD)
-            col = go.axis_weights[i] @ _phase_1d(
-                config.kappa[i], np.multiply.outer(go.axes[i], gi.axes[i]), INVERSE
-            )
-            vw = np.moveaxis(np.moveaxis(vw, i, -1) * (phases * col), -1, i)
-        lhs = config.mehta * complex(np.sum(vw))
+        shifts = _axis_matrices(config, yv[:, None], gi.axes, FORWARD)
+        cols = _axis_matrices(config, go.axes, gi.axes, INVERSE)
+        rows = [shift * (w @ col) for shift, w, col in zip(shifts, go.axis_weights, cols)]
+        lhs = config.mehta * complex(_scatter_contract(rows, rho * gi.weight_grid())[0])
         rhs = go.integrate(evaluate_handle(config, f, go.points()).reshape(go.shape))
         return lhs, complex(rhs)
 
@@ -126,14 +122,7 @@ def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     pts, squeeze = _as_points(config, x)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
-
-    def run(sp):
-        grid = Grid(config, sp)
-        gp = grid.points()
-        vw = (df(gp) * dg(gp)).reshape(grid.shape) * grid.weight_grid()
-        return config.mehta * _blocked_scatter(config, grid, vw, pts, INVERSE)
-
-    fine, delta = two_pass(run, spec)
+    fine, delta = _transform_points(config, spec, lambda p: df(p) * dg(p), pts, INVERSE)
     _warn_if_underresolved("convolution", fine, delta)
     return complex(fine[0]) if squeeze else fine
 

@@ -241,6 +241,32 @@ class TestUsageErrors:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", ["nan,5", "inf,5", "0,5"])
+    def test_non_finite_grid_extent(self, config_path, tmp_path, grid, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(
+            ["transform", "--config", config_path, "--function", "gaussian:t=1", "--grid", grid, "--output", str(out)]
+        )
+        assert rc == 2
+        assert "extent" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_sampled_function(self, config_path, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("x1,re,im\n-1.0,0.5,0\n0.0,1.0,0\nnan,0.5,0\n")
+        rc = cli.main(["certify", "--config", config_path, "--function", str(csv)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_non_finite_points(self, config_path, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1\n0.0\nnan\n")
+        rc = cli.main(["certify", "--config", config_path, "--function", "gaussian:t=1", "--points", str(pts)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_dimension_mismatch_between_config_and_samples(self, plane_config_path, tmp_path, capsys):
         csv = tmp_path / "one_d.csv"
         csv.write_text("x1,re,im\n-1.0,0.5,0\n0.0,1.0,0\n1.0,0.5,0\n")

@@ -115,6 +115,13 @@ class TestSampledFunction:
         with pytest.raises(InputError):
             SampledFunction((), np.zeros(()))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_axes_must_be_finite(self, bad):
+        with pytest.raises(InputError):
+            SampledFunction((np.array([-1.0, 0.0, bad]),), np.zeros(3))
+        with pytest.raises(InputError):
+            SampledFunction((np.full(3, bad),), np.zeros(3))
+
     def test_exact_at_nodes_zero_outside(self, cfg_half):
         axes = uniform_axes(1, 2.0, 21)
         fn = sample_on_axes(cfg_half, gaussian(1.0), axes)
@@ -183,3 +190,17 @@ class TestCsv:
     def test_uniform_axes_validation(self):
         with pytest.raises(InputError):
             uniform_axes(1, 1.0, 1)
+
+    @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    def test_uniform_axes_rejects_bad_extent(self, extent):
+        with pytest.raises(InputError):
+            uniform_axes(1, extent, 5)
+
+    @pytest.mark.parametrize(
+        "row", ["nan,1.0,0", "inf,1.0,0", "0.5,nan,0", "0.5,1.0,-inf"], ids=["x-nan", "x-inf", "re-nan", "im-inf"]
+    )
+    def test_load_rejects_non_finite_fields(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,re,im\n-1.0,0.5,0\n0.0,1.0,0\n{row}\n")
+        with pytest.raises(InputError, match="finite"):
+            load_sampled_csv(str(path))

@@ -42,6 +42,15 @@ class TestPointSets:
         with pytest.raises(InputError):
             PointSet(np.array([[0.0], [1.0]]), coefficients=np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_point_set_rejects_non_finite(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            PointSet(np.array([[0.0], [bad]]))
+        with pytest.raises(InputError, match="finite"):
+            PointSet(np.array([[0.0, 1.0], [1.0, bad]]))
+        with pytest.raises(InputError, match="finite"):
+            PointSet(np.array([[0.0], [1.0]]), coefficients=np.array([1.0, bad]))
+
 
 class TestGram:
     def test_gaussian_gram_is_spd(self, cfg_half):

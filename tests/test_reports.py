@@ -58,6 +58,10 @@ class TestGramReport:
         with pytest.raises(ValueError):
             GramReport.from_matrix(np.zeros((2, 3)))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            GramReport.from_matrix(np.zeros((0, 0)))
+
     def test_spd_matrix(self):
         rep = GramReport.from_matrix(np.diag([3.0, 1.0, 0.5]))
         assert rep.psd and rep.spd

@@ -16,7 +16,8 @@ from dunklpd.functions import (
     evaluate_handle,
     uniform_axes,
 )
-from dunklpd.quadrature import QuadratureSpec
+from dunklpd import transform
+from dunklpd.quadrature import Grid, QuadratureSpec
 from dunklpd.transform import (
     catalog_partner,
     closed_form_transform,
@@ -146,6 +147,20 @@ class TestDensities:
         off = np.array([[0.123], [1.456]])
         want = evaluate_handle(cfg_half, gaussian_density(1.0), off)
         np.testing.assert_allclose(np.asarray(den(off)).real, want, rtol=1e-8)
+
+    @pytest.mark.filterwarnings("ignore::dunklpd.AccuracyWarning")
+    def test_tabulated_density_builds_fallback_on_first_miss(self, cfg_half, monkeypatch):
+        built = []
+        real = transform.numeric_density
+        monkeypatch.setattr(transform, "numeric_density", lambda *a: built.append(a) or real(*a))
+        spec = QuadratureSpec(10.0, 64)
+        den = tabulated_density(cfg_half, spec, gaussian(1.0), spec)
+        for sp in (spec, spec.doubled()):
+            den(Grid(cfg_half, sp).points())
+        assert built == []
+        den(np.array([[0.123]]))
+        den(np.array([[1.456]]))
+        assert len(built) == 1
 
 
 class TestPlancherel:
