@@ -147,6 +147,8 @@ class SampledFunction:
         vals = np.asarray(self.values)
         if vals.shape != shape:
             raise InputError(f"values shape {vals.shape} does not match grid shape {shape}")
+        if not np.all(np.isfinite(vals)):
+            raise InputError("sampled values must be finite (found nan or inf)")
         for a in self.axes:
             if len(a) < 2 or not np.all(np.isfinite(a)) or not np.all(np.diff(a) > 0):
                 raise InputError("grid axes must be finite and strictly increasing with >= 2 nodes")
@@ -194,9 +196,6 @@ def _multilinear(axes, values, pts):
     return out
 
 
-FunctionHandle = CatalogFunction | SampledFunction
-
-
 def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.ndarray:
     """Evaluate a catalog handle, a sampled handle, or a raw (N, d) callable."""
     if isinstance(fn, (CatalogFunction, SampledFunction)):
@@ -204,6 +203,12 @@ def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.nd
     if callable(fn):
         return np.asarray(fn(np.atleast_2d(np.asarray(points, dtype=float))))
     raise InputError(f"not a function handle: {type(fn).__name__}")
+
+
+def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every node of the tensor grid over `axes`, shape (N, d), C-ordered."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def sample_on_axes(
@@ -215,12 +220,7 @@ def sample_on_axes(
     """Tabulate a handle or an (N, d) -> values callable on a tensor grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     shape = tuple(len(a) for a in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    if isinstance(fn, (CatalogFunction, SampledFunction)):
-        vals = fn.evaluate(config, pts)
-    else:
-        vals = np.asarray(fn(pts))
+    vals = evaluate_handle(config, fn, tensor_points(axes))
     return SampledFunction(axes, np.asarray(vals, dtype=complex).reshape(shape), spectral_hint)
 
 
@@ -242,11 +242,10 @@ def sampled_to_csv(fn: SampledFunction) -> str:
     d = fn.dimension
     buf = io.StringIO()
     buf.write(",".join([f"x{i + 1}" for i in range(d)] + ["re", "im"]) + "\n")
-    mesh = np.meshgrid(*fn.axes, indexing="ij")
-    coords = [m.reshape(-1) for m in mesh]
+    coords = tensor_points(fn.axes)
     flat = np.asarray(fn.values, dtype=complex).reshape(-1)
     for row in range(flat.size):
-        cells = [_fmt(coords[i][row]) for i in range(d)]
+        cells = [_fmt(coords[row, i]) for i in range(d)]
         cells.append(_fmt(flat[row].real))
         cells.append(_fmt(flat[row].imag))
         buf.write(",".join(cells) + "\n")

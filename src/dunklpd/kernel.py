@@ -5,21 +5,24 @@ odd parts,
 
   E_k(x, -iy) = A_k(z) - i B_k(z)
   A_k(z) = Gamma(k+1/2) (|z|/2)^(1/2-k) J_{k-1/2}(|z|)
-  B_k(z) = sign(z) Gamma(k+1/2) (|z|/2)^(1/2-k) J_{k+1/2}(|z|),
+  B_k(z) = sign(z) Gamma(k+1/2) (|z|/2)^(1/2-k) J_{k+1/2}(|z|).
 
-and the real-argument kernel E_k(x, y) is the same pair with the Bessel J
-replaced by the modified Bessel I (equivalently, the power series without
-alternating signs).  Small arguments go through the normalized power
-series; beyond the cutoff the Bessel product form is used, with explicit
-sine/cosine ladders replacing the generic Bessel routine whenever 2k is an
-integer (the ladder is stable there because the cutoff keeps |z| above the
-largest order).  Every other order takes the generic branch, which
-evaluates the Bessel pair once per distinct |z| and gathers the result back
-(grids are symmetric and callers pass outer products, so |z| repeats).
-There J comes from scipy below max(20, (k + 1/2)^2) and from the Hankel
-large-argument expansion (DLMF 10.17.3) from there on; I always comes from
-scipy.  At k = 0 they reduce to exp(-i z) and exp(z).  The d-dimensional
-kernel is the coordinatewise product.
+Small arguments go through the normalized power series; beyond the cutoff
+the Bessel product form is used, with explicit sine/cosine ladders replacing
+the generic Bessel routine whenever 2k is an integer (the ladder is stable
+there because the cutoff keeps |z| above the largest order).  Every other
+order takes the generic branch, which evaluates the Bessel pair once per
+distinct |z| and gathers the result back (grids are symmetric and callers
+pass outer products, so |z| repeats).  There J comes from scipy below
+max(20, (k + 1/2)^2) and from the Hankel large-argument expansion
+(DLMF 10.17.3) from there on.  At k = 0 the kernel is exp(-i z).
+
+The real-argument kernel E_k(x, y) is the same pair with J replaced by the
+modified Bessel I, so it grows like exp(|z|).  It has one route: the scaled
+form exp(-|z|) E_k(x, y), which is the power series without alternating
+signs below the cutoff, the exponentially scaled scipy.special.ive beyond
+it, and exp(z - |z|) at k = 0; E_k(x, y) itself is exp(|z|) times that.
+The d-dimensional kernel is the coordinatewise product.
 """
 
 from __future__ import annotations
@@ -106,54 +109,50 @@ def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
     return amp * (cw * p_lo - sw * q_lo / az), amp * (sw * p_hi + cw * q_hi / az)
 
 
-def _bessel_pair_generic(kappa: float, az: np.ndarray, modified: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(C_{k-1/2}(az), C_{k+1/2}(az)) with C = I if modified else J, computed
-    once per distinct argument (grid axes are symmetric and consumers pass
-    outer products, so arguments repeat).  J switches to the Hankel
-    expansion from max(20, (k + 1/2)^2) on: there no term exceeds 1/2 and
-    the first one left out is below 1e-18."""
+def _bessel_pair_generic(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_{k-1/2}(az), J_{k+1/2}(az)), computed once per distinct argument
+    (grid axes are symmetric and consumers pass outer products, so
+    arguments repeat).  J switches to the Hankel expansion from
+    max(20, (k + 1/2)^2) on: there no term exceeds 1/2 and the first one
+    left out is below 1e-18."""
     u, back = np.unique(az, return_inverse=True)
-    if modified:
-        lo, hi = sps.iv(kappa - 0.5, u), sps.iv(kappa + 0.5, u)
-    else:
-        split = np.searchsorted(u, max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2))
-        near = u[:split]
-        far_lo, far_hi = _bessel_pair_hankel(kappa, u[split:])
-        lo = np.concatenate((sps.jv(kappa - 0.5, near), far_lo))
-        hi = np.concatenate((sps.jv(kappa + 0.5, near), far_hi))
+    split = np.searchsorted(u, max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2))
+    near = u[:split]
+    far_lo, far_hi = _bessel_pair_hankel(kappa, u[split:])
+    lo = np.concatenate((sps.jv(kappa - 0.5, near), far_lo))
+    hi = np.concatenate((sps.jv(kappa + 0.5, near), far_hi))
     return lo[back], hi[back]
 
 
-def _parts(kappa: float, z: np.ndarray, modified: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) parts of the rank-1 kernel as functions of z = x*y."""
-    z = np.asarray(z, dtype=float)
-    if kappa == 0.0:
-        return (np.cosh(z), np.sinh(z)) if modified else (np.cos(z), np.sin(z))
-    even = np.empty_like(z)
-    odd = np.empty_like(z)
+def _series(kappa: float, z: np.ndarray, alternating: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd) power series in z/2 of E_k(x, -iy) if alternating, else of E_k(x, y)."""
     ce, co = _series_coeffs(kappa)
-    if not modified:
+    if alternating:
         signs = (-1.0) ** np.arange(_SERIES_TERMS)
         ce = ce * signs
         co = co * signs
-    ladder = not modified and kappa <= _LADDER_MAX_KAPPA and (2.0 * kappa).is_integer()
+    zs = z / 2.0
+    q = zs * zs
+    return np.polynomial.polynomial.polyval(q, ce), zs * np.polynomial.polynomial.polyval(q, co)
+
+
+def _parts(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd) parts of E_k(x, -iy) as functions of z = x*y."""
+    z = np.asarray(z, dtype=float)
+    if kappa == 0.0:
+        return np.cos(z), np.sin(z)
+    even = np.empty_like(z)
+    odd = np.empty_like(z)
+    ladder = kappa <= _LADDER_MAX_KAPPA and (2.0 * kappa).is_integer()
     cutoff = max(_SERIES_CUTOFF, 2.0 * kappa + 2.0) if ladder else _SERIES_CUTOFF
     small = np.abs(z) <= cutoff
     if small.any():
-        zs = z[small] / 2.0
-        q = zs * zs
-        even[small] = np.polynomial.polynomial.polyval(q, ce)
-        odd[small] = zs * np.polynomial.polynomial.polyval(q, co)
+        even[small], odd[small] = _series(kappa, z[small], alternating=True)
     big = ~small
     if big.any():
         az = np.abs(z[big])
         pref = math.gamma(kappa + 0.5) * (az / 2.0) ** (0.5 - kappa)
-        if ladder:
-            lo, hi = _bessel_pair_ladder(kappa, az)
-        elif modified and kappa == 0.5:
-            lo, hi = sps.i0(az), sps.i1(az)
-        else:
-            lo, hi = _bessel_pair_generic(kappa, az, modified)
+        lo, hi = (_bessel_pair_ladder if ladder else _bessel_pair_generic)(kappa, az)
         even[big] = pref * lo
         odd[big] = np.sign(z[big]) * pref * hi
     return even, odd
@@ -161,22 +160,25 @@ def _parts(kappa: float, z: np.ndarray, modified: bool) -> tuple[np.ndarray, np.
 
 def _phase_1d(kappa: float, z: np.ndarray, sign: int) -> np.ndarray:
     """E_k(x, sign * i * y) on an array of products z = x*y."""
-    even, odd = _parts(kappa, z, modified=False)
+    even, odd = _parts(kappa, z)
     return even + 1j * sign * odd
 
 
 def _real_1d(kappa: float, z: np.ndarray) -> np.ndarray:
-    even, odd = _parts(kappa, z, modified=True)
-    return even + odd
+    """E_k(x, y) on z = x*y; overflows to inf (or nan) past |z| ~ 710."""
+    return np.exp(np.abs(z)) * _real_1d_scaled(kappa, z)
 
 
 def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
     """exp(-|z|) * E_k(x, y) on z = x*y, safe for large arguments."""
     z = np.asarray(z, dtype=float)
+    if kappa == 0.0:
+        return np.exp(z - np.abs(z))
     out = np.empty_like(z)
     small = np.abs(z) <= _SERIES_CUTOFF
     if small.any():
-        out[small] = np.exp(-np.abs(z[small])) * _real_1d(kappa, z[small])
+        even, odd = _series(kappa, z[small], alternating=False)
+        out[small] = np.exp(-np.abs(z[small])) * (even + odd)
     big = ~small
     if big.any():
         az = np.abs(z[big])
@@ -185,10 +187,17 @@ def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(x: float, y: float) -> float:
+    z = float(x) * float(y)
+    if not math.isfinite(z):
+        raise DomainError(f"x, y and x*y must be finite, got x = {x!r}, y = {y!r}")
+    return z
+
+
 def kernel_1d(kappa: float, x: float, y: float) -> complex:
     """Rank-1 kernel E_kappa(x, -iy); |value| <= 1 for real x, y."""
     k = _check_kappa(kappa)
-    return complex(_phase_1d(k, np.asarray(float(x) * float(y)), -1))
+    return complex(_phase_1d(k, np.asarray(_product(x, y)), -1))
 
 
 def _finite_real(val: float, z) -> float:
@@ -206,9 +215,10 @@ def kernel_real_1d(kappa: float, x: float, y: float) -> float:
     Grows like exp(|x y|), so it overflows past |x y| ~ 710; raises
     DomainError there."""
     k = _check_kappa(kappa)
-    z = float(x) * float(y)
-    # past the overflow point cosh/sinh give inf and inf - inf gives nan;
-    # _finite_real turns either into a DomainError
+    z = _product(x, y)
+    # past the overflow point exp(|z|) gives inf, and inf times an
+    # underflowed scaled value gives nan; _finite_real turns either into a
+    # DomainError
     with np.errstate(over="ignore", invalid="ignore"):
         val = float(_real_1d(k, np.asarray(z)))
     return _finite_real(val, z)
@@ -221,6 +231,8 @@ def _point_pair(config: MultiplicityConfig, x, y) -> tuple[np.ndarray, np.ndarra
         raise DomainError(
             f"points must have shape ({config.dimension},), got {np.shape(x)} and {np.shape(y)}"
         )
+    if not np.all(np.isfinite(xa * ya)):
+        raise DomainError(f"coordinates and their products must be finite, got {xa} and {ya}")
     return xa, ya
 
 
@@ -257,10 +269,9 @@ def dunkl_operator_1d(kappa: float, f: Callable[[float], complex], x: float, h: 
         raise DomainError("dunkl_operator_1d is undefined at x = 0 (reflection difference quotient)")
     if not (h > 0.0) or not math.isfinite(h):
         raise DomainError(f"step h must be positive and finite, got {h}")
-    eval_f = getattr(f, "evaluate_scalar", f)
 
     def central(step):
-        return (eval_f(xv + step) - eval_f(xv - step)) / (2.0 * step)
+        return (f(xv + step) - f(xv - step)) / (2.0 * step)
 
     deriv = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    return deriv + k * (eval_f(xv) - eval_f(-xv)) / xv
+    return deriv + k * (f(xv) - f(-xv)) / xv

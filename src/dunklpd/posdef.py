@@ -28,6 +28,7 @@ from .functions import (
     CatalogFunction,
     bessel_k_profile,
     evaluate_handle,
+    tensor_points,
     uniform_axes,
 )
 from .kernel import _real_1d_scaled
@@ -37,10 +38,11 @@ from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
     INVERSE,
+    _as_points,
     _axis_matrices,
+    _checked,
     _resolve_spec,
     _scatter_contract,
-    _warn_if_underresolved,
     catalog_partner,
     forward_grid,
     spectral_density,
@@ -120,15 +122,10 @@ def _gram_at(config: MultiplicityConfig, grid: Grid, dvec: np.ndarray, pts: np.n
     return np.stack([_scatter_contract([m[j].conj() * m for m in mats], dvec) for j in range(len(pts))])
 
 
-def _weighted_density(config, grid, density) -> np.ndarray:
-    rho = np.asarray(density(grid.points()), dtype=complex).reshape(grid.shape)
-    return config.mehta * rho * grid.weight_grid()
-
-
 def _gram_from_density(config, spec, density, pts) -> tuple[np.ndarray, float]:
     def run(sp):
         grid = Grid(config, sp)
-        return _gram_at(config, grid, _weighted_density(config, grid, density), pts)
+        return _gram_at(config, grid, config.mehta * grid.weighted(density), pts)
 
     return two_pass(run, spec)
 
@@ -154,9 +151,7 @@ def _certification_points(config: MultiplicityConfig, spec: QuadratureSpec) -> n
     """Uniform mesh on which the certificates sample the transform, (N, d)."""
     extent = {1: 8.0, 2: 6.0, 3: 4.0}[config.dimension]
     count = {1: 641, 2: 121, 3: 41}[config.dimension]
-    axes = uniform_axes(config.dimension, min(extent, spec.radius), count)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return tensor_points(uniform_axes(config.dimension, min(extent, spec.radius), count))
 
 
 def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi):
@@ -167,8 +162,7 @@ def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi
     (the transform of the result re-evaluates psi with flipped sign).
     """
     spec = _resolve_spec(config, quad)
-    grid = Grid(config, spec)
-    vals = np.asarray(evaluate_handle(config, psi, grid.points()), dtype=complex)
+    vals = np.asarray(Grid(config, spec).sample(psi), dtype=complex)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, scale):
         raise InputError("nonnegative input required, got complex values")
@@ -214,7 +208,7 @@ def _translate_diagonal(config, spec, density, xs: np.ndarray) -> tuple[np.ndarr
     def run(sp):
         grid = Grid(config, sp)
         mats = _axis_matrices(config, xs.T, grid.axes, INVERSE)
-        return _scatter_contract([np.abs(m) ** 2 for m in mats], _weighted_density(config, grid, density))
+        return _scatter_contract([np.abs(m) ** 2 for m in mats], config.mehta * grid.weighted(density))
 
     return two_pass(run, spec)
 
@@ -222,7 +216,7 @@ def _translate_diagonal(config, spec, density, xs: np.ndarray) -> tuple[np.ndarr
 def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs) -> IdentityReport:
     """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe."""
     spec = _resolve_spec(config, quad)
-    pts = np.atleast_2d(np.asarray(xs, dtype=float))
+    pts, _ = _as_points(config, xs)
     phi0 = float(np.real(evaluate_handle(config, phi, np.zeros((1, config.dimension)))[0]))
     vals = np.abs(np.asarray(evaluate_handle(config, phi, pts), dtype=complex))
     density = spectral_density(config, spec, phi)
@@ -264,6 +258,8 @@ def _psd_report(name: str, matrix: np.ndarray, delta: float, notes: str = "") ->
 
 def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1, phi2) -> list:
     """PSD reports for the convolution and (radial case) the product."""
+    if not (isinstance(phi1, CatalogFunction) and isinstance(phi2, CatalogFunction)):
+        raise DomainError("product closure is established for radial profiles; need catalog inputs")
     spec = _resolve_spec(config, quad)
     pts = builtin_points(config.dimension, 5)
     rho1 = spectral_density(config, spec, phi1)
@@ -275,8 +271,6 @@ def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1,
         _psd_report("convolution_closure_gram_psd", conv_matrix, conv_delta, "5 builtin points")
     ]
 
-    if not (isinstance(phi1, CatalogFunction) and isinstance(phi2, CatalogFunction)):
-        raise DomainError("product closure is established for radial profiles; need catalog inputs")
     product = lambda p: evaluate_handle(config, phi1, p) * evaluate_handle(config, phi2, p)
     # the gram integrals only query the density on the spec grid and its
     # doubling, so a separable tabulation beats point-by-point transforms
@@ -302,25 +296,21 @@ def quadratic_form_heat(
     exp(-2 t |xi|^2) h^2 dxi.  At t = 0 the damping factor is 1 and the
     integral is exactly the Gram quadratic form.
     """
-    if not t > 0:
-        raise DomainError(f"smoothing time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"smoothing time must be positive and finite, got {t}")
     if pts.coefficients is None:
         raise InputError("point set carries no coefficients")
     spec = _resolve_spec(config, quad)
     density = spectral_density(config, spec, phi)
+    damped = lambda p: density(p) * np.exp(-2.0 * t * np.sum(p * p, axis=-1))
     a = pts.coefficients
 
     def run(sp):
         grid = Grid(config, sp)
-        gp = grid.points()
-        damping = np.exp(-2.0 * t * np.sum(gp * gp, axis=-1)).reshape(grid.shape)
-        dvec = _weighted_density(config, grid, density) * damping
-        g = _gram_at(config, grid, dvec, pts.points)
+        g = _gram_at(config, grid, config.mehta * grid.weighted(damped), pts.points)
         return complex(a.conj() @ g @ a)
 
-    fine, delta = two_pass(run, spec)
-    _warn_if_underresolved("heat-smoothed form", np.asarray([fine]), delta)
-    return fine
+    return _checked("heat-smoothed form", run, spec)
 
 
 def heat_kernel(config: MultiplicityConfig, t: float, x, y):
@@ -332,13 +322,15 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     symmetric in (x, y); with zero multiplicities it reduces to the
     classical heat kernel at machine precision.
     """
-    if not t > 0:
-        raise DomainError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"time must be positive and finite, got {t}")
     xp = np.atleast_2d(np.asarray(x, dtype=float))
     yp = np.atleast_2d(np.asarray(y, dtype=float))
     squeeze = np.asarray(x, dtype=float).ndim == 1 and np.asarray(y, dtype=float).ndim == 1
     if xp.shape[1] != config.dimension or yp.shape[1] != config.dimension:
         raise DomainError(f"points must live in R^{config.dimension}")
+    if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(yp))):
+        raise DomainError("points must be finite")
     xp, yp = np.broadcast_arrays(xp, yp)
     out = np.full(xp.shape[0], config.mehta * (2.0 * t) ** -(config.gamma + config.dimension / 2.0))
     for i in range(config.dimension):
@@ -418,10 +410,8 @@ def kernel_independence(
 ) -> float:
     """Smallest singular value of [E(-i x_j, xi_m)]; positive certifies
     linear independence of the point phases on the probe set."""
-    xpts = np.atleast_2d(np.asarray(xs, dtype=float))
-    probes = np.atleast_2d(np.asarray(xis, dtype=float))
-    if xpts.shape[1] != config.dimension or probes.shape[1] != config.dimension:
-        raise InputError(f"points must live in R^{config.dimension}")
+    xpts, _ = _as_points(config, xs)
+    probes, _ = _as_points(config, xis)
     if probes.shape[0] < xpts.shape[0]:
         raise InputError("need at least as many probes as points")
     if enforce_distinct and _pairwise_min_separation(xpts) <= _MIN_SEPARATION:

@@ -10,11 +10,11 @@ in the rule itself.
 two_pass is the one place that runs a computation at n and at 2n nodes per
 axis; it returns the 2n result and the largest entrywise difference as the
 resolution error estimate.  Operators (transform, translation, convolution,
-heat-smoothed form) turn that delta into an AccuracyWarning; identity reports
-carry it in their notes.  weighted_norm, numeric_density and two suite
-checks integrate on the doubled grid only.  Sums are taken by numpy pairwise
-summation over a fixed node ordering, so results are deterministic run to
-run.
+heat-smoothed form) run it through transform._checked, which turns that
+delta into an AccuracyWarning; identity reports carry it in their notes.
+weighted_norm, numeric_density and two suite checks integrate on the doubled
+grid only.  Sums are taken by numpy pairwise summation over a fixed node
+ordering, so results are deterministic run to run.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .functions import evaluate_handle, tensor_points
 from .root_system import MultiplicityConfig
 
 _DEFAULTS = {1: (16.0, 256), 2: (12.0, 96), 3: (10.0, 48)}
@@ -99,8 +100,15 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """All grid nodes as an array of shape (n^d, d), C-ordered."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return tensor_points(self.axes)
+
+    def sample(self, fn) -> np.ndarray:
+        """A handle or an (N, d) callable evaluated on every node, shaped as the grid."""
+        return evaluate_handle(self.config, fn, self.points()).reshape(self.shape)
+
+    def weighted(self, fn) -> np.ndarray:
+        """sample(fn) times the weight grid: the summand of every weighted integral."""
+        return self.sample(fn) * self.weight_grid()
 
     def weight_grid(self) -> np.ndarray:
         """Product quadrature-plus-h^2 weights, shape n^d (as the grid)."""
@@ -138,7 +146,6 @@ def integrate_with_check(config, spec, integrand) -> tuple[float | complex, floa
 
     def run(sp):
         grid = Grid(config, sp)
-        vals = np.asarray(integrand(grid.points()))
-        return grid.integrate(vals.reshape(grid.shape))
+        return grid.integrate(grid.sample(integrand))
 
     return two_pass(run, spec)

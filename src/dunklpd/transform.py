@@ -7,15 +7,17 @@ involution up to the sign flip x -> -x, reduces to the unitary Fourier
 transform when every multiplicity vanishes, and maps the catalog pairs onto
 each other exactly.
 
-Every integral runs through quadrature.two_pass, at the requested
-resolution and at doubled nodes; the doubled value is returned and the
-difference drives an AccuracyWarning when it exceeds 1e-6 relative to the
-result scale.
+Every operator integral runs through _checked, which calls
+quadrature.two_pass at the requested resolution and at doubled nodes,
+returns the doubled value and raises an AccuracyWarning when the difference
+exceeds 1e-6 relative to the result scale.
 
 Every kernel sum (transforms, convolution, translates, the translated mass,
-Gram matrices, translate diagonals) contracts a weighted grid against
-per-axis phase matrices, all built by _axis_matrices, in one of two places:
-_scatter_contract for scattered outputs, _grid_contract for grid outputs.
+Gram matrices, translate diagonals) contracts a weighted grid (Grid.weighted)
+against per-axis phase matrices, all built by _axis_matrices, in one of two
+places: _scatter_contract for scattered outputs, _grid_contract for grid
+outputs.  _transformer is the one scattered transform: it weighs f on a grid
+once and returns the map from output points to transform values.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ def _as_points(config: MultiplicityConfig, x) -> tuple[np.ndarray, bool]:
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != config.dimension:
         raise InputError(f"expected points in R^{config.dimension}, got shape {np.shape(x)}")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("points must be finite")
     return pts, squeeze
 
 
@@ -67,20 +71,15 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
 
 def _scatter_contract(mats: list, vw: np.ndarray) -> np.ndarray:
     # out[m] = sum_k vw[k] prod_i mats[i][m, k_i], chunked over m
-    d = len(mats)
     m_total = mats[0].shape[0]
     out = np.empty(m_total, dtype=complex)
-    step = {1: m_total or 1, 2: 4096, 3: 256}[d]
+    step = {1: m_total or 1, 2: 4096, 3: 256}[len(mats)]
     for s in range(0, m_total, step):
         sl = slice(s, min(s + step, m_total))
-        if d == 1:
-            out[sl] = mats[0][sl] @ vw
-        elif d == 2:
-            out[sl] = np.einsum("mi,ij,mj->m", mats[0][sl], vw, mats[1][sl], optimize=True)
-        else:
-            t = np.tensordot(mats[0][sl], vw, axes=(1, 0))
-            t = np.einsum("mj,mjk->mk", mats[1][sl], t, optimize=True)
-            out[sl] = np.einsum("mk,mk->m", mats[2][sl], t)
+        t = np.tensordot(mats[0][sl], vw, axes=(1, 0))
+        for a in mats[1:]:
+            t = np.einsum("mj,mj...->m...", a[sl], t, optimize=True)
+        out[sl] = t
     return out
 
 
@@ -112,18 +111,19 @@ def _blocked_scatter(config, grid, vw, pts, sign, axis_factors=None) -> np.ndarr
     return out
 
 
-def _transform_at(config, spec, f, out_pts, sign) -> np.ndarray:
+def _transformer(config, spec, f, sign) -> Callable:
+    """Map from (N, d) output points to c sum_k f(y_k) w_k E(sign i x, y_k) on spec's grid."""
     grid = Grid(config, spec)
-    vals = evaluate_handle(config, f, grid.points()).reshape(grid.shape)
-    vw = vals * grid.weight_grid()
-    return config.mehta * _blocked_scatter(config, grid, vw, out_pts, sign)
+    vw = grid.weighted(f)
+    return lambda pts: config.mehta * _blocked_scatter(
+        config, grid, vw, np.atleast_2d(np.asarray(pts, dtype=float)), sign
+    )
 
 
-def _transform_points(config, quad, f, out_pts, sign) -> tuple[np.ndarray, float]:
-    return two_pass(lambda sp: _transform_at(config, sp, f, out_pts, sign), _resolve_spec(config, quad))
-
-
-def _warn_if_underresolved(what: str, values: np.ndarray, delta: float) -> None:
+def _checked(what: str, run: Callable, spec: QuadratureSpec):
+    """two_pass(run, spec)'s fine result; warns when the n/2n check moved it too far."""
+    fine, delta = two_pass(run, spec)
+    values = np.asarray(fine)
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
     if delta > _WARN_FLOOR * scale:
         warnings.warn(
@@ -132,21 +132,22 @@ def _warn_if_underresolved(what: str, values: np.ndarray, delta: float) -> None:
             AccuracyWarning,
             stacklevel=3,
         )
+    return fine
 
 
 def forward(config: MultiplicityConfig, quad: QuadratureSpec | None, f, xi):
     """Transform of f at one point or an (N, d) batch of points."""
     pts, squeeze = _as_points(config, xi)
-    vals, delta = _transform_points(config, quad, f, pts, FORWARD)
-    _warn_if_underresolved("forward transform", vals, delta)
+    run = lambda sp: _transformer(config, sp, f, FORWARD)(pts)
+    vals = _checked("forward transform", run, _resolve_spec(config, quad))
     return complex(vals[0]) if squeeze else vals
 
 
 def inverse(config: MultiplicityConfig, quad: QuadratureSpec | None, g, x):
     """Inverse transform, the conjugate-kernel integral."""
     pts, squeeze = _as_points(config, x)
-    vals, delta = _transform_points(config, quad, g, pts, INVERSE)
-    _warn_if_underresolved("inverse transform", vals, delta)
+    run = lambda sp: _transformer(config, sp, g, INVERSE)(pts)
+    vals = _checked("inverse transform", run, _resolve_spec(config, quad))
     return complex(vals[0]) if squeeze else vals
 
 
@@ -170,12 +171,10 @@ def forward_grid(
 
     def run(sp):
         grid = Grid(config, sp)
-        vals = evaluate_handle(config, f, grid.points()).reshape(grid.shape)
-        vw = vals * grid.weight_grid()
-        return config.mehta * _grid_contract(_axis_matrices(config, out_axes, grid.axes, sign), vw)
+        mats = _axis_matrices(config, out_axes, grid.axes, sign)
+        return config.mehta * _grid_contract(mats, grid.weighted(f))
 
-    fine, delta = two_pass(run, spec)
-    _warn_if_underresolved("grid transform", fine, delta)
+    fine = _checked("grid transform", run, spec)
     flip = -1.0 if sign == FORWARD else 1.0
     hint = lambda pts: evaluate_handle(config, f, flip * np.asarray(pts, dtype=float))
     return SampledFunction(out_axes, fine, spectral_hint=hint)
@@ -230,16 +229,7 @@ def numeric_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) 
     round-trip and pair checks that must exercise the quadrature on both
     legs route through here.
     """
-    spec = _resolve_spec(config, quad).doubled()
-    grid = Grid(config, spec)
-    vals = evaluate_handle(config, f, grid.points()).reshape(grid.shape)
-    vw = vals * grid.weight_grid()
-
-    def density(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return config.mehta * _blocked_scatter(config, grid, vw, pts, FORWARD)
-
-    return density
+    return _transformer(config, _resolve_spec(config, quad).doubled(), f, FORWARD)
 
 
 def tabulated_density(
@@ -281,8 +271,7 @@ def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p:
     if p < 1:
         raise InputError(f"norm order must be >= 1, got {p}")
     grid = Grid(config, _resolve_spec(config, quad).doubled())
-    vals = np.abs(evaluate_handle(config, f, grid.points())) ** p
-    return float(np.real(grid.integrate(vals))) ** (1.0 / p)
+    return float(np.real(grid.integrate(np.abs(grid.sample(f)) ** p))) ** (1.0 / p)
 
 
 def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g) -> IdentityReport:

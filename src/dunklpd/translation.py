@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import CatalogFunction, SampledFunction, evaluate_handle
+from .functions import CatalogFunction, SampledFunction
 from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
@@ -27,10 +27,10 @@ from .transform import (
     _as_points,
     _axis_matrices,
     _blocked_scatter,
+    _checked,
     _resolve_spec,
     _scatter_contract,
-    _transform_points,
-    _warn_if_underresolved,
+    _transformer,
     spectral_density,
 )
 
@@ -39,12 +39,13 @@ def _point(config: MultiplicityConfig, y) -> np.ndarray:
     arr = np.asarray(y, dtype=float).reshape(-1)
     if arr.shape != (config.dimension,):
         raise InputError(f"expected a point in R^{config.dimension}, got shape {np.shape(y)}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("point must be finite")
     return arr
 
 
-def _translate_at(config, grid, density, y, out_pts) -> np.ndarray:
-    rho = np.asarray(density(grid.points()), dtype=complex).reshape(grid.shape)
-    vw = rho * grid.weight_grid()
+def _translate_at(config, grid, vw, y, out_pts) -> np.ndarray:
+    """Translate by y at out_pts, from the weighted density vw on grid."""
     shift_phases = _axis_matrices(config, y[:, None], grid.axes, FORWARD)
     return config.mehta * _blocked_scatter(config, grid, vw, out_pts, INVERSE, axis_factors=shift_phases)
 
@@ -55,8 +56,12 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     yv = _point(config, y)
     pts, squeeze = _as_points(config, x)
     density = spectral_density(config, spec, f)
-    fine, delta = two_pass(lambda sp: _translate_at(config, Grid(config, sp), density, yv, pts), spec)
-    _warn_if_underresolved("translation", fine, delta)
+
+    def run(sp):
+        grid = Grid(config, sp)
+        return _translate_at(config, grid, grid.weighted(density), yv, pts)
+
+    fine = _checked("translation", run, spec)
     return complex(fine[0]) if squeeze else fine
 
 
@@ -98,13 +103,11 @@ def translate_mass(
     def run(sp_in, sp_out):
         gi = Grid(config, sp_in)
         go = Grid(config, sp_out)
-        rho = np.asarray(density(gi.points()), dtype=complex).reshape(gi.shape)
         shifts = _axis_matrices(config, yv[:, None], gi.axes, FORWARD)
         cols = _axis_matrices(config, go.axes, gi.axes, INVERSE)
         rows = [shift * (w @ col) for shift, w, col in zip(shifts, go.axis_weights, cols)]
-        lhs = config.mehta * complex(_scatter_contract(rows, rho * gi.weight_grid())[0])
-        rhs = go.integrate(evaluate_handle(config, f, go.points()).reshape(go.shape))
-        return lhs, complex(rhs)
+        lhs = config.mehta * complex(_scatter_contract(rows, gi.weighted(density))[0])
+        return lhs, complex(go.integrate(go.sample(f)))
 
     (lhs, rhs), delta = two_pass(run, spec, outer_spec)
     return IdentityReport(
@@ -122,8 +125,8 @@ def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     pts, squeeze = _as_points(config, x)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
-    fine, delta = _transform_points(config, spec, lambda p: df(p) * dg(p), pts, INVERSE)
-    _warn_if_underresolved("convolution", fine, delta)
+    run = lambda sp: _transformer(config, sp, lambda p: df(p) * dg(p), INVERSE)(pts)
+    fine = _checked("convolution", run, spec)
     return complex(fine[0]) if squeeze else fine
 
 
@@ -136,20 +139,19 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
     spec = _resolve_spec(config, quad)
     pts, squeeze = _as_points(config, x)
     dg = spectral_density(config, spec, g)
-    flipped = lambda p: np.asarray(dg(-np.atleast_2d(np.asarray(p, dtype=float))), dtype=complex)
 
     def run(sp):
         grid = Grid(config, sp)
         gp = grid.points()
-        fvals = evaluate_handle(config, f, gp).reshape(grid.shape)
+        fvals = grid.sample(f)
+        flipped = grid.weighted(lambda p: dg(-p))
         out = np.empty(len(pts), dtype=complex)
         for m, xv in enumerate(pts):
             shifted = _translate_at(config, grid, flipped, xv, gp).reshape(grid.shape)
             out[m] = config.mehta * grid.integrate(fvals * shifted)
         return out
 
-    fine, delta = two_pass(run, spec)
-    _warn_if_underresolved("direct convolution", fine, delta)
+    fine = _checked("direct convolution", run, spec)
     return complex(fine[0]) if squeeze else fine
 
 

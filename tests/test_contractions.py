@@ -14,7 +14,7 @@ import pytest
 from dunklpd import make_config
 from dunklpd.functions import gaussian
 from dunklpd.kernel import _phase_1d, kernel_nd
-from dunklpd.posdef import _gram_at, _translate_diagonal, _weighted_density
+from dunklpd.posdef import _gram_at, _translate_diagonal
 from dunklpd.quadrature import Grid, QuadratureSpec
 from dunklpd.transform import INVERSE, inverse, spectral_density
 from dunklpd.translation import convolve
@@ -75,7 +75,7 @@ def test_translate_diagonal_matches_dense_diagonal(dim, kappa, rng):
     got, delta = _translate_diagonal(config, SPEC, _density, pts)
     # two_pass returns the value on the doubled grid
     grid = Grid(config, SPEC.doubled())
-    dvec = _weighted_density(config, grid, _density).reshape(-1)
+    dvec = (config.mehta * grid.weighted(_density)).reshape(-1)
     c = _dense_phases(config, pts, grid.points())
     want = np.sum(np.abs(c) ** 2 * dvec, axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12)

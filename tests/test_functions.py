@@ -122,6 +122,16 @@ class TestSampledFunction:
         with pytest.raises(InputError):
             SampledFunction((np.full(3, bad),), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_values_must_be_finite(self, cfg_half, bad):
+        ax = np.linspace(-4.0, 4.0, 41)
+        values = np.exp(-ax * ax).astype(complex)
+        values[17] = bad
+        with pytest.raises(InputError, match="finite"):
+            SampledFunction((ax,), values)
+        with pytest.raises(InputError, match="finite"):
+            sample_on_axes(cfg_half, lambda p: np.where(p[:, 0] == ax[17], bad, 1.0), (ax,))
+
     def test_exact_at_nodes_zero_outside(self, cfg_half):
         axes = uniform_axes(1, 2.0, 21)
         fn = sample_on_axes(cfg_half, gaussian(1.0), axes)

@@ -1,14 +1,17 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name it defines is used somewhere.
 
-The scan reads src/dunklpd/*.py (except __init__.py, whose imports are the
+The scans read src/dunklpd/*.py (except __init__.py, whose imports are the
 public re-exports) with the ast module: a name bound by `import` or
 `from ... import` counts as used when it appears as a Name anywhere else in
-the module.  `from __future__` imports are exempt.
+the module.  `from __future__` imports are exempt.  A module-level
+definition counts as used when code outside that definition refers to it.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,70 @@ def test_module_list_is_not_empty():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Every module-level definition in src/dunklpd/*.py (except __init__.py) must
+# be referenced outside its own definition somewhere in these trees.  A
+# reference is a loaded Name, an attribute, an imported name, or a string
+# naming it (the benchmark's tracer and monkeypatch-based tests address
+# functions by name, as "Grid.points" or "numeric_density").
+ROOT = SRC.parents[1]
+REFERENCE_TREES = ("src", "tests", "scripts", "perfbench")
+
+
+def _definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _references(node) -> set:
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            refs.add(sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs.update(sub.value.split("."))
+    return refs
+
+
+def dead_definitions(module: str, elsewhere: set) -> list[str]:
+    """Names defined at the top of `module` that neither the rest of the
+    module nor the references `elsewhere` (from other files) mention."""
+    tree = ast.parse(module)
+    # per name, how many top-level statements of the module refer to it
+    local = collections.Counter(name for node in tree.body for name in _references(node))
+    dead = []
+    for name, node in _definitions(tree):
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if name not in elsewhere and local[name] == (name in _references(node)):
+            dead.append(f"{name} (line {node.lineno})")
+    return dead
+
+
+def test_dead_scan_finds_an_unreferenced_definition():
+    module = "A = 1\nB = A + 1\ndef f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\n"
+    elsewhere = _references(ast.parse("g()\nx = 'C.method'\n"))
+    assert dead_definitions(module, elsewhere) == ["B (line 2)", "f (line 3)"]
+
+
+def test_no_dead_definitions():
+    paths = [p for tree in REFERENCE_TREES for p in sorted((ROOT / tree).rglob("*.py"))]
+    refs = {p: _references(ast.parse(p.read_text())) for p in paths}
+    dead = {}
+    for path in MODULES:
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        found = dead_definitions(path.read_text(), elsewhere)
+        if found:
+            dead[path.name] = found
+    assert dead == {}

@@ -87,6 +87,38 @@ _FROZEN_REAL_GENERIC = [
     (300.0, 2.4011796324310223856e126),
 ]
 
+# (kappa, z, E_kappa(1, z)) of the real kernel on two ladder orders, from
+# 40-digit mpmath (the Bessel I form, cross-checked against the Kummer form
+# e^z 1F1(kappa; 2 kappa + 1; -2z)).  Every |z| here is past the series
+# cutoff, where the kernel is exp(|z|) times the ive form.
+_FROZEN_REAL_LADDER = [
+    (0.5, 7.0, 3.2463300138024515232e2),
+    (0.5, -7.0, 1.2554815640334245395e1),
+    (0.5, 15.0, 6.6777429526812027626e5),
+    (0.5, -15.0, 1.1524451327707482788e4),
+    (0.5, 40.0, 2.9602170956679252663e16),
+    (0.5, -40.0, 1.8737863016054718541e14),
+    (0.5, 300.0, 8.944228752972006532e128),
+    pytest.param(
+        0.5,
+        -300.0,
+        7.4659828980977042261e125,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="measured rel error 1.7e-13: ive(0, 300) is 3.8e-16 off, and the "
+            "ive(0) - ive(1) cancellation at z = -300 amplifies that several hundredfold",
+        ),
+    ),
+    (2.0, 7.0, 5.0013039398136649304e1),
+    (2.0, -7.0, 7.5362863653602256088),
+    (2.0, 15.0, 3.8065891181674944784e4),
+    (2.0, -15.0, 2.6152138979823382267e3),
+    (2.0, 40.0, 4.196937697178037982e14),
+    (2.0, -40.0, 1.0619921218623362623e13),
+    (2.0, 300.0, 6.4316975323763386154e125),
+    (2.0, -300.0, 2.147460292516721841e123),
+]
+
 
 def _hankel_cutoff(kappa):
     return max(20.0, (kappa + 0.5) ** 2)
@@ -130,6 +162,10 @@ class TestGenericBranch:
     @pytest.mark.parametrize("z,expected", _FROZEN_REAL_GENERIC)
     def test_pinned_real_kernel(self, z, expected):
         np.testing.assert_allclose(kernel_real_1d(1.7, 1.0, z), expected, rtol=5e-14, atol=0)
+
+    @pytest.mark.parametrize("kappa,z,expected", _FROZEN_REAL_LADDER)
+    def test_pinned_real_kernel_ladder_orders(self, kappa, z, expected):
+        np.testing.assert_allclose(kernel_real_1d(kappa, 1.0, z), expected, rtol=5e-14, atol=0)
 
     def test_jv_hankel_seam_is_smooth(self):
         for kappa in (0.3, 3.25, 8.5):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dunklpd import DomainError, InputError, make_config
+from dunklpd import DomainError, InputError, make_config, posdef
 from dunklpd.functions import gaussian, gaussian_density, generalized_cauchy, bessel_k_profile
 from dunklpd.identities import _indefinite_profile
 from dunklpd.posdef import (
@@ -79,6 +79,16 @@ class TestGram:
         val = quadratic_form(cfg_half, None, gaussian(1.0), pts)
         assert abs(val.imag) < 1e-10
         assert val.real > 0
+
+
+class TestClosure:
+    def test_rejects_non_catalog_input_before_computing(self, cfg_half, monkeypatch):
+        def no_gram(*args):
+            raise AssertionError("closure_suite built a Gram matrix before validating its inputs")
+
+        monkeypatch.setattr(posdef, "_gram_from_density", no_gram)
+        with pytest.raises(DomainError, match="catalog"):
+            posdef.closure_suite(cfg_half, None, gaussian(1.0), lambda p: np.exp(-np.sum(p * p, axis=1)))
 
 
 class TestBochnerCertificates:

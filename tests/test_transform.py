@@ -17,6 +17,7 @@ from dunklpd.functions import (
     uniform_axes,
 )
 from dunklpd import transform
+from dunklpd.posdef import builtin_points, quadratic_form_heat
 from dunklpd.quadrature import Grid, QuadratureSpec
 from dunklpd.transform import (
     catalog_partner,
@@ -30,6 +31,7 @@ from dunklpd.transform import (
     tabulated_density,
     weighted_norm,
 )
+from dunklpd.translation import convolve, convolve_direct, translate
 
 
 class TestFrozenValues:
@@ -121,6 +123,31 @@ class TestGridTransform:
                 gaussian(0.02),
                 uniform_axes(1, 4.0, 5),
             )
+
+
+_COARSE = QuadratureSpec(16.0, 16)
+_G = gaussian(1.0)
+
+# every operator that warns through transform._checked; at d=1 kappa=0.3
+# on 16 nodes each one's n/2n check moves its result by 5e-4 or more
+_CHECKED_OPERATORS = {
+    "forward": lambda c: forward(c, _COARSE, _G, [0.5]),
+    "inverse": lambda c: inverse(c, _COARSE, _G, [0.5]),
+    "forward_grid": lambda c: forward_grid(c, _COARSE, _G),
+    "translate": lambda c: translate(c, _COARSE, _G, [0.3], [0.5]),
+    "convolve": lambda c: convolve(c, _COARSE, _G, _G, [0.5]),
+    "convolve_direct": lambda c: convolve_direct(c, _COARSE, _G, _G, [0.5]),
+    "quadratic_form_heat": lambda c: quadratic_form_heat(
+        c, _COARSE, _G, builtin_points(1, 3, coefficients=[1.0, -1.0, 0.5]), 0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED_OPERATORS))
+def test_accuracy_warning_points_at_the_caller(name):
+    with pytest.warns(AccuracyWarning) as record:
+        _CHECKED_OPERATORS[name](make_config(1, [0.3]))
+    assert [w.filename for w in record] == [__file__]
 
 
 class TestDensities:
