@@ -25,7 +25,7 @@ from .functions import (
     sample_on_axes,
     uniform_axes,
 )
-from .kernel import _phase_1d, dunkl_operator_1d, kernel_1d, kernel_nd, kernel_real_nd
+from .kernel import dunkl_operator_1d, kernel_1d, kernel_nd, kernel_real_nd
 from .posdef import (
     bessel_integral_identity,
     bochner_certify,
@@ -45,6 +45,8 @@ from .reports import IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
+    _axis_matrices,
+    _grid_contract,
     _resolve_spec,
     forward,
     inverse,
@@ -53,7 +55,7 @@ from .transform import (
     tabulated_density,
     weighted_norm,
 )
-from .translation import convolve, convolve_direct, translate, translate_mass
+from .translation import _translate_at, convolve, convolve_direct, translate, translate_mass
 
 SUITE_NAMES = ("kernel", "transform", "translation", "posdef", "heat")
 
@@ -87,13 +89,6 @@ def _worst(expected: np.ndarray, computed: np.ndarray, relative: bool):
         err = err / np.maximum(np.abs(e), 1e-30)
     k = int(np.argmax(err))
     return complex(e[k]), complex(c[k])
-
-
-def _phase_batch(config, pts, y, sign):
-    out = np.ones(len(pts), dtype=complex)
-    for i in range(config.dimension):
-        out = out * _phase_1d(config.kappa[i], pts[:, i] * y[i], sign)
-    return out
 
 
 def _is_classical(config: MultiplicityConfig) -> bool:
@@ -199,15 +194,10 @@ def suite_kernel(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
         pairs.append((u, v))
     lhss, rhss, growth_excess = [], [], 0.0
     grid = Grid(config, spec.doubled())
-    gp = grid.points()
+    vw = grid.weighted(gaussian(0.5))
     for u, v in pairs:
-        # one expression, so no grid-sized array outlives its pair
-        integral = grid.integrate(
-            _phase_batch(config, gp, u, FORWARD)
-            * _phase_batch(config, gp, v, FORWARD)
-            * np.exp(-0.5 * np.sum(gp * gp, axis=-1))
-        )
-        lhss.append(config.mehta * complex(integral))
+        # c int E(-iu, xi) E(-iv, xi) e^(-|xi|^2/2) h^2 dxi is the translate by u at -v
+        lhss.append(complex(_translate_at(config, grid, vw, u[None], -v[None])[0, 0]))
         ev = kernel_real_nd(config, u, -v)
         rhss.append(math.exp(-0.5 * (u @ u + v @ v)) * ev)
         bound = math.exp(np.linalg.norm(u) * np.linalg.norm(v))
@@ -637,14 +627,13 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
     qform = quadratic_form(config, spec, gaussian(1.0), pts)
     density = spectral_density(config, spec, gaussian(1.0))
     grid = Grid(config, spec.doubled())
-    gp = grid.points()
-    phase_sum = np.zeros(len(gp), dtype=complex)
-    for a, x in zip(pts.coefficients, pts.points):
-        phase_sum += a * _phase_batch(config, gp, x, FORWARD)
-    spectral = config.mehta * complex(
-        grid.integrate(np.abs(phase_sum) ** 2 * np.asarray(density(gp), dtype=complex))
-    )
-    del gp, phase_sum  # grid-sized; the checks below build larger grids of their own
+    # sum_j a_j E(-i x_j, xi) on the grid, with a_j on the diagonal of a (p,)*d tensor
+    coef = np.zeros((pts.size,) * d, dtype=complex)
+    coef[(np.arange(pts.size),) * d] = pts.coefficients
+    mats = _axis_matrices(config, pts.points.T, grid.axes, FORWARD)
+    phase_sum = _grid_contract([m.T for m in mats], coef)
+    spectral = config.mehta * complex(grid.integrate(np.abs(phase_sum) ** 2 * grid.sample(density)))
+    del phase_sum  # grid-sized; the checks below build larger grids of their own
     reports.append(
         IdentityReport(
             "quadratic_form_matches_spectral_integral",

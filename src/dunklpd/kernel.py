@@ -18,10 +18,10 @@ max(20, (k + 1/2)^2) and from the Hankel large-argument expansion
 (DLMF 10.17.3) from there on.  At k = 0 the kernel is exp(-i z).
 
 The real-argument kernel E_k(x, y) is the same pair with J replaced by the
-modified Bessel I, so it grows like exp(|z|).  It has one route: the scaled
-form exp(-|z|) E_k(x, y), which is the power series without alternating
-signs below the cutoff, the exponentially scaled scipy.special.ive beyond
-it, and exp(z - |z|) at k = 0; E_k(x, y) itself is exp(|z|) times that.
+modified Bessel I, so it grows like exp(|z|).  Its scaled form
+exp(-|z|) E_k(x, y) is the power series without alternating signs below
+the cutoff, the exponentially scaled scipy.special.ive beyond it, and
+exp(z - |z|) at k = 0; E_k(x, y) is exp(|z|) times that, or e^z at k = 0.
 The d-dimensional kernel is the coordinatewise product.
 """
 
@@ -42,6 +42,7 @@ _SERIES_CUTOFF = 6.0
 _LADDER_MAX_KAPPA = 8.0
 _HANKEL_TERMS = 20
 _HANKEL_MIN_ARG = 20.0
+_REAL_MAX_ARG = float(np.log(np.finfo(float).max))  # the real kernel's domain: exp(|z|) finite
 
 
 def _check_kappa(kappa: float) -> float:
@@ -166,6 +167,8 @@ def _phase_1d(kappa: float, z: np.ndarray, sign: int) -> np.ndarray:
 
 def _real_1d(kappa: float, z: np.ndarray) -> np.ndarray:
     """E_k(x, y) on z = x*y; overflows to inf (or nan) past |z| ~ 710."""
+    if kappa == 0.0:
+        return np.exp(z)  # exp(|z|) * exp(z - |z|) underflows from z ~ -372 on
     return np.exp(np.abs(z)) * _real_1d_scaled(kappa, z)
 
 
@@ -201,9 +204,9 @@ def kernel_1d(kappa: float, x: float, y: float) -> complex:
 
 
 def _finite_real(val: float, z) -> float:
-    if not math.isfinite(val):
+    if not math.isfinite(val) or np.max(np.abs(z)) > _REAL_MAX_ARG:
         raise DomainError(
-            f"E_kappa(x, y) overflows at x*y = {z}; evaluate the rescaled form "
+            f"E_kappa(x, y) leaves the float range at x*y = {z}; evaluate the rescaled form "
             "exp(-|x y|) E_kappa(x, y) (kernel._real_1d_scaled), as heat_kernel does"
         )
     return val
@@ -213,7 +216,7 @@ def kernel_real_1d(kappa: float, x: float, y: float) -> float:
     """Rank-1 kernel at real arguments, E_kappa(x, y); positive.
 
     Grows like exp(|x y|), so it overflows past |x y| ~ 710; raises
-    DomainError there."""
+    DomainError there, for every kappa and either sign of x y."""
     k = _check_kappa(kappa)
     z = _product(x, y)
     # past the overflow point exp(|z|) gives inf, and inf times an

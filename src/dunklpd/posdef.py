@@ -3,12 +3,14 @@
 A function phi is positive definite here when every Gram matrix of its
 translates [translate of phi by x_j, evaluated at x_l] generates a
 nonnegative quadratic form; it is strictly positive definite when the form
-is positive for nonzero coefficients.  The certifier leans on the transform
-side: the Gram quadratic form equals the weighted integral of
-|sum_j a_j E(-i x_j, xi)|^2 times the transform of phi, so a nonnegative
-transform certifies positive definiteness, and a nonnegative transform that
-is not identically zero certifies strictness (the phase functions attached
-to distinct points are linearly independent).
+is positive for nonzero coefficients.  translation._translate_at computes
+that matrix of translates, bound_check's translate diagonal and the
+heat-smoothed form.  The certifier leans on the transform side: the Gram
+form equals the weighted integral of |sum_j a_j E(-i x_j, xi)|^2 times the
+transform of phi, so a nonnegative transform certifies positive
+definiteness, and a nonnegative transform that is not identically zero
+certifies strictness (the phase functions attached to distinct points are
+linearly independent).
 
 Also here: the heat kernel generated by the Gaussian catalog pair, the
 heat-smoothed quadratic form that converges to the Gram form, and the
@@ -37,17 +39,16 @@ from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
-    INVERSE,
     _as_points,
     _axis_matrices,
     _checked,
     _resolve_spec,
-    _scatter_contract,
     catalog_partner,
     forward_grid,
     spectral_density,
     tabulated_density,
 )
+from .translation import _translate_at
 
 _MIN_SEPARATION = 1e-9
 
@@ -114,20 +115,14 @@ def builtin_points(dimension: int, n: int, coefficients=None) -> PointSet:
     return PointSet(pts, coefficients)
 
 
-def _gram_at(config: MultiplicityConfig, grid: Grid, dvec: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """G[j, l] = sum_k conj(C[j, k]) dvec[k] C[l, k], C[p, k] = E(i x_p, xi_k).
-
-    One contraction per row j; all p^2 pair rows at once would take p^2 n memory per axis."""
-    mats = _axis_matrices(config, pts.T, grid.axes, INVERSE)
-    return np.stack([_scatter_contract([m[j].conj() * m for m in mats], dvec) for j in range(len(pts))])
+def _gram_on(config: MultiplicityConfig, sp: QuadratureSpec, density, pts: np.ndarray) -> np.ndarray:
+    """Matrix of translates [tau_{x_j} phi (x_l)] on sp's grid, phi given by its transform."""
+    grid = Grid(config, sp)
+    return _translate_at(config, grid, grid.weighted(density), pts, pts)
 
 
 def _gram_from_density(config, spec, density, pts) -> tuple[np.ndarray, float]:
-    def run(sp):
-        grid = Grid(config, sp)
-        return _gram_at(config, grid, config.mehta * grid.weighted(density), pts)
-
-    return two_pass(run, spec)
+    return two_pass(lambda sp: _gram_on(config, sp, density, pts), spec)
 
 
 def gram(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, pts: PointSet) -> GramReport:
@@ -202,17 +197,6 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
     )
 
 
-def _translate_diagonal(config, spec, density, xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """tau_x phi (x) for each row x: c int |E(ix, xi)|^2 rho h^2 dxi."""
-
-    def run(sp):
-        grid = Grid(config, sp)
-        mats = _axis_matrices(config, xs.T, grid.axes, INVERSE)
-        return _scatter_contract([np.abs(m) ** 2 for m in mats], config.mehta * grid.weighted(density))
-
-    return two_pass(run, spec)
-
-
 def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs) -> IdentityReport:
     """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe."""
     spec = _resolve_spec(config, quad)
@@ -220,7 +204,13 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
     phi0 = float(np.real(evaluate_handle(config, phi, np.zeros((1, config.dimension)))[0]))
     vals = np.abs(np.asarray(evaluate_handle(config, phi, pts), dtype=complex))
     density = spectral_density(config, spec, phi)
-    diag, delta = _translate_diagonal(config, spec, density, pts)
+
+    def run(sp):  # the diagonal of the matrix of translates, entry by entry: O(p), not O(p^2)
+        grid = Grid(config, sp)
+        vw = grid.weighted(density)
+        return np.array([_translate_at(config, grid, vw, x[None], x[None])[0, 0] for x in pts])
+
+    diag, delta = two_pass(run, spec)
     diag_re = diag.real
     worst = max(
         float(np.max(vals - phi0)),
@@ -305,11 +295,7 @@ def quadratic_form_heat(
     damped = lambda p: density(p) * np.exp(-2.0 * t * np.sum(p * p, axis=-1))
     a = pts.coefficients
 
-    def run(sp):
-        grid = Grid(config, sp)
-        g = _gram_at(config, grid, config.mehta * grid.weighted(damped), pts.points)
-        return complex(a.conj() @ g @ a)
-
+    run = lambda sp: complex(a.conj() @ _gram_on(config, sp, damped, pts.points) @ a)
     return _checked("heat-smoothed form", run, spec)
 
 

@@ -12,16 +12,16 @@ quadrature.two_pass at the requested resolution and at doubled nodes,
 returns the doubled value and raises an AccuracyWarning when the difference
 exceeds 1e-6 relative to the result scale.
 
-Every kernel sum (transforms, convolution, translates, the translated mass,
-Gram matrices, translate diagonals) contracts a weighted grid (Grid.weighted)
-against per-axis phase matrices, all built by _axis_matrices, in one of two
-places: _scatter_contract for scattered outputs, _grid_contract for grid
-outputs.  _transformer is the one scattered transform: it weighs f on a grid
-once and returns the map from output points to transform values.
+Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
+phase matrices, all built by _axis_matrices: _grid_contract for grid
+outputs, _blocked_scatter for scattered ones.  _transformer (forward,
+inverse, convolve, numeric_density) takes _blocked_scatter's unshifted row,
+translation._translate_at its shifted rows: every translate and Gram matrix.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from typing import Callable
 
@@ -93,21 +93,23 @@ def _grid_contract(mats: list, vw: np.ndarray) -> np.ndarray:
 _POINT_BLOCK = 16384
 
 
-def _blocked_scatter(config, grid, vw, pts, sign, axis_factors=None) -> np.ndarray:
-    """Contract vw against per-axis phases at scattered points, in blocks.
-
-    Phase matrices are (points x nodes) per axis; blocking the points keeps
-    huge requests from materializing multi-GB matrices at once.
-    axis_factors, when given, holds one extra (1, nodes) factor row per axis
-    (translation folds the shift phases in this way).
+def _blocked_scatter(config, grid, vw, pts, sign, shifts=None) -> np.ndarray:
+    """out[j, m] = sum_k vw[k] prod_i conj(P_i[j, k_i]) M_i[m, k_i], with M_i and P_i
+    the phase matrices (sign i) of pts and of the shift points; one row, P = 1,
+    without shifts.  One _axis_matrices call per block of points builds both;
+    blocking keeps huge requests from materializing multi-GB matrices at once.
     """
-    out = np.empty(len(pts), dtype=complex)
+    q = 0 if shifts is None else len(shifts)
+    out = np.empty((max(q, 1), len(pts)), dtype=complex)
     for s in range(0, len(pts), _POINT_BLOCK):
         sl = slice(s, min(s + _POINT_BLOCK, len(pts)))
-        mats = _axis_matrices(config, pts[sl].T, grid.axes, sign)
-        if axis_factors is not None:
-            mats = [m * fac for m, fac in zip(mats, axis_factors)]
-        out[sl] = _scatter_contract(mats, vw)
+        rows = pts[sl] if q == 0 else np.concatenate([shifts, pts[sl]])
+        mats = _axis_matrices(config, rows.T, grid.axes, sign)
+        if q == 1:  # in place: a product beside each M_i would raise the peak memory
+            for m in mats:
+                m[1:] *= m[0].conj()
+        for j in range(max(q, 1)):
+            out[j, sl] = _scatter_contract([m[j].conj() * m[q:] if q > 1 else m[q:] for m in mats], vw)
     return out
 
 
@@ -117,7 +119,12 @@ def _transformer(config, spec, f, sign) -> Callable:
     vw = grid.weighted(f)
     return lambda pts: config.mehta * _blocked_scatter(
         config, grid, vw, np.atleast_2d(np.asarray(pts, dtype=float)), sign
-    )
+    )[0]
+
+
+# operators call each other (tabulated_density -> forward_grid, convolve_grid -> convolve),
+# so _checked's warning skips their frames and lands on the first caller outside
+_OPERATOR_MODULES = {f"{__package__}.{name}" for name in ("transform", "translation", "posdef")}
 
 
 def _checked(what: str, run: Callable, spec: QuadratureSpec):
@@ -126,11 +133,14 @@ def _checked(what: str, run: Callable, spec: QuadratureSpec):
     values = np.asarray(fine)
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
     if delta > _WARN_FLOOR * scale:
+        frame, level = sys._getframe(1), 2  # stacklevel 2 is _checked's caller
+        while frame.f_back is not None and frame.f_globals.get("__name__") in _OPERATOR_MODULES:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{what}: resolution check moved the result by {delta:.3e} (scale {scale:.3e}); "
             "enlarge the quadrature radius or node count",
             AccuracyWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     return fine
 

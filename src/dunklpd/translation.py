@@ -6,6 +6,8 @@ zero multiplicities this is exactly f(x - y).  convolve multiplies the two
 transforms and maps back, so the transform of a convolution is the product
 of transforms by construction; a direct-space form (integrating f against
 the translated flip of g) is provided as an independent cross-check.
+_translate_at is the one translation sum, the matrix T[j, m] of translates
+by y_j evaluated at x_m; posdef's Gram matrices are T at y = x.
 
 All operators accept catalog handles, sampled handles with spectral hints,
 or plain callables; the spectral density is routed through
@@ -44,10 +46,10 @@ def _point(config: MultiplicityConfig, y) -> np.ndarray:
     return arr
 
 
-def _translate_at(config, grid, vw, y, out_pts) -> np.ndarray:
-    """Translate by y at out_pts, from the weighted density vw on grid."""
-    shift_phases = _axis_matrices(config, y[:, None], grid.axes, FORWARD)
-    return config.mehta * _blocked_scatter(config, grid, vw, out_pts, INVERSE, axis_factors=shift_phases)
+def _translate_at(config, grid, vw, ys, xs) -> np.ndarray:
+    """T[j, m] = c sum_k vw[k] E(-i ys[j], xi_k) E(i xs[m], xi_k): the translate
+    by ys[j] at xs[m] of the function whose weighted density on grid is vw."""
+    return config.mehta * _blocked_scatter(config, grid, vw, xs, INVERSE, shifts=ys)
 
 
 def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
@@ -59,7 +61,7 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
 
     def run(sp):
         grid = Grid(config, sp)
-        return _translate_at(config, grid, grid.weighted(density), yv, pts)
+        return _translate_at(config, grid, grid.weighted(density), yv[None], pts)[0]
 
     fine = _checked("translation", run, spec)
     return complex(fine[0]) if squeeze else fine
@@ -147,7 +149,7 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
         flipped = grid.weighted(lambda p: dg(-p))
         out = np.empty(len(pts), dtype=complex)
         for m, xv in enumerate(pts):
-            shifted = _translate_at(config, grid, flipped, xv, gp).reshape(grid.shape)
+            shifted = _translate_at(config, grid, flipped, xv[None], gp)[0].reshape(grid.shape)
             out[m] = config.mehta * grid.integrate(fvals * shifted)
         return out
 

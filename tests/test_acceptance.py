@@ -26,12 +26,11 @@ from dunklpd.functions import (
 )
 from dunklpd.identities import (
     _indefinite_profile,
-    _phase_batch,
     cauchy_exponent,
     round_trip_specs,
     suite_translation,
 )
-from dunklpd.kernel import kernel_real_nd
+from dunklpd.kernel import _phase_1d, kernel_real_nd
 from dunklpd.posdef import (
     PointSet,
     bessel_integral_identity,
@@ -134,6 +133,15 @@ def test_cauchy_bessel_transform_pair():
             assert _rel(closed, got) <= 1e-8, "free-case closed form"
 
 
+def _node_phases(config: MultiplicityConfig, nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """E(-i y, xi) at every node xi, the product of the rank-1 phases node by
+    node; independent of the package's per-axis phase matrices."""
+    out = np.ones(len(nodes), dtype=complex)
+    for i, k in enumerate(config.kappa):
+        out = out * _phase_1d(k, nodes[:, i] * y[i], FORWARD)
+    return out
+
+
 def test_gaussian_kernel_pairing_formula():
     for config in (make_config(1, [0.5]), make_config(2, [1.0, 0.0])):
         d = config.dimension
@@ -152,7 +160,7 @@ def test_gaussian_kernel_pairing_formula():
         gp = grid.points()
         envelope = np.exp(-0.5 * np.sum(gp * gp, axis=-1))
         for u, v in pairs:
-            vals = _phase_batch(config, gp, u, FORWARD) * _phase_batch(config, gp, v, FORWARD) * envelope
+            vals = _node_phases(config, gp, u) * _node_phases(config, gp, v) * envelope
             lhs = config.mehta * complex(grid.integrate(vals.reshape(grid.shape)))
             rhs = math.exp(-0.5 * (u @ u + v @ v)) * kernel_real_nd(config, u, -v)
             assert abs(lhs - rhs) / abs(rhs) <= 1e-7, f"kappa={config.kappa}, u={u}, v={v}"

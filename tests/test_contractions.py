@@ -1,23 +1,25 @@
-"""The scattered contraction against explicit dense matrices.
+"""The translation sum against explicit dense matrices.
 
-Gram matrices and translate diagonals are computed by _scatter_contract over
-per-axis phase matrices.  Here the same sums are written out densely: C[p, k]
-is the phase E(i x_p, xi_k) at every (point, grid node) pair, built on the
-flattened node list without any tensor structure, and
+Gram matrices, translate diagonals and translates are rows of
+translation._translate_at, which _blocked_scatter contracts over per-axis
+phase matrices.  Here the same sums are written out densely: C[p, k] is the
+phase E(i x_p, xi_k) at every (point, grid node) pair, built on the
+flattened node list without any tensor structure, and with c the config's
+mehta constant
 
-    G = conj(C) diag(dvec) C^T,   G[j, j] = sum_k |C[j, k]|^2 dvec[k].
+    T = c conj(C_y) diag(dvec) C_x^T,   G = T at y = x,
+    G[j, j] = c sum_k |C[j, k]|^2 dvec[k].
 """
 
 import numpy as np
 import pytest
 
-from dunklpd import make_config
+from dunklpd import make_config, transform
 from dunklpd.functions import gaussian
 from dunklpd.kernel import _phase_1d, kernel_nd
-from dunklpd.posdef import _gram_at, _translate_diagonal
 from dunklpd.quadrature import Grid, QuadratureSpec
-from dunklpd.transform import INVERSE, inverse, spectral_density
-from dunklpd.translation import convolve
+from dunklpd.transform import INVERSE, _blocked_scatter, inverse, spectral_density
+from dunklpd.translation import _translate_at, convolve
 
 CONFIGS = [
     (1, [0.3]),
@@ -55,15 +57,19 @@ def test_dense_phases_match_kernel_nd(rng):
     np.testing.assert_allclose(dense, want, rtol=1e-14, atol=1e-15)
 
 
+def _dvec(grid, rng):
+    return rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+
+
 @pytest.mark.parametrize("dim,kappa", CONFIGS)
 def test_gram_matches_dense_product(dim, kappa, rng):
     config = make_config(dim, kappa)
     grid = Grid(config, SPEC)
     pts = _points(config, rng)
-    dvec = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    dvec = _dvec(grid, rng)
     c = _dense_phases(config, pts, grid.points())
-    want = (c.conj() * dvec.reshape(-1)) @ c.T
-    got = _gram_at(config, grid, dvec, pts)
+    want = config.mehta * (c.conj() * dvec.reshape(-1)) @ c.T
+    got = _translate_at(config, grid, dvec, pts, pts)
     assert got.shape == (len(pts), len(pts))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -72,14 +78,58 @@ def test_gram_matches_dense_product(dim, kappa, rng):
 def test_translate_diagonal_matches_dense_diagonal(dim, kappa, rng):
     config = make_config(dim, kappa)
     pts = _points(config, rng)
-    got, delta = _translate_diagonal(config, SPEC, _density, pts)
-    # two_pass returns the value on the doubled grid
     grid = Grid(config, SPEC.doubled())
-    dvec = (config.mehta * grid.weighted(_density)).reshape(-1)
+    vw = grid.weighted(_density)
+    # entry by entry, as bound_check reads the diagonal
+    got = np.array([_translate_at(config, grid, vw, x[None], x[None])[0, 0] for x in pts])
     c = _dense_phases(config, pts, grid.points())
-    want = np.sum(np.abs(c) ** 2 * dvec, axis=1)
+    want = config.mehta * np.sum(np.abs(c) ** 2 * vw.reshape(-1), axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12)
-    assert np.isfinite(delta)
+
+
+# one shift takes the in-place branch of _blocked_scatter, several the row loop
+@pytest.mark.parametrize("shifts", [1, 3])
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_translates_match_dense_product(dim, kappa, shifts, rng):
+    config = make_config(dim, kappa)
+    grid = Grid(config, SPEC)
+    ys = _points(config, rng, shifts)
+    xs = _points(config, rng, 5)
+    dvec = _dvec(grid, rng)
+    cy = _dense_phases(config, ys, grid.points())
+    cx = _dense_phases(config, xs, grid.points())
+    want = config.mehta * (cy.conj() * dvec.reshape(-1)) @ cx.T
+    got = _translate_at(config, grid, dvec, ys, xs)
+    assert got.shape == (shifts, 5)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_unshifted_row_matches_dense_product(dim, kappa, rng):
+    config = make_config(dim, kappa)
+    grid = Grid(config, SPEC)
+    xs = _points(config, rng)
+    dvec = _dvec(grid, rng)
+    want = _dense_phases(config, xs, grid.points()) @ dvec.reshape(-1)
+    got = _blocked_scatter(config, grid, dvec, xs, INVERSE)
+    assert got.shape == (1, len(xs))
+    np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shifts", [1, 3])
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_point_blocks_do_not_change_translates(dim, kappa, shifts, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    grid = Grid(config, SPEC)
+    ys = _points(config, rng, shifts)
+    xs = _points(config, rng, 7)
+    dvec = _dvec(grid, rng)
+    whole = _translate_at(config, grid, dvec, ys, xs)
+    monkeypatch.setattr(transform, "_POINT_BLOCK", 3)
+    blocked = _translate_at(config, grid, dvec, ys, xs)
+    # blocks of 3, 3 and 1 outputs; a one-row block may take another BLAS
+    # path, so the sums agree to rounding rather than bit for bit
+    np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-14 * np.max(np.abs(whole)))
 
 
 @pytest.mark.parametrize("dim,kappa", [(1, [0.3]), (2, [1.0, 0.0])])

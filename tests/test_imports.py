@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name it defines is used somewhere.
+"""Every name a package module imports is used in that module, every name
+it defines is used somewhere, and the kernel phase primitive and the
+scattered contraction have no users beyond the listed ones.
 
 The scans read src/dunklpd/*.py (except __init__.py, whose imports are the
 public re-exports) with the ast module: a name bound by `import` or
@@ -124,3 +125,50 @@ def test_no_dead_definitions():
         if found:
             dead[path.name] = found
     assert dead == {}
+
+
+# The phase primitive and the scattered contraction have fixed users:
+# outside kernel.py, _phase_1d is used only by transform._axis_matrices (the
+# one builder of phase matrices), and _scatter_contract only by
+# transform._blocked_scatter (the one translation and transform sum) and
+# translation.translate_mass.  A use is a loaded Name; import statements
+# do not count.
+
+
+def users(source: str, name: str) -> set[str]:
+    """The top-level definitions of `source` whose code uses `name`;
+    "<module>" stands for module-level statements."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for sub in ast.walk(top):
+            if isinstance(sub, ast.Name) and sub.id == name and not isinstance(sub.ctx, ast.Store):
+                found.add(owner)
+    return found
+
+
+def test_use_scan_names_the_enclosing_definition():
+    source = (
+        "from m import f\n"
+        "def a():\n"
+        "    def inner():\n"
+        "        return f(1)\n"
+        "    return inner\n"
+        "class B:\n"
+        "    def g(self):\n"
+        "        return self.f\n"
+        "X = f\n"
+    )
+    assert users(source, "f") == {"a", "<module>"}
+
+
+def _package_users(name: str, skip: str = "") -> set[str]:
+    return {f"{p.stem}.{owner}" for p in MODULES if p.name != skip for owner in users(p.read_text(), name)}
+
+
+def test_phase_matrices_have_one_builder():
+    assert _package_users("_phase_1d", skip="kernel.py") == {"transform._axis_matrices"}
+
+
+def test_scattered_contraction_has_one_caller_per_sum():
+    assert _package_users("_scatter_contract") == {"transform._blocked_scatter", "translation.translate_mass"}

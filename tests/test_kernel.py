@@ -167,6 +167,16 @@ class TestGenericBranch:
     def test_pinned_real_kernel_ladder_orders(self, kappa, z, expected):
         np.testing.assert_allclose(kernel_real_1d(kappa, 1.0, z), expected, rtol=5e-14, atol=0)
 
+    @pytest.mark.parametrize("x", [-15.0, -19.0, -35.0])
+    def test_real_kernel_at_kappa_zero_is_exp_far_below_zero(self, x):
+        # z = 20 x = -300, -380, -700: e^z is a normal float throughout,
+        # while exp(|z|) * exp(z - |z|) underflows from z ~ -372 on
+        want = math.exp(20.0 * x)
+        np.testing.assert_allclose(kernel_real_1d(0.0, x, 20.0), want, rtol=1e-15, atol=0)
+        # the second axis contributes e^0 = 1 exactly
+        got = kernel_real_nd(make_config(2, [0.0, 0.0]), [x, 1.3], [20.0, 0.0])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
     def test_jv_hankel_seam_is_smooth(self):
         for kappa in (0.3, 3.25, 8.5):
             cutoff = _hankel_cutoff(kappa)

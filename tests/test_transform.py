@@ -17,7 +17,7 @@ from dunklpd.functions import (
     uniform_axes,
 )
 from dunklpd import transform
-from dunklpd.posdef import builtin_points, quadratic_form_heat
+from dunklpd.posdef import builtin_points, closure_suite, quadratic_form_heat
 from dunklpd.quadrature import Grid, QuadratureSpec
 from dunklpd.transform import (
     catalog_partner,
@@ -31,7 +31,7 @@ from dunklpd.transform import (
     tabulated_density,
     weighted_norm,
 )
-from dunklpd.translation import convolve, convolve_direct, translate
+from dunklpd.translation import convolve, convolve_direct, convolve_grid, translate
 
 
 class TestFrozenValues:
@@ -148,6 +148,22 @@ def test_accuracy_warning_points_at_the_caller(name):
     with pytest.warns(AccuracyWarning) as record:
         _CHECKED_OPERATORS[name](make_config(1, [0.3]))
     assert [w.filename for w in record] == [__file__]
+
+
+# package functions that reach _checked through another package function;
+# their warnings must skip the package frames too
+_NESTED_CALLERS = {
+    "tabulated_density": lambda c: tabulated_density(c, _COARSE, _G, _COARSE),
+    "convolve_grid": lambda c: convolve_grid(c, _COARSE, _G, _G),
+    "closure_suite": lambda c: closure_suite(c, _COARSE, _G, gaussian(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_CALLERS))
+def test_nested_accuracy_warning_points_at_the_caller(name):
+    with pytest.warns(AccuracyWarning) as record:
+        _NESTED_CALLERS[name](make_config(1, [0.3]))
+    assert {w.filename for w in record} == {__file__}
 
 
 class TestDensities:
