@@ -6,13 +6,20 @@ regression gate:
 
     python3 scripts/run_identity_suites.py
     python3 scripts/run_identity_suites.py --suite translation --config 2:1,0
+
+With --json DIR it also writes each config's reports to
+DIR/d<d>_kappa_<k1>_..._<kd>.json, in the format of
+`dunklpd verify --report` for the same config and suite.
 """
 
 import argparse
+import os
 import sys
 import time
 
+from dunklpd.cli import _config_dict
 from dunklpd.identities import run_suites
+from dunklpd.reports import reports_to_json
 from dunklpd.root_system import make_config
 
 SWEEP = [
@@ -38,7 +45,10 @@ def main(argv=None) -> int:
         type=parse_config,
         help="d:k1,...,kd (repeatable); default sweeps the validation set",
     )
+    parser.add_argument("--json", metavar="DIR", help="write one JSON report per config into DIR")
     args = parser.parse_args(argv)
+    if args.json:
+        os.makedirs(args.json, exist_ok=True)
     targets = args.config or SWEEP
 
     rows = []
@@ -51,6 +61,10 @@ def main(argv=None) -> int:
         elapsed = time.perf_counter() - started
         for rep in reports:
             print("  " + rep.line())
+        if args.json:
+            name = f"d{dim}_kappa_{'_'.join(map(str, config.kappa))}.json"
+            extra = {"config": _config_dict(config), "suite": args.suite}
+            reports_to_json(reports, os.path.join(args.json, name), extra=extra)
         passed = sum(r.passed for r in reports)
         rows.append((dim, kappa, passed, len(reports), elapsed))
         all_ok = all_ok and passed == len(reports)

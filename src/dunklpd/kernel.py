@@ -11,18 +11,35 @@ Small arguments go through the normalized power series; beyond the cutoff
 the Bessel product form is used, with explicit sine/cosine ladders replacing
 the generic Bessel routine whenever 2k is an integer (the ladder is stable
 there because the cutoff keeps |z| above the largest order).  Every other
-order takes the generic branch, which evaluates the Bessel pair once per
-distinct |z| and gathers the result back (grids are symmetric and callers
-pass outer products, so |z| repeats).  There J comes from scipy below
+order takes the generic branch, where J comes from scipy below
 max(20, (k + 1/2)^2) and from the Hankel large-argument expansion
 (DLMF 10.17.3) from there on.  At k = 0 the kernel is exp(-i z).
 
 The real-argument kernel E_k(x, y) is the same pair with J replaced by the
 modified Bessel I, so it grows like exp(|z|).  Its scaled form
-exp(-|z|) E_k(x, y) is the power series without alternating signs below
-the cutoff, the exponentially scaled scipy.special.ive beyond it, and
-exp(z - |z|) at k = 0; E_k(x, y) is exp(|z|) times that, or e^z at k = 0.
+exp(-|z|) E_k(x, y) is exp(z - |z|) at k = 0.  Otherwise it is the power
+series without alternating signs below the cutoff, and past it
+  Gamma(k+1/2) (a/2)^(1/2-k) e^-a (I_{k-1/2}(a) + sign(z) I_{k+1/2}(a)),  a = |z|,
+with the exponentially scaled scipy.special.ive below max(40, (k + 1/2)^2)
+and the large-argument expansion (DLMF 10.40.1) from there on:
+  e^-a (I_{k-1/2}(a) +- I_{k+1/2}(a))
+    ~ (2 pi a)^(-1/2) sum_m (-1)^m (a_m(k-1/2) +- a_m(k+1/2)) / a^m,
+24 terms, with the coefficients a_m(nu) of DLMF 10.17.1 that the Hankel
+branch also uses.  Taking the difference in the coefficients avoids the
+cancellation of two ive values at negative z.  E_k(x, y) is exp(|z|) times
+the scaled form, or e^z at k = 0.
+
 The d-dimensional kernel is the coordinatewise product.
+
+The costly special-function evaluations (the generic Bessel pair, the
+scaled real form, and the Bessel-K catalog profile in functions.py) go
+through one helper, `_per_distinct`, which evaluates once per distinct
+argument and gathers the result back: callers pass outer products over
+grid axes, so a heat-kernel factor on a 96^3 grid sees 96 distinct
+arguments.  Each of these evaluations is elementwise, so the result is
+bit-identical to evaluating every element.  Cheap elementwise functions
+(exp, powers, the plane wave) are evaluated per element: sorting would
+cost more than it saves.
 """
 
 from __future__ import annotations
@@ -42,6 +59,8 @@ _SERIES_CUTOFF = 6.0
 _LADDER_MAX_KAPPA = 8.0
 _HANKEL_TERMS = 20
 _HANKEL_MIN_ARG = 20.0
+_I_EXPANSION_TERMS = 24
+_I_EXPANSION_MIN_ARG = 40.0
 _REAL_MAX_ARG = float(np.log(np.finfo(float).max))  # the real kernel's domain: exp(|z|) finite
 
 
@@ -81,19 +100,46 @@ def _bessel_pair_ladder(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
     return lo, hi
 
 
+def _per_distinct(f: Callable, z: np.ndarray) -> np.ndarray:
+    """f(z) for an elementwise f, evaluated once per distinct value of z
+    (passed in ascending order) and gathered back to z's shape, 0-d
+    included.  f may return leading axes, as in (2, n) for a pair."""
+    z = np.asarray(z)
+    u, back = np.unique(z, return_inverse=True)
+    vals = f(u)
+    return vals[..., back.reshape(-1)].reshape(vals.shape[:-1] + z.shape)
+
+
+def _expansion_coeffs(nu: float, count: int) -> np.ndarray:
+    """a_m(nu) of DLMF 10.17.1 for m < count: the coefficients of the
+    large-argument expansions of J_nu (10.17.3) and I_nu (10.40.1)."""
+    a = np.empty(count)
+    a[0] = 1.0
+    for m in range(1, count):
+        a[m] = a[m - 1] * (4.0 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m)
+    return a
+
+
 @lru_cache(maxsize=128)
 def _hankel_coeffs(kappa: float) -> np.ndarray:
     """Columns P_lo, Q_lo, P_hi, Q_hi of DLMF 10.17.3 for the orders
     k -+ 1/2, as polynomials in 1/z^2 (Q without its leading 1/z)."""
     cols = []
     for nu in (kappa - 0.5, kappa + 0.5):
-        a = np.empty(2 * _HANKEL_TERMS)
-        a[0] = 1.0
-        for k in range(1, a.size):
-            a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+        a = _expansion_coeffs(nu, 2 * _HANKEL_TERMS)
         signs = (-1.0) ** np.arange(_HANKEL_TERMS)
         cols += [a[0::2] * signs, a[1::2] * signs]
     return np.stack(cols, axis=1)
+
+
+@lru_cache(maxsize=128)
+def _scaled_i_coeffs(kappa: float) -> np.ndarray:
+    """Columns for sqrt(2 pi a) e^-a (I_{k-1/2}(a) + I_{k+1/2}(a)) and for
+    the same with -, as polynomials in 1/a (DLMF 10.40.1)."""
+    lo = _expansion_coeffs(kappa - 0.5, _I_EXPANSION_TERMS)
+    hi = _expansion_coeffs(kappa + 0.5, _I_EXPANSION_TERMS)
+    signs = (-1.0) ** np.arange(_I_EXPANSION_TERMS)
+    return np.stack((signs * (lo + hi), signs * (lo - hi)), axis=1)
 
 
 def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,18 +157,20 @@ def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _bessel_pair_generic(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_{k-1/2}(az), J_{k+1/2}(az)), computed once per distinct argument
-    (grid axes are symmetric and consumers pass outer products, so
-    arguments repeat).  J switches to the Hankel expansion from
-    max(20, (k + 1/2)^2) on: there no term exceeds 1/2 and the first one
-    left out is below 1e-18."""
-    u, back = np.unique(az, return_inverse=True)
-    split = np.searchsorted(u, max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2))
-    near = u[:split]
-    far_lo, far_hi = _bessel_pair_hankel(kappa, u[split:])
-    lo = np.concatenate((sps.jv(kappa - 0.5, near), far_lo))
-    hi = np.concatenate((sps.jv(kappa + 0.5, near), far_hi))
-    return lo[back], hi[back]
+    """(J_{k-1/2}(az), J_{k+1/2}(az)), computed once per distinct argument.
+    J switches to the Hankel expansion from max(20, (k + 1/2)^2) on: there
+    no term exceeds 1/2 and the first one left out is below 1e-18."""
+
+    def pair(u):  # ascending, so one split separates the two zones
+        split = np.searchsorted(u, max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2))
+        near = u[:split]
+        far_lo, far_hi = _bessel_pair_hankel(kappa, u[split:])
+        lo = np.concatenate((sps.jv(kappa - 0.5, near), far_lo))
+        hi = np.concatenate((sps.jv(kappa + 0.5, near), far_hi))
+        return np.stack((lo, hi))
+
+    lo, hi = _per_distinct(pair, az)
+    return lo, hi
 
 
 def _series(kappa: float, z: np.ndarray, alternating: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -173,20 +221,35 @@ def _real_1d(kappa: float, z: np.ndarray) -> np.ndarray:
 
 
 def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
-    """exp(-|z|) * E_k(x, y) on z = x*y, safe for large arguments."""
+    """exp(-|z|) * E_k(x, y) on z = x*y, safe for large arguments; once per
+    distinct z for k > 0."""
     z = np.asarray(z, dtype=float)
     if kappa == 0.0:
         return np.exp(z - np.abs(z))
+    return _per_distinct(lambda u: _scaled_real_values(kappa, u), z)
+
+
+def _scaled_real_values(kappa: float, z: np.ndarray) -> np.ndarray:
+    """exp(-|z|) * E_k(x, y) elementwise on a 1-D z, for k > 0: the series,
+    then the ive form, then the DLMF 10.40.1 expansion.  From
+    max(40, (k + 1/2)^2) on no term of the expansion exceeds 1/2 and the
+    first one left out is below 1e-23."""
     out = np.empty_like(z)
-    small = np.abs(z) <= _SERIES_CUTOFF
+    az = np.abs(z)
+    small = az <= _SERIES_CUTOFF
+    far = az >= max(_I_EXPANSION_MIN_ARG, (kappa + 0.5) ** 2)
+    mid = ~(small | far)
     if small.any():
         even, odd = _series(kappa, z[small], alternating=False)
-        out[small] = np.exp(-np.abs(z[small])) * (even + odd)
-    big = ~small
-    if big.any():
-        az = np.abs(z[big])
-        pref = math.gamma(kappa + 0.5) * (az / 2.0) ** (0.5 - kappa)
-        out[big] = pref * (sps.ive(kappa - 0.5, az) + np.sign(z[big]) * sps.ive(kappa + 0.5, az))
+        out[small] = np.exp(-az[small]) * (even + odd)
+    pref = lambda a: math.gamma(kappa + 0.5) * (a / 2.0) ** (0.5 - kappa)
+    if mid.any():
+        a = az[mid]
+        out[mid] = pref(a) * (sps.ive(kappa - 0.5, a) + np.sign(z[mid]) * sps.ive(kappa + 0.5, a))
+    if far.any():
+        a = az[far]
+        plus, minus = np.polynomial.polynomial.polyval(1.0 / a, _scaled_i_coeffs(kappa))
+        out[far] = pref(a) / np.sqrt(2.0 * np.pi * a) * np.where(z[far] > 0.0, plus, minus)
     return out
 
 

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, file formats, determinism."""
 
 import importlib.metadata
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -172,6 +173,20 @@ class TestVerifyCommand:
         assert payload["all_pass"] is True
         assert payload["suite"] == "kernel"
         assert payload["config"]["dimension"] == 2
+
+    def test_suite_script_writes_the_verify_report(self, config_path, tmp_path):
+        # scripts/run_identity_suites.py --json DIR writes, per config, the
+        # file `dunklpd verify --report` writes for that config and suite
+        path = REPO_ROOT / "scripts" / "run_identity_suites.py"
+        spec = importlib.util.spec_from_file_location("run_identity_suites", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out_dir = tmp_path / "reports"
+        assert script.main(["--suite", "kernel", "--config", "1:0.5", "--json", str(out_dir)]) == 0
+        report = tmp_path / "verify.json"
+        cli.main(["verify", "--config", config_path, "--suite", "kernel", "--report", str(report)])
+        assert [p.name for p in out_dir.iterdir()] == ["d1_kappa_0.5.json"]
+        assert (out_dir / "d1_kappa_0.5.json").read_bytes() == report.read_bytes()
 
     def test_failing_suite_exits_one(self, config_path, monkeypatch, capsys):
         broken = [IdentityReport("always_wrong", 1.0, 2.0, 1e-9)]

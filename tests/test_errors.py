@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dunklpd import (
@@ -12,7 +13,7 @@ from dunklpd import (
     NotInCatalogError,
     make_config,
 )
-from dunklpd.functions import gaussian
+from dunklpd.functions import SampledFunction, bessel_k_profile, gaussian, generalized_cauchy
 from dunklpd.kernel import kernel_1d, kernel_nd, kernel_real_1d
 from dunklpd.posdef import (
     bound_check,
@@ -43,6 +44,7 @@ def test_catchable_as_value_error():
 
 _NAN = [math.nan]
 _G = gaussian(1.0)
+_S = SampledFunction((np.linspace(-1.0, 1.0, 5),), np.ones(5))
 
 # entry points that coerce points or times; a non-finite one must raise the
 # package error the entry point already uses, never return nan or a verdict
@@ -70,10 +72,17 @@ _NON_FINITE = {
     "kernel_1d": (DomainError, lambda c: kernel_1d(0.5, math.nan, 1.0)),
     "kernel_1d_inf_times_zero": (DomainError, lambda c: kernel_1d(0.5, math.inf, 0.0)),
     "kernel_real_1d": (DomainError, lambda c: kernel_real_1d(0.5, math.nan, 1.0)),
+    "catalog_evaluate_nan": (DomainError, lambda c: _G.evaluate(c, _NAN)),
+    "catalog_evaluate_inf": (DomainError, lambda c: _G.evaluate(c, [[0.5], [math.inf]])),
+    "cauchy_evaluate_inf": (DomainError, lambda c: generalized_cauchy(3.0).evaluate(c, [[-math.inf]])),
+    "bessel_k_evaluate_nan": (DomainError, lambda c: bessel_k_profile(3.0).evaluate(c, [_NAN])),
+    "sampled_evaluate_nan": (DomainError, lambda c: _S.evaluate(c, [_NAN])),
+    "sampled_evaluate_inf": (DomainError, lambda c: _S.evaluate(c, [[math.inf], [0.5]])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NON_FINITE))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_input_raises(name):
     error, call = _NON_FINITE[name]
     with pytest.raises(error, match="finite"):

@@ -12,6 +12,7 @@ from dunklpd import ConfigurationError, DomainError, InputError, make_config
 from dunklpd.functions import (
     CatalogFunction,
     SampledFunction,
+    _bessel_k_profile_values,
     bessel_k_profile,
     evaluate_handle,
     gaussian,
@@ -90,6 +91,25 @@ class TestCatalog:
         alpha = p - cfg_half.gamma - 0.5
         limit = 2.0 ** (alpha - 1.0) * math.gamma(alpha) / (math.gamma(p) * 2.0 ** (p - 1.0))
         np.testing.assert_allclose(at_zero, limit, rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [3.0, 2.7])  # alpha = 2 (kn) and 1.7 (kv)
+    def test_bessel_profile_per_distinct_radius_matches_elementwise(self, cfg_half, p, rng):
+        # the profile is evaluated once per distinct radius and gathered back;
+        # that must equal evaluating each radius alone, bit for bit
+        base = np.concatenate((rng.uniform(0.0, 12.0, 40), [0.0, 5e-7, 1e-6, 3.0]))
+        r = rng.permutation(np.concatenate((base, base[::3], [0.0, 0.0, 3.0])))
+        alone = np.concatenate([_bessel_k_profile_values(cfg_half, p, np.array([v])) for v in r])
+        got = _bessel_k_profile_values(cfg_half, p, r)
+        assert got.shape == r.shape and got.tobytes() == alone.tobytes()
+        square = _bessel_k_profile_values(cfg_half, p, r[:40].reshape(5, 8))
+        assert square.shape == (5, 8)
+        assert square.tobytes() == alone[:40].tobytes()
+        point = _bessel_k_profile_values(cfg_half, p, np.asarray(r[5]))
+        assert point.shape == () and point.tobytes() == alone[5].tobytes()
+        # signed zeros reach the profile through r = sqrt(r^2) at the origin
+        pts = np.array([[0.0], [-0.0], [1.5], [-1.5]])
+        via_points = bessel_k_profile(p).evaluate(cfg_half, pts)
+        assert via_points[0] == via_points[1] and via_points[2] == via_points[3]
 
     @given(st.sampled_from(["gaussian", "gaussian_density"]), st.floats(0.1, 4.0))
     def test_radial_profiles_peak_at_origin(self, kind, t):

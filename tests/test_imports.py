@@ -127,22 +127,28 @@ def test_no_dead_definitions():
     assert dead == {}
 
 
-# The phase primitive and the scattered contraction have fixed users:
+# The phase primitive, the scattered contraction and the per-distinct
+# evaluation helper have fixed users:
 # outside kernel.py, _phase_1d is used only by transform._axis_matrices (the
 # one builder of phase matrices), and _scatter_contract only by
 # transform._blocked_scatter (the one translation and transform sum) and
-# translation.translate_mass.  A use is a loaded Name; import statements
-# do not count.
+# translation.translate_mass.  `_per_distinct` serves exactly the three
+# costly special-function evaluations, and it is the one place in kernel.py
+# that calls np.unique.  A use is a loaded Name (or, for np.unique, the
+# attribute); import statements do not count.
 
 
-def users(source: str, name: str) -> set[str]:
-    """The top-level definitions of `source` whose code uses `name`;
-    "<module>" stands for module-level statements."""
+def users(source: str, name: str, attribute: bool = False) -> set[str]:
+    """The top-level definitions of `source` whose code uses `name` (as a
+    Name, or with `attribute` as an attribute such as np.name); "<module>"
+    stands for module-level statements."""
     found = set()
     for top in ast.parse(source).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         for sub in ast.walk(top):
-            if isinstance(sub, ast.Name) and sub.id == name and not isinstance(sub.ctx, ast.Store):
+            if attribute and isinstance(sub, ast.Attribute) and sub.attr == name:
+                found.add(owner)
+            elif isinstance(sub, ast.Name) and sub.id == name and not isinstance(sub.ctx, ast.Store):
                 found.add(owner)
     return found
 
@@ -160,6 +166,7 @@ def test_use_scan_names_the_enclosing_definition():
         "X = f\n"
     )
     assert users(source, "f") == {"a", "<module>"}
+    assert users(source, "f", attribute=True) == {"a", "B", "<module>"}
 
 
 def _package_users(name: str, skip: str = "") -> set[str]:
@@ -172,3 +179,12 @@ def test_phase_matrices_have_one_builder():
 
 def test_scattered_contraction_has_one_caller_per_sum():
     assert _package_users("_scatter_contract") == {"transform._blocked_scatter", "translation.translate_mass"}
+
+
+def test_costly_evaluations_go_through_one_helper():
+    assert _package_users("_per_distinct") == {
+        "kernel._bessel_pair_generic",
+        "kernel._real_1d_scaled",
+        "functions._bessel_k_profile_values",
+    }
+    assert users((SRC / "kernel.py").read_text(), "unique", attribute=True) == {"_per_distinct"}

@@ -4,7 +4,8 @@ The rank-one kernel with the spectral sign convention splits into a real
 even part and an odd part built from Bessel functions; the frozen values
 below were produced with 40-digit arbitrary-precision arithmetic and pin
 every evaluation branch (power series, trigonometric ladder, and the
-generic-order branch in both its scipy and Hankel-expansion zones).
+generic-order branch in both its scipy and Hankel-expansion zones) and
+the real kernel's ive and large-argument expansion zones.
 """
 
 import math
@@ -15,15 +16,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dunklpd import DomainError, make_config
+from dunklpd import kernel as kernel_module
 from dunklpd.kernel import (
     _phase_1d,
     _real_1d,
+    _real_1d_scaled,
+    _scaled_real_values,
     dunkl_operator_1d,
     kernel_1d,
     kernel_nd,
     kernel_real_1d,
     kernel_real_nd,
 )
+from dunklpd.posdef import heat_kernel
+from dunklpd.quadrature import Grid, QuadratureSpec
 
 # (kappa, z, value) with z = x*y; covers series (|z| below cutoff), the
 # half-integer cosine ladder, the integer sine ladder, and both signs
@@ -99,16 +105,7 @@ _FROZEN_REAL_LADDER = [
     (0.5, 40.0, 2.9602170956679252663e16),
     (0.5, -40.0, 1.8737863016054718541e14),
     (0.5, 300.0, 8.944228752972006532e128),
-    pytest.param(
-        0.5,
-        -300.0,
-        7.4659828980977042261e125,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="measured rel error 1.7e-13: ive(0, 300) is 3.8e-16 off, and the "
-            "ive(0) - ive(1) cancellation at z = -300 amplifies that several hundredfold",
-        ),
-    ),
+    (0.5, -300.0, 7.4659828980977042261e125),
     (2.0, 7.0, 5.0013039398136649304e1),
     (2.0, -7.0, 7.5362863653602256088),
     (2.0, 15.0, 3.8065891181674944784e4),
@@ -117,6 +114,24 @@ _FROZEN_REAL_LADDER = [
     (2.0, -40.0, 1.0619921218623362623e13),
     (2.0, 300.0, 6.4316975323763386154e125),
     (2.0, -300.0, 2.147460292516721841e123),
+]
+
+# (kappa, z, E_kappa(1, z)) of the real kernel at z = +-max(40, (kappa+1/2)^2),
+# where the large-argument expansion (DLMF 10.40.1) takes over from ive, and
+# at z = +-300; 40-digit mpmath, cross-checked against the Kummer form.
+_FROZEN_REAL_EXPANSION = [
+    (0.3, 40.0, 62869837152097220.431),
+    (0.3, -40.0, 238781962396582.98614),
+    (0.3, 300.0, 2.8373684648927668685e129),
+    (0.3, -300.0, 1.4210562697676890241e126),
+    (1.7, 40.0, 866504750034633.75268),
+    (1.7, -40.0, 18640511989379.347724),
+    (1.7, 300.0, 2.4011796324310223856e126),
+    (1.7, -300.0, 6.8146641085193111383e123),
+    (8.5, 81.0, 4.7568503832759531551e25),
+    (8.5, -81.0, 2.5044289872381767631e24),
+    (8.5, 300.0, 1.2478948846272041175e116),
+    (8.5, -300.0, 1.7704497414396790681e114),
 ]
 
 
@@ -167,6 +182,20 @@ class TestGenericBranch:
     def test_pinned_real_kernel_ladder_orders(self, kappa, z, expected):
         np.testing.assert_allclose(kernel_real_1d(kappa, 1.0, z), expected, rtol=5e-14, atol=0)
 
+    @pytest.mark.parametrize("kappa,z,expected", _FROZEN_REAL_EXPANSION)
+    def test_pinned_real_kernel_expansion_zone(self, kappa, z, expected):
+        # the expansion subtracts in its coefficients, so negative z, where
+        # ive(k - 1/2) - ive(k + 1/2) cancels, is as accurate as positive z
+        np.testing.assert_allclose(kernel_real_1d(kappa, 1.0, z), expected, rtol=2e-15, atol=0)
+
+    def test_ive_expansion_seam_agrees(self):
+        for kappa in (0.5, 0.3, 1.7, 8.5):
+            cutoff = max(40.0, (kappa + 0.5) ** 2)
+            for side in (1.0, -1.0):
+                below = _real_1d_scaled(kappa, np.asarray(side * np.nextafter(cutoff, 0.0)))
+                at = _real_1d_scaled(kappa, np.asarray(side * cutoff))
+                np.testing.assert_allclose(below, at, rtol=2e-14, atol=0)
+
     @pytest.mark.parametrize("x", [-15.0, -19.0, -35.0])
     def test_real_kernel_at_kappa_zero_is_exp_far_below_zero(self, x):
         # z = 20 x = -300, -380, -700: e^z is a normal float throughout,
@@ -208,6 +237,37 @@ class TestGenericBranch:
             kernel_real_1d(kappa, 1.0, z)
         with pytest.raises(DomainError, match="heat_kernel"):
             kernel_real_nd(make_config(2, [kappa, 0.5]), [1.0, 0.5], [z, 0.5])
+
+
+class TestPerDistinct:
+    """The costly evaluations run once per distinct argument; the gathered
+    result must equal evaluating each element alone, bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 0.3])
+    def test_scaled_real_matches_elementwise(self, kappa, rng):
+        base = np.concatenate((rng.uniform(-400.0, 400.0, 60), [0.0, 6.0, -6.0, 40.0, -40.0, -300.0]))
+        z = rng.permutation(np.concatenate((base, base[::2], -base[::3], [-0.0, 0.0, -0.0])))
+        alone = np.array([_scaled_real_values(kappa, np.array([v]))[0] for v in z])
+        got = _real_1d_scaled(kappa, z)
+        assert got.shape == z.shape and got.tobytes() == alone.tobytes()
+        square = _real_1d_scaled(kappa, z[:60].reshape(6, 10))
+        assert square.shape == (6, 10) and square.tobytes() == alone[:60].tobytes()
+        for i in (0, 7):
+            point = _real_1d_scaled(kappa, np.asarray(z[i]))
+            assert point.shape == () and point.tobytes() == alone[i].tobytes()
+
+    def test_heat_kernel_passes_distinct_arguments_to_ive(self, monkeypatch):
+        # at one x, each axis of a 24^3 grid has 24 distinct z = x_i y_i / 2t
+        config = make_config(3, [1.0, 0.5, 0.3])
+        points = Grid(config, QuadratureSpec(10.0, 24)).points()
+        sizes = []
+        ive = kernel_module.sps.ive
+        monkeypatch.setattr(kernel_module.sps, "ive", lambda nu, a: sizes.append(np.size(a)) or ive(nu, a))
+        values = heat_kernel(config, 0.5, np.broadcast_to([1.5, -2.0, 3.0], points.shape), points)
+        assert values.shape == (24**3,)
+        # every axis reaches the ive zone (6 < |z| < 40), once per order
+        assert len(sizes) == 2 * config.dimension
+        assert 0 < max(sizes) <= 24
 
 
 class TestStructure:
