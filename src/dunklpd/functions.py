@@ -96,15 +96,20 @@ class CatalogFunction:
         return float(self.evaluate(config, np.zeros((1, config.dimension)))[0])
 
 
-def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]:
-    """Points as an (N, d) array, and whether a single point was passed."""
+def _query_points(config: MultiplicityConfig, points, error=DomainError) -> tuple[np.ndarray, bool]:
+    """Points as an (N, d) array, and whether a single point was passed.
+
+    The one point check of the package; function values and the heat kernel
+    raise DomainError, the transform, translation and Gram entry points
+    pass InputError.
+    """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    if pts.shape[-1] != config.dimension:
-        raise DomainError(f"points have {pts.shape[-1]} coordinates, expected {config.dimension}")
+    if pts.ndim != 2 or pts.shape[1] != config.dimension:
+        raise error(f"expected points in R^{config.dimension}, got shape {np.shape(points)}")
     if not np.all(np.isfinite(pts)):
-        raise DomainError("points must be finite (found nan or inf)")
+        raise error("points must be finite (found nan or inf)")
     return pts, squeeze
 
 

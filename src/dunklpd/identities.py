@@ -55,7 +55,7 @@ from .transform import (
     tabulated_density,
     weighted_norm,
 )
-from .translation import _translate_at, convolve, convolve_direct, translate, translate_mass
+from .translation import _translate_at, convolve, convolve_direct, convolve_grid, translate, translate_mass
 
 SUITE_NAMES = ("kernel", "transform", "translation", "posdef", "heat")
 
@@ -63,14 +63,9 @@ SUITE_NAMES = ("kernel", "transform", "translation", "posdef", "heat")
 def cauchy_exponent(config: MultiplicityConfig) -> float:
     """Exponent giving the generalized Cauchy profile enough spectral decay
     for round trips at the default quadrature box."""
-    table = {
-        (1, (0.0,)): 4.0,
-        (1, (0.5,)): 5.0,
-        (1, (2.0,)): 6.0,
-        (2, (1.0, 0.0)): 5.0,
-    }
-    key = (config.dimension, tuple(config.kappa))
-    return table.get(key, float(math.ceil(config.gamma + config.dimension / 2.0 + 3.0)))
+    if (config.dimension, tuple(config.kappa)) == (1, (0.5,)):
+        return 5.0
+    return float(math.ceil(config.gamma + config.dimension / 2.0 + 3.0))
 
 
 def _diag(config: MultiplicityConfig, mag: float) -> np.ndarray:
@@ -421,13 +416,13 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
             IdentityReport("classical_shift_reduction", want, got, 1e-6, notes="zero multiplicities")
         )
 
-        f = g = gaussian(1.0)
-        for xv, name in ((0.0, "classical_convolution_reduction"),):
-            got = convolve(config, spec, f, g, _diag(config, xv))
-            want = config.mehta * (math.pi / 2.0) ** (d / 2.0) * math.exp(-(xv**2) / 2.0)
-            reports.append(
-                IdentityReport(name, want, got, 1e-8, notes="two unit Gaussians, closed form")
+        got = convolve(config, spec, gaussian(1.0), gaussian(1.0), np.zeros(d))
+        want = config.mehta * (math.pi / 2.0) ** (d / 2.0)
+        reports.append(
+            IdentityReport(
+                "classical_convolution_reduction", want, got, 1e-8, notes="two unit Gaussians, closed form"
             )
+        )
 
     if d <= 2:
         y = _diag(config, 0.7)
@@ -533,8 +528,8 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
     if d <= 2:
         f, g = gaussian(1.0), gaussian_density(2.0)
         grid = Grid(config, spec)
-        conv_vals = convolve(config, spec, f, g, grid.points())
-        lhs = math.sqrt(float(np.real(grid.integrate((np.abs(conv_vals) ** 2).reshape(grid.shape)))))
+        conv_vals = convolve_grid(config, spec, f, g).values
+        lhs = math.sqrt(float(np.real(grid.integrate(np.abs(conv_vals) ** 2))))
         rhs = weighted_norm(config, spec, g, 1.0) * weighted_norm(config, spec, f, 2.0)
         reports.append(
             IdentityReport(
@@ -571,18 +566,7 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
 
     for label, phi in (("gaussian", gaussian(1.0)), ("cauchy", generalized_cauchy(p))):
         rep = gram(config, spec, phi, builtin_points(d, 5))
-        reports.append(
-            IdentityReport(
-                f"gram_positive_semidefinite_{label}",
-                0.0,
-                max(0.0, -rep.min_eigenvalue),
-                rep.tolerance,
-                notes=(
-                    f"5 builtin points; eigenvalues [{rep.min_eigenvalue:.6e}, "
-                    f"{rep.max_eigenvalue:.6e}]; hermitian residual {rep.hermitian_residual:.3e}"
-                ),
-            )
-        )
+        reports.append(rep.psd_report(f"gram_positive_semidefinite_{label}", "5 builtin points"))
 
     spd_floor = math.inf
     spd_tol = 0.0
@@ -745,16 +729,14 @@ def suite_heat(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -
     )
 
     if _is_classical(config):
-        worst_e, worst_c = 0.0, 0.0
-        err = -1.0
+        wants, gots = [], []
         for _ in range(50):
             t = float(rng.uniform(0.05, 4.0))
             x = rng.uniform(-3, 3, size=d)
             y = rng.uniform(-3, 3, size=d)
-            got = heat_kernel(config, t, x, y)
-            want = (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-float(np.sum((x - y) ** 2)) / (4.0 * t))
-            if abs(got - want) > err:
-                err, worst_e, worst_c = abs(got - want), want, got
+            gots.append(heat_kernel(config, t, x, y))
+            wants.append((4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-float(np.sum((x - y) ** 2)) / (4.0 * t)))
+        worst_e, worst_c = _worst(wants, gots, relative=False)
         reports.append(
             IdentityReport(
                 "classical_heat_reduction",

@@ -28,6 +28,7 @@ from scipy import special as sps
 from .errors import DomainError, InputError
 from .functions import (
     CatalogFunction,
+    _query_points,
     bessel_k_profile,
     evaluate_handle,
     tensor_points,
@@ -39,7 +40,6 @@ from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
-    _as_points,
     _axis_matrices,
     _checked,
     _resolve_spec,
@@ -115,22 +115,22 @@ def builtin_points(dimension: int, n: int, coefficients=None) -> PointSet:
     return PointSet(pts, coefficients)
 
 
-def _gram_on(config: MultiplicityConfig, sp: QuadratureSpec, density, pts: np.ndarray) -> np.ndarray:
+def _gram_on(config: MultiplicityConfig, sp: QuadratureSpec, density, xs: np.ndarray) -> np.ndarray:
     """Matrix of translates [tau_{x_j} phi (x_l)] on sp's grid, phi given by its transform."""
     grid = Grid(config, sp)
-    return _translate_at(config, grid, grid.weighted(density), pts, pts)
+    return _translate_at(config, grid, grid.weighted(density), xs, xs)
 
 
-def _gram_from_density(config, spec, density, pts) -> tuple[np.ndarray, float]:
-    return two_pass(lambda sp: _gram_on(config, sp, density, pts), spec)
+def _gram_from_density(config, spec, density, xs) -> GramReport:
+    matrix, delta = two_pass(lambda sp: _gram_on(config, sp, density, xs), spec)
+    return GramReport.from_matrix(matrix, quadrature_delta=delta)
 
 
 def gram(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, pts: PointSet) -> GramReport:
     """Gram matrix of translates of phi on the point set, with verdicts."""
+    xs, _ = _query_points(config, pts.points, InputError)
     spec = _resolve_spec(config, quad)
-    density = spectral_density(config, spec, phi)
-    matrix, delta = _gram_from_density(config, spec, density, pts.points)
-    return GramReport.from_matrix(matrix, quadrature_delta=delta)
+    return _gram_from_density(config, spec, spectral_density(config, spec, phi), xs)
 
 
 def quadratic_form(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, pts: PointSet):
@@ -200,7 +200,7 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
 def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs) -> IdentityReport:
     """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe."""
     spec = _resolve_spec(config, quad)
-    pts, _ = _as_points(config, xs)
+    pts, _ = _query_points(config, xs, InputError)
     phi0 = float(np.real(evaluate_handle(config, phi, np.zeros((1, config.dimension)))[0]))
     vals = np.abs(np.asarray(evaluate_handle(config, phi, pts), dtype=complex))
     density = spectral_density(config, spec, phi)
@@ -231,21 +231,6 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
     )
 
 
-def _psd_report(name: str, matrix: np.ndarray, delta: float, notes: str = "") -> IdentityReport:
-    rep = GramReport.from_matrix(matrix, quadrature_delta=delta)
-    detail = (
-        f"eigenvalues in [{rep.min_eigenvalue:.6e}, {rep.max_eigenvalue:.6e}], "
-        f"hermitian residual {rep.hermitian_residual:.3e}"
-    )
-    return IdentityReport(
-        identity_name=name,
-        expected=0.0,
-        computed=max(0.0, -rep.min_eigenvalue),
-        tolerance=rep.tolerance,
-        notes=(notes + "; " if notes else "") + detail,
-    )
-
-
 def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1, phi2) -> list:
     """PSD reports for the convolution and (radial case) the product."""
     if not (isinstance(phi1, CatalogFunction) and isinstance(phi2, CatalogFunction)):
@@ -256,20 +241,16 @@ def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1,
     rho2 = spectral_density(config, spec, phi2)
 
     conv_density = lambda p: rho1(p) * rho2(p)
-    conv_matrix, conv_delta = _gram_from_density(config, spec, conv_density, pts.points)
-    reports = [
-        _psd_report("convolution_closure_gram_psd", conv_matrix, conv_delta, "5 builtin points")
-    ]
+    conv = _gram_from_density(config, spec, conv_density, pts.points)
+    reports = [conv.psd_report("convolution_closure_gram_psd", "5 builtin points")]
 
     product = lambda p: evaluate_handle(config, phi1, p) * evaluate_handle(config, phi2, p)
     # the gram integrals only query the density on the spec grid and its
     # doubling, so a separable tabulation beats point-by-point transforms
     fwd = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 64))
     prod_density = tabulated_density(config, fwd, product, spec)
-    prod_matrix, prod_delta = _gram_from_density(config, spec, prod_density, pts.points)
-    reports.append(
-        _psd_report("product_closure_gram_psd", prod_matrix, prod_delta, "5 builtin points")
-    )
+    prod = _gram_from_density(config, spec, prod_density, pts.points)
+    reports.append(prod.psd_report("product_closure_gram_psd", "5 builtin points"))
     return reports
 
 
@@ -290,12 +271,13 @@ def quadratic_form_heat(
         raise DomainError(f"smoothing time must be positive and finite, got {t}")
     if pts.coefficients is None:
         raise InputError("point set carries no coefficients")
+    xs, _ = _query_points(config, pts.points, InputError)
     spec = _resolve_spec(config, quad)
     density = spectral_density(config, spec, phi)
     damped = lambda p: density(p) * np.exp(-2.0 * t * np.sum(p * p, axis=-1))
     a = pts.coefficients
 
-    run = lambda sp: complex(a.conj() @ _gram_on(config, sp, damped, pts.points) @ a)
+    run = lambda sp: complex(a.conj() @ _gram_on(config, sp, damped, xs) @ a)
     return _checked("heat-smoothed form", run, spec)
 
 
@@ -310,13 +292,11 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     """
     if not 0 < t < math.inf:
         raise DomainError(f"time must be positive and finite, got {t}")
-    xp = np.atleast_2d(np.asarray(x, dtype=float))
-    yp = np.atleast_2d(np.asarray(y, dtype=float))
-    squeeze = np.asarray(x, dtype=float).ndim == 1 and np.asarray(y, dtype=float).ndim == 1
-    if xp.shape[1] != config.dimension or yp.shape[1] != config.dimension:
-        raise DomainError(f"points must live in R^{config.dimension}")
-    if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(yp))):
-        raise DomainError("points must be finite")
+    xp, x_single = _query_points(config, x)
+    yp, y_single = _query_points(config, y)
+    if len(xp) != len(yp) and 1 not in (len(xp), len(yp)):
+        raise DomainError(f"{len(xp)} points x against {len(yp)} points y; lengths must match or one be 1")
+    squeeze = x_single and y_single
     xp, yp = np.broadcast_arrays(xp, yp)
     out = np.full(xp.shape[0], config.mehta * (2.0 * t) ** -(config.gamma + config.dimension / 2.0))
     for i in range(config.dimension):
@@ -396,8 +376,8 @@ def kernel_independence(
 ) -> float:
     """Smallest singular value of [E(-i x_j, xi_m)]; positive certifies
     linear independence of the point phases on the probe set."""
-    xpts, _ = _as_points(config, xs)
-    probes, _ = _as_points(config, xis)
+    xpts, _ = _query_points(config, xs, InputError)
+    probes, _ = _query_points(config, xis, InputError)
     if probes.shape[0] < xpts.shape[0]:
         raise InputError("need at least as many probes as points")
     if enforce_distinct and _pairwise_min_separation(xpts) <= _MIN_SEPARATION:

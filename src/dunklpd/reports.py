@@ -93,6 +93,8 @@ class GramReport:
     psd / spd verdicts use a tolerance relative to the largest eigenvalue
     magnitude, so verdicts do not change when the matrix is rescaled; a zero
     matrix gets tolerance 0 (psd, not spd) unless quadrature_delta widens it.
+    psd_report renders the psd verdict as an IdentityReport, the one form
+    in which the suites and the closure checks report it.
     """
 
     matrix: np.ndarray
@@ -127,6 +129,21 @@ class GramReport:
             psd=bool(lo >= -tol),
             spd=bool(lo > tol),
             notes=notes,
+        )
+
+    def psd_report(self, name: str, notes: str = "") -> IdentityReport:
+        """PSD verdict as a report: computed is the negative part of the
+        smallest eigenvalue, checked against this report's tolerance."""
+        detail = (
+            f"eigenvalues [{self.min_eigenvalue:.6e}, {self.max_eigenvalue:.6e}]; "
+            f"hermitian residual {self.hermitian_residual:.3e}"
+        )
+        return IdentityReport(
+            identity_name=name,
+            expected=0.0,
+            computed=max(0.0, -self.min_eigenvalue),
+            tolerance=self.tolerance,
+            notes=(notes + "; " if notes else "") + detail,
         )
 
     def to_dict(self) -> dict:

@@ -35,6 +35,7 @@ from .functions import (
     GENERALIZED_CAUCHY,
     CatalogFunction,
     SampledFunction,
+    _query_points,
     evaluate_handle,
     uniform_axes,
 )
@@ -51,17 +52,6 @@ INVERSE = +1
 
 def _resolve_spec(config: MultiplicityConfig, quad: QuadratureSpec | None) -> QuadratureSpec:
     return quad if quad is not None else default_spec(config.dimension)
-
-
-def _as_points(config: MultiplicityConfig, x) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=float)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != config.dimension:
-        raise InputError(f"expected points in R^{config.dimension}, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("points must be finite")
-    return pts, squeeze
 
 
 def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
@@ -122,7 +112,7 @@ def _transformer(config, spec, f, sign) -> Callable:
     )[0]
 
 
-# operators call each other (tabulated_density -> forward_grid, convolve_grid -> convolve),
+# operators call each other (tabulated_density and convolve_grid -> forward_grid),
 # so _checked's warning skips their frames and lands on the first caller outside
 _OPERATOR_MODULES = {f"{__package__}.{name}" for name in ("transform", "translation", "posdef")}
 
@@ -147,7 +137,7 @@ def _checked(what: str, run: Callable, spec: QuadratureSpec):
 
 def forward(config: MultiplicityConfig, quad: QuadratureSpec | None, f, xi):
     """Transform of f at one point or an (N, d) batch of points."""
-    pts, squeeze = _as_points(config, xi)
+    pts, squeeze = _query_points(config, xi, InputError)
     run = lambda sp: _transformer(config, sp, f, FORWARD)(pts)
     vals = _checked("forward transform", run, _resolve_spec(config, quad))
     return complex(vals[0]) if squeeze else vals
@@ -155,7 +145,7 @@ def forward(config: MultiplicityConfig, quad: QuadratureSpec | None, f, xi):
 
 def inverse(config: MultiplicityConfig, quad: QuadratureSpec | None, g, x):
     """Inverse transform, the conjugate-kernel integral."""
-    pts, squeeze = _as_points(config, x)
+    pts, squeeze = _query_points(config, x, InputError)
     run = lambda sp: _transformer(config, sp, g, INVERSE)(pts)
     vals = _checked("inverse transform", run, _resolve_spec(config, quad))
     return complex(vals[0]) if squeeze else vals
@@ -278,8 +268,8 @@ def tabulated_density(
 
 def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p: float = 2.0) -> float:
     """L^p norm against the reflection weight, (int |f|^p h^2)^(1/p)."""
-    if p < 1:
-        raise InputError(f"norm order must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise InputError(f"norm order must be finite and >= 1, got {p}")
     grid = Grid(config, _resolve_spec(config, quad).doubled())
     return float(np.real(grid.integrate(np.abs(grid.sample(f)) ** p))) ** (1.0 / p)
 

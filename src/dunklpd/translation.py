@@ -5,7 +5,9 @@ transform is the kernel phase E(-iy, .) times the original transform.  With
 zero multiplicities this is exactly f(x - y).  convolve multiplies the two
 transforms and maps back, so the transform of a convolution is the product
 of transforms by construction; a direct-space form (integrating f against
-the translated flip of g) is provided as an independent cross-check.
+the translated flip of g) is provided as an independent cross-check, and
+convolve_grid tabulates the convolution on the quadrature nodes as a grid
+transform of the product (transform.forward_grid with the inverse sign).
 _translate_at is the one translation sum, the matrix T[j, m] of translates
 by y_j evaluated at x_m; posdef's Gram matrices are T at y = x.
 
@@ -19,20 +21,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import CatalogFunction, SampledFunction
+from .functions import CatalogFunction, SampledFunction, _query_points
 from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
     INVERSE,
-    _as_points,
     _axis_matrices,
     _blocked_scatter,
     _checked,
     _resolve_spec,
     _scatter_contract,
     _transformer,
+    forward_grid,
     spectral_density,
 )
 
@@ -56,7 +58,7 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     """Translate of f by y, evaluated at one point or an (N, d) batch."""
     spec = _resolve_spec(config, quad)
     yv = _point(config, y)
-    pts, squeeze = _as_points(config, x)
+    pts, squeeze = _query_points(config, x, InputError)
     density = spectral_density(config, spec, f)
 
     def run(sp):
@@ -124,7 +126,7 @@ def translate_mass(
 def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     """Spectral convolution (f * g)(x): inverse transform of the product."""
     spec = _resolve_spec(config, quad)
-    pts, squeeze = _as_points(config, x)
+    pts, squeeze = _query_points(config, x, InputError)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
     run = lambda sp: _transformer(config, sp, lambda p: df(p) * dg(p), INVERSE)(pts)
@@ -139,7 +141,7 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
     consistency checks, one nested quadrature slower than the spectral form.
     """
     spec = _resolve_spec(config, quad)
-    pts, squeeze = _as_points(config, x)
+    pts, squeeze = _query_points(config, x, InputError)
     dg = spectral_density(config, spec, g)
 
     def run(sp):
@@ -160,13 +162,11 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
 def convolve_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g) -> SampledFunction:
     """Convolution tabulated on the quadrature nodes, with its exact hint.
 
-    The transform of f * g is the product of the two densities, so the
-    returned handle carries that product as its spectral hint.
+    A grid transform: forward_grid's inverse leg applied to the product of
+    the two densities, contracted axis by axis.  Its spectral hint is that
+    product, the exact transform of f * g.
     """
     spec = _resolve_spec(config, quad)
-    grid = Grid(config, spec)
-    vals = convolve(config, spec, f, g, grid.points()).reshape(grid.shape)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
-    hint = lambda p: df(p) * dg(p)
-    return SampledFunction(grid.axes, vals, spectral_hint=hint)
+    return forward_grid(config, spec, lambda p: df(p) * dg(p), Grid(config, spec).axes, sign=INVERSE)

@@ -6,6 +6,7 @@ import pytest
 from dunklpd import InputError, make_config, run_suites
 from dunklpd.identities import (
     _indefinite_profile,
+    cauchy_exponent,
     suite_heat,
     suite_kernel,
     suite_posdef,
@@ -155,3 +156,11 @@ def test_indefinite_profile_is_a_genuine_falsifier(cfg_half):
     vals = np.asarray(f.evaluate(cfg_half, x))
     np.testing.assert_allclose(vals.imag, 0.0, atol=1e-12)
     np.testing.assert_allclose(vals, vals[::-1], rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim, kappa, exponent",
+    [(1, [0.0], 4.0), (1, [0.5], 5.0), (1, [2.0], 6.0), (2, [1.0, 0.0], 5.0), (3, [1.0, 0.5, 0.0], 6.0)],
+)
+def test_cauchy_exponent_on_the_sweep(dim, kappa, exponent):
+    assert cauchy_exponent(make_config(dim, kappa)) == exponent

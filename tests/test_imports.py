@@ -188,3 +188,16 @@ def test_costly_evaluations_go_through_one_helper():
         "functions._bessel_k_profile_values",
     }
     assert users((SRC / "kernel.py").read_text(), "unique", attribute=True) == {"_per_distinct"}
+
+
+def test_psd_verdict_and_grid_convolution_have_one_route():
+    # the PSD report is rendered only by GramReport.psd_report (the one reader
+    # of hermitian_residual besides to_dict), and convolve_grid is a grid
+    # transform, not a scattered convolve at every node
+    readers = {
+        f"{p.stem}.{owner}" for p in MODULES for owner in users(p.read_text(), "hermitian_residual", attribute=True)
+    }
+    assert readers == {"reports.GramReport"}
+    translation = (SRC / "translation.py").read_text()
+    assert users(translation, "forward_grid") == {"convolve_grid"}
+    assert users(translation, "convolve") == set()

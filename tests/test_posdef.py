@@ -80,6 +80,17 @@ class TestGram:
         assert abs(val.imag) < 1e-10
         assert val.real > 0
 
+    @pytest.mark.parametrize("dim, kappa, columns", [(1, [0.5], 2), (2, [1.0, 0.0], 1)])
+    def test_point_dimension_must_match_config(self, dim, kappa, columns):
+        config = make_config(dim, kappa)
+        pts = PointSet(np.arange(3.0 * columns).reshape(3, columns), coefficients=[1.0, -1.0, 0.5])
+        with pytest.raises(InputError, match="expected points in R\\^"):
+            gram(config, None, gaussian(1.0), pts)
+        with pytest.raises(InputError, match="expected points in R\\^"):
+            quadratic_form(config, None, gaussian(1.0), pts)
+        with pytest.raises(InputError, match="expected points in R\\^"):
+            quadratic_form_heat(config, None, gaussian(1.0), pts, 0.1)
+
 
 class TestClosure:
     def test_rejects_non_catalog_input_before_computing(self, cfg_half, monkeypatch):
@@ -172,6 +183,15 @@ class TestHeatKernel:
         rep = heat_kernel_mass(cfg_half, None, 1.0, np.array([0.8]))
         assert rep.passed
         np.testing.assert_allclose(rep.computed, 1.0, atol=1e-6)
+
+    def test_batches_must_match_or_broadcast(self, cfg_half):
+        with pytest.raises(DomainError, match="2 points x against 3 points y"):
+            heat_kernel(cfg_half, 0.5, np.zeros((2, 1)), np.ones((3, 1)))
+        with pytest.raises(DomainError, match="expected points in R\\^"):
+            heat_kernel(cfg_half, 0.5, np.zeros((2, 2)), np.ones((2, 1)))
+        one_to_many = heat_kernel(cfg_half, 0.5, np.array([[0.3]]), np.array([[0.1], [0.7]]))
+        assert one_to_many.shape == (2,)
+        np.testing.assert_array_equal(one_to_many[1], heat_kernel(cfg_half, 0.5, [0.3], [0.7]))
 
     def test_rejects_nonpositive_time(self, cfg_half):
         with pytest.raises(DomainError):

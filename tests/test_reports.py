@@ -106,3 +106,19 @@ class TestGramReport:
         loose = GramReport.from_matrix(np.diag([1.0, -1e-6]), quadrature_delta=1e-5)
         assert not strict.psd
         assert loose.psd
+
+    def test_psd_report_passes_a_psd_matrix_with_zero(self):
+        rep = GramReport.from_matrix(np.diag([2.0, 0.5]))
+        out = rep.psd_report("psd_check", "two points")
+        assert out.passed and out.computed == 0.0 and out.expected == 0.0
+        assert out.tolerance == rep.tolerance
+        assert out.notes == "two points; eigenvalues [5.000000e-01, 2.000000e+00]; hermitian residual 0.000e+00"
+
+    def test_psd_report_fails_an_indefinite_matrix(self):
+        rep = GramReport.from_matrix(np.diag([1.0, -0.2]))
+        out = rep.psd_report("psd_check")
+        assert not out.passed
+        assert out.identity_name == "psd_check"
+        assert out.computed == -rep.min_eigenvalue == pytest.approx(0.2)
+        assert out.tolerance == rep.tolerance
+        assert out.notes.startswith("eigenvalues [-2.000000e-01, 1.000000e+00]")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dunklpd import AccuracyWarning, NotInCatalogError, make_config
+from dunklpd import AccuracyWarning, InputError, NotInCatalogError, make_config
 from dunklpd.functions import (
     gaussian,
     gaussian_density,
@@ -212,6 +212,11 @@ class TestPlancherel:
         n_f = weighted_norm(cfg_half, None, f)
         n_hat = weighted_norm(cfg_half, None, gaussian_density(1.0))
         np.testing.assert_allclose(n_f, n_hat, rtol=1e-10)
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, -math.inf, math.nan])
+    def test_norm_order_must_be_finite_and_at_least_one(self, cfg_half, p):
+        with pytest.raises(InputError, match="finite and >= 1"):
+            weighted_norm(cfg_half, None, gaussian(1.0), p)
 
     def test_duality_report(self, cfg_half):
         rep = plancherel_duality(cfg_half, None, gaussian(1.0), gaussian(2.0))

@@ -12,7 +12,7 @@ from dunklpd.functions import (
     sample_on_axes,
     uniform_axes,
 )
-from dunklpd.quadrature import QuadratureSpec
+from dunklpd.quadrature import Grid, QuadratureSpec
 from dunklpd.translation import convolve, convolve_direct, convolve_grid, translate, translate_mass
 
 
@@ -106,3 +106,21 @@ class TestConvolution:
         pts = np.array([[0.3], [1.7]])
         d1 = evaluate_handle(cfg_half, gaussian_density(1.0), pts)
         np.testing.assert_allclose(out.spectral_hint(pts), d1 * d1, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::dunklpd.AccuracyWarning")
+    @pytest.mark.parametrize("dim, kappa", [(1, [0.5]), (2, [1.0, 0.0])])
+    def test_grid_convolution_is_convolve_on_the_nodes(self, dim, kappa):
+        # the grid transform and the scattered sum at every node are two
+        # routes to the same numbers; only the summation order differs
+        config = make_config(dim, kappa)
+        spec = QuadratureSpec(6.0, 16)
+        f, g = gaussian(1.0), gaussian_density(2.0)
+        out = convolve_grid(config, spec, f, g)
+        grid = Grid(config, spec)
+        assert out.values.shape == grid.shape
+        want = convolve(config, spec, f, g, grid.points())
+        np.testing.assert_allclose(out.values.ravel(), want, rtol=1e-13)
+        probes = grid.points()[::7]
+        df = evaluate_handle(config, gaussian_density(1.0), probes)
+        dg = evaluate_handle(config, gaussian(2.0), probes)
+        np.testing.assert_array_equal(out.spectral_hint(probes), df * dg)
