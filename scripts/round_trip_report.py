@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         for label, f in catalog.items():
             started = time.perf_counter()
             fwd_spec, inv_spec = round_trip_specs(config, label)
-            density = tabulated_density(config, fwd_spec, f, inv_spec)
+            density = tabulated_density(config, fwd_spec, f)
             back = inverse(config, inv_spec, density, probes)
             truth = np.asarray(evaluate_handle(config, f, probes), dtype=complex)
             rel = float(np.max(np.abs(back - truth) / np.maximum(np.abs(truth), 1e-30)))

@@ -16,7 +16,7 @@ The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
 (the 96^3 nodes of a d=3 grid have 22,863 distinct radii).  The Gaussians
 and the Cauchy profile are cheap enough to evaluate per point.  A nan or
-inf point raises DomainError in every handle.
+inf point raises InputError in every handle.
 
 Sampled functions live on a rectangular tensor grid and evaluate by
 multilinear interpolation, zero outside the grid box.  CSV serialization
@@ -27,6 +27,7 @@ row per node in C order.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -96,20 +97,20 @@ class CatalogFunction:
         return float(self.evaluate(config, np.zeros((1, config.dimension)))[0])
 
 
-def _query_points(config: MultiplicityConfig, points, error=DomainError) -> tuple[np.ndarray, bool]:
+def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]:
     """Points as an (N, d) array, and whether a single point was passed.
 
-    The one point check of the package; function values and the heat kernel
-    raise DomainError, the transform, translation and Gram entry points
-    pass InputError.
+    The one point check of the package (handles, transforms, translates,
+    Gram matrices, the heat kernel): a wrong shape or a nan or inf
+    coordinate raises InputError.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != config.dimension:
-        raise error(f"expected points in R^{config.dimension}, got shape {np.shape(points)}")
+        raise InputError(f"expected points in R^{config.dimension}, got shape {np.shape(points)}")
     if not np.all(np.isfinite(pts)):
-        raise error("points must be finite (found nan or inf)")
+        raise InputError("points must be finite (found nan or inf)")
     return pts, squeeze
 
 
@@ -232,6 +233,19 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Every node of the tensor grid over `axes`, shape (N, d), C-ordered."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def tensor_axes(points: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """Inverse of tensor_points: the axes if `points` (N, d) are exactly the C-ordered
+    nodes of the tensor grid over their distinct coordinates, else None."""
+    axes = tuple(np.unique(col) for col in points.T)
+    shape = tuple(len(a) for a in axes)
+    if len(points) == 0 or math.prod(shape) != len(points):
+        return None
+    for i, a in enumerate(axes):
+        if np.any(points[:, i].reshape(shape) != a.reshape((-1,) + (1,) * (len(axes) - i - 1))):
+            return None
+    return axes
 
 
 def sample_on_axes(

@@ -269,7 +269,7 @@ def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = No
         catalog.pop("bessel_k_profile")
     for label, f in catalog.items():
         fwd_spec, inv_spec = round_trip_specs(config, label)
-        transform_call = tabulated_density(config, fwd_spec, f, inv_spec)
+        transform_call = tabulated_density(config, fwd_spec, f)
         back = inverse(config, inv_spec, transform_call, probes)
         truth = evaluate_handle(config, f, probes)
         e, c = _worst(truth, back, relative=True)
@@ -347,7 +347,7 @@ def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = No
     odd = lambda pts: pts[:, 0] * np.exp(-np.sum(pts**2, axis=1))
     x0 = _diag(config, 0.4)
     fwd_leg, _ = round_trip_specs(config, "gaussian")
-    twice = forward(config, spec, tabulated_density(config, fwd_leg, odd, spec), x0)
+    twice = forward(config, spec, tabulated_density(config, fwd_leg, odd), x0)
     val = complex(odd(-x0[None, :])[0])
     reports.append(
         IdentityReport(

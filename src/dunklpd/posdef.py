@@ -4,8 +4,8 @@ A function phi is positive definite here when every Gram matrix of its
 translates [translate of phi by x_j, evaluated at x_l] generates a
 nonnegative quadratic form; it is strictly positive definite when the form
 is positive for nonzero coefficients.  translation._translate_at computes
-that matrix of translates, bound_check's translate diagonal and the
-heat-smoothed form.  The certifier leans on the transform side: the Gram
+that matrix of translates and the heat-smoothed form; bound_check contracts
+only its diagonal.  The certifier leans on the transform side: the Gram
 form equals the weighted integral of |sum_j a_j E(-i x_j, xi)|^2 times the
 transform of phi, so a nonnegative transform certifies positive
 definiteness, and a nonnegative transform that is not identically zero
@@ -40,9 +40,11 @@ from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
+    INVERSE,
     _axis_matrices,
     _checked,
     _resolve_spec,
+    _scatter_contract,
     catalog_partner,
     forward_grid,
     spectral_density,
@@ -128,7 +130,7 @@ def _gram_from_density(config, spec, density, xs) -> GramReport:
 
 def gram(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, pts: PointSet) -> GramReport:
     """Gram matrix of translates of phi on the point set, with verdicts."""
-    xs, _ = _query_points(config, pts.points, InputError)
+    xs, _ = _query_points(config, pts.points)
     spec = _resolve_spec(config, quad)
     return _gram_from_density(config, spec, spectral_density(config, spec, phi), xs)
 
@@ -200,15 +202,15 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
 def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs) -> IdentityReport:
     """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe."""
     spec = _resolve_spec(config, quad)
-    pts, _ = _query_points(config, xs, InputError)
+    pts, _ = _query_points(config, xs)
     phi0 = float(np.real(evaluate_handle(config, phi, np.zeros((1, config.dimension)))[0]))
     vals = np.abs(np.asarray(evaluate_handle(config, phi, pts), dtype=complex))
     density = spectral_density(config, spec, phi)
 
-    def run(sp):  # the diagonal of the matrix of translates, entry by entry: O(p), not O(p^2)
+    def run(sp):  # the diagonal of the matrix of translates, c sum_k vw[k] prod_i |E(i x_i, xi_k)|^2
         grid = Grid(config, sp)
-        vw = grid.weighted(density)
-        return np.array([_translate_at(config, grid, vw, x[None], x[None])[0, 0] for x in pts])
+        mats = _axis_matrices(config, pts.T, grid.axes, INVERSE)
+        return config.mehta * _scatter_contract([m.conj() * m for m in mats], grid.weighted(density))
 
     diag, delta = two_pass(run, spec)
     diag_re = diag.real
@@ -245,10 +247,8 @@ def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1,
     reports = [conv.psd_report("convolution_closure_gram_psd", "5 builtin points")]
 
     product = lambda p: evaluate_handle(config, phi1, p) * evaluate_handle(config, phi2, p)
-    # the gram integrals only query the density on the spec grid and its
-    # doubling, so a separable tabulation beats point-by-point transforms
     fwd = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 64))
-    prod_density = tabulated_density(config, fwd, product, spec)
+    prod_density = tabulated_density(config, fwd, product)
     prod = _gram_from_density(config, spec, prod_density, pts.points)
     reports.append(prod.psd_report("product_closure_gram_psd", "5 builtin points"))
     return reports
@@ -271,7 +271,7 @@ def quadratic_form_heat(
         raise DomainError(f"smoothing time must be positive and finite, got {t}")
     if pts.coefficients is None:
         raise InputError("point set carries no coefficients")
-    xs, _ = _query_points(config, pts.points, InputError)
+    xs, _ = _query_points(config, pts.points)
     spec = _resolve_spec(config, quad)
     density = spectral_density(config, spec, phi)
     damped = lambda p: density(p) * np.exp(-2.0 * t * np.sum(p * p, axis=-1))
@@ -295,7 +295,7 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     xp, x_single = _query_points(config, x)
     yp, y_single = _query_points(config, y)
     if len(xp) != len(yp) and 1 not in (len(xp), len(yp)):
-        raise DomainError(f"{len(xp)} points x against {len(yp)} points y; lengths must match or one be 1")
+        raise InputError(f"{len(xp)} points x against {len(yp)} points y; lengths must match or one be 1")
     squeeze = x_single and y_single
     xp, yp = np.broadcast_arrays(xp, yp)
     out = np.full(xp.shape[0], config.mehta * (2.0 * t) ** -(config.gamma + config.dimension / 2.0))
@@ -376,8 +376,8 @@ def kernel_independence(
 ) -> float:
     """Smallest singular value of [E(-i x_j, xi_m)]; positive certifies
     linear independence of the point phases on the probe set."""
-    xpts, _ = _query_points(config, xs, InputError)
-    probes, _ = _query_points(config, xis, InputError)
+    xpts, _ = _query_points(config, xs)
+    probes, _ = _query_points(config, xis)
     if probes.shape[0] < xpts.shape[0]:
         raise InputError("need at least as many probes as points")
     if enforce_distinct and _pairwise_min_separation(xpts) <= _MIN_SEPARATION:

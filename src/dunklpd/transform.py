@@ -13,10 +13,12 @@ returns the doubled value and raises an AccuracyWarning when the difference
 exceeds 1e-6 relative to the result scale.
 
 Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
-phase matrices, all built by _axis_matrices: _grid_contract for grid
-outputs, _blocked_scatter for scattered ones.  _transformer (forward,
-inverse, convolve, numeric_density) takes _blocked_scatter's unshifted row,
-translation._translate_at its shifted rows: every translate and Gram matrix.
+phase matrices, all built by _axis_matrices.  _blocked_scatter sums over
+output points: on the nodes of a tensor grid axis by axis (_grid_contract,
+as forward_grid on its output axes), else point by point (_scatter_contract).
+_transformer (forward, inverse, convolve, numeric_density, and through
+forward tabulated_density) takes its unshifted row, translation._translate_at
+its shifted rows: every translate and Gram matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .functions import (
     SampledFunction,
     _query_points,
     evaluate_handle,
+    tensor_axes,
     uniform_axes,
 )
 from .kernel import _phase_1d
@@ -86,20 +89,28 @@ _POINT_BLOCK = 16384
 def _blocked_scatter(config, grid, vw, pts, sign, shifts=None) -> np.ndarray:
     """out[j, m] = sum_k vw[k] prod_i conj(P_i[j, k_i]) M_i[m, k_i], with M_i and P_i
     the phase matrices (sign i) of pts and of the shift points; one row, P = 1,
-    without shifts.  One _axis_matrices call per block of points builds both;
-    blocking keeps huge requests from materializing multi-GB matrices at once.
+    without shifts.  One _axis_matrices call per block builds both.  Tensor-grid
+    nodes (tensor_axes) with at most _POINT_BLOCK per axis are one block, M_i on
+    the axes, summed by _grid_contract; other points go through _scatter_contract
+    in blocks of _POINT_BLOCK, which keeps huge requests from materializing
+    multi-GB matrices at once.
     """
     q = 0 if shifts is None else len(shifts)
     out = np.empty((max(q, 1), len(pts)), dtype=complex)
-    for s in range(0, len(pts), _POINT_BLOCK):
-        sl = slice(s, min(s + _POINT_BLOCK, len(pts)))
-        rows = pts[sl] if q == 0 else np.concatenate([shifts, pts[sl]])
-        mats = _axis_matrices(config, rows.T, grid.axes, sign)
+    axes = tensor_axes(pts)
+    if axes is not None and max(len(a) for a in axes) <= _POINT_BLOCK:
+        blocks = [(slice(None), axes, _grid_contract)]
+    else:
+        spans = (slice(s, s + _POINT_BLOCK) for s in range(0, len(pts), _POINT_BLOCK))
+        blocks = [(sl, pts[sl].T, _scatter_contract) for sl in spans]
+    for sl, cols, contract in blocks:
+        rows = cols if q == 0 else [np.concatenate([s, c]) for s, c in zip(shifts.T, cols)]
+        mats = _axis_matrices(config, rows, grid.axes, sign)
         if q == 1:  # in place: a product beside each M_i would raise the peak memory
             for m in mats:
                 m[1:] *= m[0].conj()
         for j in range(max(q, 1)):
-            out[j, sl] = _scatter_contract([m[j].conj() * m[q:] if q > 1 else m[q:] for m in mats], vw)
+            out[j, sl] = contract([m[j].conj() * m[q:] if q > 1 else m[q:] for m in mats], vw).reshape(-1)
     return out
 
 
@@ -112,9 +123,10 @@ def _transformer(config, spec, f, sign) -> Callable:
     )[0]
 
 
-# operators call each other (tabulated_density and convolve_grid -> forward_grid),
-# so _checked's warning skips their frames and lands on the first caller outside
-_OPERATOR_MODULES = {f"{__package__}.{name}" for name in ("transform", "translation", "posdef")}
+# operators call each other (convolve_grid -> forward_grid) and read checked
+# densities (tabulated_density, through Grid.sample), so _checked's warning
+# skips those frames and lands on the first caller outside
+_OPERATOR_MODULES = {f"{__package__}.{m}" for m in ("transform", "translation", "posdef", "quadrature", "functions")}
 
 
 def _checked(what: str, run: Callable, spec: QuadratureSpec):
@@ -137,7 +149,7 @@ def _checked(what: str, run: Callable, spec: QuadratureSpec):
 
 def forward(config: MultiplicityConfig, quad: QuadratureSpec | None, f, xi):
     """Transform of f at one point or an (N, d) batch of points."""
-    pts, squeeze = _query_points(config, xi, InputError)
+    pts, squeeze = _query_points(config, xi)
     run = lambda sp: _transformer(config, sp, f, FORWARD)(pts)
     vals = _checked("forward transform", run, _resolve_spec(config, quad))
     return complex(vals[0]) if squeeze else vals
@@ -145,7 +157,7 @@ def forward(config: MultiplicityConfig, quad: QuadratureSpec | None, f, xi):
 
 def inverse(config: MultiplicityConfig, quad: QuadratureSpec | None, g, x):
     """Inverse transform, the conjugate-kernel integral."""
-    pts, squeeze = _query_points(config, x, InputError)
+    pts, squeeze = _query_points(config, x)
     run = lambda sp: _transformer(config, sp, g, INVERSE)(pts)
     vals = _checked("inverse transform", run, _resolve_spec(config, quad))
     return complex(vals[0]) if squeeze else vals
@@ -223,7 +235,7 @@ def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f)
 
 
 def numeric_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
-    """Transform as a callable over scattered points, always by quadrature.
+    """Transform as a callable over (N, d) points, always by quadrature.
 
     Unlike spectral_density this never takes the closed-form shortcut, so
     round-trip and pair checks that must exercise the quadrature on both
@@ -232,38 +244,11 @@ def numeric_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) 
     return _transformer(config, _resolve_spec(config, quad).doubled(), f, FORWARD)
 
 
-def tabulated_density(
-    config: MultiplicityConfig,
-    quad: QuadratureSpec | None,
-    f,
-    eval_spec: QuadratureSpec,
-) -> Callable:
-    """Numeric transform pretabulated on eval_spec's integration grids.
-
-    `inverse` run with eval_spec requests the density exactly on those two
-    node sets; evaluating them through forward_grid keeps the contraction
-    separable, which is far cheaper than point-by-point quadrature when the
-    forward and inverse legs need very different radii.  Off-grid points
-    fall back to the honest scattered path, built on first use.
-    """
-    tables = []
-    fallback = None
-    for sp in (eval_spec, eval_spec.doubled()):
-        grid = Grid(config, sp)
-        sampled = forward_grid(config, quad, f, out_axes=grid.axes)
-        tables.append((grid.points(), sampled.values.ravel()))
-
-    def density(pts):
-        nonlocal fallback
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        for nodes, vals in tables:
-            if pts.shape == nodes.shape and np.array_equal(pts, nodes):
-                return vals
-        if fallback is None:
-            fallback = numeric_density(config, quad, f)
-        return fallback(pts)
-
-    return density
+def tabulated_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
+    """Transform of f as a callable: each query is forward at quad, checked n/2n
+    (numeric_density is not) and, on tensor-grid nodes such as an integration
+    grid, contracted axis by axis."""
+    return lambda pts: forward(config, quad, f, pts)
 
 
 def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p: float = 2.0) -> float:

@@ -58,7 +58,7 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     """Translate of f by y, evaluated at one point or an (N, d) batch."""
     spec = _resolve_spec(config, quad)
     yv = _point(config, y)
-    pts, squeeze = _query_points(config, x, InputError)
+    pts, squeeze = _query_points(config, x)
     density = spectral_density(config, spec, f)
 
     def run(sp):
@@ -126,7 +126,7 @@ def translate_mass(
 def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     """Spectral convolution (f * g)(x): inverse transform of the product."""
     spec = _resolve_spec(config, quad)
-    pts, squeeze = _query_points(config, x, InputError)
+    pts, squeeze = _query_points(config, x)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
     run = lambda sp: _transformer(config, sp, lambda p: df(p) * dg(p), INVERSE)(pts)
@@ -141,7 +141,7 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
     consistency checks, one nested quadrature slower than the spectral form.
     """
     spec = _resolve_spec(config, quad)
-    pts, squeeze = _query_points(config, x, InputError)
+    pts, squeeze = _query_points(config, x)
     dg = spectral_density(config, spec, g)
 
     def run(sp):

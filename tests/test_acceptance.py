@@ -84,7 +84,7 @@ def test_inversion_round_trip_catalog_functions():
         probes = _diag_probes(config, np.linspace(-1.2, 1.2, 9))
         for label, f in catalog.items():
             fwd_spec, inv_spec = round_trip_specs(config, label)
-            density = tabulated_density(config, fwd_spec, f, inv_spec)
+            density = tabulated_density(config, fwd_spec, f)
             back = inverse(config, inv_spec, density, probes)
             truth = evaluate_handle(config, f, probes)
             worst[(config.kappa, label)] = _rel(truth, back)

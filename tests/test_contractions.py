@@ -1,8 +1,8 @@
 """The translation sum against explicit dense matrices.
 
-Gram matrices, translate diagonals and translates are rows of
-translation._translate_at, which _blocked_scatter contracts over per-axis
-phase matrices.  Here the same sums are written out densely: C[p, k] is the
+Gram matrices and translates are rows of translation._translate_at, which
+_blocked_scatter contracts over per-axis phase matrices, on tensor-grid
+outputs axis by axis.  Here the same sums are written out densely: C[p, k] is the
 phase E(i x_p, xi_k) at every (point, grid node) pair, built on the
 flattened node list without any tensor structure, and with c the config's
 mehta constant
@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from dunklpd import make_config, transform
-from dunklpd.functions import gaussian
+from dunklpd.functions import gaussian, tensor_axes, tensor_points, uniform_axes
 from dunklpd.kernel import _phase_1d, kernel_nd
 from dunklpd.quadrature import Grid, QuadratureSpec
-from dunklpd.transform import INVERSE, _blocked_scatter, inverse, spectral_density
+from dunklpd.transform import INVERSE, _blocked_scatter, forward, inverse, spectral_density
 from dunklpd.translation import _translate_at, convolve
 
 CONFIGS = [
@@ -80,7 +80,7 @@ def test_translate_diagonal_matches_dense_diagonal(dim, kappa, rng):
     pts = _points(config, rng)
     grid = Grid(config, SPEC.doubled())
     vw = grid.weighted(_density)
-    # entry by entry, as bound_check reads the diagonal
+    # entry by entry: each one-point request is a one-node grid
     got = np.array([_translate_at(config, grid, vw, x[None], x[None])[0, 0] for x in pts])
     c = _dense_phases(config, pts, grid.points())
     want = config.mehta * np.sum(np.abs(c) ** 2 * vw.reshape(-1), axis=1)
@@ -130,6 +130,40 @@ def test_point_blocks_do_not_change_translates(dim, kappa, shifts, rng, monkeypa
     # blocks of 3, 3 and 1 outputs; a one-row block may take another BLAS
     # path, so the sums agree to rounding rather than bit for bit
     np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-14 * np.max(np.abs(whole)))
+
+
+# _blocked_scatter contracts tensor-grid outputs axis by axis; the same nodes
+# in another order are a scattered set and go through _scatter_contract
+@pytest.mark.parametrize("shifts", [0, 1, 3])
+@pytest.mark.parametrize("dim,kappa", [c for c in CONFIGS if len(c[1]) > 1])
+def test_grid_route_matches_scattered_route(dim, kappa, shifts, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    grid = Grid(config, SPEC)
+    nodes = tensor_points([np.sort(rng.uniform(-2.5, 2.5, n)) for n in (4, 5, 3)[:dim]])
+    order = rng.permutation(len(nodes))
+    assert tensor_axes(nodes) is not None and tensor_axes(nodes[order]) is None
+    ys = _points(config, rng, shifts) if shifts else None
+    dvec = _dvec(grid, rng)
+    routes = []
+    real = transform._grid_contract
+    monkeypatch.setattr(transform, "_grid_contract", lambda *a: routes.append(a) or real(*a))
+    scattered = _blocked_scatter(config, grid, dvec, nodes[order], INVERSE, shifts=ys)
+    assert routes == []
+    on_grid = _blocked_scatter(config, grid, dvec, nodes, INVERSE, shifts=ys)
+    assert len(routes) == max(shifts, 1)
+    np.testing.assert_allclose(
+        on_grid[:, order], scattered, rtol=1e-13, atol=1e-13 * np.max(np.abs(scattered))
+    )
+
+
+def test_grid_outputs_build_phases_on_the_axes(monkeypatch):
+    config = make_config(2, [1.0, 0.0])
+    rows = []
+    real = transform._phase_1d
+    monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: rows.append(len(z)) or real(k, z, sign))
+    got = forward(config, QuadratureSpec(8.0, 48), gaussian(1.0), tensor_points(uniform_axes(2, 3.0, 30)))
+    assert got.shape == (900,)
+    assert rows == [30] * 4  # two axes at n and at 2n nodes
 
 
 @pytest.mark.parametrize("dim,kappa", [(1, [0.3]), (2, [1.0, 0.0])])

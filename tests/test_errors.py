@@ -46,8 +46,10 @@ _NAN = [math.nan]
 _G = gaussian(1.0)
 _S = SampledFunction((np.linspace(-1.0, 1.0, 5),), np.ones(5))
 
-# entry points that coerce points or times; a non-finite one must raise the
-# package error the entry point already uses, never return nan or a verdict
+# entry points that coerce points or times; a non-finite one must raise a
+# package error, never return nan or a verdict: InputError for every point
+# that goes through the one point check, DomainError for times and for the
+# kernel's own arguments
 _NON_FINITE = {
     "bound_check": (InputError, lambda c: bound_check(c, None, _G, [_NAN])),
     "forward": (InputError, lambda c: forward(c, None, _G, _NAN)),
@@ -61,9 +63,9 @@ _NON_FINITE = {
         InputError,
         lambda c: kernel_independence(c, [[0.0], [1.0]], [[0.5], _NAN, [2.0]]),
     ),
-    "heat_kernel_x": (DomainError, lambda c: heat_kernel(c, 0.5, _NAN, [0.1])),
+    "heat_kernel_x": (InputError, lambda c: heat_kernel(c, 0.5, _NAN, [0.1])),
     "heat_kernel_t": (DomainError, lambda c: heat_kernel(c, math.inf, [0.2], [0.1])),
-    "heat_kernel_mass": (DomainError, lambda c: heat_kernel_mass(c, None, 0.5, _NAN)),
+    "heat_kernel_mass": (InputError, lambda c: heat_kernel_mass(c, None, 0.5, _NAN)),
     "quadratic_form_heat_t": (
         DomainError,
         lambda c: quadratic_form_heat(c, None, _G, builtin_points(1, 2, coefficients=[1.0, -1.0]), math.inf),
@@ -72,12 +74,12 @@ _NON_FINITE = {
     "kernel_1d": (DomainError, lambda c: kernel_1d(0.5, math.nan, 1.0)),
     "kernel_1d_inf_times_zero": (DomainError, lambda c: kernel_1d(0.5, math.inf, 0.0)),
     "kernel_real_1d": (DomainError, lambda c: kernel_real_1d(0.5, math.nan, 1.0)),
-    "catalog_evaluate_nan": (DomainError, lambda c: _G.evaluate(c, _NAN)),
-    "catalog_evaluate_inf": (DomainError, lambda c: _G.evaluate(c, [[0.5], [math.inf]])),
-    "cauchy_evaluate_inf": (DomainError, lambda c: generalized_cauchy(3.0).evaluate(c, [[-math.inf]])),
-    "bessel_k_evaluate_nan": (DomainError, lambda c: bessel_k_profile(3.0).evaluate(c, [_NAN])),
-    "sampled_evaluate_nan": (DomainError, lambda c: _S.evaluate(c, [_NAN])),
-    "sampled_evaluate_inf": (DomainError, lambda c: _S.evaluate(c, [[math.inf], [0.5]])),
+    "catalog_evaluate_nan": (InputError, lambda c: _G.evaluate(c, _NAN)),
+    "catalog_evaluate_inf": (InputError, lambda c: _G.evaluate(c, [[0.5], [math.inf]])),
+    "cauchy_evaluate_inf": (InputError, lambda c: generalized_cauchy(3.0).evaluate(c, [[-math.inf]])),
+    "bessel_k_evaluate_nan": (InputError, lambda c: bessel_k_profile(3.0).evaluate(c, [_NAN])),
+    "sampled_evaluate_nan": (InputError, lambda c: _S.evaluate(c, [_NAN])),
+    "sampled_evaluate_inf": (InputError, lambda c: _S.evaluate(c, [[math.inf], [0.5]])),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from dunklpd import ConfigurationError, DomainError, InputError, make_config
+from dunklpd.posdef import builtin_points
 from dunklpd.functions import (
     CatalogFunction,
     SampledFunction,
@@ -22,6 +23,8 @@ from dunklpd.functions import (
     sample_on_axes,
     sampled_to_csv,
     save_sampled_csv,
+    tensor_axes,
+    tensor_points,
     uniform_axes,
 )
 
@@ -121,7 +124,7 @@ class TestCatalog:
         assert np.all(vals > 0)
 
     def test_dimension_check(self, cfg_plane):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             gaussian(1.0).evaluate(cfg_plane, np.zeros((3, 1)))
 
 
@@ -177,6 +180,33 @@ class TestSampledFunction:
         np.testing.assert_allclose(got, [9.0])
         with pytest.raises(InputError):
             evaluate_handle(cfg_half, 42, np.array([[0.0]]))
+
+
+class TestTensorAxes:
+    _AXES = {
+        1: (np.array([-0.4, 0.1, 2.5]),),
+        2: (np.array([-1.0, 0.3]), np.array([-2.0, 0.0, 0.5, 1.5])),
+        3: (np.array([0.0, 1.0, 2.0]), np.array([-1.0, 1.0]), np.array([-3.0, -1.0, 0.2, 0.7, 4.0])),
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inverts_tensor_points(self, dim):
+        axes = self._AXES[dim]
+        got = tensor_axes(tensor_points(axes))
+        assert got is not None and len(got) == dim
+        for a, b in zip(got, axes):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_other_point_sets_are_not_grids(self, dim):
+        pts = tensor_points(self._AXES[dim])
+        swapped = pts.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        assert tensor_axes(swapped) is None
+        assert tensor_axes(pts[::-1]) is None
+        assert tensor_axes(builtin_points(dim, 5).points) is None
+        # at d = 1 any ascending list is a grid, so a removed node leaves one
+        assert (tensor_axes(np.delete(pts, 1, axis=0)) is None) == (dim > 1)
 
 
 class TestCsv:

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every name
-it defines is used somewhere, and the kernel phase primitive and the
-scattered contraction have no users beyond the listed ones.
+it defines is used somewhere, the kernel phase primitive and the
+scattered contraction have no users beyond the listed ones, and every
+entry point the benchmark's tracer wraps by name exists.
 
 The scans read src/dunklpd/*.py (except __init__.py, whose imports are the
 public re-exports) with the ast module: a name bound by `import` or
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import ast
 import collections
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -131,8 +134,8 @@ def test_no_dead_definitions():
 # evaluation helper have fixed users:
 # outside kernel.py, _phase_1d is used only by transform._axis_matrices (the
 # one builder of phase matrices), and _scatter_contract only by
-# transform._blocked_scatter (the one translation and transform sum) and
-# translation.translate_mass.  `_per_distinct` serves exactly the three
+# transform._blocked_scatter (the one translation and transform sum),
+# translation.translate_mass and posdef.bound_check (the translate diagonal).  `_per_distinct` serves exactly the three
 # costly special-function evaluations, and it is the one place in kernel.py
 # that calls np.unique.  A use is a loaded Name (or, for np.unique, the
 # attribute); import statements do not count.
@@ -178,7 +181,11 @@ def test_phase_matrices_have_one_builder():
 
 
 def test_scattered_contraction_has_one_caller_per_sum():
-    assert _package_users("_scatter_contract") == {"transform._blocked_scatter", "translation.translate_mass"}
+    assert _package_users("_scatter_contract") == {
+        "transform._blocked_scatter",
+        "translation.translate_mass",
+        "posdef.bound_check",
+    }
 
 
 def test_costly_evaluations_go_through_one_helper():
@@ -201,3 +208,26 @@ def test_psd_verdict_and_grid_convolution_have_one_route():
     translation = (SRC / "translation.py").read_text()
     assert users(translation, "forward_grid") == {"convolve_grid"}
     assert users(translation, "convolve") == set()
+
+
+# perfbench/tracer.py wraps each layer's entry points by name (setattr on the
+# module, or on the class for "Class.method"); a rename in src/ would break
+# traced benchmark runs while every other test passes.  The tracer is loaded
+# by path, so that perfbench/ needs no change to be tested from here.
+def test_tracer_entry_points_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, names in tracer.ENTRY_POINTS.items():
+        module = importlib.import_module(f"dunklpd.{layer}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            if owner:
+                cls = getattr(module, owner, None)
+                found = isinstance(cls, type) and attr in cls.__dict__
+            else:
+                found = callable(getattr(module, name, None))
+            if not found:
+                missing.append(f"dunklpd.{layer}.{name}")
+    assert missing == []

@@ -24,6 +24,7 @@ from dunklpd.posdef import (
     strict_pd_certify,
 )
 from dunklpd.quadrature import QuadratureSpec
+from dunklpd.translation import translate
 
 
 class TestPointSets:
@@ -155,6 +156,18 @@ class TestStructuralBounds:
         rep = bound_check(cfg_half, None, gaussian(1.0), xs)
         assert rep.passed
 
+    def test_diagonal_is_one_phase_build_per_pass(self, cfg_plane, rng, monkeypatch):
+        xs = rng.uniform(-2.5, 2.5, size=(50, 2))
+        builds, results = [], []
+        real_build, real_two_pass = posdef._axis_matrices, posdef.two_pass
+        monkeypatch.setattr(posdef, "_axis_matrices", lambda *a: builds.append(a) or real_build(*a))
+        monkeypatch.setattr(posdef, "two_pass", lambda *a: results.append(real_two_pass(*a)) or results[-1])
+        bound_check(cfg_plane, None, gaussian(1.0), xs)
+        assert len(builds) == 2
+        (diag, _), = results
+        want = [translate(cfg_plane, None, gaussian(1.0), x, x) for x in xs]
+        np.testing.assert_allclose(diag, want, rtol=1e-12)
+
 
 class TestHeatKernel:
     def test_symmetry_and_positivity(self, cfg_half, rng):
@@ -185,9 +198,9 @@ class TestHeatKernel:
         np.testing.assert_allclose(rep.computed, 1.0, atol=1e-6)
 
     def test_batches_must_match_or_broadcast(self, cfg_half):
-        with pytest.raises(DomainError, match="2 points x against 3 points y"):
+        with pytest.raises(InputError, match="2 points x against 3 points y"):
             heat_kernel(cfg_half, 0.5, np.zeros((2, 1)), np.ones((3, 1)))
-        with pytest.raises(DomainError, match="expected points in R\\^"):
+        with pytest.raises(InputError, match="expected points in R\\^"):
             heat_kernel(cfg_half, 0.5, np.zeros((2, 2)), np.ones((2, 1)))
         one_to_many = heat_kernel(cfg_half, 0.5, np.array([[0.3]]), np.array([[0.1], [0.7]]))
         assert one_to_many.shape == (2,)

@@ -16,9 +16,8 @@ from dunklpd.functions import (
     evaluate_handle,
     uniform_axes,
 )
-from dunklpd import transform
 from dunklpd.posdef import builtin_points, closure_suite, quadratic_form_heat
-from dunklpd.quadrature import Grid, QuadratureSpec
+from dunklpd.quadrature import QuadratureSpec
 from dunklpd.transform import (
     catalog_partner,
     closed_form_transform,
@@ -79,7 +78,7 @@ class TestInversion:
     def test_round_trip_at_probes(self, cfg_half):
         spec = QuadratureSpec(16.0, 256)
         probes = np.linspace(-1.8, 1.8, 7).reshape(-1, 1)
-        den = tabulated_density(cfg_half, spec, gaussian(1.0), spec)
+        den = tabulated_density(cfg_half, spec, gaussian(1.0))
         back = inverse(cfg_half, spec, den, probes)
         want = evaluate_handle(cfg_half, gaussian(1.0), probes)
         np.testing.assert_allclose(back.real, want, rtol=1e-9, atol=1e-12)
@@ -150,10 +149,11 @@ def test_accuracy_warning_points_at_the_caller(name):
     assert [w.filename for w in record] == [__file__]
 
 
-# package functions that reach _checked through another package function;
+# package functions that reach _checked through another package function
+# (inverse reads the lazy density's forward transforms through Grid.sample);
 # their warnings must skip the package frames too
 _NESTED_CALLERS = {
-    "tabulated_density": lambda c: tabulated_density(c, _COARSE, _G, _COARSE),
+    "tabulated_density": lambda c: inverse(c, _COARSE, tabulated_density(c, _COARSE, _G), [0.5]),
     "convolve_grid": lambda c: convolve_grid(c, _COARSE, _G, _G),
     "closure_suite": lambda c: closure_suite(c, _COARSE, _G, gaussian(2.0)),
 }
@@ -183,27 +183,13 @@ class TestDensities:
 
     @pytest.mark.filterwarnings("ignore::dunklpd.AccuracyWarning")
     def test_tabulated_density_falls_back_off_grid(self, cfg_half):
-        # the point is the off-grid fallback path, so the spec stays coarse
+        # the density read off the integration grids
         spec = QuadratureSpec(10.0, 64)
         f = lambda p: np.exp(-p[:, 0] ** 2)
-        den = tabulated_density(cfg_half, spec, f, spec)
+        den = tabulated_density(cfg_half, spec, f)
         off = np.array([[0.123], [1.456]])
         want = evaluate_handle(cfg_half, gaussian_density(1.0), off)
         np.testing.assert_allclose(np.asarray(den(off)).real, want, rtol=1e-8)
-
-    @pytest.mark.filterwarnings("ignore::dunklpd.AccuracyWarning")
-    def test_tabulated_density_builds_fallback_on_first_miss(self, cfg_half, monkeypatch):
-        built = []
-        real = transform.numeric_density
-        monkeypatch.setattr(transform, "numeric_density", lambda *a: built.append(a) or real(*a))
-        spec = QuadratureSpec(10.0, 64)
-        den = tabulated_density(cfg_half, spec, gaussian(1.0), spec)
-        for sp in (spec, spec.doubled()):
-            den(Grid(cfg_half, sp).points())
-        assert built == []
-        den(np.array([[0.123]]))
-        den(np.array([[1.456]]))
-        assert len(built) == 1
 
 
 class TestPlancherel:
