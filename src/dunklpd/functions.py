@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special as sps
 
-from .errors import ConfigurationError, DomainError, InputError
+from .errors import ConfigurationError, InputError
 from .kernel import _per_distinct
 from .root_system import MultiplicityConfig
 
@@ -185,7 +185,7 @@ class SampledFunction:
 
     def evaluate(self, config: MultiplicityConfig, points: np.ndarray) -> np.ndarray:
         if config.dimension != self.dimension:
-            raise DomainError(f"sampled function has dimension {self.dimension}, config {config.dimension}")
+            raise InputError(f"sampled function has dimension {self.dimension}, config {config.dimension}")
         pts, squeeze = _query_points(config, points)
         out = _multilinear(self.axes, np.asarray(self.values, dtype=complex), pts)
         return out[0] if squeeze else out

@@ -31,6 +31,14 @@ the scaled form, or e^z at k = 0.
 
 The d-dimensional kernel is the coordinatewise product.
 
+As a function of real z = x*y the phase has the conjugate parity
+A_k(-z) - i B_k(-z) = conj(A_k(z) - i B_k(z)), since A_k is even and B_k
+odd (Rosler, Dunkl operators: theory and applications, LNM 1817).  Every
+branch keeps it exactly in floating point: the even part is computed from
+|z| or z^2, the odd part as sign(z), z/2 or sin(z) times an even function.
+transform._axis_matrices relies on this to evaluate only the nonnegative
+half of a mirrored axis.
+
 The costly special-function evaluations (the generic Bessel pair, the
 scaled real form, and the Bessel-K catalog profile in functions.py) go
 through one helper, `_per_distinct`, which evaluates once per distinct

@@ -55,11 +55,20 @@ def default_spec(dimension: int) -> QuadratureSpec:
 
 
 @lru_cache(maxsize=64)
+def _unit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [-1, 1], read-only: one eigensolve per node count, whatever the radius."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=64)
 def _axis_rule(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     n_neg = nodes // 2
     n_pos = nodes - n_neg
-    x_neg, w_neg = np.polynomial.legendre.leggauss(n_neg)
-    x_pos, w_pos = np.polynomial.legendre.leggauss(n_pos)
+    x_neg, w_neg = _unit_rule(n_neg)
+    x_pos, w_pos = _unit_rule(n_pos)
     half = radius / 2.0
     nodes_out = np.concatenate([(x_neg - 1.0) * half, (x_pos + 1.0) * half])
     weights_out = np.concatenate([w_neg * half, w_pos * half])

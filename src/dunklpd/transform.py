@@ -13,9 +13,13 @@ returns the doubled value and raises an AccuracyWarning when the difference
 exceeds 1e-6 relative to the result scale.
 
 Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
-phase matrices, all built by _axis_matrices.  _blocked_scatter sums over
-output points: on the nodes of a tensor grid axis by axis (_grid_contract,
-as forward_grid on its output axes), else point by point (_scatter_contract).
+phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
+E_k(-z) = conj E_k(z) holds exactly for real z, so on an axis mirrored
+exactly about 0 (every Gauss-Legendre axis with an even node count) only
+the nonnegative half is evaluated and the rest is its reversed conjugate.
+_blocked_scatter sums over output points: on the nodes of a tensor grid
+axis by axis (_grid_contract, as forward_grid on its output axes), else
+point by point (_scatter_contract).
 _transformer (forward, inverse, convolve, numeric_density, and through
 forward tabulated_density) takes its unshifted row, translation._translate_at
 its shifted rows: every translate and Gram matrix.
@@ -57,9 +61,34 @@ def _resolve_spec(config: MultiplicityConfig, quad: QuadratureSpec | None) -> Qu
     return quad if quad is not None else default_spec(config.dimension)
 
 
+def _mirror_half(a: np.ndarray) -> int:
+    """len(a) // 2 when a is exactly mirrored, a[i] == -a[-1 - i] at even length, else 0."""
+    h = len(a) // 2
+    return h if len(a) % 2 == 0 and np.array_equal(a[:h], -a[::-1][:h]) else 0
+
+
 def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
-    """Phase matrices E_k(r, sign i c) over rows[i] x cols[i], given as pts.T, grid.axes or y[:, None]."""
-    return [_phase_1d(k, np.multiply.outer(r, c), sign) for k, r, c in zip(config.kappa, rows, cols)]
+    """Phase matrices E_k(r, sign i c) over rows[i] x cols[i], given as pts.T, grid.axes or y[:, None].
+
+    Only the nonnegative half of an exactly mirrored rows[i] or cols[i] is
+    evaluated; the other half is the reversed conjugate, by the parity
+    E_k(-z) = conj E_k(z) of real z, which every kernel branch keeps exactly
+    (kernel.py).  Since (-r) c = -(r c) in floating point, the fill equals
+    the full build value for value (at a row r = 0 a zero imaginary part may
+    flip its sign).  Every even-count _axis_rule axis is mirrored, and so are
+    tensor-grid outputs on such axes; shift rows and linspace axes are not
+    and keep the full build.  The matrices are fresh and writable:
+    _blocked_scatter scales them in place.
+    """
+    mats = []
+    for k, r, c in zip(config.kappa, rows, cols):
+        hr, hc = _mirror_half(r), _mirror_half(c)
+        m = np.empty((len(r), len(c)), dtype=complex)
+        m[hr:, hc:] = _phase_1d(k, np.multiply.outer(r[hr:], c[hc:]), sign)
+        m[hr:, :hc] = m[hr:, : hc - 1 : -1].conj()
+        m[:hr] = m[: hr - 1 : -1].conj()
+        mats.append(m)
+    return mats
 
 
 def _scatter_contract(mats: list, vw: np.ndarray) -> np.ndarray:

@@ -11,15 +11,18 @@ mehta constant
     G[j, j] = c sum_k |C[j, k]|^2 dvec[k].
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from dunklpd import make_config, transform
+from dunklpd import AccuracyWarning, make_config, transform
 from dunklpd.functions import gaussian, tensor_axes, tensor_points, uniform_axes
 from dunklpd.kernel import _phase_1d, kernel_nd
+from dunklpd.posdef import builtin_points, gram
 from dunklpd.quadrature import Grid, QuadratureSpec
-from dunklpd.transform import INVERSE, _blocked_scatter, forward, inverse, spectral_density
-from dunklpd.translation import _translate_at, convolve
+from dunklpd.transform import INVERSE, _blocked_scatter, forward, forward_grid, inverse, spectral_density
+from dunklpd.translation import _translate_at, convolve, translate
 
 CONFIGS = [
     (1, [0.3]),
@@ -164,6 +167,77 @@ def test_grid_outputs_build_phases_on_the_axes(monkeypatch):
     got = forward(config, QuadratureSpec(8.0, 48), gaussian(1.0), tensor_points(uniform_axes(2, 3.0, 30)))
     assert got.shape == (900,)
     assert rows == [30] * 4  # two axes at n and at 2n nodes
+
+
+def _full_axis_matrices(config, rows, cols, sign):
+    """Every element of every phase matrix through _phase_1d, no mirroring."""
+    return [_phase_1d(k, np.multiply.outer(r, c), sign) for k, r, c in zip(config.kappa, rows, cols)]
+
+
+_MIRRORED = Grid(make_config(1, [0.0]), SPEC.doubled()).axes[0]  # 20 Gauss-Legendre nodes
+
+
+# mirrored rows and columns; mirrored columns only (shift-like rows, a row
+# at 0, a single row, no rows); neither (odd length, mirrored but for one ulp)
+@pytest.mark.parametrize(
+    "rows,cols",
+    [
+        (_MIRRORED, _MIRRORED[2:-2]),
+        (np.array([-2.5, -0.3, 0.0, 0.7, 1.1, 3.9]), _MIRRORED),
+        (np.array([0.0]), _MIRRORED),
+        (np.array([1.3]), _MIRRORED),
+        (np.array([]), _MIRRORED),
+        (np.linspace(-3.0, 3.0, 7), _MIRRORED[1:]),
+        (_MIRRORED, np.append(_MIRRORED[:-1], np.nextafter(_MIRRORED[-1], np.inf))),
+    ],
+)
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0, 0.3, 1.7])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_mirrored_build_equals_the_full_build(rows, cols, kappa, sign):
+    config = make_config(1, [kappa])
+    (got,) = transform._axis_matrices(config, [rows], [cols], sign)
+    (want,) = _full_axis_matrices(config, [rows], [cols], sign)
+    assert got.shape == want.shape and got.flags.writeable
+    # compared as floats: at a row 0 a zero imaginary part may differ in sign
+    np.testing.assert_array_equal(got.view(float), want.view(float))
+
+
+def test_mirrored_pair_evaluates_one_quadrant(monkeypatch):
+    sizes = []
+    real = transform._phase_1d
+    monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: sizes.append(z.shape) or real(k, z, sign))
+    (m,) = transform._axis_matrices(make_config(1, [0.5]), [_MIRRORED], [_MIRRORED], INVERSE)
+    assert m.shape == (20, 20)
+    assert sizes == [(10, 10)]
+
+
+_RESULT_CONFIGS = [(1, [0.5]), (2, [0.3, 1.7]), (3, [1.0, 0.5, 0.0])]
+
+
+# forward at grid nodes mirrors rows and columns, forward_grid's linspace
+# outputs and the shifted rows of translate and gram only the columns; the
+# builtin points include the origin
+@pytest.mark.parametrize("dim,kappa", _RESULT_CONFIGS)
+def test_results_equal_the_full_build(dim, kappa, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    f = gaussian(1.0)
+    y, x = _points(config, rng, 1)[0], _points(config, rng, 4)
+
+    def results():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            return [
+                forward(config, SPEC, _density, Grid(config, SPEC).points()),
+                forward_grid(config, SPEC, f).values,
+                translate(config, SPEC, f, y, x),
+                gram(config, SPEC, f, builtin_points(dim, 4)).matrix,
+            ]
+
+    mirrored = results()
+    monkeypatch.setattr(transform, "_axis_matrices", _full_axis_matrices)
+    for got, want in zip(mirrored, results()):
+        got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+        np.testing.assert_array_equal(got.view(float), want.view(float))
 
 
 @pytest.mark.parametrize("dim,kappa", [(1, [0.3]), (2, [1.0, 0.0])])

@@ -172,7 +172,7 @@ class TestSampledFunction:
 
     def test_dimension_mismatch(self, cfg_half, cfg_plane):
         fn = sample_on_axes(cfg_half, gaussian(1.0), uniform_axes(1, 2.0, 9))
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             fn.evaluate(cfg_plane, np.zeros((1, 2)))
 
     def test_evaluate_handle_accepts_callables(self, cfg_half):

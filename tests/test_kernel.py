@@ -297,6 +297,21 @@ class TestStructure:
             np.conj(kernel_1d(kappa, x, y)), kernel_1d(kappa, -x, y), rtol=1e-13, atol=1e-15
         )
 
+    # transform._axis_matrices fills the negative half of a mirrored axis by
+    # this parity, so it must hold exactly on every branch and at each seam:
+    # series cutoff 6 or 2k + 2, Hankel start max(20, (k + 1/2)^2).  Values
+    # are compared as floats, so the zero imaginary parts at z = +-0 agree.
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0, 8.0, 0.3, 1.7])
+    def test_conjugation_parity_is_exact(self, kappa, sign):
+        seams = np.array([6.0, 2.0 * kappa + 2.0, 20.0, (kappa + 0.5) ** 2])
+        z = np.concatenate(
+            [np.linspace(0.0, 200.0, 4001), seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)]
+        )
+        got = _phase_1d(kappa, -z, sign)
+        want = np.conj(_phase_1d(kappa, z, sign))
+        np.testing.assert_array_equal(got.view(float), want.view(float))
+
     def test_series_ladder_seam_is_smooth(self):
         # the evaluator switches algorithms at a |z| cutoff; a fine sweep
         # across the seam must not show a jump above root precision

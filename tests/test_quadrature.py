@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dunklpd import ConfigurationError, make_config
+from dunklpd import ConfigurationError, make_config, quadrature
 from dunklpd.quadrature import Grid, QuadratureSpec, default_spec, integrate_with_check, two_pass
 
 
@@ -39,8 +39,24 @@ class TestGrid:
         grid = Grid(make_config(1, [0.5]), QuadratureSpec(5.0, 32))
         (axis,) = grid.axes
         assert np.all(np.diff(axis) > 0)
-        np.testing.assert_allclose(axis, -axis[::-1], atol=1e-15)
+        # exactly: transform._axis_matrices builds phases on the mirrored half only
+        np.testing.assert_array_equal(axis, -axis[::-1])
         assert axis.min() > -5.0 and axis.max() < 5.0
+
+    def test_legendre_rule_is_solved_once_per_half_panel_size(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n))
+        quadrature._unit_rule.cache_clear()
+        quadrature._axis_rule.cache_clear()
+        rules = {radius: quadrature._axis_rule(radius, 96) for radius in (10.0, 12.0)}
+        assert calls == [48]
+        x, w = real(48)
+        for radius, (nodes, weights) in rules.items():
+            half = radius / 2.0
+            np.testing.assert_array_equal(nodes, np.concatenate([(x - 1.0) * half, (x + 1.0) * half]))
+            np.testing.assert_array_equal(weights, np.concatenate([w * half, w * half]))
+            assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_points_order_matches_weight_grid(self):
         cfg = make_config(2, [1.0, 0.0])
