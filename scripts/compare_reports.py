@@ -4,10 +4,11 @@ Both directories are written by `scripts/run_identity_suites.py --json DIR`
 (one file per config).  Reports are matched by file name and identity name:
 
     python3 scripts/compare_reports.py OLD_DIR NEW_DIR
+    python3 scripts/compare_reports.py --rtol 0 OLD_DIR NEW_DIR   # bit for bit
 
 Lists added and missing reports, pass flips, and changes in expected,
-computed or tolerance beyond RTOL (relative to the larger magnitude);
-any of these makes the exit status 1.  Changes to the notes alone are
+computed or tolerance beyond --rtol (relative to the larger magnitude,
+default RTOL); any of these makes the exit status 1.  Changes to the notes alone are
 listed too but leave the exit status 0.
 """
 
@@ -42,18 +43,18 @@ def _number(v):
     return complex(v)
 
 
-def value_change(old, new):
-    """Relative difference of two report values, or None when they agree."""
+def value_change(old, new, rtol=RTOL):
+    """Relative difference of two report values, or None when they agree to rtol."""
     a, b = _number(old), _number(new)
     if a is None or b is None:
         return None if a is b else math.inf
     scale = max(abs(a), abs(b))
     diff = abs(a - b)
     rel = diff / scale if scale > 0 else 0.0
-    return rel if rel > RTOL else None
+    return rel if rel > rtol else None
 
 
-def compare(old, new):
+def compare(old, new, rtol=RTOL):
     """(failures, notes-only changes), each a list of printable lines."""
     failures, notes = [], []
     for key in sorted(old.keys() - new.keys()):
@@ -68,7 +69,7 @@ def compare(old, new):
             failures.append(f"pass flip {where}: {a['pass']} -> {b['pass']}")
             changed = True
         for name in VALUE_FIELDS:
-            rel = value_change(a[name], b[name])
+            rel = value_change(a[name], b[name], rtol)
             if rel is not None:
                 failures.append(f"changed   {where} {name}: {a[name]} -> {b[name]} (relative {rel:.3e})")
                 changed = True
@@ -81,12 +82,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", help="directory of reference reports")
     parser.add_argument("new", help="directory of reports to check")
+    parser.add_argument(
+        "--rtol", type=float, default=RTOL, help=f"relative tolerance for values (default {RTOL:g}; 0 is bit for bit)"
+    )
     args = parser.parse_args(argv)
+    if not args.rtol >= 0.0:
+        parser.error(f"--rtol must be nonnegative, got {args.rtol}")
     for directory in (args.old, args.new):
         if not Path(directory).is_dir():
             parser.error(f"not a directory: {directory}")
     old, new = load(args.old), load(args.new)
-    failures, notes = compare(old, new)
+    failures, notes = compare(old, new, args.rtol)
     for line in failures + notes:
         print(line)
     print(

@@ -12,11 +12,22 @@ The transform maps gaussian(t) <-> gaussian_density(t) and
 generalized_cauchy(p) <-> bessel_k_profile(p); all four are fixed under the
 sign flip x -> -x, so forward and inverse agree on them.
 
+Each member is one radial profile of r^2 (CatalogFunction.profile), reached
+two ways: evaluate takes r^2 from an (N, d) point array, and on_axes, the
+grid route, from the outer sum of the axis squares.  On a tensor grid the
+grid route builds no point array and evaluates the profile only on the
+nonnegative orthant of the exactly mirrored axes (_mirror_half, the one
+mirror test of the package), then fills the rest by reflection; both routes
+agree bit for bit.  sample_grid sends catalog handles and CatalogDensity
+(a catalog partner as a plain callable, what transform.spectral_density
+returns for catalog inputs) down the grid route, and everything else,
+sampled handles and raw callables, through tensor_points.
+
 The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
 (the 96^3 nodes of a d=3 grid have 22,863 distinct radii).  The Gaussians
-and the Cauchy profile are cheap enough to evaluate per point.  A nan or
-inf point raises InputError in every handle.
+and the Cauchy profile are evaluated per element of r^2.  A nan or inf
+point raises InputError in every handle.
 
 Sampled functions live on a rectangular tensor grid and evaluate by
 multilinear interpolation, zero outside the grid box.  CSV serialization
@@ -26,6 +37,7 @@ row per node in C order.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -81,17 +93,44 @@ class CatalogFunction:
     def evaluate(self, config: MultiplicityConfig, points: np.ndarray) -> np.ndarray:
         self.validate_for(config)
         pts, squeeze = _query_points(config, points)
-        r2 = np.sum(pts * pts, axis=-1)
-        if self.kind == GAUSSIAN:
-            out = np.exp(-self.param * r2)
-        elif self.kind == GAUSSIAN_DENSITY:
-            t = self.param
-            out = (2.0 * t) ** -(config.gamma + config.dimension / 2.0) * np.exp(-r2 / (4.0 * t))
-        elif self.kind == GENERALIZED_CAUCHY:
-            out = (1.0 + r2) ** -self.param
-        else:
-            out = _bessel_k_profile_values(config, self.param, np.sqrt(r2))
+        out = self.profile(config, np.sum(pts * pts, axis=-1))
         return out[0] if squeeze else out
+
+    def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Values on every node of the tensor grid over `axes`, shaped as the grid.
+
+        r^2 is the outer sum of the axis squares, taken over the nonnegative
+        half of each exactly mirrored axis (_mirror_half) and over the whole
+        of any other; the mirror image fills the rest, since x^2 = (-x)^2
+        holds exactly.  No (N, d) point array is built, and the result equals
+        evaluate(config, tensor_points(axes)) bit for bit.
+        """
+        self.validate_for(config)
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != config.dimension:
+            raise InputError(f"expected {config.dimension} grid axes, got {len(axes)}")
+        if not all(np.all(np.isfinite(a)) for a in axes):
+            raise InputError("points must be finite (found nan or inf)")
+        halves = [_mirror_half(a) for a in axes]
+        squares = [a[h:] * a[h:] for a, h in zip(axes, halves)]
+        out = self.profile(config, functools.reduce(np.add.outer, squares))
+        for i, h in enumerate(halves):
+            if h:  # prepend the mirror image of the h nodes nearest the centre
+                mirror = np.flip(out, i)[(slice(None),) * i + (slice(h),)]
+                out = np.concatenate([mirror, out], axis=i)
+        return out
+
+    def profile(self, config: MultiplicityConfig, r2: np.ndarray) -> np.ndarray:
+        """The radial profile at squared radii r2 of any shape: the one body
+        behind evaluate (r^2 from points) and on_axes (r^2 from axes)."""
+        if self.kind == GAUSSIAN:
+            return np.exp(-self.param * r2)
+        if self.kind == GAUSSIAN_DENSITY:
+            t = self.param
+            return (2.0 * t) ** -(config.gamma + config.dimension / 2.0) * np.exp(-r2 / (4.0 * t))
+        if self.kind == GENERALIZED_CAUCHY:
+            return (1.0 + r2) ** -self.param
+        return _bessel_k_profile_values(config, self.param, np.sqrt(r2))
 
     def value_at_zero(self, config: MultiplicityConfig) -> float:
         return float(self.evaluate(config, np.zeros((1, config.dimension)))[0])
@@ -220,6 +259,21 @@ def _multilinear(axes, values, pts):
     return out
 
 
+@dataclass(frozen=True)
+class CatalogDensity:
+    """A catalog handle bound to a config, called as a plain (N, d) callable.
+
+    transform.spectral_density returns one for catalog inputs (the exact
+    partner); sample_grid reads the handle and takes its grid route.
+    """
+
+    config: MultiplicityConfig
+    handle: CatalogFunction
+
+    def __call__(self, points) -> np.ndarray:
+        return self.handle.evaluate(self.config, np.atleast_2d(np.asarray(points, dtype=float)))
+
+
 def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.ndarray:
     """Evaluate a catalog handle, a sampled handle, or a raw (N, d) callable."""
     if isinstance(fn, (CatalogFunction, SampledFunction)):
@@ -229,10 +283,32 @@ def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.nd
     raise InputError(f"not a function handle: {type(fn).__name__}")
 
 
+def sample_grid(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """fn on every node of the tensor grid over `axes`, shaped as the grid.
+
+    Catalog handles and catalog densities take CatalogFunction.on_axes, with
+    no (N, d) point array; sampled handles and raw callables are evaluated
+    at tensor_points(axes).  Both routes give the same values bit for bit.
+    """
+    if isinstance(fn, CatalogDensity):
+        return fn.handle.on_axes(fn.config, axes)
+    if isinstance(fn, CatalogFunction):
+        return fn.on_axes(config, axes)
+    return evaluate_handle(config, fn, tensor_points(axes)).reshape(tuple(len(a) for a in axes))
+
+
 def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Every node of the tensor grid over `axes`, shape (N, d), C-ordered."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    """Every node of the tensor grid over `axes`, shape (N, d), C-ordered.
+
+    Each axis is written once into the (n_1, ..., n_d, d) result through a
+    broadcast view: no meshgrid copies to stack.
+    """
+    axes = [np.asarray(a) for a in axes]
+    d = len(axes)
+    out = np.empty(tuple(len(a) for a in axes) + (d,), dtype=np.result_type(*axes))
+    for i, a in enumerate(axes):
+        out[..., i] = a.reshape((-1,) + (1,) * (d - i - 1))
+    return out.reshape(-1, d)
 
 
 def tensor_axes(points: np.ndarray) -> tuple[np.ndarray, ...] | None:
@@ -248,6 +324,16 @@ def tensor_axes(points: np.ndarray) -> tuple[np.ndarray, ...] | None:
     return axes
 
 
+def _mirror_half(a: np.ndarray) -> int:
+    """len(a) // 2 when a is exactly mirrored, a[i] == -a[-1 - i] at even length, else 0.
+
+    The one mirror test: CatalogFunction.on_axes evaluates only a[h:] of such
+    an axis, and so does transform._axis_matrices.
+    """
+    h = len(a) // 2
+    return h if len(a) % 2 == 0 and np.array_equal(a[:h], -a[::-1][:h]) else 0
+
+
 def sample_on_axes(
     config: MultiplicityConfig,
     fn,
@@ -256,9 +342,8 @@ def sample_on_axes(
 ) -> SampledFunction:
     """Tabulate a handle or an (N, d) -> values callable on a tensor grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    shape = tuple(len(a) for a in axes)
-    vals = evaluate_handle(config, fn, tensor_points(axes))
-    return SampledFunction(axes, np.asarray(vals, dtype=complex).reshape(shape), spectral_hint)
+    vals = sample_grid(config, fn, axes)
+    return SampledFunction(axes, np.asarray(vals, dtype=complex), spectral_hint)
 
 
 def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray, ...]:

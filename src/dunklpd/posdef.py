@@ -31,7 +31,7 @@ from .functions import (
     _query_points,
     bessel_k_profile,
     evaluate_handle,
-    tensor_points,
+    sample_grid,
     uniform_axes,
 )
 from .kernel import _real_1d_scaled
@@ -144,11 +144,11 @@ def quadratic_form(config: MultiplicityConfig, quad: QuadratureSpec | None, phi,
     return complex(a.conj() @ report.matrix @ a)
 
 
-def _certification_points(config: MultiplicityConfig, spec: QuadratureSpec) -> np.ndarray:
-    """Uniform mesh on which the certificates sample the transform, (N, d)."""
+def _certification_axes(config: MultiplicityConfig, spec: QuadratureSpec) -> tuple[np.ndarray, ...]:
+    """Axes of the uniform mesh on which the certificates sample the transform."""
     extent = {1: 8.0, 2: 6.0, 3: 4.0}[config.dimension]
     count = {1: 641, 2: 121, 3: 41}[config.dimension]
-    return tensor_points(uniform_axes(config.dimension, min(extent, spec.radius), count))
+    return uniform_axes(config.dimension, min(extent, spec.radius), count)
 
 
 def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi):
@@ -181,10 +181,11 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
     """
     spec = _resolve_spec(config, quad)
     density = spectral_density(config, spec, phi)
-    pts = _certification_points(config, spec)
-    psi = np.asarray(density(pts), dtype=complex)
+    axes = _certification_axes(config, spec)
+    psi = np.asarray(sample_grid(config, density, axes), dtype=complex).reshape(-1)
     scale = float(np.max(np.abs(psi))) if psi.size else 0.0
     k = int(np.argmin(psi.real))
+    at = [float(a[j]) for a, j in zip(axes, np.unravel_index(k, tuple(len(a) for a in axes)))]
     neg_excess = max(0.0, -float(psi.real[k]))
     imag_excess = float(np.max(np.abs(psi.imag))) if psi.size else 0.0
     return IdentityReport(
@@ -193,7 +194,7 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
         computed=max(neg_excess, imag_excess),
         tolerance=1e-8 * scale,
         notes=(
-            f"transform minimum {psi.real[k]:.6e} at xi={pts[k].tolist()}, "
+            f"transform minimum {psi.real[k]:.6e} at xi={at}, "
             f"maximum {float(np.max(psi.real)):.6e}, max |imag| {imag_excess:.3e}"
         ),
     )
@@ -395,8 +396,7 @@ def strict_pd_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, p
     if not cert.passed:
         raise InputError(f"not certified positive definite: {cert.notes}")
     density = spectral_density(config, spec, phi)
-    pts = _certification_points(config, spec)
-    peak = float(np.max(np.abs(density(pts))))
+    peak = float(np.max(np.abs(sample_grid(config, density, _certification_axes(config, spec)))))
     phi0 = abs(complex(np.asarray(evaluate_handle(config, phi, np.zeros((1, config.dimension)))).reshape(-1)[0]))
     if peak <= 1e-10 * max(1.0, phi0):
         raise InputError("transform is numerically zero; nonzero function required")

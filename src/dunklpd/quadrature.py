@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .functions import evaluate_handle, tensor_points
+from .functions import sample_grid, tensor_points
 from .root_system import MultiplicityConfig
 
 _DEFAULTS = {1: (16.0, 256), 2: (12.0, 96), 3: (10.0, 48)}
@@ -112,8 +112,13 @@ class Grid:
         return tensor_points(self.axes)
 
     def sample(self, fn) -> np.ndarray:
-        """A handle or an (N, d) callable evaluated on every node, shaped as the grid."""
-        return evaluate_handle(self.config, fn, self.points()).reshape(self.shape)
+        """A handle or an (N, d) callable evaluated on every node, shaped as the grid.
+
+        Catalog handles and catalog densities sample from the axes with no
+        (N, d) point array (functions.sample_grid); anything else is evaluated
+        at the nodes of points().
+        """
+        return sample_grid(self.config, fn, self.axes)
 
     def weighted(self, fn) -> np.ndarray:
         """sample(fn) times the weight grid: the summand of every weighted integral."""

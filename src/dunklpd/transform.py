@@ -39,8 +39,10 @@ from .functions import (
     GAUSSIAN,
     GAUSSIAN_DENSITY,
     GENERALIZED_CAUCHY,
+    CatalogDensity,
     CatalogFunction,
     SampledFunction,
+    _mirror_half,
     _query_points,
     evaluate_handle,
     tensor_axes,
@@ -59,12 +61,6 @@ INVERSE = +1
 
 def _resolve_spec(config: MultiplicityConfig, quad: QuadratureSpec | None) -> QuadratureSpec:
     return quad if quad is not None else default_spec(config.dimension)
-
-
-def _mirror_half(a: np.ndarray) -> int:
-    """len(a) // 2 when a is exactly mirrored, a[i] == -a[-1 - i] at even length, else 0."""
-    h = len(a) // 2
-    return h if len(a) % 2 == 0 and np.array_equal(a[:h], -a[::-1][:h]) else 0
 
 
 def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
@@ -248,15 +244,17 @@ def closed_form_transform(config: MultiplicityConfig, f: CatalogFunction) -> Cat
 def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
     """Callable xi_points -> transform values, the routing hub for operators.
 
-    Catalog handles use their exact partner, sampled handles use their hint
-    when present; everything else falls back to one numerical transform at
-    doubled resolution.
+    Catalog handles use their exact partner, returned as a CatalogDensity:
+    a plain callable that still exposes the partner handle, so Grid.sample
+    takes its grid route.  Sampled handles use their hint when present;
+    everything else falls back to one numerical transform at doubled
+    resolution.
     """
     if isinstance(f, CatalogFunction):
         f.validate_for(config)
         partner = catalog_partner(f)
         partner.validate_for(config)
-        return lambda pts: partner.evaluate(config, np.atleast_2d(np.asarray(pts, dtype=float)))
+        return CatalogDensity(config, partner)
     if isinstance(f, SampledFunction) and f.spectral_hint is not None:
         hint = f.spectral_hint
         return lambda pts: np.asarray(hint(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=complex)

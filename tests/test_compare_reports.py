@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dunklpd.reports import IdentityReport, reports_to_json
@@ -87,3 +88,18 @@ def test_non_finite_values_compare_as_null(script, tmp_path):
 def test_rejects_a_missing_directory(script, tmp_path):
     with pytest.raises(SystemExit):
         script.main([str(tmp_path / "nowhere"), str(tmp_path)])
+
+
+def test_rtol_zero_checks_bit_identity(script, tmp_path, capsys):
+    old = _write(tmp_path / "old", BASE)
+    one_ulp = np.nextafter(1.0 + 1e-10, 2.0)
+    new = _write(tmp_path / "new", [IdentityReport("a", 1.0, one_ulp, 1e-6, notes="x"), BASE[1], BASE[2]])
+    assert script.main([str(old), str(new)]) == 0
+    assert script.main(["--rtol", "0", str(old), str(new)]) == 1
+    assert "changed   d1_kappa_0.5.json a computed" in capsys.readouterr().out
+    assert script.main(["--rtol", "0", str(old), str(old)]) == 0
+
+
+def test_rejects_a_negative_rtol(script, tmp_path):
+    with pytest.raises(SystemExit):
+        script.main(["--rtol", "-1", str(tmp_path), str(tmp_path)])

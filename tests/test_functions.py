@@ -10,16 +10,20 @@ from scipy import integrate
 
 from dunklpd import ConfigurationError, DomainError, InputError, make_config
 from dunklpd.posdef import builtin_points
+from dunklpd.transform import catalog_partner, spectral_density
 from dunklpd.functions import (
+    CatalogDensity,
     CatalogFunction,
     SampledFunction,
     _bessel_k_profile_values,
+    _mirror_half,
     bessel_k_profile,
     evaluate_handle,
     gaussian,
     gaussian_density,
     generalized_cauchy,
     load_sampled_csv,
+    sample_grid,
     sample_on_axes,
     sampled_to_csv,
     save_sampled_csv,
@@ -128,6 +132,69 @@ class TestCatalog:
             gaussian(1.0).evaluate(cfg_plane, np.zeros((3, 1)))
 
 
+class TestGridRoute:
+    # not mirrored: each axis is squared whole, and the outer sum must still
+    # equal the row sums of tensor_points bit for bit
+    _AXES = {
+        1: (np.array([-0.4, 0.1, 2.5]),),
+        2: (np.array([-1.0, 0.3]), np.array([-2.0, 0.0, 0.5, 1.5, 3.0])),
+        3: (np.array([0.0, 1.0, 2.0]), np.array([-1.0, 1.0]), np.array([-3.0, -1.0, 0.2, 0.7, 4.0])),
+    }
+
+    @staticmethod
+    def _members(config):
+        edge = config.gamma + config.dimension / 2.0 + 1.0
+        return [gaussian(0.9), gaussian_density(1.4), generalized_cauchy(edge + 0.25), bessel_k_profile(edge + 1.0)]
+
+    @pytest.mark.parametrize("dim,kappa", [(1, [0.5]), (2, [1.0, 0.0]), (3, [1.0, 0.5, 0.0])])
+    def test_unmirrored_axes_equal_the_points_route(self, dim, kappa):
+        config = make_config(dim, kappa)
+        axes = self._AXES[dim]
+        shape = tuple(len(a) for a in axes)
+        for f in self._members(config):
+            want = f.evaluate(config, tensor_points(axes)).reshape(shape)
+            np.testing.assert_array_equal(f.on_axes(config, axes), want)
+            np.testing.assert_array_equal(sample_grid(config, f, axes), want)
+            np.testing.assert_array_equal(sample_on_axes(config, f, axes).values, want.astype(complex))
+
+    def test_mixed_mirrored_and_unmirrored_axes(self, cfg_plane):
+        axes = (np.array([-2.0, -0.5, 0.5, 2.0]), np.array([-1.0, 0.25, 3.0]))
+        for f in self._members(cfg_plane):
+            want = f.evaluate(cfg_plane, tensor_points(axes)).reshape(4, 3)
+            np.testing.assert_array_equal(f.on_axes(cfg_plane, axes), want)
+
+    def test_on_axes_checks_its_axes(self, cfg_plane):
+        ax = np.array([-1.0, 1.0])
+        with pytest.raises(InputError):
+            gaussian(1.0).on_axes(cfg_plane, (ax,))
+        with pytest.raises(InputError, match="finite"):
+            gaussian(1.0).on_axes(cfg_plane, (ax, np.array([-np.inf, 0.0, np.inf])))
+
+    def test_catalog_density_is_a_plain_callable(self, cfg_plane):
+        density = spectral_density(cfg_plane, None, gaussian(1.0))
+        partner = catalog_partner(gaussian(1.0))
+        assert density == CatalogDensity(cfg_plane, partner)
+        one = density(np.array([0.3, -0.4]))
+        assert one.shape == (1,)
+        np.testing.assert_array_equal(one, partner.evaluate(cfg_plane, np.array([[0.3, -0.4]])))
+        batch = np.array([[0.3, -0.4], [0.0, 0.0], [2.0, 1.0]])
+        np.testing.assert_array_equal(density(batch), partner.evaluate(cfg_plane, batch))
+        np.testing.assert_array_equal(evaluate_handle(cfg_plane, density, batch), density(batch))
+
+    def test_sampled_handles_and_callables_take_the_points_route(self, cfg_half):
+        axes = (np.linspace(-2.0, 2.0, 9),)
+        sampled = sample_on_axes(cfg_half, lambda p: np.cos(p[:, 0]), axes)
+        np.testing.assert_array_equal(sample_grid(cfg_half, sampled, axes), sampled.values)
+        np.testing.assert_array_equal(sample_grid(cfg_half, lambda p: 2.0 * p[:, 0], axes), 2.0 * axes[0])
+
+    def test_mirror_half(self):
+        ax = np.array([-2.0, -0.5, 0.5, 2.0])
+        assert _mirror_half(ax) == 2
+        assert _mirror_half(np.append(ax[:-1], np.nextafter(2.0, 3.0))) == 0
+        assert _mirror_half(np.array([-2.0, -0.5, 0.5, 2.5])) == 0
+        assert _mirror_half(np.array([1.0])) == 0
+
+
 class TestSampledFunction:
     def test_shape_validation(self):
         ax = np.linspace(-1, 1, 5)
@@ -196,6 +263,15 @@ class TestTensorAxes:
         assert got is not None and len(got) == dim
         for a, b in zip(got, axes):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tensor_points_equals_the_stacked_meshgrid(self, dim):
+        axes = self._AXES[dim]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        want = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        got = tensor_points(axes)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_other_point_sets_are_not_grids(self, dim):

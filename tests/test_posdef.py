@@ -228,6 +228,19 @@ class TestSmoothedForm:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.2 * gaps[0]
 
+    # the damping exp(-2t|xi|^2) turns the Gaussian pair's transform into
+    # s^(gamma+d/2) times that of gaussian(s), s = 1/(1+8t), so the smoothed
+    # form is a Gram form in closed form
+    @pytest.mark.parametrize("dim,kappa", [(1, [0.5]), (1, [2.0]), (2, [1.0, 0.0])])
+    @pytest.mark.parametrize("t", [0.2, 0.05, 4e-4])
+    def test_closed_form_for_the_gaussian(self, dim, kappa, t):
+        config = make_config(dim, kappa)
+        pts = builtin_points(dim, 5, coefficients=np.array([1.0, -0.5, 0.25j, 0.7, -0.3]))
+        s = 1.0 / (1.0 + 8.0 * t)
+        want = s ** (config.gamma + dim / 2.0) * quadratic_form(config, None, gaussian(s), pts)
+        got = quadratic_form_heat(config, None, gaussian(1.0), pts, t)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
 
 class TestRadialMassIdentity:
     # radius 30 keeps the e^-r profile tail below the identity tolerance

@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dunklpd import ConfigurationError, make_config, quadrature
+from dunklpd import ConfigurationError, functions, make_config, quadrature
+from dunklpd.functions import (
+    CatalogDensity,
+    CatalogFunction,
+    bessel_k_profile,
+    evaluate_handle,
+    gaussian,
+    gaussian_density,
+    generalized_cauchy,
+)
 from dunklpd.quadrature import Grid, QuadratureSpec, default_spec, integrate_with_check, two_pass
+from dunklpd.transform import spectral_density
 
 
 class TestSpec:
@@ -101,6 +111,77 @@ class TestGrid:
         got = grid.integrate(np.exp(-x * x) * (1.0 + 2.0j))
         assert isinstance(got, complex)
         np.testing.assert_allclose(got, math.sqrt(math.pi) * (1.0 + 2.0j), rtol=1e-12)
+
+
+_SAMPLING_CONFIGS = [(1, [0.5]), (2, [1.0, 0.0]), (3, [1.0, 0.5, 0.0])]
+
+
+def _catalog(config):
+    """One member of each kind, at admissible parameters for config."""
+    edge = config.gamma + config.dimension / 2.0 + 1.0
+    return [gaussian(1.3), gaussian_density(0.7), generalized_cauchy(edge + 0.5), bessel_k_profile(edge + 0.5)]
+
+
+class TestGridSampling:
+    # catalog handles sample from the axis squares on the nonnegative orthant;
+    # that route must equal evaluating every node of points(), bit for bit
+    @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
+    @pytest.mark.parametrize("nodes", [8, 9, 16, 17])
+    def test_catalog_sample_equals_the_points_route(self, dim, kappa, nodes):
+        config = make_config(dim, kappa)
+        grid = Grid(config, QuadratureSpec(5.0, nodes))
+        for f in _catalog(config):
+            got = grid.sample(f)
+            want = evaluate_handle(config, f, grid.points()).reshape(grid.shape)
+            assert got.shape == grid.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
+    @pytest.mark.parametrize("nodes", [8, 9])
+    def test_catalog_density_sample_equals_the_points_route(self, dim, kappa, nodes):
+        config = make_config(dim, kappa)
+        grid = Grid(config, QuadratureSpec(5.0, nodes))
+        for f in _catalog(config)[:3]:  # bessel_k_profile has no closed-form transform
+            density = spectral_density(config, None, f)
+            assert isinstance(density, CatalogDensity)
+            np.testing.assert_array_equal(grid.sample(density), density(grid.points()).reshape(grid.shape))
+            np.testing.assert_array_equal(grid.weighted(density), grid.sample(density) * grid.weight_grid())
+
+    @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
+    def test_catalog_sampling_builds_no_points(self, dim, kappa, monkeypatch):
+        config = make_config(dim, kappa)
+        grid = Grid(config, QuadratureSpec(5.0, 16))
+        sizes = []
+        real = CatalogFunction.profile
+        monkeypatch.setattr(CatalogFunction, "profile", lambda f, c, r2: sizes.append(np.size(r2)) or real(f, c, r2))
+
+        def refuse(*args):
+            raise AssertionError("catalog sampling built an (N, d) point array")
+
+        monkeypatch.setattr(functions, "tensor_points", refuse)
+        monkeypatch.setattr(Grid, "points", refuse)
+        for f in _catalog(config):
+            grid.sample(f)
+        grid.sample(spectral_density(config, None, gaussian(1.0)))
+        # the nonnegative half of each mirrored 16-node axis: prod ceil(n_i / 2)
+        assert sizes == [8**dim] * 5
+
+    def test_config_checks_hold_on_the_grid_route(self):
+        config = make_config(2, [1.0, 0.0])  # gamma + d/2 + 1 = 3
+        grid = Grid(config, QuadratureSpec(5.0, 8))
+        with pytest.raises(ConfigurationError):
+            grid.sample(generalized_cauchy(3.0))
+        with pytest.raises(ConfigurationError):
+            grid.weighted(bessel_k_profile(2.9))
+
+    def test_raw_callables_stay_on_the_points_route(self):
+        config = make_config(2, [1.0, 0.0])
+        grid = Grid(config, QuadratureSpec(5.0, 8))
+        seen = []
+        got = grid.sample(lambda p: seen.append(p.shape) or p[:, 0] - 2.0 * p[:, 1])
+        assert seen == [(64, 2)]
+        pts = grid.points()
+        np.testing.assert_array_equal(got, (pts[:, 0] - 2.0 * pts[:, 1]).reshape(8, 8))
 
 
 class TestTwoPassCheck:
