@@ -115,7 +115,7 @@ class CatalogFunction:
         squares = [a[h:] * a[h:] for a, h in zip(axes, halves)]
         out = self.profile(config, functools.reduce(np.add.outer, squares))
         for i, h in enumerate(halves):
-            if h:  # prepend the mirror image of the h nodes nearest the centre
+            if h:  # prepend the mirror image of a[h:], less a centre 0
                 mirror = np.flip(out, i)[(slice(None),) * i + (slice(h),)]
                 out = np.concatenate([mirror, out], axis=i)
         return out
@@ -325,13 +325,14 @@ def tensor_axes(points: np.ndarray) -> tuple[np.ndarray, ...] | None:
 
 
 def _mirror_half(a: np.ndarray) -> int:
-    """len(a) // 2 when a is exactly mirrored, a[i] == -a[-1 - i] at even length, else 0.
+    """h = len(a) // 2 when a is exactly mirrored, a[i] == -a[-1 - i] for every i, else 0.
 
-    The one mirror test: CatalogFunction.on_axes evaluates only a[h:] of such
-    an axis, and so does transform._axis_matrices.
+    The one mirror test of the package: CatalogFunction.on_axes and
+    transform._axis_matrices evaluate only a[h:] of such an axis and fill
+    a[:h] from it.  At an odd length the centre a[h] is then exactly 0; it
+    belongs to the evaluated half and the fill skips it.
     """
-    h = len(a) // 2
-    return h if len(a) % 2 == 0 and np.array_equal(a[:h], -a[::-1][:h]) else 0
+    return len(a) // 2 if np.array_equal(a, -a[::-1]) else 0
 
 
 def sample_on_axes(
@@ -353,6 +354,9 @@ def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray,
     if not np.isfinite(extent) or extent <= 0.0:
         raise InputError(f"grid extent must be finite and positive, got {extent}")
     ax = np.linspace(-extent, extent, int(count))
+    # within an ulp of linspace, but exactly mirrored (an exact 0 at an odd
+    # centre), so the grid route and the phase matrices take the half axis
+    ax = (ax - ax[::-1]) / 2.0
     return tuple(ax for _ in range(dimension))
 
 

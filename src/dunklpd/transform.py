@@ -15,8 +15,9 @@ exceeds 1e-6 relative to the result scale.
 Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
 phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
 E_k(-z) = conj E_k(z) holds exactly for real z, so on an axis mirrored
-exactly about 0 (every Gauss-Legendre axis with an even node count) only
-the nonnegative half is evaluated and the rest is its reversed conjugate.
+exactly about 0 (every Gauss-Legendre axis with an even node count, every
+uniform_axes axis) only the nonnegative half is evaluated and the rest is
+its reversed conjugate.
 _blocked_scatter sums over output points: on the nodes of a tensor grid
 axis by axis (_grid_contract, as forward_grid on its output axes), else
 point by point (_scatter_contract).
@@ -70,19 +71,21 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
     evaluated; the other half is the reversed conjugate, by the parity
     E_k(-z) = conj E_k(z) of real z, which every kernel branch keeps exactly
     (kernel.py).  Since (-r) c = -(r c) in floating point, the fill equals
-    the full build value for value (at a row r = 0 a zero imaginary part may
+    the full build value for value (where r c = 0 a zero imaginary part may
     flip its sign).  Every even-count _axis_rule axis is mirrored, and so are
-    tensor-grid outputs on such axes; shift rows and linspace axes are not
-    and keep the full build.  The matrices are fresh and writable:
-    _blocked_scatter scales them in place.
+    tensor-grid outputs on such axes and every uniform_axes axis, whose odd
+    counts put an exact 0 at the centre; shift rows are not and keep the
+    full build.  The matrices are fresh and writable: _blocked_scatter
+    scales them in place.
     """
     mats = []
     for k, r, c in zip(config.kappa, rows, cols):
         hr, hc = _mirror_half(r), _mirror_half(c)
         m = np.empty((len(r), len(c)), dtype=complex)
         m[hr:, hc:] = _phase_1d(k, np.multiply.outer(r[hr:], c[hc:]), sign)
-        m[hr:, :hc] = m[hr:, : hc - 1 : -1].conj()
-        m[:hr] = m[: hr - 1 : -1].conj()
+        # column j < hc is column len(c) - 1 - j conjugated; a centre column is skipped
+        m[hr:, :hc] = m[hr:, : len(c) - hc - 1 : -1].conj()
+        m[:hr] = m[: len(r) - hr - 1 : -1].conj()
         mats.append(m)
     return mats
 

@@ -166,7 +166,8 @@ def test_grid_outputs_build_phases_on_the_axes(monkeypatch):
     monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: rows.append(len(z)) or real(k, z, sign))
     got = forward(config, QuadratureSpec(8.0, 48), gaussian(1.0), tensor_points(uniform_axes(2, 3.0, 30)))
     assert got.shape == (900,)
-    assert rows == [30] * 4  # two axes at n and at 2n nodes
+    # two axes at n and at 2n nodes, each the nonnegative half of a mirrored 30-node axis
+    assert rows == [15] * 4
 
 
 def _full_axis_matrices(config, rows, cols, sign):
@@ -177,12 +178,19 @@ def _full_axis_matrices(config, rows, cols, sign):
 _MIRRORED = Grid(make_config(1, [0.0]), SPEC.doubled()).axes[0]  # 20 Gauss-Legendre nodes
 
 
-# mirrored rows and columns; mirrored columns only (shift-like rows, a row
-# at 0, a single row, no rows); neither (odd length, mirrored but for one ulp)
+_ODD = uniform_axes(1, 3.0, 9)[0]  # mirrored, with an exact 0 at the centre
+
+
+# mirrored rows and columns (even, odd, mixed); mirrored columns only
+# (shift-like rows, a row at 0, a single row, no rows); mirrored odd rows
+# only; neither (odd length, mirrored but for one ulp)
 @pytest.mark.parametrize(
     "rows,cols",
     [
         (_MIRRORED, _MIRRORED[2:-2]),
+        (_ODD, _ODD),
+        (_ODD, _MIRRORED),
+        (_MIRRORED, _ODD[1:-1]),
         (np.array([-2.5, -0.3, 0.0, 0.7, 1.1, 3.9]), _MIRRORED),
         (np.array([0.0]), _MIRRORED),
         (np.array([1.3]), _MIRRORED),
@@ -209,13 +217,16 @@ def test_mirrored_pair_evaluates_one_quadrant(monkeypatch):
     (m,) = transform._axis_matrices(make_config(1, [0.5]), [_MIRRORED], [_MIRRORED], INVERSE)
     assert m.shape == (20, 20)
     assert sizes == [(10, 10)]
+    (m,) = transform._axis_matrices(make_config(1, [0.5]), [_ODD], [_MIRRORED], INVERSE)
+    assert m.shape == (9, 20)
+    assert sizes[1:] == [(5, 10)]  # the centre 0 and the four positive nodes
 
 
 _RESULT_CONFIGS = [(1, [0.5]), (2, [0.3, 1.7]), (3, [1.0, 0.5, 0.0])]
 
 
-# forward at grid nodes mirrors rows and columns, forward_grid's linspace
-# outputs and the shifted rows of translate and gram only the columns; the
+# forward at grid nodes and forward_grid's uniform outputs mirror rows and
+# columns, the shifted rows of translate and gram only the columns; the
 # builtin points include the origin
 @pytest.mark.parametrize("dim,kappa", _RESULT_CONFIGS)
 def test_results_equal_the_full_build(dim, kappa, rng, monkeypatch):

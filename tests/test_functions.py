@@ -193,6 +193,34 @@ class TestGridRoute:
         assert _mirror_half(np.append(ax[:-1], np.nextafter(2.0, 3.0))) == 0
         assert _mirror_half(np.array([-2.0, -0.5, 0.5, 2.5])) == 0
         assert _mirror_half(np.array([1.0])) == 0
+        # odd: the centre must be exactly 0
+        assert _mirror_half(np.array([-2.0, 0.0, 2.0])) == 1
+        assert _mirror_half(np.array([-2.0, 1e-300, 2.0])) == 0
+        assert _mirror_half(np.array([0.0])) == 0
+
+    @pytest.mark.parametrize("count", range(2, 42))
+    def test_uniform_axes_are_exactly_mirrored(self, count):
+        (ax,) = uniform_axes(1, 2.7, count)
+        np.testing.assert_array_equal(ax, -ax[::-1])
+        assert _mirror_half(ax) == count // 2
+        if count % 2:
+            assert ax[count // 2] == 0.0
+        assert ax[0] == -2.7 and ax[-1] == 2.7 and np.all(np.diff(ax) > 0)
+        # linspace's own rounding is absolute, a few ulp of the extent
+        assert np.max(np.abs(ax - np.linspace(-2.7, 2.7, count))) <= 2.0 * np.spacing(2.7)
+
+    @pytest.mark.parametrize("dim,kappa,count", [(1, [0.5], 9), (2, [1.0, 0.0], 7), (3, [1.0, 0.5, 0.0], 5)])
+    def test_odd_uniform_axes_evaluate_the_orthant(self, dim, kappa, count, monkeypatch):
+        config = make_config(dim, kappa)
+        axes = uniform_axes(dim, 3.0, count)
+        sizes = []
+        real = CatalogFunction.profile
+        monkeypatch.setattr(CatalogFunction, "profile", lambda f, c, r2: sizes.append(np.size(r2)) or real(f, c, r2))
+        for f in self._members(config):
+            want = f.evaluate(config, tensor_points(axes)).reshape((count,) * dim)
+            np.testing.assert_array_equal(sample_grid(config, f, axes), want)
+        # count^d on the points route, ceil(count / 2) nodes per axis on the grid route
+        assert sizes == [count**dim, (count // 2 + 1) ** dim] * 4
 
 
 class TestSampledFunction:
