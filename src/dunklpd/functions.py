@@ -110,7 +110,7 @@ class CatalogFunction:
         if len(axes) != config.dimension:
             raise InputError(f"expected {config.dimension} grid axes, got {len(axes)}")
         if not all(np.all(np.isfinite(a)) for a in axes):
-            raise InputError("points must be finite (found nan or inf)")
+            raise InputError("grid axes must be finite (found nan or inf)")
         halves = [_mirror_half(a) for a in axes]
         squares = [a[h:] * a[h:] for a, h in zip(axes, halves)]
         out = self.profile(config, functools.reduce(np.add.outer, squares))
@@ -301,7 +301,7 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Every node of the tensor grid over `axes`, shape (N, d), C-ordered.
 
     Each axis is written once into the (n_1, ..., n_d, d) result through a
-    broadcast view: no meshgrid copies to stack.
+    broadcast view.
     """
     axes = [np.asarray(a) for a in axes]
     d = len(axes)
@@ -354,8 +354,9 @@ def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray,
     if not np.isfinite(extent) or extent <= 0.0:
         raise InputError(f"grid extent must be finite and positive, got {extent}")
     ax = np.linspace(-extent, extent, int(count))
-    # within an ulp of linspace, but exactly mirrored (an exact 0 at an odd
-    # centre), so the grid route and the phase matrices take the half axis
+    # within two ulp of the extent from linspace, but exactly mirrored (an
+    # exact 0 at an odd centre), so the grid route and the phase matrices
+    # evaluate only the nonnegative half
     ax = (ax - ax[::-1]) / 2.0
     return tuple(ax for _ in range(dimension))
 

@@ -353,7 +353,12 @@ def bessel_integral_identity(config: MultiplicityConfig, quad: QuadratureSpec | 
     spec = _resolve_spec(config, quad)
     profile = bessel_k_profile(p)
     norm = sps.gamma(p) * 2.0 ** (p - 1.0)
-    mass, delta = integrate_with_check(config, spec, lambda gp: norm * evaluate_handle(config, profile, gp))
+
+    def run(sp):  # the catalog handle itself, so Grid.sample takes its grid route
+        grid = Grid(config, sp)
+        return grid.integrate(norm * grid.sample(profile))
+
+    mass, delta = two_pass(run, spec)
     oracle = norm / config.mehta
     alternate = sps.gamma(p) / (config.mehta * 2.0 ** (p - 1.0))
     return IdentityReport(

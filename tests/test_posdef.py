@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dunklpd import DomainError, InputError, make_config, posdef
+from dunklpd import DomainError, InputError, functions, make_config, posdef
 from dunklpd.functions import gaussian, gaussian_density, generalized_cauchy, bessel_k_profile
 from dunklpd.identities import _indefinite_profile
 from dunklpd.posdef import (
@@ -23,7 +23,7 @@ from dunklpd.posdef import (
     quadratic_form_heat,
     strict_pd_certify,
 )
-from dunklpd.quadrature import QuadratureSpec
+from dunklpd.quadrature import Grid, QuadratureSpec, integrate_with_check
 from dunklpd.translation import translate
 
 
@@ -266,3 +266,19 @@ class TestRadialMassIdentity:
     def test_domain_edge(self, cfg_half):
         with pytest.raises(DomainError):
             bessel_integral_identity(cfg_half, None, 1.2)
+
+    def test_profile_samples_on_the_grid_route(self, cfg_plane, monkeypatch):
+        spec = QuadratureSpec(20.0, 32)
+        p = cfg_plane.gamma + 1.0 + 2.0
+        norm = math.gamma(p) * 2.0 ** (p - 1.0)
+        # the points route, integrated as the identity does at n and 2n nodes
+        want = integrate_with_check(cfg_plane, spec, lambda gp: norm * bessel_k_profile(p).evaluate(cfg_plane, gp))
+
+        def refuse(*args):
+            raise AssertionError("the catalog profile was sampled at an (N, d) point array")
+
+        monkeypatch.setattr(functions, "tensor_points", refuse)
+        monkeypatch.setattr(Grid, "points", refuse)
+        rep = bessel_integral_identity(cfg_plane, spec, p)
+        assert rep.computed == want[0]
+        assert f"resolution delta {want[1]:.3e}" in rep.notes
