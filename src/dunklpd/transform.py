@@ -297,9 +297,8 @@ def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, 
 
     def run(sp):
         grid = Grid(config, sp)
-        pts = grid.points()
-        lhs = grid.integrate(df(pts) * evaluate_handle(config, g, pts))
-        rhs = grid.integrate(evaluate_handle(config, f, pts) * dg(pts))
+        lhs = grid.integrate(grid.sample(df) * grid.sample(g))
+        rhs = grid.integrate(grid.sample(f) * grid.sample(dg))
         return complex(lhs), complex(rhs)
 
     (lhs, rhs), delta = two_pass(run, spec)
