@@ -141,7 +141,7 @@ class TestGridSampling:
     def test_catalog_density_sample_equals_the_points_route(self, dim, kappa, nodes):
         config = make_config(dim, kappa)
         grid = Grid(config, QuadratureSpec(5.0, nodes))
-        for f in _catalog(config)[:3]:  # bessel_k_profile has no closed-form transform
+        for f in _catalog(config):
             density = spectral_density(config, None, f)
             assert isinstance(density, CatalogDensity)
             np.testing.assert_array_equal(grid.sample(density), density(grid.points()).reshape(grid.shape))
