@@ -77,10 +77,13 @@ def _parse_function(config: MultiplicityConfig, text: str):
         key, eq, val = part.partition("=")
         if not eq:
             raise InputError(f"bad parameter {part!r}; expected {param_name}=<value>")
+        key = key.strip()
+        if key in kv:
+            raise InputError(f"parameter {key!r} given more than once in {text!r}")
         try:
-            kv[key.strip()] = float(val)
+            kv[key] = float(val)
         except ValueError:
-            raise InputError(f"parameter {key.strip()!r} needs a numeric value, got {val!r}") from None
+            raise InputError(f"parameter {key!r} needs a numeric value, got {val!r}") from None
     if set(kv) != {param_name}:
         raise InputError(f"{name} takes exactly one parameter {param_name!r}, got {sorted(kv) or 'none'}")
     handle = CatalogFunction(kind, kv[param_name])

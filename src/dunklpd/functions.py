@@ -20,8 +20,12 @@ nonnegative orthant of the exactly mirrored axes (_mirror_half, the one
 mirror test of the package), then fills the rest by reflection; both routes
 agree bit for bit.  sample_grid sends catalog handles and CatalogDensity
 (a catalog partner as a plain callable, what transform.spectral_density
-returns for catalog inputs) down the grid route, and everything else,
-sampled handles and raw callables, through tensor_points.
+returns for catalog inputs) down the grid route.  A composite density, a
+DensityProduct of such callables (the products in convolve and
+closure_suite, the heat-damped density), samples each factor on its own
+route and multiplies the grids.  Everything else, sampled handles and raw
+callables, goes through tensor_points.  The heat kernel has its own grid
+route (posdef.heat_kernel), found by tensor_axes.
 
 The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
@@ -40,6 +44,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -274,6 +279,22 @@ class CatalogDensity:
         return self.handle.evaluate(self.config, np.atleast_2d(np.asarray(points, dtype=float)))
 
 
+@dataclass(frozen=True)
+class DensityProduct:
+    """The pointwise product of density callables, itself a plain (N, d) callable.
+
+    The composite densities of the package (the product of two transforms in
+    convolve and closure_suite, the heat-damped density) are built as one, so
+    sample_grid samples each factor on its own route and multiplies the grids
+    in the factor order, the order in which the call multiplies the values.
+    """
+
+    factors: tuple
+
+    def __call__(self, points) -> np.ndarray:
+        return functools.reduce(operator.mul, (f(points) for f in self.factors))
+
+
 def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.ndarray:
     """Evaluate a catalog handle, a sampled handle, or a raw (N, d) callable."""
     if isinstance(fn, (CatalogFunction, SampledFunction)):
@@ -287,9 +308,13 @@ def sample_grid(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> n
     """fn on every node of the tensor grid over `axes`, shaped as the grid.
 
     Catalog handles and catalog densities take CatalogFunction.on_axes, with
-    no (N, d) point array; sampled handles and raw callables are evaluated
-    at tensor_points(axes).  Both routes give the same values bit for bit.
+    no (N, d) point array, and a DensityProduct multiplies the samples of
+    its factors; sampled handles and raw callables are evaluated at
+    tensor_points(axes).  Every route gives the points route's values bit
+    for bit.
     """
+    if isinstance(fn, DensityProduct):
+        return functools.reduce(operator.mul, (sample_grid(config, f, axes) for f in fn.factors))
     if isinstance(fn, CatalogDensity):
         return fn.handle.on_axes(fn.config, axes)
     if isinstance(fn, CatalogFunction):
@@ -313,10 +338,21 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 def tensor_axes(points: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """Inverse of tensor_points: the axes if `points` (N, d) are exactly the C-ordered
-    nodes of the tensor grid over their distinct coordinates, else None."""
-    axes = tuple(np.unique(col) for col in points.T)
+    nodes of the tensor grid over their distinct coordinates, else None.
+
+    O(N d), with no sort: on such nodes column i, read at the stride of the
+    later axis lengths, starts with its axis as a strictly ascending run.
+    Each column is then checked against the grid its run spans.
+    """
+    if len(points) == 0:
+        return None
+    axes = ()
+    for col in points.T[::-1]:
+        head = col[:: math.prod(len(a) for a in axes)]
+        falls = np.flatnonzero(~(head[1:] > head[:-1]))
+        axes = (head[: falls[0] + 1 if falls.size else len(head)].copy(),) + axes
     shape = tuple(len(a) for a in axes)
-    if len(points) == 0 or math.prod(shape) != len(points):
+    if math.prod(shape) != len(points):
         return None
     for i, a in enumerate(axes):
         if np.any(points[:, i].reshape(shape) != a.reshape((-1,) + (1,) * (len(axes) - i - 1))):

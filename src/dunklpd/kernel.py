@@ -43,8 +43,8 @@ The costly special-function evaluations (the generic Bessel pair, the
 scaled real form, and the Bessel-K catalog profile in functions.py) go
 through one helper, `_per_distinct`, which evaluates once per distinct
 argument and gathers the result back: callers pass outer products over
-grid axes, so a heat-kernel factor on a 96^3 grid sees 96 distinct
-arguments.  Each of these evaluations is elementwise, so the result is
+grid axes or the radii of a symmetric grid, where values repeat many
+times.  Each of these evaluations is elementwise, so the result is
 bit-identical to evaluating every element.  Cheap elementwise functions
 (exp, powers, the plane wave) are evaluated per element: sorting would
 cost more than it saves.

@@ -27,15 +27,19 @@ from scipy import special as sps
 
 from .errors import DomainError, InputError
 from .functions import (
+    CatalogDensity,
     CatalogFunction,
+    DensityProduct,
     _query_points,
     bessel_k_profile,
     evaluate_handle,
+    gaussian,
     sample_grid,
+    tensor_axes,
     uniform_axes,
 )
 from .kernel import _real_1d_scaled
-from .quadrature import Grid, QuadratureSpec, integrate_with_check, two_pass
+from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
@@ -243,11 +247,10 @@ def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1,
     rho1 = spectral_density(config, spec, phi1)
     rho2 = spectral_density(config, spec, phi2)
 
-    conv_density = lambda p: rho1(p) * rho2(p)
-    conv = _gram_from_density(config, spec, conv_density, pts.points)
+    conv = _gram_from_density(config, spec, DensityProduct((rho1, rho2)), pts.points)
     reports = [conv.psd_report("convolution_closure_gram_psd", "5 builtin points")]
 
-    product = lambda p: evaluate_handle(config, phi1, p) * evaluate_handle(config, phi2, p)
+    product = DensityProduct((CatalogDensity(config, phi1), CatalogDensity(config, phi2)))
     fwd = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 64))
     prod_density = tabulated_density(config, fwd, product)
     prod = _gram_from_density(config, spec, prod_density, pts.points)
@@ -275,7 +278,7 @@ def quadratic_form_heat(
     xs, _ = _query_points(config, pts.points)
     spec = _resolve_spec(config, quad)
     density = spectral_density(config, spec, phi)
-    damped = lambda p: density(p) * np.exp(-2.0 * t * np.sum(p * p, axis=-1))
+    damped = DensityProduct((density, CatalogDensity(config, gaussian(2.0 * t))))
     a = pts.coefficients
 
     run = lambda sp: complex(a.conj() @ _gram_on(config, sp, damped, xs) @ a)
@@ -290,6 +293,12 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     growth into exp(-(|x_i| - |y_i|)^2 / 4t) exactly.  Nonnegative and
     symmetric in (x, y); with zero multiplicities it reduces to the
     classical heat kernel at machine precision.
+
+    One point (one row, or one row repeated as by np.broadcast_to) against
+    the C-ordered nodes of a tensor grid (functions.tensor_axes), in either
+    argument order, builds each axis factor on the axis alone and joins the
+    factors by outer products, with the same values bit for bit.  Other
+    pairs are evaluated pair by pair.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"time must be positive and finite, got {t}")
@@ -299,14 +308,32 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
         raise InputError(f"{len(xp)} points x against {len(yp)} points y; lengths must match or one be 1")
     squeeze = x_single and y_single
     xp, yp = np.broadcast_arrays(xp, yp)
-    out = np.full(xp.shape[0], config.mehta * (2.0 * t) ** -(config.gamma + config.dimension / 2.0))
-    for i in range(config.dimension):
-        xi = xp[:, i]
-        yi = yp[:, i]
-        z = xi * yi / (2.0 * t)
-        gap = (np.abs(xi) - np.abs(yi)) ** 2 / (4.0 * t)
-        out = out * np.exp(-gap) * _real_1d_scaled(config.kappa[i], z)
+    for point, nodes in ((xp, yp), (yp, xp)):
+        if len(nodes) > 1 and np.all(point == point[0]):
+            axes = tensor_axes(nodes)
+            if axes is not None:
+                return _heat_product(config, t, point[0], axes, np.multiply.outer).reshape(-1)
+    out = _heat_product(config, t, xp.T, yp.T, np.multiply)
     return float(out[0]) if squeeze else out
+
+
+def _heat_product(config: MultiplicityConfig, t: float, xs, ys, join) -> np.ndarray:
+    """The heat kernel as the product over axes i of its factors at xs[i], ys[i].
+
+    Axis i contributes exp(-(|x| - |y|)^2 / 4t) and exp(-|z|) E_k(x, y) at
+    z = x y / 2t, both symmetric in (x, y) bit for bit.  join is np.multiply
+    for pairs of points (xs, ys = xp.T, yp.T) and np.multiply.outer for one
+    point xs against the tensor grid over the axes ys, whose factors are
+    then built on the n_i axis values alone.  Either way every value is
+    multiplied in the order ((out * e_i) * s_i), so the grid equals the
+    pair-by-pair values bit for bit.
+    """
+    out = config.mehta * (2.0 * t) ** -(config.gamma + config.dimension / 2.0)
+    for kappa, x, y in zip(config.kappa, xs, ys):
+        z = x * y / (2.0 * t)
+        gap = (np.abs(x) - np.abs(y)) ** 2 / (4.0 * t)
+        out = join(out, np.exp(-gap)) * _real_1d_scaled(kappa, z)
+    return out
 
 
 def heat_kernel_mass(
@@ -317,16 +344,22 @@ def heat_kernel_mass(
     tolerance: float = 1e-6,
 ) -> IdentityReport:
     """int heat_kernel(t, x, y) h^2(y) dy = 1, on a box wide enough for t."""
+    if not 0 < t < math.inf:
+        raise DomainError(f"time must be positive and finite, got {t}")
     spec = _resolve_spec(config, quad)
     xv = np.asarray(x, dtype=float).reshape(-1)
+    x0 = _query_points(config, xv)[0][0]
     need = float(np.max(np.abs(xv))) + math.sqrt(4.0 * t * 46.0)
     spread = QuadratureSpec(
         radius=max(spec.radius, need),
         nodes_per_axis=max(spec.nodes_per_axis, {1: 160, 2: 128}.get(config.dimension, 96)),
     )
-    mass, delta = integrate_with_check(
-        config, spread, lambda gp: heat_kernel(config, t, np.broadcast_to(xv, gp.shape), gp)
-    )
+
+    def run(sp):
+        grid = Grid(config, sp)
+        return grid.integrate(_heat_product(config, t, x0, grid.axes, np.multiply.outer))
+
+    mass, delta = two_pass(run, spread)
     alt = 2.0 ** -(config.gamma + config.dimension / 2.0)
     return IdentityReport(
         identity_name="heat_kernel_weighted_mass",

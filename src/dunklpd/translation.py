@@ -13,7 +13,8 @@ by y_j evaluated at x_m; posdef's Gram matrices are T at y = x.
 
 All operators accept catalog handles, sampled handles with spectral hints,
 or plain callables; the spectral density is routed through
-transform.spectral_density.
+transform.spectral_density, and the product of two densities is a
+functions.DensityProduct, sampled on the grid factor by factor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import CatalogFunction, SampledFunction, _query_points
+from .functions import CatalogFunction, DensityProduct, SampledFunction, _query_points
 from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
@@ -129,7 +130,7 @@ def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     pts, squeeze = _query_points(config, x)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
-    run = lambda sp: _transformer(config, sp, lambda p: df(p) * dg(p), INVERSE)(pts)
+    run = lambda sp: _transformer(config, sp, DensityProduct((df, dg)), INVERSE)(pts)
     fine = _checked("convolution", run, spec)
     return complex(fine[0]) if squeeze else fine
 
@@ -169,4 +170,4 @@ def convolve_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g)
     spec = _resolve_spec(config, quad)
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
-    return forward_grid(config, spec, lambda p: df(p) * dg(p), Grid(config, spec).axes, sign=INVERSE)
+    return forward_grid(config, spec, DensityProduct((df, dg)), Grid(config, spec).axes, sign=INVERSE)

@@ -205,6 +205,7 @@ class TestUsageErrors:
             {"function": "gaussian:t=abc"},
             {"function": "gaussian:t=-2"},
             {"function": "cauchy:p=1.0"},  # below the config's validity edge
+            {"function": "gaussian:t=1,t=2"},  # a repeated parameter
         ],
     )
     def test_bad_function_specs(self, config_path, tmp_path, mutation, capsys):

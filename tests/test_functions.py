@@ -313,6 +313,72 @@ class TestTensorAxes:
         assert (tensor_axes(np.delete(pts, 1, axis=0)) is None) == (dim > 1)
 
 
+def _sorted_tensor_axes(points):
+    """The sorting definition of tensor_axes: np.unique of each column, then
+    the exact C-order check; the oracle for the linear-time scan."""
+    axes = tuple(np.unique(col) for col in points.T)
+    shape = tuple(len(a) for a in axes)
+    if len(points) == 0 or math.prod(shape) != len(points):
+        return None
+    for i, a in enumerate(axes):
+        if np.any(points[:, i].reshape(shape) != a.reshape((-1,) + (1,) * (len(axes) - i - 1))):
+            return None
+    return axes
+
+
+def _tensor_axes_cases():
+    grids = {
+        1: [(np.array([0.3]),), (np.array([-0.4, 0.1, 2.5]),)],
+        2: [
+            (np.array([-1.0, 0.3]), np.array([-2.0, 0.0, 0.5, 1.5])),
+            (np.array([0.7]), np.array([-1.0, 1.0, 2.0])),
+            (np.array([-1.0, 1.0, 2.0]), np.array([0.7])),
+        ],
+        3: [
+            (np.array([0.0, 1.0, 2.0]), np.array([-1.0, 1.0]), np.array([-3.0, -1.0, 0.2, 0.7, 4.0])),
+            (np.array([0.5]), np.array([-1.0, 1.0]), np.array([0.25])),
+            (np.array([-2.0, 2.0]), np.array([3.0]), np.array([-1.0, 0.0, 1.0])),
+            (np.array([1.0]), np.array([2.0]), np.array([3.0])),
+        ],
+    }
+    for dim, axes_list in grids.items():
+        for n, axes in enumerate(axes_list):
+            pts = tensor_points(axes)
+            yield f"d{dim}-{n}-grid", pts
+            yield f"d{dim}-{n}-reversed", pts[::-1]
+            if len(pts) > 1:
+                swapped = pts.copy()
+                swapped[[0, -1]] = swapped[[-1, 0]]
+                yield f"d{dim}-{n}-swapped", swapped
+                yield f"d{dim}-{n}-removed", np.delete(pts, len(pts) // 2, axis=0)
+            yield f"d{dim}-{n}-duplicated", np.insert(pts, 1, pts[0], axis=0)
+            yield f"d{dim}-{n}-doubled", np.concatenate([pts, pts])
+            for row in (0, len(pts) - 1):
+                nudged = pts.copy()
+                nudged[row, -1] = np.nextafter(nudged[row, -1], np.inf)
+                yield f"d{dim}-{n}-nudged-last-{row}", nudged
+                nudged = pts.copy()
+                nudged[row, 0] = np.nextafter(nudged[row, 0], -np.inf)
+                yield f"d{dim}-{n}-nudged-first-{row}", nudged
+        yield f"d{dim}-empty", np.empty((0, dim))
+
+
+_TENSOR_AXES_CASES = dict(_tensor_axes_cases())
+
+
+@pytest.mark.parametrize("case", sorted(_TENSOR_AXES_CASES))
+def test_tensor_axes_matches_the_sorting_definition(case):
+    points = _TENSOR_AXES_CASES[case]
+    want = _sorted_tensor_axes(points)
+    got = tensor_axes(points)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestCsv:
     def test_round_trip_preserves_values(self, cfg_plane, tmp_path):
         axes = uniform_axes(2, 1.5, 7)

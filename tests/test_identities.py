@@ -134,9 +134,9 @@ def test_suites_pass_in_two_dimensions(cfg_plane):
     assert not failing, "\n".join(failing)
 
 
-def test_kernel_and_translation_suites_pass_in_three_dimensions():
+def test_kernel_translation_and_heat_suites_pass_in_three_dimensions():
     cfg = make_config(3, [0.5, 1.0, 0.0])
-    reports = suite_kernel(cfg, None) + suite_translation(cfg, None)
+    reports = suite_kernel(cfg, None) + suite_translation(cfg, None) + suite_heat(cfg, None)
     failing = [r.line() for r in reports if not r.passed]
     assert not failing, "\n".join(failing)
 

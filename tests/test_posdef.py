@@ -206,9 +206,52 @@ class TestHeatKernel:
         assert one_to_many.shape == (2,)
         np.testing.assert_array_equal(one_to_many[1], heat_kernel(cfg_half, 0.5, [0.3], [0.7]))
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 0.3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_route_equals_the_pair_by_pair_route(self, dim, kappa):
+        # the nodes in a shuffled order are no tensor grid, so they take the
+        # pair by pair loop; un-shuffled, that must equal the grid route bit for bit
+        config = make_config(dim, [kappa] * dim)
+        nodes = Grid(config, QuadratureSpec(9.0, {1: 40, 2: 24, 3: 12}[dim])).points()
+        x = np.linspace(-1.3, 2.1, dim)
+        order = np.random.default_rng(dim).permutation(len(nodes))
+        want = np.empty(len(nodes))
+        want[order] = heat_kernel(config, 0.6, np.broadcast_to(x, nodes.shape), nodes[order])
+        for got in (
+            heat_kernel(config, 0.6, x, nodes),
+            heat_kernel(config, 0.6, np.broadcast_to(x, nodes.shape), nodes),
+            heat_kernel(config, 0.6, nodes, x[None]),
+            heat_kernel(config, 0.6, nodes, np.broadcast_to(x, nodes.shape)),
+        ):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_grid_route_evaluates_each_axis_alone(self, monkeypatch):
+        config = make_config(3, [1.0, 0.5, 0.3])
+        nodes = Grid(config, QuadratureSpec(9.0, 16)).points()
+        sizes = []
+        real = posdef._real_1d_scaled
+        monkeypatch.setattr(posdef, "_real_1d_scaled", lambda k, z: sizes.append(np.size(z)) or real(k, z))
+        heat_kernel(config, 0.6, [0.4, -0.2, 1.1], nodes)
+        assert sizes == [16, 16, 16]
+        heat_kernel(config, 0.6, [0.4, -0.2, 1.1], nodes[::-1])
+        assert sizes[3:] == [16**3] * 3
+
+    def test_mass_integrates_the_grid_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("heat_kernel_mass built an (N, d) point array")
+
+        monkeypatch.setattr(Grid, "points", refuse)
+        monkeypatch.setattr(functions, "tensor_points", refuse)
+        config = make_config(2, [1.0, 0.0])
+        rep = heat_kernel_mass(config, None, 1.0, [0.8, -0.3])
+        assert rep.passed
+
     def test_rejects_nonpositive_time(self, cfg_half):
         with pytest.raises(DomainError):
             heat_kernel(cfg_half, 0.0, np.array([0.0]), np.array([0.0]))
+        for t in (0.0, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                heat_kernel_mass(cfg_half, None, t, np.array([0.0]))
         with pytest.raises(DomainError):
             quadratic_form_heat(
                 cfg_half, None, gaussian(1.0), builtin_points(1, 2, coefficients=np.array([1.0, -1.0])), 0.0

@@ -11,6 +11,7 @@ from dunklpd import ConfigurationError, functions, make_config, quadrature
 from dunklpd.functions import (
     CatalogDensity,
     CatalogFunction,
+    DensityProduct,
     bessel_k_profile,
     evaluate_handle,
     gaussian,
@@ -173,6 +174,41 @@ class TestGridSampling:
             grid.sample(generalized_cauchy(3.0))
         with pytest.raises(ConfigurationError):
             grid.weighted(bessel_k_profile(2.9))
+
+    @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
+    @pytest.mark.parametrize("nodes", [8, 9])
+    def test_density_product_sample_equals_the_points_route(self, dim, kappa, nodes):
+        config = make_config(dim, kappa)
+        grid = Grid(config, QuadratureSpec(5.0, nodes))
+        rho = spectral_density(config, None, gaussian(0.7))
+        hinted = functions.sample_on_axes(config, gaussian(1.3), grid.axes, spectral_hint=rho)
+        products = [
+            DensityProduct((rho, spectral_density(config, None, gaussian_density(0.4)))),
+            DensityProduct((CatalogDensity(config, gaussian(0.3)), CatalogDensity(config, gaussian(1.1)))),
+            DensityProduct((rho, spectral_density(config, None, hinted))),
+            DensityProduct((spectral_density(config, None, hinted), rho)),
+            DensityProduct((rho, CatalogDensity(config, gaussian(2.0 * 0.05)))),  # the heat-damped density
+        ]
+        pts = grid.points()
+        for product in products:
+            want = product(pts).reshape(grid.shape)
+            got = grid.sample(product)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the damping factor as a catalog Gaussian is the exp(-2t|xi|^2) it replaces
+        assert np.array_equal(products[-1](pts), rho(pts) * np.exp(-2.0 * 0.05 * np.sum(pts * pts, axis=-1)))
+
+    def test_density_product_of_catalog_factors_builds_no_points(self, monkeypatch):
+        config = make_config(3, [1.0, 0.5, 0.0])
+        grid = Grid(config, QuadratureSpec(5.0, 8))
+
+        def refuse(*args):
+            raise AssertionError("catalog product sampling built an (N, d) point array")
+
+        product = DensityProduct((CatalogDensity(config, gaussian(0.3)), CatalogDensity(config, gaussian_density(1.1))))
+        want = product(grid.points()).reshape(grid.shape)
+        monkeypatch.setattr(functions, "tensor_points", refuse)
+        monkeypatch.setattr(Grid, "points", refuse)
+        assert np.array_equal(grid.sample(product), want)
 
     def test_raw_callables_stay_on_the_points_route(self):
         config = make_config(2, [1.0, 0.0])
