@@ -2,7 +2,9 @@
 
 Useful when retuning the paired quadrature boxes: the forward leg of the
 slow-decay pair must resolve oscillations out to the inverse leg's box,
-and this table shows immediately which leg gave out.
+and this table shows immediately which leg gave out.  The rows are the
+inversion_round_trip_<kind> reports of the transform suite
+(identities.round_trips), each timed on its own.
 
     python3 scripts/round_trip_report.py
     python3 scripts/round_trip_report.py --dims 1
@@ -12,18 +14,8 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-from dunklpd.functions import (
-    bessel_k_profile,
-    evaluate_handle,
-    gaussian,
-    gaussian_density,
-    generalized_cauchy,
-)
-from dunklpd.identities import cauchy_exponent, round_trip_specs
+from dunklpd.identities import round_trips
 from dunklpd.root_system import make_config
-from dunklpd.transform import inverse, tabulated_density
 
 SWEEP = [
     (1, [0.0]),
@@ -42,30 +34,13 @@ def main(argv=None) -> int:
 
     print(f"{'config':<22} {'function':<20} {'worst rel':>12} {'seconds':>8}")
     for dim, kappa in targets:
-        config = make_config(dim, kappa)
-        p = cauchy_exponent(config)
-        catalog = {
-            "gaussian": gaussian(1.0),
-            "gaussian_density": gaussian_density(1.0),
-            "generalized_cauchy": generalized_cauchy(p),
-            "bessel_k_profile": bessel_k_profile(p),
-        }
-        if dim > 2:
-            # the slow-decay pair is priced out past two axes
-            catalog.pop("generalized_cauchy")
-            catalog.pop("bessel_k_profile")
-        mags = np.linspace(-1.2, 1.2, 9)
-        probes = np.stack([np.full(dim, m / np.sqrt(dim)) for m in mags])
-        for label, f in catalog.items():
-            started = time.perf_counter()
-            fwd_spec, inv_spec = round_trip_specs(config, label)
-            density = tabulated_density(config, fwd_spec, f)
-            back = inverse(config, inv_spec, density, probes)
-            truth = np.asarray(evaluate_handle(config, f, probes), dtype=complex)
-            rel = float(np.max(np.abs(back - truth) / np.maximum(np.abs(truth), 1e-30)))
+        tag = f"d={dim} kappa={kappa}"
+        started = time.perf_counter()
+        for rep in round_trips(make_config(dim, kappa)):
             elapsed = time.perf_counter() - started
-            tag = f"d={dim} kappa={kappa}"
-            print(f"{tag:<22} {label:<20} {rel:>12.3e} {elapsed:>8.2f}")
+            label = rep.identity_name.removeprefix("inversion_round_trip_")
+            print(f"{tag:<22} {label:<20} {rep.rel_error:>12.3e} {elapsed:>8.2f}")
+            started = time.perf_counter()
     return 0
 
 

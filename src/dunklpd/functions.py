@@ -36,7 +36,8 @@ point raises InputError in every handle.
 Sampled functions live on a rectangular tensor grid and evaluate by
 multilinear interpolation, zero outside the grid box.  CSV serialization
 uses columns x1..xd, re, im with 17 significant digits and LF endings, one
-row per node in C order.
+row per node in C order; loading sorts the rows and takes them only if they
+are the full tensor grid (tensor_axes).
 """
 
 from __future__ import annotations
@@ -397,21 +398,12 @@ def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray,
     return tuple(ax for _ in range(dimension))
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def sampled_to_csv(fn: SampledFunction) -> str:
-    d = fn.dimension
-    buf = io.StringIO()
-    buf.write(",".join([f"x{i + 1}" for i in range(d)] + ["re", "im"]) + "\n")
-    coords = tensor_points(fn.axes)
+    header = ",".join([f"x{i + 1}" for i in range(fn.dimension)] + ["re", "im"])
     flat = np.asarray(fn.values, dtype=complex).reshape(-1)
-    for row in range(flat.size):
-        cells = [_fmt(coords[row, i]) for i in range(d)]
-        cells.append(_fmt(flat[row].real))
-        cells.append(_fmt(flat[row].imag))
-        buf.write(",".join(cells) + "\n")
+    table = np.column_stack([tensor_points(fn.axes), flat.real, flat.imag])
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=header, comments="")
     return buf.getvalue()
 
 
@@ -426,9 +418,9 @@ def load_sampled_csv(path: str) -> SampledFunction:
         if not header:
             raise InputError(f"{path}: empty CSV")
         cols = header.split(",")
-        if cols[-2:] != ["re", "im"] or any(c != f"x{i + 1}" for i, c in enumerate(cols[:-2])):
-            raise InputError(f"{path}: header must be x1..xd,re,im, got {header!r}")
         d = len(cols) - 2
+        if d < 1 or cols[d:] != ["re", "im"] or cols[:d] != [f"x{i + 1}" for i in range(d)]:
+            raise InputError(f"{path}: header must be x1..xd,re,im with d >= 1, got {header!r}")
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
@@ -437,11 +429,10 @@ def load_sampled_csv(path: str) -> SampledFunction:
         raise InputError(f"{path}: rows have {data.shape[1]} fields, expected {d + 2}")
     if not np.all(np.isfinite(data)):
         raise InputError(f"{path}: every field must be finite (found nan or inf)")
-    axes = [np.unique(data[:, i]) for i in range(d)]
-    shape = tuple(len(a) for a in axes)
-    if int(np.prod(shape)) != data.shape[0]:
-        raise InputError(f"{path}: nodes do not form a full tensor grid")
     order = np.lexsort(tuple(data[:, i] for i in range(d - 1, -1, -1)))
     data = data[order]
-    values = (data[:, d] + 1j * data[:, d + 1]).reshape(shape)
-    return SampledFunction(tuple(axes), values)
+    axes = tensor_axes(data[:, :d])
+    if axes is None:
+        raise InputError(f"{path}: nodes do not form a full tensor grid")
+    values = (data[:, d] + 1j * data[:, d + 1]).reshape(tuple(len(a) for a in axes))
+    return SampledFunction(axes, values)

@@ -2,10 +2,12 @@
 
 Each suite returns IdentityReport records; run_suites dispatches by name
 (kernel, transform, translation, posdef, heat, all).  Reports that compare
-a whole family of points summarize the worst case and put the sweep size
-into the notes.  Identities whose honest evaluation needs nested
-quadratures are gated to the dimensions where they complete in reasonable
-time; the gates are noted here, not silently applied.
+a whole family of points are built by _compare, which reports the worst
+pair; the sweep size goes into the notes.  round_trips defines the
+inversion round trips once, for suite_transform and
+scripts/round_trip_report.py alike.  Identities whose honest evaluation
+needs nested quadratures are gated to the dimensions where they complete
+in reasonable time; the gates are noted here, not silently applied.
 """
 
 from __future__ import annotations
@@ -76,14 +78,17 @@ def _diag_points(config: MultiplicityConfig, mags) -> np.ndarray:
     return np.stack([_diag(config, m) for m in mags])
 
 
-def _worst(expected: np.ndarray, computed: np.ndarray, relative: bool):
+def _compare(name, expected, computed, tolerance, notes="", relative=True) -> IdentityReport:
+    """Report on the worst (expected, computed) pair of a family: the argmax
+    of the error, relative with |expected| floored at 1e-30 unless
+    relative=False, the first index on ties."""
     e = np.asarray(expected, dtype=complex).reshape(-1)
     c = np.asarray(computed, dtype=complex).reshape(-1)
     err = np.abs(c - e)
     if relative:
         err = err / np.maximum(np.abs(e), 1e-30)
     k = int(np.argmax(err))
-    return complex(e[k]), complex(c[k])
+    return IdentityReport(name, complex(e[k]), complex(c[k]), tolerance, notes=notes)
 
 
 def _is_classical(config: MultiplicityConfig) -> bool:
@@ -197,16 +202,8 @@ def suite_kernel(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
         rhss.append(math.exp(-0.5 * (u @ u + v @ v)) * ev)
         bound = math.exp(np.linalg.norm(u) * np.linalg.norm(v))
         growth_excess = max(growth_excess, kernel_real_nd(config, u, v) - bound)
-    e, c = _worst(rhss, lhss, relative=True)
-    reports.append(
-        IdentityReport(
-            "kernel_gaussian_pairing_formula",
-            e,
-            c,
-            1e-7,
-            notes=f"{len(pairs)} argument pairs, worst case reported",
-        )
-    )
+    notes = f"{len(pairs)} argument pairs, worst case reported"
+    reports.append(_compare("kernel_gaussian_pairing_formula", rhss, lhss, 1e-7, notes=notes))
     reports.append(
         IdentityReport(
             "kernel_exponential_growth_bound",
@@ -250,52 +247,41 @@ def round_trip_specs(config: MultiplicityConfig, kind: str) -> tuple[QuadratureS
     return QuadratureSpec(wide, _OSC_NODES[d]), QuadratureSpec(slow, _INV_NODES[d])
 
 
+def round_trips(config: MultiplicityConfig):
+    """Yield one inversion_round_trip_<kind> report per catalog member: the
+    transform tabulated on the forward leg of round_trip_specs, inverted on
+    its inverse leg, against the function at 9 diagonal probes."""
+    p = cauchy_exponent(config)
+    probes = _diag_points(config, np.linspace(-1.2, 1.2, 9))
+    catalog = [gaussian(1.0), gaussian_density(1.0)]
+    if config.dimension <= 2:
+        # the slow-decay pair needs oscillation-resolving boxes whose cost
+        # grows too fast past two axes
+        catalog += [generalized_cauchy(p), bessel_k_profile(p)]
+    for f in catalog:
+        fwd_spec, inv_spec = round_trip_specs(config, f.kind)
+        back = inverse(config, inv_spec, tabulated_density(config, fwd_spec, f), probes)
+        yield _compare(
+            f"inversion_round_trip_{f.kind}",
+            evaluate_handle(config, f, probes),
+            back,
+            1e-6,
+            notes=f"9 probe points, worst case; parameter {f.param}",
+        )
+
+
 def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -> list:
     spec = _resolve_spec(config, quad)
     p = cauchy_exponent(config)
     probes = _diag_points(config, np.linspace(-1.2, 1.2, 9))
-    reports = []
+    reports = list(round_trips(config))
 
-    catalog = {
-        "gaussian": gaussian(1.0),
-        "gaussian_density": gaussian_density(1.0),
-        "generalized_cauchy": generalized_cauchy(p),
-        "bessel_k_profile": bessel_k_profile(p),
-    }
-    if config.dimension > 2:
-        # the slow-decay pair needs oscillation-resolving boxes whose cost
-        # grows too fast past two axes
-        catalog.pop("generalized_cauchy")
-        catalog.pop("bessel_k_profile")
-    for label, f in catalog.items():
-        fwd_spec, inv_spec = round_trip_specs(config, label)
-        transform_call = tabulated_density(config, fwd_spec, f)
-        back = inverse(config, inv_spec, transform_call, probes)
-        truth = evaluate_handle(config, f, probes)
-        e, c = _worst(truth, back, relative=True)
-        reports.append(
-            IdentityReport(
-                f"inversion_round_trip_{label}",
-                e,
-                c,
-                1e-6,
-                notes=f"9 probe points, worst case; parameter {f.param}",
-            )
-        )
-
-    worst_e, worst_c = [], []
-    for t in (0.5, 1.0, 2.0):
-        got = forward(config, spec, gaussian(t), probes)
-        want = evaluate_handle(config, gaussian_density(t), probes)
-        e, c = _worst(want, got, relative=True)
-        worst_e.append(e)
-        worst_c.append(c)
-    e, c = _worst(worst_e, worst_c, relative=True)
+    ts = (0.5, 1.0, 2.0)
     reports.append(
-        IdentityReport(
+        _compare(
             "gaussian_transform_pair",
-            e,
-            c,
+            [evaluate_handle(config, gaussian_density(t), probes) for t in ts],
+            [forward(config, spec, gaussian(t), probes) for t in ts],
             1e-7,
             notes="t in {0.5, 1, 2}, 9 probes each, worst case",
         )
@@ -305,38 +291,19 @@ def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = No
         got = forward(config, spec, gaussian(1.0), probes)
         r2 = np.sum(probes * probes, axis=-1)
         want = 2.0 ** -(config.dimension / 2.0) * np.exp(-r2 / 4.0)
-        e, c = _worst(want, got, relative=True)
-        reports.append(
-            IdentityReport(
-                "classical_fourier_reduction",
-                e,
-                c,
-                1e-9,
-                notes="zero multiplicities, unitary closed form",
-            )
-        )
+        notes = "zero multiplicities, unitary closed form"
+        reports.append(_compare("classical_fourier_reduction", want, got, 1e-9, notes=notes))
 
     fix_pts = _diag_points(config, [0.0, 0.7, 2.0])
     got = forward(config, spec, gaussian(0.5), fix_pts)
     want = evaluate_handle(config, gaussian(0.5), fix_pts)
-    e, c = _worst(want, got, relative=True)
-    reports.append(
-        IdentityReport("selfreciprocal_gaussian_fixed_point", e, c, 1e-8, notes="t = 1/2")
-    )
+    reports.append(_compare("selfreciprocal_gaussian_fixed_point", want, got, 1e-8, notes="t = 1/2"))
 
     omega = _diag_points(config, [0.5, 1.0, 2.0])
     got = forward(config, spec, generalized_cauchy(p), omega)
     want = evaluate_handle(config, bessel_k_profile(p), omega)
-    e, c = _worst(want, got, relative=True)
-    reports.append(
-        IdentityReport(
-            "cauchy_matern_transform_pair",
-            e,
-            c,
-            1e-5,
-            notes=f"p = {p}; profile constant 1/(Gamma(p) 2^(p-1))",
-        )
-    )
+    notes = f"p = {p}; profile constant 1/(Gamma(p) 2^(p-1))"
+    reports.append(_compare("cauchy_matern_transform_pair", want, got, 1e-5, notes=notes))
 
     reports.append(plancherel_duality(config, spec, gaussian(1.0), gaussian(2.0)))
     mixed = plancherel_duality(config, spec, generalized_cauchy(p), gaussian(1.0))
@@ -404,8 +371,7 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
 
     same = translate(config, spec, gaussian(1.0), np.zeros(d), probes)
     truth = evaluate_handle(config, gaussian(1.0), probes)
-    e, c = _worst(truth, same, relative=True)
-    reports.append(IdentityReport("translation_at_origin_identity", e, c, 1e-7))
+    reports.append(_compare("translation_at_origin_identity", truth, same, 1e-7))
 
     if _is_classical(config):
         y = _diag(config, 0.5)
@@ -450,10 +416,7 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
     for x, y in pairs:
         lh.append(translate(config, spec, gaussian(1.0), y, x))
         rh.append(translate(config, spec, gaussian(1.0), -x, -y))
-    e, c = _worst(rh, lh, relative=True)
-    reports.append(
-        IdentityReport("translation_point_symmetry", e, c, 1e-7, notes="two (x, y) pairs")
-    )
+    reports.append(_compare("translation_point_symmetry", rh, lh, 1e-7, notes="two (x, y) pairs"))
 
     reports.append(translate_mass(config, spec, gaussian_density(1.0), _diag(config, 0.8)))
     if d <= 2:
@@ -500,30 +463,14 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
         xi = _diag_points(config, [0.0, 1.1])
         lhs = forward(config, spec, conv_call, xi)
         rhs = df(xi) * dg(xi)
-        e, c = _worst(rhs, lhs, relative=True)
-        reports.append(
-            IdentityReport(
-                "convolution_product_rule",
-                e,
-                c,
-                1e-6,
-                notes="transform of the convolution vs product of transforms",
-            )
-        )
+        notes = "transform of the convolution vs product of transforms"
+        reports.append(_compare("convolution_product_rule", rhs, lhs, 1e-6, notes=notes))
 
         spots = _diag_points(config, [0.3, 0.9])
         spectral = convolve(config, spec, f, generalized_cauchy(p), spots)
         direct = convolve_direct(config, spec, f, generalized_cauchy(p), spots)
-        e, c = _worst(spectral, direct, relative=True)
-        reports.append(
-            IdentityReport(
-                "convolution_definition_consistency",
-                e,
-                c,
-                1e-5,
-                notes="spectral vs direct-space evaluation",
-            )
-        )
+        notes = "spectral vs direct-space evaluation"
+        reports.append(_compare("convolution_definition_consistency", spectral, direct, 1e-5, notes=notes))
 
     if d <= 2:
         f, g = gaussian(1.0), gaussian_density(2.0)
@@ -736,16 +683,8 @@ def suite_heat(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -
             y = rng.uniform(-3, 3, size=d)
             gots.append(heat_kernel(config, t, x, y))
             wants.append((4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-float(np.sum((x - y) ** 2)) / (4.0 * t)))
-        worst_e, worst_c = _worst(wants, gots, relative=False)
-        reports.append(
-            IdentityReport(
-                "classical_heat_reduction",
-                worst_e,
-                worst_c,
-                1e-10,
-                notes="zero multiplicities, 50 samples",
-            )
-        )
+        notes = "zero multiplicities, 50 samples"
+        reports.append(_compare("classical_heat_reduction", wants, gots, 1e-10, notes=notes, relative=False))
 
     t0 = 0.7
     x = _diag(config, 0.8)

@@ -188,6 +188,18 @@ class TestVerifyCommand:
         assert [p.name for p in out_dir.iterdir()] == ["d1_kappa_0.5.json"]
         assert (out_dir / "d1_kappa_0.5.json").read_bytes() == report.read_bytes()
 
+    def test_round_trip_script_table(self, capsys):
+        # scripts/round_trip_report.py prints one row per inversion round trip
+        path = REPO_ROOT / "scripts" / "round_trip_report.py"
+        spec = importlib.util.spec_from_file_location("round_trip_report", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--dims", "1"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[-2:] == ["rel", "seconds"]
+        assert len(rows) == 12  # three d=1 configs, four catalog functions
+        assert all(float(row.split()[-2]) < 1e-6 for row in rows)
+
     def test_failing_suite_exits_one(self, config_path, monkeypatch, capsys):
         broken = [IdentityReport("always_wrong", 1.0, 2.0, 1e-9)]
         monkeypatch.setattr(cli, "run_suites", lambda *a, **k: broken)
@@ -282,6 +294,15 @@ class TestUsageErrors:
         rc = cli.main(["certify", "--config", config_path, "--function", "gaussian:t=1", "--points", str(pts)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_sampled_csv_without_coordinates(self, config_path, tmp_path, capsys):
+        csv = tmp_path / "d0.csv"
+        csv.write_text("re,im\n1,0\n")
+        out = tmp_path / "o.csv"
+        rc = cli.main(["transform", "--config", config_path, "--function", str(csv), "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_dimension_mismatch_between_config_and_samples(self, plane_config_path, tmp_path, capsys):
         csv = tmp_path / "one_d.csv"

@@ -396,6 +396,16 @@ class TestCsv:
         text = sampled_to_csv(fn)
         assert text.splitlines()[0] == "x1,re,im"
 
+    def test_full_text(self):
+        # 17 significant digits keep the sign of zero and every bit of a double
+        fn = SampledFunction((np.array([-0.0, 0.1, 2.0]),), np.array([0.1 + 0.0j, -0.0 - 2.5j, 1e300 + 1j / 3]))
+        assert sampled_to_csv(fn) == (
+            "x1,re,im\n"
+            "-0,0.10000000000000001,0\n"
+            "0.10000000000000001,-0,-2.5\n"
+            "2,1.0000000000000001e+300,0.33333333333333331\n"
+        )
+
     def test_load_rejects_bad_inputs(self, tmp_path):
         bad_header = tmp_path / "a.csv"
         bad_header.write_text("a,b,c\n0,0,0\n")
@@ -411,6 +421,17 @@ class TestCsv:
         holes.write_text("x1,x2,re,im\n0,0,1,0\n0,1,1,0\n1,0,1,0\n")
         with pytest.raises(InputError):
             load_sampled_csv(str(holes))
+
+        # four rows, as many as a 2x2 grid, but (0,0) twice and (1,0) missing
+        duplicate = tmp_path / "e.csv"
+        duplicate.write_text("x1,x2,re,im\n0,0,1,0\n0,0,2,0\n0,1,3,0\n1,1,4,0\n")
+        with pytest.raises(InputError, match="full tensor grid"):
+            load_sampled_csv(str(duplicate))
+
+        no_coordinates = tmp_path / "f.csv"
+        no_coordinates.write_text("re,im\n1,0\n")
+        with pytest.raises(InputError, match="header"):
+            load_sampled_csv(str(no_coordinates))
 
         empty = tmp_path / "d.csv"
         empty.write_text("")

@@ -5,6 +5,7 @@ import pytest
 
 from dunklpd import InputError, make_config, run_suites
 from dunklpd.identities import (
+    _compare,
     _indefinite_profile,
     cauchy_exponent,
     suite_heat,
@@ -13,6 +14,7 @@ from dunklpd.identities import (
     suite_transform,
     suite_translation,
 )
+from dunklpd.reports import IdentityReport
 
 
 # Every report of d=1, kappa=0.3, the generic Bessel branch run end to end.
@@ -164,3 +166,31 @@ def test_indefinite_profile_is_a_genuine_falsifier(cfg_half):
 )
 def test_cauchy_exponent_on_the_sweep(dim, kappa, exponent):
     assert cauchy_exponent(make_config(dim, kappa)) == exponent
+
+
+class TestCompare:
+    def test_relative_error_picks_the_worst_pair(self):
+        # abs errors 0.5, 0.1, 1.0 against |expected| 100, 0.1, 50: relative 0.005, 1, 0.02
+        rep = _compare("fam", [100.0, 0.1, 50.0], [100.5, 0.2, 51.0], 1e-3, notes="n")
+        assert (rep.identity_name, rep.expected, rep.computed, rep.notes) == ("fam", 0.1, 0.2, "n")
+
+    def test_relative_floor_at_zero_expected(self):
+        # an exact zero divides by 1e-30: a miss there dominates, an exact hit
+        # scores 0 (not the nan of 0 / 0, which argmax would pick)
+        rep = _compare("fam", [1.0, 0.0], [2.0, 1e-20], 1e-3)
+        assert (rep.expected, rep.computed) == (0.0, 1e-20)
+        rep = _compare("fam", [1.0, 0.0], [1.5, 0.0], 1e-3)
+        assert (rep.expected, rep.computed) == (1.0, 1.5)
+
+    def test_absolute_mode(self):
+        rep = _compare("fam", [100.0, 0.1], [100.5, 0.2], 1e-3, relative=False)
+        assert (rep.expected, rep.computed) == (100.0, 100.5)
+
+    def test_first_index_on_ties(self):
+        rep = _compare("fam", [[1.0, 2.0], [3.0, 4.0]], [[1.0, 3.0], [3.0, 6.0]], 1e-3)
+        assert (rep.expected, rep.computed) == (2.0, 3.0)
+
+    def test_scalar_pair_matches_identity_report(self):
+        rep = _compare("one", 2.0 + 1j, 2.5 - 1j, 1e-2, notes="x")
+        assert rep == IdentityReport("one", 2.0 + 1j, 2.5 - 1j, 1e-2, notes="x")
+        assert rep.to_dict() == IdentityReport("one", 2.0 + 1j, 2.5 - 1j, 1e-2, notes="x").to_dict()
