@@ -21,8 +21,7 @@ import numpy as np
 from .errors import AccuracyWarning, ConfigurationError, DomainError, InputError, NotInCatalogError
 from .functions import (
     BESSEL_K_PROFILE,
-    GAUSSIAN,
-    GAUSSIAN_DENSITY,
+    CATALOG_PARAM,
     GENERALIZED_CAUCHY,
     CatalogFunction,
     load_sampled_csv,
@@ -37,14 +36,8 @@ from .transform import FORWARD, INVERSE, forward_grid
 
 _USAGE_ERRORS = (ConfigurationError, DomainError, InputError, NotInCatalogError, OSError, ValueError)
 
-_CATALOG_GRAMMAR = {
-    "gaussian": (GAUSSIAN, "t"),
-    "gaussian_density": (GAUSSIAN_DENSITY, "t"),
-    "generalized_cauchy": (GENERALIZED_CAUCHY, "p"),
-    "cauchy": (GENERALIZED_CAUCHY, "p"),
-    "bessel_k_profile": (BESSEL_K_PROFILE, "p"),
-    "bessel_k": (BESSEL_K_PROFILE, "p"),
-}
+# --function accepts each catalog kind by name (CATALOG_PARAM) or by one of these aliases
+_CATALOG_ALIASES = {"cauchy": GENERALIZED_CAUCHY, "bessel_k": BESSEL_K_PROFILE}
 
 _OUTPUT_GRID = {1: (8.0, 161), 2: (6.0, 41), 3: (4.0, 17)}
 
@@ -67,11 +60,11 @@ def _parse_function(config: MultiplicityConfig, text: str):
             raise InputError(f"{text}: sampled in d={fn.dimension}, config has d={config.dimension}")
         return fn
     name, _, params = text.partition(":")
-    if name not in _CATALOG_GRAMMAR:
-        raise InputError(
-            f"unknown function {name!r}; choose from {sorted(set(_CATALOG_GRAMMAR))} or sinmod or a CSV path"
-        )
-    kind, param_name = _CATALOG_GRAMMAR[name]
+    kind = _CATALOG_ALIASES.get(name, name)
+    if kind not in CATALOG_PARAM:
+        names = sorted([*CATALOG_PARAM, *_CATALOG_ALIASES])
+        raise InputError(f"unknown function {name!r}; choose from {names} or sinmod or a CSV path")
+    param_name = CATALOG_PARAM[kind]
     kv = {}
     for part in filter(None, params.split(",") if params else []):
         key, eq, val = part.partition("=")
@@ -118,12 +111,8 @@ def _parse_grid(text: str) -> tuple[float, int]:
 def cmd_transform(args) -> int:
     config = _load_config(args.config)
     fn = _parse_function(config, args.function)
-    if args.grid:
-        radius, count = _parse_grid(args.grid)
-        axes = uniform_axes(config.dimension, radius, count)
-    else:
-        radius, count = _OUTPUT_GRID[config.dimension]
-        axes = uniform_axes(config.dimension, radius, count)
+    radius, count = _parse_grid(args.grid) if args.grid else _OUTPUT_GRID[config.dimension]
+    axes = uniform_axes(config.dimension, radius, count)
     sign = INVERSE if args.inverse else FORWARD
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AccuracyWarning)

@@ -3,11 +3,13 @@
 Each suite returns IdentityReport records; run_suites dispatches by name
 (kernel, transform, translation, posdef, heat, all).  Reports that compare
 a whole family of points are built by _compare, which reports the worst
-pair; the sweep size goes into the notes.  round_trips defines the
-inversion round trips once, for suite_transform and
-scripts/round_trip_report.py alike.  Identities whose honest evaluation
-needs nested quadratures are gated to the dimensions where they complete
-in reasonable time; the gates are noted here, not silently applied.
+pair; the sweep size goes into the notes.  Inequalities (bounds,
+nonnegativity, symmetry residues) are built by IdentityReport.bound from
+their excess.  round_trips defines the inversion round trips once, for
+suite_transform and scripts/round_trip_report.py alike.  Identities whose
+honest evaluation needs nested quadratures are gated to the dimensions
+where they complete in reasonable time; the gates are noted here, not
+silently applied.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .posdef import (
     heat_kernel,
     heat_kernel_mass,
     kernel_independence,
-    quadratic_form,
     quadratic_form_heat,
     strict_pd_certify,
 )
@@ -107,38 +108,25 @@ def suite_kernel(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
     ys = rng.uniform(-3, 3, size=(40, d))
 
     sym = max(abs(kernel_nd(config, x, y) - kernel_nd(config, y, x)) for x, y in zip(xs, ys))
-    reports.append(
-        IdentityReport("kernel_argument_symmetry", 0.0, sym, 1e-12, notes="40 random pairs")
-    )
+    reports.append(IdentityReport.bound("kernel_argument_symmetry", sym, 1e-12, notes="40 random pairs"))
 
     lam = 1.7
     scale_err = max(
         abs(kernel_nd(config, lam * x, y) - kernel_nd(config, x, lam * y))
         for x, y in zip(xs[:20], ys[:20])
     )
-    reports.append(
-        IdentityReport("kernel_scaling_symmetry", 0.0, scale_err, 1e-12, notes="scale 1.7, 20 pairs")
-    )
+    reports.append(IdentityReport.bound("kernel_scaling_symmetry", scale_err, 1e-12, notes="scale 1.7, 20 pairs"))
 
     conj_err = max(
         abs(np.conj(kernel_nd(config, x, y)) - kernel_nd(config, x, -y))
         for x, y in zip(xs[:20], ys[:20])
     )
-    reports.append(
-        IdentityReport("kernel_conjugation_rule", 0.0, conj_err, 1e-12, notes="20 pairs")
-    )
+    reports.append(IdentityReport.bound("kernel_conjugation_rule", conj_err, 1e-12, notes="20 pairs"))
 
     big = rng.uniform(-4, 4, size=(500, 2, d))
-    mods = np.asarray([abs(kernel_nd(config, p[0], p[1])) for p in big])
-    reports.append(
-        IdentityReport(
-            "kernel_modulus_bound",
-            0.0,
-            max(0.0, float(np.max(mods)) - 1.0),
-            1e-12,
-            notes=f"max modulus {float(np.max(mods)):.12f} over 500 pairs",
-        )
-    )
+    top = float(np.max([abs(kernel_nd(config, p[0], p[1])) for p in big]))
+    notes = f"max modulus {top:.12f} over 500 pairs"
+    reports.append(IdentityReport.bound("kernel_modulus_bound", top - 1.0, 1e-12, notes=notes))
 
     reports.append(
         IdentityReport(
@@ -171,15 +159,8 @@ def suite_kernel(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
                 lhs = dunkl_operator_1d(kv, fn, xv)
                 rhs = -1j * yv * kernel_1d(kv, xv, yv)
                 worst_eig = max(worst_eig, abs(lhs - rhs))
-    reports.append(
-        IdentityReport(
-            "kernel_operator_eigen_relation",
-            0.0,
-            worst_eig,
-            1e-6,
-            notes="multiplicities {0, 1/2, 1, 2}, 8 evaluation points",
-        )
-    )
+    notes = "multiplicities {0, 1/2, 1, 2}, 8 evaluation points"
+    reports.append(IdentityReport.bound("kernel_operator_eigen_relation", worst_eig, 1e-6, notes=notes))
 
     pairs = [
         (_diag(config, 0.5), _diag(config, 1.3)),
@@ -204,15 +185,8 @@ def suite_kernel(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
         growth_excess = max(growth_excess, kernel_real_nd(config, u, v) - bound)
     notes = f"{len(pairs)} argument pairs, worst case reported"
     reports.append(_compare("kernel_gaussian_pairing_formula", rhss, lhss, 1e-7, notes=notes))
-    reports.append(
-        IdentityReport(
-            "kernel_exponential_growth_bound",
-            0.0,
-            max(0.0, growth_excess),
-            1e-12,
-            notes="real-argument kernel against exp(|x||y|)",
-        )
-    )
+    notes = "real-argument kernel against exp(|x||y|)"
+    reports.append(IdentityReport.bound("kernel_exponential_growth_bound", growth_excess, 1e-12, notes=notes))
     return reports
 
 
@@ -329,15 +303,8 @@ def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = No
     far = _diag_points(config, [0.0, 1.0, 3.0])
     sup = np.max(np.abs(forward(config, spec, gaussian(1.0), far)))
     bound = config.mehta * weighted_norm(config, spec, gaussian(1.0), p=1.0)
-    reports.append(
-        IdentityReport(
-            "transform_sup_bound",
-            0.0,
-            max(0.0, float(sup) - bound),
-            1e-10,
-            notes=f"sup {float(sup):.9f} vs weighted L1 bound {bound:.9f}",
-        )
-    )
+    notes = f"sup {float(sup):.9f} vs weighted L1 bound {bound:.9f}"
+    reports.append(IdentityReport.bound("transform_sup_bound", float(sup) - bound, 1e-10, notes=notes))
 
     if config.dimension >= 2:
         a = np.zeros(config.dimension)
@@ -440,15 +407,8 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
     for y in rng.uniform(-2, 2, size=(3, d)):
         vals = translate(config, spec, gaussian_density(1.0), y, sample_x)
         worst_neg = max(worst_neg, float(np.max(-vals.real)), float(np.max(np.abs(vals.imag))))
-    reports.append(
-        IdentityReport(
-            "translated_gaussian_density_nonnegative",
-            0.0,
-            max(0.0, worst_neg),
-            1e-8,
-            notes="18 random (x, y) pairs",
-        )
-    )
+    notes = "18 random (x, y) pairs"
+    reports.append(IdentityReport.bound("translated_gaussian_density_nonnegative", worst_neg, 1e-8, notes=notes))
 
     x0 = _diag(config, 0.6)
     fg = convolve(config, spec, gaussian(1.0), generalized_cauchy(p), x0)
@@ -478,15 +438,8 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
         conv_vals = convolve_grid(config, spec, f, g).values
         lhs = math.sqrt(float(np.real(grid.integrate(np.abs(conv_vals) ** 2))))
         rhs = weighted_norm(config, spec, g, 1.0) * weighted_norm(config, spec, f, 2.0)
-        reports.append(
-            IdentityReport(
-                "young_convolution_bound",
-                0.0,
-                max(0.0, lhs - rhs),
-                1e-6,
-                notes=f"L2 of the convolution {lhs:.9f} vs product bound {rhs:.9f}",
-            )
-        )
+        notes = f"L2 of the convolution {lhs:.9f} vs product bound {rhs:.9f}"
+        reports.append(IdentityReport.bound("young_convolution_bound", lhs - rhs, 1e-6, notes=notes))
     return reports
 
 
@@ -511,25 +464,18 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
     p = cauchy_exponent(config)
     reports = []
 
-    for label, phi in (("gaussian", gaussian(1.0)), ("cauchy", generalized_cauchy(p))):
-        rep = gram(config, spec, phi, builtin_points(d, 5))
-        reports.append(rep.psd_report(f"gram_positive_semidefinite_{label}", "5 builtin points"))
+    # the Gaussian's Gram matrices on the builtin sets of sizes 2..8, built once:
+    # the PSD report reads n = 5, the SPD sweep all of them, the quadratic forms n = 5 and 2
+    family = {n: gram(config, spec, gaussian(1.0), builtin_points(d, n)) for n in range(2, 9)}
+    form = lambda pts: complex(pts.coefficients.conj() @ family[pts.size].matrix @ pts.coefficients)
+    reports.append(family[5].psd_report("gram_positive_semidefinite_gaussian", "5 builtin points"))
+    rep = gram(config, spec, generalized_cauchy(p), builtin_points(d, 5))
+    reports.append(rep.psd_report("gram_positive_semidefinite_cauchy", "5 builtin points"))
 
-    spd_floor = math.inf
-    spd_tol = 0.0
-    for n in range(2, 9):
-        rep = gram(config, spec, gaussian(1.0), builtin_points(d, n))
-        spd_floor = min(spd_floor, rep.min_eigenvalue)
-        spd_tol = max(spd_tol, rep.tolerance)
-    reports.append(
-        IdentityReport(
-            "gram_strictly_positive_definite_sweep",
-            0.0,
-            max(0.0, spd_tol - spd_floor),
-            1e-12,
-            notes=f"builtin sizes 2..8; smallest eigenvalue {spd_floor:.6e} stays above {spd_tol:.1e}",
-        )
-    )
+    spd_floor = min(r.min_eigenvalue for r in family.values())
+    spd_tol = max(r.tolerance for r in family.values())
+    notes = f"builtin sizes 2..8; smallest eigenvalue {spd_floor:.6e} stays above {spd_tol:.1e}"
+    reports.append(IdentityReport.bound("gram_strictly_positive_definite_sweep", spd_tol - spd_floor, 1e-12, notes))
 
     cert = bochner_certify(config, spec, gaussian(1.0))
     reports.append(replace(cert, identity_name="transform_nonnegativity_gaussian"))
@@ -537,14 +483,9 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
     reports.append(replace(cert, identity_name="transform_nonnegativity_cauchy"))
 
     falsifier = bochner_certify(config, spec, _indefinite_profile(config))
+    notes = f"sin-modulated Gaussian; certificate says: {falsifier.notes}"
     reports.append(
-        IdentityReport(
-            "certifier_rejects_indefinite_profile",
-            0.0,
-            0.0 if not falsifier.passed else 1.0,
-            1e-9,
-            notes=f"sin-modulated Gaussian; certificate says: {falsifier.notes}",
-        )
+        IdentityReport.bound("certifier_rejects_indefinite_profile", float(falsifier.passed), 1e-9, notes)
     )
 
     reports.append(
@@ -555,7 +496,7 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
     )
 
     pts = builtin_points(d, 5, coefficients=np.array([1.0, -0.5, 0.25j, 0.7, -0.3]))
-    qform = quadratic_form(config, spec, gaussian(1.0), pts)
+    qform = form(pts)
     density = spectral_density(config, spec, gaussian(1.0))
     grid = Grid(config, spec.doubled())
     # sum_j a_j E(-i x_j, xi) on the grid, with a_j on the diagonal of a (p,)*d tensor
@@ -576,7 +517,7 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
     )
 
     two = builtin_points(d, 2, coefficients=np.array([1.0, -1.0]))
-    target = quadratic_form(config, spec, gaussian(1.0), two)
+    target = form(two)
     ladder = []
     final = None
     # the gap closes linearly in t with a constant that grows with gamma + d,
@@ -603,27 +544,13 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
     xs = builtin_points(d, 3).points
     probes = _diag_points(config, np.linspace(-4.0, 4.0, 64))
     sigma = kernel_independence(config, xs, probes)
-    reports.append(
-        IdentityReport(
-            "translation_phases_linearly_independent",
-            0.0,
-            max(0.0, 1e-3 - sigma),
-            1e-15,
-            notes=f"3 builtin points, 64 probes; smallest singular value {sigma:.6e}",
-        )
-    )
+    notes = f"3 builtin points, 64 probes; smallest singular value {sigma:.6e}"
+    reports.append(IdentityReport.bound("translation_phases_linearly_independent", 1e-3 - sigma, 1e-15, notes=notes))
 
     dup = np.vstack([xs, xs[-1:]])
     sigma_dup = kernel_independence(config, dup, probes, enforce_distinct=False)
-    reports.append(
-        IdentityReport(
-            "duplicate_point_degeneracy",
-            0.0,
-            max(0.0, sigma_dup - 1e-12),
-            1e-15,
-            notes=f"duplicated last point; smallest singular value {sigma_dup:.3e}",
-        )
-    )
+    notes = f"duplicated last point; smallest singular value {sigma_dup:.3e}"
+    reports.append(IdentityReport.bound("duplicate_point_degeneracy", sigma_dup - 1e-12, 1e-15, notes=notes))
 
     rep = strict_pd_certify(config, spec, gaussian(1.0))
     reports.append(replace(rep, identity_name="strict_pd_certificate_gaussian"))
@@ -662,18 +589,8 @@ def suite_heat(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -
         v = heat_kernel(config, t, x, y)
         neg = max(neg, -v)
         asym = max(asym, abs(v - heat_kernel(config, t, y, x)))
-    reports.append(
-        IdentityReport(
-            "heat_kernel_nonnegative",
-            0.0,
-            max(0.0, neg),
-            1e-15,
-            notes="100 random (t, x, y)",
-        )
-    )
-    reports.append(
-        IdentityReport("heat_kernel_argument_symmetry", 0.0, asym, 1e-12, notes="same 100 samples")
-    )
+    reports.append(IdentityReport.bound("heat_kernel_nonnegative", neg, 1e-15, notes="100 random (t, x, y)"))
+    reports.append(IdentityReport.bound("heat_kernel_argument_symmetry", asym, 1e-12, notes="same 100 samples"))
 
     if _is_classical(config):
         wants, gots = [], []

@@ -39,15 +39,18 @@ branch keeps it exactly in floating point: the even part is computed from
 transform._axis_matrices relies on this to evaluate only the nonnegative
 half of a mirrored axis.
 
-The costly special-function evaluations (the generic Bessel pair, the
-scaled real form, and the Bessel-K catalog profile in functions.py) go
-through one helper, `_per_distinct`, which evaluates once per distinct
-argument and gathers the result back: callers pass outer products over
-grid axes or the radii of a symmetric grid, where values repeat many
-times.  Each of these evaluations is elementwise, so the result is
-bit-identical to evaluating every element.  Cheap elementwise functions
-(exp, powers, the plane wave) are evaluated per element: sorting would
-cost more than it saves.
+The two costly special-function evaluations whose callers repeat
+arguments (the generic Bessel pair and the Bessel-K catalog profile in
+functions.py) go through one helper, `_per_distinct`, which evaluates once
+per distinct argument and gathers the result back: callers pass outer
+products over grid axes or the radii of a symmetric grid, where values
+repeat many times.  Each of these evaluations is elementwise, so the
+result is bit-identical to evaluating every element.  The scaled real form
+is evaluated per element: the heat kernel passes it one grid axis at a
+time or scattered pairs, and the real kernel one value, so its arguments
+do not repeat in volume.  Cheap elementwise functions (exp, powers, the
+plane wave) are evaluated per element too: sorting would cost more than
+it saves.
 """
 
 from __future__ import annotations
@@ -229,17 +232,16 @@ def _real_1d(kappa: float, z: np.ndarray) -> np.ndarray:
 
 
 def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
-    """exp(-|z|) * E_k(x, y) on z = x*y, safe for large arguments; once per
-    distinct z for k > 0."""
+    """exp(-|z|) * E_k(x, y) on z = x*y, safe for large arguments."""
     z = np.asarray(z, dtype=float)
     if kappa == 0.0:
         return np.exp(z - np.abs(z))
-    return _per_distinct(lambda u: _scaled_real_values(kappa, u), z)
+    return _scaled_real_values(kappa, z)
 
 
 def _scaled_real_values(kappa: float, z: np.ndarray) -> np.ndarray:
-    """exp(-|z|) * E_k(x, y) elementwise on a 1-D z, for k > 0: the series,
-    then the ive form, then the DLMF 10.40.1 expansion.  From
+    """exp(-|z|) * E_k(x, y) elementwise on z of any shape, for k > 0: the
+    series, then the ive form, then the DLMF 10.40.1 expansion.  From
     max(40, (k + 1/2)^2) on no term of the expansion exceeds 1/2 and the
     first one left out is below 1e-23."""
     out = np.empty_like(z)

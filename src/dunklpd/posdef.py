@@ -190,13 +190,11 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
     scale = float(np.max(np.abs(psi))) if psi.size else 0.0
     k = int(np.argmin(psi.real))
     at = [float(a[j]) for a, j in zip(axes, np.unravel_index(k, tuple(len(a) for a in axes)))]
-    neg_excess = max(0.0, -float(psi.real[k]))
     imag_excess = float(np.max(np.abs(psi.imag))) if psi.size else 0.0
-    return IdentityReport(
-        identity_name="transform_nonnegativity",
-        expected=0.0,
-        computed=max(neg_excess, imag_excess),
-        tolerance=1e-8 * scale,
+    return IdentityReport.bound(
+        "transform_nonnegativity",
+        float(np.maximum(-psi.real[k], imag_excess)),
+        1e-8 * scale,
         notes=(
             f"transform minimum {psi.real[k]:.6e} at xi={at}, "
             f"maximum {float(np.max(psi.real)):.6e}, max |imag| {imag_excess:.3e}"
@@ -219,17 +217,11 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
 
     diag, delta = two_pass(run, spec)
     diag_re = diag.real
-    worst = max(
-        float(np.max(vals - phi0)),
-        float(np.max(-diag_re)),
-        float(np.max(diag_re - phi0)),
-        float(np.max(np.abs(diag.imag))),
-    )
-    return IdentityReport(
-        identity_name="translate_bounds",
-        expected=0.0,
-        computed=max(0.0, worst),
-        tolerance=1e-8,
+    worst = np.max([np.max(vals - phi0), np.max(-diag_re), np.max(diag_re - phi0), np.max(np.abs(diag.imag))])
+    return IdentityReport.bound(
+        "translate_bounds",
+        float(worst),
+        1e-8,
         notes=(
             f"phi(0)={phi0:.6f}, max |phi|={float(np.max(vals)):.6f}, "
             f"diagonal range [{float(np.min(diag_re)):.3e}, {float(np.max(diag_re)):.6f}], "
@@ -439,19 +431,13 @@ def strict_pd_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, p
     if peak <= 1e-10 * max(1.0, phi0):
         raise InputError("transform is numerically zero; nonzero function required")
 
-    eig_notes = []
-    worst = 0.0
-    tol = 0.0
-    for n in (3, 5, 8):
-        rep = gram(config, spec, phi, builtin_points(config.dimension, n))
-        eig_notes.append(f"n={n}: [{rep.min_eigenvalue:.3e}, {rep.max_eigenvalue:.3e}]")
-        worst = max(worst, -rep.min_eigenvalue)
-        tol = max(tol, rep.tolerance)
-    return IdentityReport(
-        identity_name="strict_positive_definiteness_certificate",
-        expected=0.0,
-        computed=max(0.0, worst),
-        tolerance=tol,
+    sizes = (3, 5, 8)
+    reps = [gram(config, spec, phi, builtin_points(config.dimension, n)) for n in sizes]
+    eig_notes = [f"n={n}: [{r.min_eigenvalue:.3e}, {r.max_eigenvalue:.3e}]" for n, r in zip(sizes, reps)]
+    return IdentityReport.bound(
+        "strict_positive_definiteness_certificate",
+        max(-r.min_eigenvalue for r in reps),
+        max(r.tolerance for r in reps),
         notes=(
             f"transform nonnegative (min report: {cert.notes}); peak {peak:.6e}; "
             "gram eigenvalue ranges " + ", ".join(eig_notes)

@@ -2,6 +2,19 @@
 
 An identity check compares a computed number against an expected one and
 passes when either the absolute or the relative error is within tolerance.
+Reports come in three forms:
+
+- equality: IdentityReport(name, expected, computed, tolerance), one value
+  or the worst pair of a family;
+- bound: IdentityReport.bound(name, excess, tolerance), an inequality
+  reported as expected 0 against its excess clipped at 0 from below;
+- PSD: GramReport.psd_report, the bound whose excess is minus the smallest
+  Gram eigenvalue.
+
+A NaN never passes: its error is NaN (relative error inf against an
+expected 0), the bound keeps a NaN excess, and GramReport.from_matrix
+raises InputError on a non-finite matrix.
+
 JSON serialization writes complex scalars as [re, im] pairs and booleans
 under the key "pass"; numbers are rendered by json with repr-level
 precision, CSV dumps use 17 significant digits.
@@ -14,12 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
+
 
 def _err(expected, computed) -> tuple[float, float]:
     e = complex(expected)
     c = complex(computed)
     abs_error = abs(c - e)
-    rel_error = abs_error / abs(e) if e != 0 else float("inf") if abs_error > 0 else 0.0
+    rel_error = abs_error / abs(e) if e != 0 else 0.0 if abs_error == 0 else float("inf")
     return abs_error, rel_error
 
 
@@ -53,6 +68,12 @@ class IdentityReport:
         object.__setattr__(self, "abs_error", a)
         object.__setattr__(self, "rel_error", r)
         object.__setattr__(self, "passed", bool(a <= self.tolerance or r <= self.tolerance))
+
+    @classmethod
+    def bound(cls, name: str, excess, tolerance: float, notes: str = "") -> "IdentityReport":
+        """An inequality as a report: expected 0, computed the excess when it
+        is positive and 0.0 otherwise; a NaN excess stays NaN and fails."""
+        return cls(name, 0.0, 0.0 if excess <= 0.0 else excess, tolerance, notes=notes)
 
     def to_dict(self) -> dict:
         return {
@@ -112,6 +133,8 @@ class GramReport:
         g = np.asarray(matrix, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
             raise ValueError(f"gram matrix must be square and non-empty, got shape {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise InputError("gram matrix has non-finite entries")
         herm = 0.5 * (g + g.conj().T)
         residual = float(np.max(np.abs(g - herm)))
         eigs = np.linalg.eigvalsh(herm)
@@ -138,13 +161,8 @@ class GramReport:
             f"eigenvalues [{self.min_eigenvalue:.6e}, {self.max_eigenvalue:.6e}]; "
             f"hermitian residual {self.hermitian_residual:.3e}"
         )
-        return IdentityReport(
-            identity_name=name,
-            expected=0.0,
-            computed=max(0.0, -self.min_eigenvalue),
-            tolerance=self.tolerance,
-            notes=(notes + "; " if notes else "") + detail,
-        )
+        notes = (notes + "; " if notes else "") + detail
+        return IdentityReport.bound(name, -self.min_eigenvalue, self.tolerance, notes)
 
     def to_dict(self) -> dict:
         return {

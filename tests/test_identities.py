@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dunklpd import InputError, make_config, run_suites
+from dunklpd import InputError, identities, make_config, posdef, run_suites
 from dunklpd.identities import (
     _compare,
     _indefinite_profile,
@@ -141,6 +141,22 @@ def test_kernel_translation_and_heat_suites_pass_in_three_dimensions():
     reports = suite_kernel(cfg, None) + suite_translation(cfg, None) + suite_heat(cfg, None)
     failing = [r.line() for r in reports if not r.passed]
     assert not failing, "\n".join(failing)
+
+
+def test_posdef_suite_builds_each_gram_matrix_it_reads_once(cfg_half, monkeypatch):
+    # the suite builds the Gaussian on builtin sizes 2..8 and the Cauchy profile
+    # on 5; strict_pd_certify builds its own probes at 3, 5 and 8 per function
+    calls = []
+    real = posdef.gram
+    for module in (identities, posdef):
+        spy = lambda c, q, f, pts, m=module.__name__: calls.append((m, f.kind, pts.size)) or real(c, q, f, pts)
+        monkeypatch.setattr(module, "gram", spy)
+    suite_posdef(cfg_half)
+    suite = [("dunklpd.identities", "gaussian", n) for n in range(2, 9)]
+    suite.append(("dunklpd.identities", "generalized_cauchy", 5))
+    strict = [("dunklpd.posdef", kind, n) for kind in ("gaussian", "generalized_cauchy") for n in (3, 5, 8)]
+    assert len(calls) == 14
+    assert sorted(calls) == sorted(suite + strict)
 
 
 def test_reports_are_well_formed(cfg_half):

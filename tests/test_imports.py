@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every name
 it defines is used somewhere, the kernel phase primitive and the
-scattered contraction have no users beyond the listed ones, and every
-entry point the benchmark's tracer wraps by name exists.
+scattered contraction have no users beyond the listed ones, every bound
+report is built by IdentityReport.bound, and every entry point the
+benchmark's tracer wraps by name exists.
 
 The scans read src/dunklpd/*.py (except __init__.py, whose imports are the
 public re-exports) with the ast module: a name bound by `import` or
@@ -135,10 +136,13 @@ def test_no_dead_definitions():
 # outside kernel.py, _phase_1d is used only by transform._axis_matrices (the
 # one builder of phase matrices), and _scatter_contract only by
 # transform._blocked_scatter (the one translation and transform sum),
-# translation.translate_mass and posdef.bound_check (the translate diagonal).  `_per_distinct` serves exactly the three
-# costly special-function evaluations, and it is the one place in kernel.py
-# that calls np.unique.  A use is a loaded Name (or, for np.unique, the
-# attribute); import statements do not count.
+# translation.translate_mass and posdef.bound_check (the translate diagonal).
+# `_per_distinct` serves exactly the two costly special-function evaluations
+# whose callers repeat arguments (the generic Bessel pair and the Bessel-K
+# profile; the scaled real kernel is passed distinct arguments and evaluated
+# per element), and it is the one place in kernel.py that calls np.unique.
+# A use is a loaded Name (or, for np.unique, the attribute); import
+# statements do not count.
 
 
 def users(source: str, name: str, attribute: bool = False) -> set[str]:
@@ -191,7 +195,6 @@ def test_scattered_contraction_has_one_caller_per_sum():
 def test_costly_evaluations_go_through_one_helper():
     assert _package_users("_per_distinct") == {
         "kernel._bessel_pair_generic",
-        "kernel._real_1d_scaled",
         "functions._bessel_k_profile_values",
     }
     assert users((SRC / "kernel.py").read_text(), "unique", attribute=True) == {"_per_distinct"}
@@ -208,6 +211,65 @@ def test_psd_verdict_and_grid_convolution_have_one_route():
     translation = (SRC / "translation.py").read_text()
     assert users(translation, "forward_grid") == {"convolve_grid"}
     assert users(translation, "convolve") == set()
+
+
+# An inequality is reported as expected 0 against its excess clipped at 0, and
+# only IdentityReport.bound spells that out: no other IdentityReport(...) call
+# (or cls(...) call) in the package passes a literal 0 as the expected value.
+
+
+def zero_expected_reports(source: str) -> list[str]:
+    """The enclosing definition (dotted, "<module>" at the top level) of each
+    IdentityReport(...) or cls(...) call whose expected value, the second
+    positional argument or the keyword, is a literal 0."""
+    found = []
+
+    def expected(call):
+        if len(call.args) > 1:
+            return call.args[1]
+        return next((k.value for k in call.keywords if k.arg == "expected"), None)
+
+    def is_zero(node):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return False
+        return isinstance(value, (int, float, complex)) and not isinstance(value, bool) and value == 0
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id in ("IdentityReport", "cls")
+                and expected(child) is not None
+                and is_zero(expected(child))
+            ):
+                found.append(owner or "<module>")
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_zero_expected_scan_names_each_call():
+    source = (
+        "r = IdentityReport('a', 0.0, x, 1e-9)\n"
+        "def f():\n"
+        "    return [IdentityReport('b', expected=-0.0, computed=x, tolerance=1), IdentityReport('c', 1.0, x, 0)]\n"
+        "class R:\n"
+        "    def bound(cls):\n"
+        "        return cls('d', 0, x, 1.0), cls('e', False, x, 1.0), GramReport(0, 0)\n"
+    )
+    assert zero_expected_reports(source) == ["<module>", "f", "R.bound"]
+
+
+def test_bound_reports_have_one_builder():
+    found = [f"{p.stem}.{owner}" for p in MODULES for owner in zero_expected_reports(p.read_text())]
+    assert found == ["reports.IdentityReport.bound"]
 
 
 # perfbench/tracer.py wraps each layer's entry points by name (setattr on the

@@ -70,6 +70,11 @@ class TestGram:
         # the most negative eigenvalue is pinned by regression
         np.testing.assert_allclose(rep.min_eigenvalue, -0.2638571255, rtol=1e-5)
 
+    def test_nan_profile_raises_input_error(self, cfg_half):
+        nan_phi = lambda p: np.full(len(p), np.nan)
+        with pytest.raises(InputError, match="non-finite"):
+            gram(cfg_half, None, nan_phi, PointSet([[0.3], [1.0]]))
+
     def test_quadratic_form_needs_coefficients(self, cfg_half):
         with pytest.raises(InputError):
             quadratic_form(cfg_half, None, gaussian(1.0), builtin_points(1, 3))
@@ -155,6 +160,10 @@ class TestStructuralBounds:
         xs = rng.uniform(-3.0, 3.0, size=(12, 1))
         rep = bound_check(cfg_half, None, gaussian(1.0), xs)
         assert rep.passed
+
+    def test_nan_profile_fails(self, cfg_half):
+        rep = bound_check(cfg_half, None, lambda p: np.full(len(p), np.nan), [[0.3], [1.0]])
+        assert not rep.passed and np.isnan(rep.computed)
 
     def test_diagonal_is_one_phase_build_per_pass(self, cfg_plane, rng, monkeypatch):
         xs = rng.uniform(-2.5, 2.5, size=(50, 2))

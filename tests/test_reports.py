@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dunklpd.errors import InputError
 from dunklpd.reports import GramReport, IdentityReport, reports_to_json
 
 
@@ -33,12 +34,44 @@ class TestIdentityReport:
         assert "tol=1.0e-06" in line
         assert IdentityReport("bad", 1.0, 2.0, 1e-9).line().startswith("[FAIL]")
 
+    def test_nan_against_zero_fails(self):
+        rep = IdentityReport("k", 0.0, float("nan"), 1e-12)
+        assert not rep.passed and rep.rel_error == float("inf")
+        assert IdentityReport("k", 0.0, 0.0, 0.0).rel_error == 0.0
+
     def test_to_dict_handles_complex_and_infinite(self):
         d = IdentityReport("x", 1.0 + 2.0j, 0.5, 1e-3).to_dict()
         assert d["expected"] == [1.0, 2.0]
         d = IdentityReport("x", 0.0, 1.0, 1e-3).to_dict()
         assert d["rel_error"] is None  # infinite relative error has no JSON literal
         json.dumps(d, allow_nan=False)
+
+
+class TestBound:
+    """IdentityReport.bound: expected 0 against the excess clipped at 0."""
+
+    @pytest.mark.parametrize("excess", [-3.5, -1e-300, -0.0, 0.0])
+    def test_no_excess_passes_with_zero(self, excess):
+        rep = IdentityReport.bound("b", excess, 0.0)
+        assert rep.passed and rep.expected == 0.0 and rep.computed == 0.0
+        assert np.copysign(1.0, rep.computed) == 1.0
+
+    def test_excess_above_tolerance_fails(self):
+        rep = IdentityReport.bound("b", 2e-6, 1e-6, notes="n")
+        assert not rep.passed and rep.computed == 2e-6 and rep.notes == "n"
+        assert IdentityReport.bound("b", 5e-7, 1e-6).passed
+
+    @pytest.mark.parametrize("excess", [float("nan"), np.float64("nan")])
+    def test_nan_excess_fails(self, excess):
+        rep = IdentityReport.bound("b", excess, 1e-6)
+        assert not rep.passed and np.isnan(rep.computed)
+
+    @pytest.mark.parametrize("excess", [-2.0, -0.0, 0.0, 5e-324, 1e-9, 0.3, np.float64(-1e-3), np.float64(7.5)])
+    def test_equals_the_clipped_report(self, excess):
+        want = IdentityReport("b", 0.0, max(0.0, excess), 1e-8, notes="n")
+        got = IdentityReport.bound("b", excess, 1e-8, notes="n")
+        assert got.to_dict() == want.to_dict()
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 class TestReportsToJson:
@@ -61,6 +94,15 @@ class TestGramReport:
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="non-empty"):
             GramReport.from_matrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_matrix(self, entry):
+        # eigvalsh turns [[nan, 0], [0, 1]] into eigenvalues [0, -0], and an
+        # all-nan matrix into LinAlgError
+        with pytest.raises(InputError, match="non-finite"):
+            GramReport.from_matrix(np.array([[entry, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InputError, match="non-finite"):
+            GramReport.from_matrix(np.full((2, 2), entry))
 
     def test_spd_matrix(self):
         rep = GramReport.from_matrix(np.diag([3.0, 1.0, 0.5]))
