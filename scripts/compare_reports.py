@@ -5,11 +5,15 @@ Both directories are written by `scripts/run_identity_suites.py --json DIR`
 
     python3 scripts/compare_reports.py OLD_DIR NEW_DIR
     python3 scripts/compare_reports.py --rtol 0 OLD_DIR NEW_DIR   # bit for bit
+    python3 scripts/compare_reports.py --rtol 1e-12 --atol 1e-14 OLD_DIR NEW_DIR
 
 Lists added and missing reports, pass flips, and changes in expected,
-computed or tolerance beyond --rtol (relative to the larger magnitude,
-default RTOL); any of these makes the exit status 1.  Changes to the notes alone are
-listed too but leave the exit status 0.
+computed or tolerance; any of these makes the exit status 1.  Two values
+agree when they differ by at most --atol (default 0) or by at most --rtol
+relative to the larger magnitude (default RTOL): residues and tolerances
+near rounding level change by large relative amounts when a computation is
+reordered, and --atol lets such changes through.  Changes to the notes
+alone are listed too but leave the exit status 0.
 """
 
 import argparse
@@ -43,18 +47,19 @@ def _number(v):
     return complex(v)
 
 
-def value_change(old, new, rtol=RTOL):
-    """Relative difference of two report values, or None when they agree to rtol."""
+def value_change(old, new, rtol=RTOL, atol=0.0):
+    """Relative difference of two report values, or None when they agree:
+    differ by at most atol, or by at most rtol relative to the larger magnitude."""
     a, b = _number(old), _number(new)
     if a is None or b is None:
         return None if a is b else math.inf
     scale = max(abs(a), abs(b))
     diff = abs(a - b)
     rel = diff / scale if scale > 0 else 0.0
-    return rel if rel > rtol else None
+    return None if diff <= atol or rel <= rtol else rel
 
 
-def compare(old, new, rtol=RTOL):
+def compare(old, new, rtol=RTOL, atol=0.0):
     """(failures, notes-only changes), each a list of printable lines."""
     failures, notes = [], []
     for key in sorted(old.keys() - new.keys()):
@@ -69,7 +74,7 @@ def compare(old, new, rtol=RTOL):
             failures.append(f"pass flip {where}: {a['pass']} -> {b['pass']}")
             changed = True
         for name in VALUE_FIELDS:
-            rel = value_change(a[name], b[name], rtol)
+            rel = value_change(a[name], b[name], rtol, atol)
             if rel is not None:
                 failures.append(f"changed   {where} {name}: {a[name]} -> {b[name]} (relative {rel:.3e})")
                 changed = True
@@ -85,14 +90,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--rtol", type=float, default=RTOL, help=f"relative tolerance for values (default {RTOL:g}; 0 is bit for bit)"
     )
+    parser.add_argument("--atol", type=float, default=0.0, help="absolute tolerance for values (default 0)")
     args = parser.parse_args(argv)
-    if not args.rtol >= 0.0:
-        parser.error(f"--rtol must be nonnegative, got {args.rtol}")
+    for name in ("rtol", "atol"):
+        if not getattr(args, name) >= 0.0:
+            parser.error(f"--{name} must be nonnegative, got {getattr(args, name)}")
     for directory in (args.old, args.new):
         if not Path(directory).is_dir():
             parser.error(f"not a directory: {directory}")
     old, new = load(args.old), load(args.new)
-    failures, notes = compare(old, new, args.rtol)
+    failures, notes = compare(old, new, args.rtol, args.atol)
     for line in failures + notes:
         print(line)
     print(

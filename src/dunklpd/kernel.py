@@ -11,23 +11,36 @@ Small arguments go through the normalized power series; beyond the cutoff
 the Bessel product form is used, with explicit sine/cosine ladders replacing
 the generic Bessel routine whenever 2k is an integer (the ladder is stable
 there because the cutoff keeps |z| above the largest order).  Every other
-order takes the generic branch, where J comes from scipy below
-max(20, (k + 1/2)^2) and from the Hankel large-argument expansion
-(DLMF 10.17.3) from there on.  At k = 0 the kernel is exp(-i z).
+order takes the generic branch.  Its jv zone, 6 < |z| < max(20, (k + 1/2)^2),
+is tabulated by piecewise Chebyshev interpolation (Trefethen, Approximation
+Theory and Approximation Practice, ch. 8; DLMF 3.11): panels of width 2 from
+|z| = 6, the last one ending exactly at the zone's top, each of degree 24 and
+interpolated from scipy's jv at its Chebyshev points.  A panel is built on
+first use and cached per (k, panel), so the cost follows the arguments seen.
+The panels hold the even and odd parts themselves, not J, so they keep their
+relative accuracy where J_{k-1/2}(|z|) rises steeply (|z| below k).  From the
+zone's top on, J comes from the Hankel large-argument expansion
+(DLMF 10.17.3).  At k = 0 the kernel is exp(-i z).
 
 The real-argument kernel E_k(x, y) is the same pair with J replaced by the
 modified Bessel I, so it grows like exp(|z|).  Its scaled form
 exp(-|z|) E_k(x, y) is exp(z - |z|) at k = 0.  Otherwise it is the power
 series without alternating signs below the cutoff, and past it
   Gamma(k+1/2) (a/2)^(1/2-k) e^-a (I_{k-1/2}(a) + sign(z) I_{k+1/2}(a)),  a = |z|,
-with the exponentially scaled scipy.special.ive below max(40, (k + 1/2)^2)
-and the large-argument expansion (DLMF 10.40.1) from there on:
+with the exponentially scaled scipy.special.ive, per element, below
+max(40, (k + 1/2)^2) and the large-argument expansion (DLMF 10.40.1) from
+there on:
   e^-a (I_{k-1/2}(a) +- I_{k+1/2}(a))
     ~ (2 pi a)^(-1/2) sum_m (-1)^m (a_m(k-1/2) +- a_m(k+1/2)) / a^m,
 24 terms, with the coefficients a_m(nu) of DLMF 10.17.1 that the Hankel
 branch also uses.  Taking the difference in the coefficients avoids the
 cancellation of two ive values at negative z.  E_k(x, y) is exp(|z|) times
-the scaled form, or e^z at k = 0.
+the scaled form, or e^z at k = 0.  The ive zone is not tabulated like the jv
+zone: at negative z its two values cancel to about k/a of their size, so
+either way the result carries errors of some 5e-14 relative at a near 40,
+and panels interpolated from those differences move the error to where the
+expansion takes over (6.8e-14 one ulp below a = 40 at k = 0.3, against
+5e-15 per element).
 
 The d-dimensional kernel is the coordinatewise product.
 
@@ -72,6 +85,8 @@ _HANKEL_TERMS = 20
 _HANKEL_MIN_ARG = 20.0
 _I_EXPANSION_TERMS = 24
 _I_EXPANSION_MIN_ARG = 40.0
+_PANEL_WIDTH = 2.0
+_PANEL_DEGREE = 24
 _REAL_MAX_ARG = float(np.log(np.finfo(float).max))  # the real kernel's domain: exp(|z|) finite
 
 
@@ -167,18 +182,72 @@ def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
     return amp * (cw * p_lo - sw * q_lo / az), amp * (sw * p_hi + cw * q_hi / az)
 
 
+def _prefactor(kappa: float, a: np.ndarray) -> np.ndarray:
+    """Gamma(k+1/2) (a/2)^(1/2-k), which turns J_{k-+1/2}(a) into the
+    kernel's even and odd parts and ive_{k-+1/2}(a) into its scaled form."""
+    return math.gamma(kappa + 0.5) * (a / 2.0) ** (0.5 - kappa)
+
+
+def _jv_top(kappa: float) -> float:
+    return max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2)
+
+
+def _panel_bounds(kappa: float, index: int) -> tuple[float, float]:
+    """Panel index of the jv zone [6, top): width 2, the last one ending at top."""
+    lo = _SERIES_CUTOFF + _PANEL_WIDTH * index
+    return lo, min(lo + _PANEL_WIDTH, _jv_top(kappa))
+
+
+@lru_cache(maxsize=4096)
+def _jv_panel(kappa: float, index: int) -> np.ndarray:
+    """Read-only (degree + 1, 2) Chebyshev coefficients of the kernel's even
+    part and its odd part over sign(z) on one panel of the jv zone,
+    interpolated from jv at the panel's Chebyshev points.  The parts, not J
+    itself, are tabulated: J_nu(a) grows like a^nu below a ~ nu, so a table
+    of J would lose relative accuracy there at large k."""
+    lo, hi = _panel_bounds(kappa, index)
+
+    def pair(t):
+        a = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+        return (_prefactor(kappa, a) * np.stack((sps.jv(kappa - 0.5, a), sps.jv(kappa + 0.5, a)))).T
+
+    coeffs = np.polynomial.chebyshev.chebinterpolate(pair, _PANEL_DEGREE)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _jv_tabulated(kappa: float, a: np.ndarray) -> np.ndarray:
+    """The (2, n) even and odd parts from _jv_panel at ascending a in
+    (6, top): one searchsorted splits a into panel segments, and each
+    touched panel, built on first use, is evaluated once.  Each value
+    depends on its own argument only."""
+    if not a.size:
+        return np.empty((2, 0))
+    count = math.ceil((_jv_top(kappa) - _SERIES_CUTOFF) / _PANEL_WIDTH)
+    edges = np.searchsorted(a, _SERIES_CUTOFF + _PANEL_WIDTH * np.arange(1, count))
+    bounds = np.concatenate(([0], edges, [a.size]))
+    out = np.empty((2, a.size))
+    for i in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+        seg = slice(bounds[i], bounds[i + 1])
+        lo, hi = _panel_bounds(kappa, i)
+        t = (2.0 * a[seg] - (lo + hi)) / (hi - lo)
+        out[:, seg] = np.polynomial.chebyshev.chebval(t, _jv_panel(kappa, i))
+    return out
+
+
 def _bessel_pair_generic(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_{k-1/2}(az), J_{k+1/2}(az)), computed once per distinct argument.
-    J switches to the Hankel expansion from max(20, (k + 1/2)^2) on: there
-    no term exceeds 1/2 and the first one left out is below 1e-18."""
+    """The kernel's even part and its odd part over sign(z), that is the
+    prefactor times (J_{k-1/2}(az), J_{k+1/2}(az)), computed once per
+    distinct argument.  Below max(20, (k + 1/2)^2) they come from the
+    Chebyshev panels of _jv_panel, from there on from the Hankel expansion,
+    where no term exceeds 1/2 and the first one left out is below 1e-18."""
 
     def pair(u):  # ascending, so one split separates the two zones
-        split = np.searchsorted(u, max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2))
-        near = u[:split]
-        far_lo, far_hi = _bessel_pair_hankel(kappa, u[split:])
-        lo = np.concatenate((sps.jv(kappa - 0.5, near), far_lo))
-        hi = np.concatenate((sps.jv(kappa + 0.5, near), far_hi))
-        return np.stack((lo, hi))
+        top = _jv_top(kappa)
+        split = np.searchsorted(u, top)
+        far = u[split:]
+        near = _jv_tabulated(kappa, u[:split])
+        return np.concatenate((near, _prefactor(kappa, far) * _bessel_pair_hankel(kappa, far)), axis=1)
 
     lo, hi = _per_distinct(pair, az)
     return lo, hi
@@ -211,10 +280,14 @@ def _parts(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     big = ~small
     if big.any():
         az = np.abs(z[big])
-        pref = math.gamma(kappa + 0.5) * (az / 2.0) ** (0.5 - kappa)
-        lo, hi = (_bessel_pair_ladder if ladder else _bessel_pair_generic)(kappa, az)
-        even[big] = pref * lo
-        odd[big] = np.sign(z[big]) * pref * hi
+        if ladder:
+            pref = _prefactor(kappa, az)
+            lo, hi = _bessel_pair_ladder(kappa, az)
+            lo, hi = pref * lo, pref * hi
+        else:
+            lo, hi = _bessel_pair_generic(kappa, az)
+        even[big] = lo
+        odd[big] = np.sign(z[big]) * hi
     return even, odd
 
 
@@ -252,14 +325,13 @@ def _scaled_real_values(kappa: float, z: np.ndarray) -> np.ndarray:
     if small.any():
         even, odd = _series(kappa, z[small], alternating=False)
         out[small] = np.exp(-az[small]) * (even + odd)
-    pref = lambda a: math.gamma(kappa + 0.5) * (a / 2.0) ** (0.5 - kappa)
     if mid.any():
         a = az[mid]
-        out[mid] = pref(a) * (sps.ive(kappa - 0.5, a) + np.sign(z[mid]) * sps.ive(kappa + 0.5, a))
+        out[mid] = _prefactor(kappa, a) * (sps.ive(kappa - 0.5, a) + np.sign(z[mid]) * sps.ive(kappa + 0.5, a))
     if far.any():
         a = az[far]
         plus, minus = np.polynomial.polynomial.polyval(1.0 / a, _scaled_i_coeffs(kappa))
-        out[far] = pref(a) / np.sqrt(2.0 * np.pi * a) * np.where(z[far] > 0.0, plus, minus)
+        out[far] = _prefactor(kappa, a) / np.sqrt(2.0 * np.pi * a) * np.where(z[far] > 0.0, plus, minus)
     return out
 
 
@@ -312,13 +384,19 @@ def _point_pair(config: MultiplicityConfig, x, y) -> tuple[np.ndarray, np.ndarra
     return xa, ya
 
 
+def _kernel_pairs(config: MultiplicityConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """E_kappa(x, -iy) at each pair of rows x = xs[j], y = ys[j] of two
+    (n, d) arrays, one _phase_1d call per axis."""
+    out = np.ones(len(xs), dtype=complex)
+    for i, k in enumerate(config.kappa):
+        out *= _phase_1d(k, xs[:, i] * ys[:, i], -1)
+    return out
+
+
 def kernel_nd(config: MultiplicityConfig, x, y) -> complex:
     """Product kernel E_kappa(x, -iy) = prod_i E_{kappa_i}(x_i, -i y_i)."""
     xa, ya = _point_pair(config, x, y)
-    val = complex(1.0)
-    for i, k in enumerate(config.kappa):
-        val *= complex(_phase_1d(k, np.asarray(xa[i] * ya[i]), -1))
-    return val
+    return complex(_kernel_pairs(config, xa[None], ya[None])[0])
 
 
 def kernel_real_nd(config: MultiplicityConfig, x, y) -> float:

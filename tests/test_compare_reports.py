@@ -103,3 +103,26 @@ def test_rtol_zero_checks_bit_identity(script, tmp_path, capsys):
 def test_rejects_a_negative_rtol(script, tmp_path):
     with pytest.raises(SystemExit):
         script.main(["--rtol", "-1", str(tmp_path), str(tmp_path)])
+
+
+def test_atol_lets_rounding_level_changes_through(script, tmp_path, capsys):
+    # a residue of 1e-15 that moves by 1e-16 changes by 9 % relative: the
+    # default (atol 0) flags it, an atol above the difference does not
+    old = _write(tmp_path / "old", [IdentityReport.bound("r", 1e-15, 1e-12), BASE[2]])
+    new = _write(tmp_path / "new", [IdentityReport.bound("r", 1.1e-15, 1e-12), BASE[2]])
+    assert script.main([str(old), str(new)]) == 1
+    assert "changed   d1_kappa_0.5.json r computed" in capsys.readouterr().out
+    assert script.main(["--atol", "1.5e-16", str(old), str(new)]) == 0
+    assert "0 differences" in capsys.readouterr().out
+    assert script.main(["--atol", "0.5e-16", str(old), str(new)]) == 1
+    assert "changed   d1_kappa_0.5.json r computed" in capsys.readouterr().out
+    # atol is absolute: the same 1e-16 step on a value of 2 is still within rtol,
+    # and a step of 1e-3 on it is beyond both
+    far = _write(tmp_path / "far", [IdentityReport.bound("r", 1e-15, 1e-12), IdentityReport("c", 2.0, 2.001, 1e-9)])
+    assert script.main(["--atol", "1.5e-16", str(old), str(far)]) == 1
+    assert "changed   d1_kappa_0.5.json c computed" in capsys.readouterr().out
+
+
+def test_rejects_a_negative_atol(script, tmp_path):
+    with pytest.raises(SystemExit):
+        script.main(["--atol", "-1e-14", str(tmp_path), str(tmp_path)])

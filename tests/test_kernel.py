@@ -4,8 +4,9 @@ The rank-one kernel with the spectral sign convention splits into a real
 even part and an odd part built from Bessel functions; the frozen values
 below were produced with 40-digit arbitrary-precision arithmetic and pin
 every evaluation branch (power series, trigonometric ladder, and the
-generic-order branch in both its scipy and Hankel-expansion zones) and
-the real kernel's ive and large-argument expansion zones.
+generic-order branch in both its jv zone, tabulated in Chebyshev panels
+sampled from scipy's jv, and its Hankel-expansion zone) and the real
+kernel's ive and large-argument expansion zones.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special as sps
 
 from dunklpd import DomainError, make_config
 from dunklpd import kernel as kernel_module
@@ -42,8 +44,8 @@ _FROZEN = [
 
 # (kappa, z, value) on the generic-order branch (2*kappa not an integer, or
 # kappa above the ladder's limit of 8).  Per kappa: the series zone
-# (|z| <= 6), the scipy jv zone (6 < |z| < max(20, (kappa+1/2)^2)) and the
-# Hankel zone beyond it, up to |z| = 300.
+# (|z| <= 6), the jv zone (6 < |z| < max(20, (kappa+1/2)^2)), tabulated in
+# Chebyshev panels, and the Hankel zone beyond it, up to |z| = 300.
 _FROZEN_GENERIC = [
     (0.3, 2.5, complex(-0.24789885316949632435, -0.53673777452124051296)),
     (0.3, 5.75, complex(0.24905788706737524696, 0.39608352484748645423)),
@@ -78,6 +80,24 @@ _FROZEN_GENERIC = [
     (12.3, 163.5, complex(4.8776918635270414625e-16, -8.1177581903308213204e-17)),
     (12.3, 164.5, complex(2.1072793911895771082e-16, -4.1731269409639678164e-16)),
     (12.3, 300.0, complex(-7.2455056878857012975e-20, 2.7331996941417057489e-19)),
+]
+
+# (kappa, z, value) inside the jv zone, which is tabulated in Chebyshev panels
+# of width 2 from z = 6 on (kernel._jv_panel): mid-panel points (7, 11, 17)
+# and panel edges (8, 14, 18); 40-digit mpmath
+_FROZEN_PANELS = [
+    (0.3, 7.0, complex(0.43866017880068370861, -0.12193255195452350907)),
+    (0.3, 8.0, complex(0.14368620231930092096, -0.41449014683056167678)),
+    (0.3, 11.0, complex(-0.18051718037232577868, 0.35508877651096253196)),
+    (0.3, 14.0, complex(0.21159624015141445308, -0.30366946171306199561)),
+    (0.3, 17.0, complex(-0.23712086054614299563, 0.25567694398532109197)),
+    (0.3, 18.0, complex(0.082130069755800558175, 0.32838156149954429657)),
+    (3.25, 7.0, complex(-0.033150612620140155332, -0.011328900101421284809)),
+    (3.25, 8.0, complex(-0.027766556593315516005, 0.017094303555032759953)),
+    (3.25, 11.0, complex(0.0099303687752455715049, -0.002425856111284662257)),
+    (3.25, 14.0, complex(-0.0043532290752350469947, -0.00015923866543189867789)),
+    (3.25, 17.0, complex(0.0021499121414502007485, 0.00062930721307585473112)),
+    (3.25, 18.0, complex(0.0017131358748241733201, -0.0013067637389740171072)),
 ]
 
 # (z, value) of the real-argument kernel at kappa = 1.7 (the scipy iv path)
@@ -216,6 +236,42 @@ class TestGenericBranch:
             # one ulp apart, the two evaluators agree to the jv zone's accuracy
             below = kernel_1d(kappa, 1.0, np.nextafter(cutoff, 0.0))
             np.testing.assert_allclose(below, kernel_1d(kappa, 1.0, cutoff), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kappa,z,expected", _FROZEN_PANELS)
+    def test_pinned_panel_values_both_signs(self, kappa, z, expected):
+        np.testing.assert_allclose(kernel_1d(kappa, 1.0, z), expected, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(kernel_1d(kappa, 1.0, -z), np.conj(expected), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.7, 3.25, 8.5, 12.3])
+    def test_panels_match_scipy_jv(self, kappa):
+        # a dense sweep of the jv zone, every panel edge and both sides of
+        # z = 6 (the series cutoff) and of the Hankel start, against scipy's
+        # jv, relative to |E| = Gamma(k+1/2) (z/2)^(1/2-k) |(J_{k-1/2}, J_{k+1/2})|.
+        # Against 30-digit mpmath on this sweep jv itself is off by up to
+        # 7.3e-14 and the table by up to 5.0e-14 (near z = 14-15), so the two
+        # differ by up to 9.5e-14; _FROZEN_PANELS pins the table alone.
+        top = _hankel_cutoff(kappa)
+        marks = np.concatenate((np.arange(6.0, top, 2.0), [top]))
+        z = np.concatenate(
+            [np.linspace(6.0, top, 4001), marks, np.nextafter(marks, 0.0), np.nextafter(marks, np.inf)]
+        )
+        z = np.concatenate((z, -z))
+        pref = math.gamma(kappa + 0.5) * (np.abs(z) / 2.0) ** (0.5 - kappa)
+        even = pref * sps.jv(kappa - 0.5, np.abs(z))
+        odd = np.sign(z) * pref * sps.jv(kappa + 0.5, np.abs(z))
+        err = np.abs(_phase_1d(kappa, z, -1) - (even - 1j * odd)) / np.hypot(even, odd)
+        assert np.max(err) <= 2e-13
+
+    def test_panels_are_built_for_the_arguments_seen(self):
+        # at kappa 40 the jv zone is [6, 1640.25), 818 panels; arguments
+        # in [6, 10] touch the panels starting at 6, 8 and 10 only
+        kernel_module._jv_panel.cache_clear()
+        z = np.linspace(6.0, 10.0, 500)
+        first = _phase_1d(40.0, z, -1)
+        assert kernel_module._jv_panel.cache_info().currsize <= 3
+        np.testing.assert_array_equal(_phase_1d(40.0, z[::-1], -1), first[::-1])
+        assert kernel_module._jv_panel.cache_info().currsize <= 3
+        assert not kernel_module._jv_panel(40.0, 0).flags.writeable
 
     def test_repeated_arguments_match_scalar_evaluation(self, rng):
         # the Bessel pair is evaluated once per distinct |z|; the gathered
