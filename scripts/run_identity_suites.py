@@ -1,8 +1,9 @@
 """Sweep the identity suites over a batch of multiplicity configs.
 
-Prints one block per config with every report line, then a summary table.
-Exit status is nonzero if any identity fails, so this doubles as a slow
-regression gate:
+Prints one block per config with every report line, then a summary table
+with the number of AccuracyWarnings each config raised (every warning is
+still printed, to stderr, each time it is raised).  Exit status is nonzero
+if any identity fails, so this doubles as a slow regression gate:
 
     python3 scripts/run_identity_suites.py
     python3 scripts/run_identity_suites.py --suite translation --config 2:1,0
@@ -16,7 +17,9 @@ import argparse
 import os
 import sys
 import time
+import warnings
 
+from dunklpd import AccuracyWarning
 from dunklpd.cli import _config_dict
 from dunklpd.identities import run_suites
 from dunklpd.reports import reports_to_json
@@ -57,8 +60,13 @@ def main(argv=None) -> int:
         config = make_config(dim, kappa)
         print(f"== d={dim} kappa={kappa} suite={args.suite}")
         started = time.perf_counter()
-        reports = run_suites(config, None, which=args.suite)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = run_suites(config, None, which=args.suite)
         elapsed = time.perf_counter() - started
+        for w in caught:
+            sys.stderr.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+        raised = sum(issubclass(w.category, AccuracyWarning) for w in caught)
         for rep in reports:
             print("  " + rep.line())
         if args.json:
@@ -66,14 +74,14 @@ def main(argv=None) -> int:
             extra = {"config": _config_dict(config), "suite": args.suite}
             reports_to_json(reports, os.path.join(args.json, name), extra=extra)
         passed = sum(r.passed for r in reports)
-        rows.append((dim, kappa, passed, len(reports), elapsed))
+        rows.append((dim, kappa, passed, len(reports), raised, elapsed))
         all_ok = all_ok and passed == len(reports)
         print()
 
-    print(f"{'config':<24} {'passed':>8} {'seconds':>9}")
-    for dim, kappa, passed, total, elapsed in rows:
+    print(f"{'config':<24} {'passed':>8} {'warnings':>9} {'seconds':>9}")
+    for dim, kappa, passed, total, raised, elapsed in rows:
         tag = f"d={dim} kappa={kappa}"
-        print(f"{tag:<24} {passed:>4}/{total:<3} {elapsed:>9.1f}")
+        print(f"{tag:<24} {passed:>4}/{total:<3} {raised:>9} {elapsed:>9.1f}")
     return 0 if all_ok else 1
 
 

@@ -6,7 +6,10 @@ a whole family of points are built by _compare, which reports the worst
 pair; the sweep size goes into the notes.  Inequalities (bounds,
 nonnegativity, symmetry residues) are built by IdentityReport.bound from
 their excess.  round_trips defines the inversion round trips once, for
-suite_transform and scripts/round_trip_report.py alike.  Identities whose
+suite_transform and scripts/round_trip_report.py alike.  A composite (the
+round trips, the double transform, the product rule) is one _checked call
+over both legs' specs, the outer _transformer sampling the inner one, so it
+has one delta and warns at most once, by name.  Identities whose
 honest evaluation needs nested quadratures are gated to the dimensions
 where they complete in reasonable time; the gates are noted here, not
 silently applied.
@@ -21,6 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .functions import (
+    DensityProduct,
     bessel_k_profile,
     evaluate_handle,
     gaussian,
@@ -48,14 +52,15 @@ from .reports import IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
+    INVERSE,
     _axis_matrices,
+    _checked,
     _grid_contract,
     _resolve_spec,
+    _transformer,
     forward,
-    inverse,
     plancherel_duality,
     spectral_density,
-    tabulated_density,
     weighted_norm,
 )
 from .translation import _translate_at, convolve, convolve_direct, convolve_grid, translate, translate_mass
@@ -207,8 +212,8 @@ def round_trip_specs(config: MultiplicityConfig, kind: str) -> tuple[QuadratureS
     if kind not in ("generalized_cauchy", "bessel_k_profile"):
         base = _resolve_spec(config, None)
         if d == 3:
-            # the tabulated forward leg must resolve phases out to the far
-            # nodes of the inverse grid even at its coarse pass
+            # the forward leg must resolve phases out to the far nodes of
+            # the inverse grid even at its coarse pass
             return QuadratureSpec(base.radius, 128), base
         return base, base
     wide = _WIDE_RADIUS[d]
@@ -220,7 +225,7 @@ def round_trip_specs(config: MultiplicityConfig, kind: str) -> tuple[QuadratureS
 
 def round_trips(config: MultiplicityConfig):
     """Yield one inversion_round_trip_<kind> report per catalog member: the
-    transform tabulated on the forward leg of round_trip_specs, inverted on
+    transform on the forward leg of round_trip_specs, sampled and inverted on
     its inverse leg, against the function at 9 diagonal probes."""
     p = cauchy_exponent(config)
     probes = _diag_points(config, np.linspace(-1.2, 1.2, 9))
@@ -230,15 +235,11 @@ def round_trips(config: MultiplicityConfig):
         # grows too fast past two axes
         catalog += [generalized_cauchy(p), bessel_k_profile(p)]
     for f in catalog:
-        fwd_spec, inv_spec = round_trip_specs(config, f.kind)
-        back = inverse(config, inv_spec, tabulated_density(config, fwd_spec, f), probes)
-        yield _compare(
-            f"inversion_round_trip_{f.kind}",
-            evaluate_handle(config, f, probes),
-            back,
-            1e-6,
-            notes=f"9 probe points, worst case; parameter {f.param}",
-        )
+        name = f"inversion_round_trip_{f.kind}"
+        run = lambda fsp, isp: _transformer(config, isp, _transformer(config, fsp, f, FORWARD), INVERSE)(probes)
+        back = _checked(name, run, *round_trip_specs(config, f.kind))
+        notes = f"9 probe points, worst case; parameter {f.param}"
+        yield _compare(name, evaluate_handle(config, f, probes), back, 1e-6, notes=notes)
 
 
 def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -> list:
@@ -285,17 +286,11 @@ def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = No
     odd = lambda pts: pts[:, 0] * np.exp(-np.sum(pts**2, axis=1))
     x0 = _diag(config, 0.4)
     fwd_leg, _ = round_trip_specs(config, "gaussian")
-    twice = forward(config, spec, tabulated_density(config, fwd_leg, odd), x0)
+    run = lambda fsp, sp: _transformer(config, sp, _transformer(config, fsp, odd, FORWARD), FORWARD)(x0)
+    twice = complex(_checked("transform_double_is_parity", run, fwd_leg, spec)[0])
     val = complex(odd(-x0[None, :])[0])
-    reports.append(
-        IdentityReport(
-            "transform_double_is_parity",
-            val,
-            twice,
-            1e-6,
-            notes="odd integrand, two forward passes equal the sign flip",
-        )
-    )
+    notes = "odd integrand, two forward passes equal the sign flip"
+    reports.append(IdentityReport("transform_double_is_parity", val, twice, 1e-6, notes=notes))
 
     far = _diag_points(config, [0.0, 1.0, 3.0])
     sup = np.max(np.abs(forward(config, spec, gaussian(1.0), far)))
@@ -414,11 +409,12 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
 
     if d == 1:
         f, g = gaussian(1.0), gaussian(2.0)
-        conv_call = lambda pts: convolve(config, spec, f, g, pts)
         df = spectral_density(config, spec, f)
         dg = spectral_density(config, spec, g)
         xi = _diag_points(config, [0.0, 1.1])
-        lhs = forward(config, spec, conv_call, xi)
+        conv = lambda csp: _transformer(config, csp, DensityProduct((df, dg)), INVERSE)
+        run = lambda csp, sp: _transformer(config, sp, conv(csp), FORWARD)(xi)
+        lhs = _checked("convolution_product_rule", run, spec, spec)
         rhs = df(xi) * dg(xi)
         notes = "transform of the convolution vs product of transforms"
         reports.append(_compare("convolution_product_rule", rhs, lhs, 1e-6, notes=notes))

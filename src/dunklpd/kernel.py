@@ -97,15 +97,22 @@ def _check_kappa(kappa: float) -> float:
     return k
 
 
+def _gamma(x: float) -> float:
+    try:
+        return math.gamma(x)
+    except OverflowError:  # from kappa = 142 in the series, from 171.1 in the Bessel prefactor
+        raise DomainError(f"multiplicity too large: Gamma({x}) overflows") from None
+
+
 @lru_cache(maxsize=128)
 def _series_coeffs(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    g = math.gamma(kappa + 0.5)
+    g = _gamma(kappa + 0.5)
     even = np.empty(_SERIES_TERMS)
     odd = np.empty(_SERIES_TERMS)
     for m in range(_SERIES_TERMS):
         fact = math.factorial(m)
-        even[m] = g / (fact * math.gamma(m + kappa + 0.5))
-        odd[m] = g / (fact * math.gamma(m + kappa + 1.5))
+        even[m] = g / (fact * _gamma(m + kappa + 0.5))
+        odd[m] = g / (fact * _gamma(m + kappa + 1.5))
     return even, odd
 
 
@@ -185,7 +192,7 @@ def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
 def _prefactor(kappa: float, a: np.ndarray) -> np.ndarray:
     """Gamma(k+1/2) (a/2)^(1/2-k), which turns J_{k-+1/2}(a) into the
     kernel's even and odd parts and ive_{k-+1/2}(a) into its scaled form."""
-    return math.gamma(kappa + 0.5) * (a / 2.0) ** (0.5 - kappa)
+    return _gamma(kappa + 0.5) * (a / 2.0) ** (0.5 - kappa)
 
 
 def _jv_top(kappa: float) -> float:

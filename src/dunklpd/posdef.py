@@ -244,6 +244,8 @@ def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1,
 
     product = DensityProduct((CatalogDensity(config, phi1), CatalogDensity(config, phi2)))
     fwd = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 64))
+    # nested on purpose: the Gram delta sets the PSD tolerance (delta * n), and a
+    # joint delta of both legs would widen it (8.9e-9 -> 1.6e-4 at d=3)
     prod_density = tabulated_density(config, fwd, product)
     prod = _gram_from_density(config, spec, prod_density, pts.points)
     reports.append(prod.psd_report("product_closure_gram_psd", "5 builtin points"))

@@ -9,8 +9,9 @@ in the rule itself.
 
 two_pass is the one place that runs a computation at n and at 2n nodes per
 axis; it returns the 2n result and the largest entrywise difference as the
-resolution error estimate.  Operators (transform, translation, convolution,
-heat-smoothed form) run it through transform._checked, which turns that
+resolution error estimate; given one spec per grid, it doubles them all.
+Operators (transform, translation, convolution, heat-smoothed form) and the
+suites' composites run it through transform._checked, which turns that
 delta into an AccuracyWarning; identity reports carry it in their notes.
 weighted_norm, numeric_density and two suite checks integrate on the doubled
 grid only.  Sums are taken by numpy pairwise summation over a fixed node

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,8 +72,13 @@ def make_config(dimension: int, kappa: Sequence[float]) -> MultiplicityConfig:
     gamma = float(sum(kap))
     lam = gamma + (dimension - 2) / 2.0
     mehta = 1.0
-    for k in kap:
-        mehta /= 2.0 ** (k + 0.5) * math.gamma(k + 0.5)
+    try:
+        for k in kap:
+            mehta /= 2.0 ** (k + 0.5) * math.gamma(k + 0.5)
+    except OverflowError:
+        mehta = 0.0
+    if not mehta >= sys.float_info.min:  # from kappa 151 it is 0 and would zero every transform
+        raise ConfigurationError(f"multiplicities {kap} too large: the normalization constant {mehta!r} underflows")
     return MultiplicityConfig(dimension, kap, gamma, lam, mehta)
 
 

@@ -8,9 +8,10 @@ transform when every multiplicity vanishes, and maps the catalog pairs onto
 each other exactly.
 
 Every operator integral runs through _checked, which calls
-quadrature.two_pass at the requested resolution and at doubled nodes,
-returns the doubled value and raises an AccuracyWarning when the difference
-exceeds 1e-6 relative to the result scale.
+quadrature.two_pass at the requested resolution and at doubled nodes (every
+leg of a composite at once), returns the doubled value and raises an
+AccuracyWarning when the difference exceeds 1e-6 relative to the result
+scale.  The checked operators at points share one body, _pointwise.
 
 Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
 phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
@@ -19,11 +20,11 @@ exactly about 0 (every Gauss-Legendre axis with an even node count, every
 uniform_axes axis) only the nonnegative half is evaluated and the rest is
 its reversed conjugate.
 _blocked_scatter sums over output points: on the nodes of a tensor grid
-axis by axis (_grid_contract, as forward_grid on its output axes), else
-point by point (_scatter_contract).
-_transformer (forward, inverse, convolve, numeric_density, and through
-forward tabulated_density) takes its unshifted row, translation._translate_at
-its shifted rows: every translate and Gram matrix.
+axis by axis (_grid_contract; forward_grid passes the nodes of its output
+axes), else point by point (_scatter_contract).
+_transformer (every transform, convolve and the suites' composites) takes
+its unshifted row, translation._translate_at its shifted rows: every
+translate and Gram matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .functions import (
     _query_points,
     evaluate_handle,
     tensor_axes,
+    tensor_points,
     uniform_axes,
 )
 from .kernel import _phase_1d
@@ -151,15 +153,15 @@ def _transformer(config, spec, f, sign) -> Callable:
     )[0]
 
 
-# operators call each other (convolve_grid -> forward_grid) and read checked
-# densities (tabulated_density, through Grid.sample), so _checked's warning
-# skips those frames and lands on the first caller outside
+# operators call each other (convolve_grid -> forward_grid) and may read
+# checked densities (tabulated_density, through Grid.sample), so _checked's
+# warning skips those frames and lands on the first caller outside
 _OPERATOR_MODULES = {f"{__package__}.{m}" for m in ("transform", "translation", "posdef", "quadrature", "functions")}
 
 
-def _checked(what: str, run: Callable, spec: QuadratureSpec):
-    """two_pass(run, spec)'s fine result; warns when the n/2n check moved it too far."""
-    fine, delta = two_pass(run, spec)
+def _checked(what: str, run: Callable, *specs: QuadratureSpec):
+    """two_pass(run, *specs)'s fine result; warns when the n/2n check moved it too far."""
+    fine, delta = two_pass(run, *specs)
     values = np.asarray(fine)
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
     if delta > _WARN_FLOOR * scale:
@@ -175,29 +177,26 @@ def _checked(what: str, run: Callable, spec: QuadratureSpec):
     return fine
 
 
+def _pointwise(what: str, config: MultiplicityConfig, quad: QuadratureSpec | None, x, run):
+    """run(spec, pts) checked n/2n at one point (a complex) or an (N, d) batch (an array)."""
+    pts, squeeze = _query_points(config, x)
+    vals = _checked(what, lambda sp: run(sp, pts), _resolve_spec(config, quad))
+    return complex(vals[0]) if squeeze else vals
+
+
 def forward(config: MultiplicityConfig, quad: QuadratureSpec | None, f, xi):
     """Transform of f at one point or an (N, d) batch of points."""
-    pts, squeeze = _query_points(config, xi)
-    run = lambda sp: _transformer(config, sp, f, FORWARD)(pts)
-    vals = _checked("forward transform", run, _resolve_spec(config, quad))
-    return complex(vals[0]) if squeeze else vals
+    run = lambda sp, pts: _transformer(config, sp, f, FORWARD)(pts)
+    return _pointwise("forward transform", config, quad, xi, run)
 
 
 def inverse(config: MultiplicityConfig, quad: QuadratureSpec | None, g, x):
     """Inverse transform, the conjugate-kernel integral."""
-    pts, squeeze = _query_points(config, x)
-    run = lambda sp: _transformer(config, sp, g, INVERSE)(pts)
-    vals = _checked("inverse transform", run, _resolve_spec(config, quad))
-    return complex(vals[0]) if squeeze else vals
+    run = lambda sp, pts: _transformer(config, sp, g, INVERSE)(pts)
+    return _pointwise("inverse transform", config, quad, x, run)
 
 
-def forward_grid(
-    config: MultiplicityConfig,
-    quad: QuadratureSpec | None,
-    f,
-    out_axes=None,
-    sign: int = FORWARD,
-) -> SampledFunction:
+def forward_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, out_axes=None, sign: int = FORWARD):
     """Transform sampled on a whole output grid, returned as a handle.
 
     The result carries a spectral hint: transforming it again must give back
@@ -208,16 +207,11 @@ def forward_grid(
     if out_axes is None:
         out_axes = uniform_axes(config.dimension, spec.radius, min(2 * spec.nodes_per_axis, 257))
     out_axes = tuple(np.asarray(a, dtype=float) for a in out_axes)
-
-    def run(sp):
-        grid = Grid(config, sp)
-        mats = _axis_matrices(config, out_axes, grid.axes, sign)
-        return config.mehta * _grid_contract(mats, grid.weighted(f))
-
-    fine = _checked("grid transform", run, spec)
+    nodes = tensor_points(out_axes)
+    fine = _checked("grid transform", lambda sp: _transformer(config, sp, f, sign)(nodes), spec)
     flip = -1.0 if sign == FORWARD else 1.0
     hint = lambda pts: evaluate_handle(config, f, flip * np.asarray(pts, dtype=float))
-    return SampledFunction(out_axes, fine, spectral_hint=hint)
+    return SampledFunction(out_axes, fine.reshape(tuple(len(a) for a in out_axes)), spectral_hint=hint)
 
 
 def catalog_partner(f: CatalogFunction) -> CatalogFunction:
@@ -238,10 +232,7 @@ def closed_form_transform(config: MultiplicityConfig, f: CatalogFunction) -> Cat
         raise NotInCatalogError(
             "bessel_k_profile is the image side of the catalog; recover its source via inverse"
         )
-    f.validate_for(config)
-    partner = catalog_partner(f)
-    partner.validate_for(config)
-    return partner
+    return spectral_density(config, None, f).handle
 
 
 def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
@@ -277,7 +268,9 @@ def numeric_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) 
 def tabulated_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
     """Transform of f as a callable: each query is forward at quad, checked n/2n
     (numeric_density is not) and, on tensor-grid nodes such as an integration
-    grid, contracted axis by axis."""
+    grid, contracted axis by axis.  Read by a checked operator it doubles twice;
+    the suites' composites are one _checked call, tested against this route.
+    Kept for closure_suite and for perfbench/tracer.py, which wraps it by name."""
     return lambda pts: forward(config, quad, f, pts)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import CatalogFunction, DensityProduct, SampledFunction, _query_points
+from .functions import CatalogFunction, DensityProduct, SampledFunction
 from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
@@ -31,7 +31,7 @@ from .transform import (
     INVERSE,
     _axis_matrices,
     _blocked_scatter,
-    _checked,
+    _pointwise,
     _resolve_spec,
     _scatter_contract,
     _transformer,
@@ -59,15 +59,13 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     """Translate of f by y, evaluated at one point or an (N, d) batch."""
     spec = _resolve_spec(config, quad)
     yv = _point(config, y)
-    pts, squeeze = _query_points(config, x)
     density = spectral_density(config, spec, f)
 
-    def run(sp):
+    def run(sp, pts):
         grid = Grid(config, sp)
         return _translate_at(config, grid, grid.weighted(density), yv[None], pts)[0]
 
-    fine = _checked("translation", run, spec)
-    return complex(fine[0]) if squeeze else fine
+    return _pointwise("translation", config, spec, x, run)
 
 
 def _require_radial_nonnegative(config, f) -> None:
@@ -127,12 +125,9 @@ def translate_mass(
 def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     """Spectral convolution (f * g)(x): inverse transform of the product."""
     spec = _resolve_spec(config, quad)
-    pts, squeeze = _query_points(config, x)
-    df = spectral_density(config, spec, f)
-    dg = spectral_density(config, spec, g)
-    run = lambda sp: _transformer(config, sp, DensityProduct((df, dg)), INVERSE)(pts)
-    fine = _checked("convolution", run, spec)
-    return complex(fine[0]) if squeeze else fine
+    product = DensityProduct((spectral_density(config, spec, f), spectral_density(config, spec, g)))
+    run = lambda sp, pts: _transformer(config, sp, product, INVERSE)(pts)
+    return _pointwise("convolution", config, spec, x, run)
 
 
 def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
@@ -142,10 +137,9 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
     consistency checks, one nested quadrature slower than the spectral form.
     """
     spec = _resolve_spec(config, quad)
-    pts, squeeze = _query_points(config, x)
     dg = spectral_density(config, spec, g)
 
-    def run(sp):
+    def run(sp, pts):
         grid = Grid(config, sp)
         gp = grid.points()
         fvals = grid.sample(f)
@@ -156,8 +150,7 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
             out[m] = config.mehta * grid.integrate(fvals * shifted)
         return out
 
-    fine = _checked("direct convolution", run, spec)
-    return complex(fine[0]) if squeeze else fine
+    return _pointwise("direct convolution", config, spec, x, run)
 
 
 def convolve_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g) -> SampledFunction:
@@ -168,6 +161,5 @@ def convolve_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g)
     product, the exact transform of f * g.
     """
     spec = _resolve_spec(config, quad)
-    df = spectral_density(config, spec, f)
-    dg = spectral_density(config, spec, g)
-    return forward_grid(config, spec, DensityProduct((df, dg)), Grid(config, spec).axes, sign=INVERSE)
+    product = DensityProduct((spectral_density(config, spec, f), spectral_density(config, spec, g)))
+    return forward_grid(config, spec, product, Grid(config, spec).axes, sign=INVERSE)

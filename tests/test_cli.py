@@ -188,6 +188,23 @@ class TestVerifyCommand:
         assert [p.name for p in out_dir.iterdir()] == ["d1_kappa_0.5.json"]
         assert (out_dir / "d1_kappa_0.5.json").read_bytes() == report.read_bytes()
 
+    @pytest.mark.parametrize("suite, config, underresolved", [("heat", "1:0.3", True), ("kernel", "1:0.5", False)])
+    def test_suite_script_counts_accuracy_warnings(self, suite, config, underresolved, capsys):
+        # the summary row carries the AccuracyWarnings the config raised; at
+        # kappa=0.3 the heat suite's checks are underresolved, the kernel
+        # suite at kappa=1/2 raises none
+        path = REPO_ROOT / "scripts" / "run_identity_suites.py"
+        spec = importlib.util.spec_from_file_location("run_identity_suites", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.main(["--suite", suite, "--config", config])
+        out, err = capsys.readouterr()
+        header, row = out.splitlines()[-2:]
+        assert header.split() == ["config", "passed", "warnings", "seconds"]
+        count = int(row.split()[-2])
+        assert (count >= 1) == underresolved
+        assert err.count("AccuracyWarning") == count
+
     def test_round_trip_script_table(self, capsys):
         # scripts/round_trip_report.py prints one row per inversion round trip
         path = REPO_ROOT / "scripts" / "round_trip_report.py"

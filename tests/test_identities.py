@@ -1,13 +1,19 @@
 """Identity suites as a whole: selection, coverage, and a full green run."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from dunklpd import InputError, identities, make_config, posdef, run_suites
+from dunklpd import AccuracyWarning, InputError, identities, make_config, posdef, run_suites, transform
+from dunklpd.functions import bessel_k_profile, gaussian, gaussian_density, generalized_cauchy
 from dunklpd.identities import (
     _compare,
+    _diag_points,
     _indefinite_profile,
     cauchy_exponent,
+    round_trip_specs,
+    round_trips,
     suite_heat,
     suite_kernel,
     suite_posdef,
@@ -15,6 +21,7 @@ from dunklpd.identities import (
     suite_translation,
 )
 from dunklpd.reports import IdentityReport
+from dunklpd.transform import inverse, tabulated_density
 
 
 # Every report of d=1, kappa=0.3, the generic Bessel branch run end to end.
@@ -157,6 +164,52 @@ def test_posdef_suite_builds_each_gram_matrix_it_reads_once(cfg_half, monkeypatc
     strict = [("dunklpd.posdef", kind, n) for kind in ("gaussian", "generalized_cauchy") for n in (3, 5, 8)]
     assert len(calls) == 14
     assert sorted(calls) == sorted(suite + strict)
+
+
+def test_round_trips_run_one_two_pass_each(cfg_half, monkeypatch):
+    # both legs double together: one n/2n pair per round trip, not one for the
+    # inverse leg plus one per forward leg it samples (3 each)
+    runs = []
+    real = transform.two_pass
+    monkeypatch.setattr(transform, "two_pass", lambda run, *specs: runs.append(specs) or real(run, *specs))
+    kinds = [r.identity_name.removeprefix("inversion_round_trip_") for r in round_trips(cfg_half)]
+    assert len(kinds) == 4
+    assert runs == [round_trip_specs(cfg_half, kind) for kind in kinds]
+
+
+def test_round_trips_warn_once_each_naming_the_round_trip():
+    # at kappa=0.3 every round trip is underresolved (a known defect of the
+    # Gauss-Legendre panels at fractional 2 kappa); each warns once, under its
+    # own name, from the suite code that runs it
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        names = [r.identity_name for r in round_trips(make_config(1, [0.3]))]
+    assert len(names) == 4
+    assert [w.category for w in record] == [AccuracyWarning] * 4
+    assert [str(w.message).split(":")[0] for w in record] == names
+    assert {w.filename for w in record} == {identities.__file__}
+
+
+@pytest.mark.parametrize("dim, kappa", [(1, [0.5]), (2, [1.0, 0.0])])
+def test_round_trips_match_the_tabulated_density_route(dim, kappa, monkeypatch):
+    # the composite's fine pass is inverse at the doubled inverse leg of forward
+    # at the doubled forward leg, the value the nested public route returns
+    config = make_config(dim, kappa)
+    computed = {}
+    real = identities._compare
+
+    def spy(name, expected, got, *args, **kwargs):
+        computed[name] = got
+        return real(name, expected, got, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "_compare", spy)
+    list(round_trips(config))
+    p = cauchy_exponent(config)
+    probes = _diag_points(config, np.linspace(-1.2, 1.2, 9))
+    for f in (gaussian(1.0), gaussian_density(1.0), generalized_cauchy(p), bessel_k_profile(p)):
+        fwd_spec, inv_spec = round_trip_specs(config, f.kind)
+        want = inverse(config, inv_spec, tabulated_density(config, fwd_spec, f), probes)
+        assert np.array_equal(computed[f"inversion_round_trip_{f.kind}"], want), f.kind
 
 
 def test_reports_are_well_formed(cfg_half):

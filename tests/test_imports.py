@@ -293,3 +293,23 @@ def test_tracer_entry_points_resolve():
             if not found:
                 missing.append(f"dunklpd.{layer}.{name}")
     assert missing == []
+
+
+# every checked operator at a batch of points is one _pointwise call (point
+# check, n/2n check, scalar or batch return); grids are contracted axis by axis
+# only inside _blocked_scatter, and by suite_posdef for its coefficient tensor;
+# the identity suites check composites in one pass, never through the
+# twice-checked tabulated_density
+def test_checked_pointwise_operators_share_one_body():
+    assert _package_users("_pointwise") == {
+        "transform.forward",
+        "transform.inverse",
+        "translation.translate",
+        "translation.convolve",
+        "translation.convolve_direct",
+    }
+
+
+def test_grid_contraction_has_fixed_callers():
+    assert _package_users("_grid_contract") == {"transform._blocked_scatter", "identities.suite_posdef"}
+    assert _package_users("tabulated_density") == {"posdef.closure_suite"}

@@ -387,6 +387,17 @@ class TestStructure:
         with pytest.raises(DomainError):
             kernel_1d(-0.5, 1.0, 1.0)
 
+    def test_too_large_multiplicity_raises_domain_error(self):
+        # the series' Gamma(m + kappa + 3/2) overflows at m = 29 from kappa = 142
+        # on, the Bessel prefactor's Gamma(kappa + 1/2) from kappa = 171.1
+        assert abs(kernel_1d(141.0, 1.0, 1.0)) <= 1.0
+        assert math.isfinite(kernel_real_1d(141.0, 1.0, 1.0))
+        for fn in (kernel_1d, kernel_real_1d):
+            with pytest.raises(DomainError, match="too large"):
+                fn(142.0, 1.0, 1.0)
+            with pytest.raises(DomainError, match="too large"):
+                fn(172.0, 1.0, 100.0)
+
 
 class TestProductStructure:
     def test_nd_kernel_factors_over_axes(self, rng):

@@ -75,6 +75,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_config(4, [0.0] * 4)
 
+    def test_rejects_multiplicities_whose_constant_underflows(self):
+        # the constant is 1.06e-307 at kappa 150; from 151 it underflows to 0,
+        # which would zero every transform and Gram matrix, and Gamma overflows
+        # from 172
+        assert make_config(1, [150.0]).mehta > 0.0
+        for dim, kappa in ((1, [151.0]), (1, [172.0]), (1, [1e4]), (3, [80.0, 80.0, 80.0])):
+            with pytest.raises(ConfigurationError, match="too large"):
+                make_config(dim, kappa)
+
     def test_rejects_non_numeric_kappa(self):
         with pytest.raises(ConfigurationError):
             make_config(1, ["x"])
