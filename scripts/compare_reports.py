@@ -8,7 +8,8 @@ Both directories are written by `scripts/run_identity_suites.py --json DIR`
     python3 scripts/compare_reports.py --rtol 1e-12 --atol 1e-14 OLD_DIR NEW_DIR
 
 Lists added and missing reports, pass flips, and changes in expected,
-computed or tolerance; any of these makes the exit status 1.  Two values
+computed or tolerance; any of these makes the exit status 1, and so does
+finding no report to match at all (empty or mistaken directories).  Two values
 agree when they differ by at most --atol (default 0) or by at most --rtol
 relative to the larger magnitude (default RTOL): residues and tolerances
 near rounding level change by large relative amounts when a computation is
@@ -102,11 +103,9 @@ def main(argv=None) -> int:
     failures, notes = compare(old, new, args.rtol, args.atol)
     for line in failures + notes:
         print(line)
-    print(
-        f"{len(old.keys() & new.keys())} reports matched, {len(failures)} differences, "
-        f"{len(notes)} notes-only changes"
-    )
-    return 1 if failures else 0
+    matched = len(old.keys() & new.keys())
+    print(f"{matched} reports matched, {len(failures)} differences, {len(notes)} notes-only changes")
+    return 1 if failures or not matched else 0
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            reports = run_suites(config, None, which=args.suite)
+            reports = run_suites(config, which=args.suite)
         elapsed = time.perf_counter() - started
         for w in caught:
             sys.stderr.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))

@@ -30,6 +30,7 @@ from .functions import (
 )
 from .identities import _indefinite_profile, run_suites
 from .posdef import PointSet, bochner_certify, builtin_points, gram, strict_pd_certify
+from .quadrature import _RESOLUTION
 from .reports import reports_to_json
 from .root_system import MultiplicityConfig
 from .transform import FORWARD, INVERSE, forward_grid
@@ -38,8 +39,6 @@ _USAGE_ERRORS = (ConfigurationError, DomainError, InputError, NotInCatalogError,
 
 # --function accepts each catalog kind by name (CATALOG_PARAM) or by one of these aliases
 _CATALOG_ALIASES = {"cauchy": GENERALIZED_CAUCHY, "bessel_k": BESSEL_K_PROFILE}
-
-_OUTPUT_GRID = {1: (8.0, 161), 2: (6.0, 41), 3: (4.0, 17)}
 
 
 def _load_config(path: str) -> MultiplicityConfig:
@@ -111,7 +110,7 @@ def _parse_grid(text: str) -> tuple[float, int]:
 def cmd_transform(args) -> int:
     config = _load_config(args.config)
     fn = _parse_function(config, args.function)
-    radius, count = _parse_grid(args.grid) if args.grid else _OUTPUT_GRID[config.dimension]
+    radius, count = _parse_grid(args.grid) if args.grid else _RESOLUTION["output_mesh"][config.dimension]
     axes = uniform_axes(config.dimension, radius, count)
     sign = INVERSE if args.inverse else FORWARD
     with warnings.catch_warnings(record=True) as caught:
@@ -169,7 +168,7 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    reports = run_suites(config, None, which=args.suite)
+    reports = run_suites(config, which=args.suite)
     for rep in reports:
         print(rep.line())
     extra = {"config": _config_dict(config), "suite": args.suite}

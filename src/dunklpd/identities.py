@@ -12,7 +12,8 @@ over both legs' specs, the outer _transformer sampling the inner one, so it
 has one delta and warns at most once, by name.  Identities whose
 honest evaluation needs nested quadratures are gated to the dimensions
 where they complete in reasonable time; the gates are noted here, not
-silently applied.
+silently applied.  Every suite runs on default_spec(d) and the boxes of
+quadrature._RESOLUTION; none takes a quadrature argument.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .posdef import (
     quadratic_form_heat,
     strict_pd_certify,
 )
-from .quadrature import Grid, QuadratureSpec
+from .quadrature import _RESOLUTION, Grid, QuadratureSpec, default_spec
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
@@ -56,7 +57,6 @@ from .transform import (
     _axis_matrices,
     _checked,
     _grid_contract,
-    _resolve_spec,
     _transformer,
     forward,
     plancherel_duality,
@@ -104,8 +104,8 @@ def _is_classical(config: MultiplicityConfig) -> bool:
 # ---------------------------------------------------------------- kernel
 
 
-def suite_kernel(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -> list:
-    spec = _resolve_spec(config, quad)
+def suite_kernel(config: MultiplicityConfig) -> list:
+    spec = default_spec(config.dimension)
     d = config.dimension
     reports = []
     rng = np.random.default_rng(7)
@@ -194,33 +194,12 @@ def suite_kernel(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
 
 # ------------------------------------------------------------- transform
 
-_WIDE_RADIUS = {1: 40.0, 2: 33.0, 3: 20.0}
-_SLOW_RADIUS = {1: 16.0, 2: 16.0, 3: 10.0}
-_OSC_NODES = {1: 384, 2: 320, 3: 96}
-_INV_NODES = {1: 256, 2: 128, 3: 48}
-
-
 def round_trip_specs(config: MultiplicityConfig, kind: str) -> tuple[QuadratureSpec, QuadratureSpec]:
-    """Quadrature pairing (forward leg, inverse leg) for inversion checks.
-
-    Gaussian-type profiles keep the default box on both legs.  The Cauchy
-    and Bessel-K pair is harder: one side of the trip decays polynomially
-    and needs a rule fine enough to resolve phases up to the other side's
-    wide exponential-tail box, and the two sides swap between the pair.
-    """
-    d = config.dimension
-    if kind not in ("generalized_cauchy", "bessel_k_profile"):
-        base = _resolve_spec(config, None)
-        if d == 3:
-            # the forward leg must resolve phases out to the far nodes of
-            # the inverse grid even at its coarse pass
-            return QuadratureSpec(base.radius, 128), base
-        return base, base
-    wide = _WIDE_RADIUS[d]
-    slow = _SLOW_RADIUS[d]
-    if kind == "generalized_cauchy":
-        return QuadratureSpec(slow, _OSC_NODES[d]), QuadratureSpec(wide, _INV_NODES[d])
-    return QuadratureSpec(wide, _OSC_NODES[d]), QuadratureSpec(slow, _INV_NODES[d])
+    """Quadrature pairing (forward leg, inverse leg) for inversion checks,
+    from quadrature._RESOLUTION, which says why each pair is chosen."""
+    use = f"round_trip_{kind}" if kind in ("generalized_cauchy", "bessel_k_profile") else "round_trip"
+    fwd, inv = _RESOLUTION[use][config.dimension]
+    return QuadratureSpec(*fwd), QuadratureSpec(*inv)
 
 
 def round_trips(config: MultiplicityConfig):
@@ -242,8 +221,8 @@ def round_trips(config: MultiplicityConfig):
         yield _compare(name, evaluate_handle(config, f, probes), back, 1e-6, notes=notes)
 
 
-def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -> list:
-    spec = _resolve_spec(config, quad)
+def suite_transform(config: MultiplicityConfig) -> list:
+    spec = default_spec(config.dimension)
     p = cauchy_exponent(config)
     probes = _diag_points(config, np.linspace(-1.2, 1.2, 9))
     reports = list(round_trips(config))
@@ -321,8 +300,8 @@ def suite_transform(config: MultiplicityConfig, quad: QuadratureSpec | None = No
 # ----------------------------------------------------------- translation
 
 
-def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -> list:
-    spec = _resolve_spec(config, quad)
+def suite_translation(config: MultiplicityConfig) -> list:
+    spec = default_spec(config.dimension)
     d = config.dimension
     p = cauchy_exponent(config)
     reports = []
@@ -354,8 +333,7 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
         f, g = gaussian(1.0), gaussian_density(2.0)
         grid = Grid(config, spec)
         gp = grid.points()
-        # far outer nodes set up phases the spectral side must resolve
-        tspec = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 128 if d == 2 else 0))
+        tspec = QuadratureSpec(*_RESOLUTION["exchange_pairing"][d])
         lhs_vals = translate(config, tspec, f, y, gp) * evaluate_handle(config, g, gp)
         rhs_vals = evaluate_handle(config, f, gp) * translate(config, tspec, g, -y, gp)
         lhs = complex(grid.integrate(lhs_vals.reshape(grid.shape)))
@@ -379,10 +357,7 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
 
     reports.append(translate_mass(config, spec, gaussian_density(1.0), _diag(config, 0.8)))
     if d <= 2:
-        # the translated profile keeps its exponential tail, so the position
-        # box must be much wider than the spectral one
-        wide = QuadratureSpec(30.0 if d == 1 else 28.0, spec.nodes_per_axis)
-        osc = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 384 if d == 1 else 256))
+        osc, wide = (QuadratureSpec(*box) for box in _RESOLUTION["matern_translate_mass"][d])
         mat = translate_mass(
             config,
             osc,
@@ -441,18 +416,13 @@ def suite_translation(config: MultiplicityConfig, quad: QuadratureSpec | None = 
 
 def _indefinite_profile(config: MultiplicityConfig):
     """Sampled sin-modulated Gaussian, the certification falsifier."""
-    if config.dimension == 1:
-        axes = uniform_axes(1, 8.0, 1601)
-    elif config.dimension == 2:
-        axes = uniform_axes(2, 6.0, 181)
-    else:
-        axes = uniform_axes(3, 5.0, 61)
+    axes = uniform_axes(config.dimension, *_RESOLUTION["indefinite_mesh"][config.dimension])
     fn = lambda pts: np.sin(np.sum(pts * pts, axis=-1)) * np.exp(-np.sum(pts * pts, axis=-1))
     return sample_on_axes(config, fn, axes)
 
 
-def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -> list:
-    spec = _resolve_spec(config, quad)
+def suite_posdef(config: MultiplicityConfig) -> list:
+    spec = default_spec(config.dimension)
     d = config.dimension
     p = cauchy_exponent(config)
     reports = []
@@ -528,10 +498,7 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
         )
     )
 
-    bessel_spec = QuadratureSpec(
-        radius=max(spec.radius, 24.0 if d > 2 else 30.0),
-        nodes_per_axis=max(spec.nodes_per_axis, {1: 256, 2: 128}.get(d, 96)),
-    )
+    bessel_spec = QuadratureSpec(*_RESOLUTION["bessel_mass"][d])
     reports.append(bessel_integral_identity(config, bessel_spec, config.gamma + d / 2.0 + 2.0))
 
     xs = builtin_points(d, 3).points
@@ -557,8 +524,8 @@ def suite_posdef(config: MultiplicityConfig, quad: QuadratureSpec | None = None)
 # ------------------------------------------------------------------ heat
 
 
-def suite_heat(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -> list:
-    spec = _resolve_spec(config, quad)
+def suite_heat(config: MultiplicityConfig) -> list:
+    spec = default_spec(config.dimension)
     d = config.dimension
     reports = []
 
@@ -615,7 +582,7 @@ def suite_heat(config: MultiplicityConfig, quad: QuadratureSpec | None = None) -
 # ------------------------------------------------------------- dispatch
 
 
-def run_suites(config: MultiplicityConfig, quad: QuadratureSpec | None = None, which: str = "all") -> list:
+def run_suites(config: MultiplicityConfig, which: str = "all") -> list:
     table = {
         "kernel": suite_kernel,
         "transform": suite_transform,
@@ -626,8 +593,8 @@ def run_suites(config: MultiplicityConfig, quad: QuadratureSpec | None = None, w
     if which == "all":
         out = []
         for name in SUITE_NAMES:
-            out.extend(table[name](config, quad))
+            out.extend(table[name](config))
         return out
     if which not in table:
         raise InputError(f"unknown suite {which!r}; choose from {('all',) + SUITE_NAMES}")
-    return table[which](config, quad)
+    return table[which](config)

@@ -69,6 +69,7 @@ it saves.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable
 
@@ -191,8 +192,14 @@ def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _prefactor(kappa: float, a: np.ndarray) -> np.ndarray:
     """Gamma(k+1/2) (a/2)^(1/2-k), which turns J_{k-+1/2}(a) into the
-    kernel's even and odd parts and ive_{k-+1/2}(a) into its scaled form."""
-    return _gamma(kappa + 0.5) * (a / 2.0) ** (0.5 - kappa)
+    kernel's even and odd parts and ive_{k-+1/2}(a) into its scaled form.
+    Only where the power alone underflows (large k and a) is it taken in logs."""
+    power = (a / 2.0) ** (0.5 - kappa)
+    out = _gamma(kappa + 0.5) * power
+    low = power < sys.float_info.min  # lost before Gamma(k+1/2) scales it back into range
+    if np.any(low):
+        out = np.where(low, np.exp(math.lgamma(kappa + 0.5) + (0.5 - kappa) * np.log(a / 2.0)), out)
+    return out
 
 
 def _jv_top(kappa: float) -> float:

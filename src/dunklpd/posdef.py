@@ -14,7 +14,8 @@ linearly independent).
 
 Also here: the heat kernel generated by the Gaussian catalog pair, the
 heat-smoothed quadratic form that converges to the Gram form, and the
-weighted-mass identity for the Matern-type profile.
+weighted-mass identity for the Matern-type profile.  The certificates' mesh
+and heat_kernel_mass's node floor are entries of quadrature._RESOLUTION.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .functions import (
     uniform_axes,
 )
 from .kernel import _real_1d_scaled
-from .quadrature import Grid, QuadratureSpec, two_pass
+from .quadrature import _RESOLUTION, Grid, QuadratureSpec, two_pass
 from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
@@ -150,8 +151,7 @@ def quadratic_form(config: MultiplicityConfig, quad: QuadratureSpec | None, phi,
 
 def _certification_axes(config: MultiplicityConfig, spec: QuadratureSpec) -> tuple[np.ndarray, ...]:
     """Axes of the uniform mesh on which the certificates sample the transform."""
-    extent = {1: 8.0, 2: 6.0, 3: 4.0}[config.dimension]
-    count = {1: 641, 2: 121, 3: 41}[config.dimension]
+    extent, count = _RESOLUTION["certification_mesh"][config.dimension]
     return uniform_axes(config.dimension, min(extent, spec.radius), count)
 
 
@@ -330,13 +330,7 @@ def _heat_product(config: MultiplicityConfig, t: float, xs, ys, join) -> np.ndar
     return out
 
 
-def heat_kernel_mass(
-    config: MultiplicityConfig,
-    quad: QuadratureSpec | None,
-    t: float,
-    x,
-    tolerance: float = 1e-6,
-) -> IdentityReport:
+def heat_kernel_mass(config: MultiplicityConfig, quad: QuadratureSpec | None, t: float, x) -> IdentityReport:
     """int heat_kernel(t, x, y) h^2(y) dy = 1, on a box wide enough for t."""
     if not 0 < t < math.inf:
         raise DomainError(f"time must be positive and finite, got {t}")
@@ -344,10 +338,8 @@ def heat_kernel_mass(
     xv = np.asarray(x, dtype=float).reshape(-1)
     x0 = _query_points(config, xv)[0][0]
     need = float(np.max(np.abs(xv))) + math.sqrt(4.0 * t * 46.0)
-    spread = QuadratureSpec(
-        radius=max(spec.radius, need),
-        nodes_per_axis=max(spec.nodes_per_axis, {1: 160, 2: 128}.get(config.dimension, 96)),
-    )
+    floor = _RESOLUTION["heat_mass_nodes"][config.dimension]
+    spread = QuadratureSpec(max(spec.radius, need), max(spec.nodes_per_axis, floor))
 
     def run(sp):
         grid = Grid(config, sp)
@@ -359,7 +351,7 @@ def heat_kernel_mass(
         identity_name="heat_kernel_weighted_mass",
         expected=1.0,
         computed=mass,
-        tolerance=tolerance,
+        tolerance=1e-6,
         notes=(
             f"t={t}, x={xv.tolist()}, resolution delta {delta:.3e}; "
             f"alternate (4t)-power prefactor would give mass {alt:.6f} (non-matching, kept for reference)"

@@ -16,6 +16,12 @@ delta into an AccuracyWarning; identity reports carry it in their notes.
 weighted_norm, numeric_density and two suite checks integrate on the doubled
 grid only.  Sums are taken by numpy pairwise summation over a fixed node
 ordering, so results are deterministic run to run.
+
+_RESOLUTION is the one table of per-dimension boxes, by use and then by d:
+(radius, nodes per axis) for Grid, (extent, nodes per axis) for
+functions.uniform_axes, or a node floor.  default_spec, the identity suites,
+heat_kernel_mass, the certificates and the CLI's output mesh read it; it is
+hand-tuned, as Gauss-Legendre needs the wider boxes and extra nodes it names.
 """
 
 from __future__ import annotations
@@ -30,7 +36,36 @@ from .errors import ConfigurationError
 from .functions import sample_grid, tensor_points
 from .root_system import MultiplicityConfig
 
-_DEFAULTS = {1: (16.0, 256), 2: (12.0, 96), 3: (10.0, 48)}
+_RESOLUTION = {
+    # every operator's box when the caller passes none, and every suite's
+    "default": {1: (16.0, 256), 2: (12.0, 96), 3: (10.0, 48)},
+    # Gaussian-type round trips, (forward leg, inverse leg): the default box, but at d=3 the forward
+    # leg must resolve phases out to the far nodes of the inverse grid even at its coarse pass
+    "round_trip": {1: ((16.0, 256), (16.0, 256)), 2: ((12.0, 96), (12.0, 96)), 3: ((10.0, 128), (10.0, 48))},
+    # the slow-decay pair, (forward leg, inverse leg): the polynomially decaying side needs nodes
+    # that resolve phases up to the other side's wide exponential-tail box; the sides swap in the pair
+    "round_trip_generalized_cauchy": {
+        1: ((16.0, 384), (40.0, 256)), 2: ((16.0, 320), (33.0, 128)), 3: ((10.0, 96), (20.0, 48))
+    },
+    "round_trip_bessel_k_profile": {
+        1: ((40.0, 384), (16.0, 256)), 2: ((33.0, 320), (16.0, 128)), 3: ((20.0, 96), (10.0, 48))
+    },
+    # translation_exchange_pairing's translates: far outer nodes set up phases the spectral side must resolve
+    "exchange_pairing": {1: (16.0, 256), 2: (12.0, 128)},
+    # matern_translate_mass, (spectral box, position box): the translated profile keeps
+    # its exponential tail, so the position box must be much wider than the spectral one
+    "matern_translate_mass": {1: ((16.0, 384), (30.0, 256)), 2: ((12.0, 256), (28.0, 96))},
+    # radial_bessel_profile_weighted_mass: the profile |x|^a K_a(|x|) decays only like e^-|x|
+    "bessel_mass": {1: (30.0, 256), 2: (30.0, 128), 3: (24.0, 96)},
+    # heat_kernel_mass's node floor; its radius follows t and x
+    "heat_mass_nodes": {1: 160, 2: 128, 3: 96},
+    # the certificates' mesh for sampling the transform, its extent capped at the caller's radius
+    "certification_mesh": {1: (8.0, 641), 2: (6.0, 121), 3: (4.0, 41)},
+    # the sampled sin-modulated Gaussian, the certification falsifier
+    "indefinite_mesh": {1: (8.0, 1601), 2: (6.0, 181), 3: (5.0, 61)},
+    # the CLI transform's output mesh when --grid is not given
+    "output_mesh": {1: (8.0, 161), 2: (6.0, 41), 3: (4.0, 17)},
+}
 
 
 @dataclass(frozen=True)
@@ -49,10 +84,9 @@ class QuadratureSpec:
 
 
 def default_spec(dimension: int) -> QuadratureSpec:
-    if dimension not in _DEFAULTS:
+    if dimension not in _RESOLUTION["default"]:
         raise ConfigurationError(f"no default quadrature for dimension {dimension}")
-    radius, nodes = _DEFAULTS[dimension]
-    return QuadratureSpec(radius, nodes)
+    return QuadratureSpec(*_RESOLUTION["default"][dimension])
 
 
 @lru_cache(maxsize=64)

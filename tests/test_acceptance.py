@@ -223,8 +223,8 @@ def test_heat_kernel_positivity_and_mass():
             assert v >= 0.0, f"kappa={config.kappa}, t={t}, x={x}, y={y}: {v}"
         for t in (0.25, 1.0, 4.0):
             for x in (np.zeros(config.dimension), np.full(config.dimension, 0.8)):
-                rep = heat_kernel_mass(config, None, t, x, tolerance=1e-6)
-                assert rep.passed, rep.line() + " " + rep.notes
+                rep = heat_kernel_mass(config, None, t, x)
+                assert rep.tolerance == 1e-6 and rep.passed, rep.line() + " " + rep.notes
     free = make_config(1, [0.0])
     for t, x, y in ((0.5, 0.0, 0.0), (1.0, 1.0, 0.0), (0.25, -1.3, 0.6)):
         got = heat_kernel(free, t, x, y)

@@ -40,6 +40,19 @@ def test_identical_directories_agree(script, tmp_path, capsys):
     assert "3 reports matched, 0 differences, 0 notes-only changes" in capsys.readouterr().out
 
 
+def test_nothing_to_match_fails(script, tmp_path, capsys):
+    # two empty directories, or reports under other file names, compare nothing
+    empty_old, empty_new = tmp_path / "empty_old", tmp_path / "empty_new"
+    empty_old.mkdir()
+    empty_new.mkdir()
+    assert script.main([str(empty_old), str(empty_new)]) == 1
+    assert "0 reports matched, 0 differences" in capsys.readouterr().out
+    old = _write(tmp_path / "old", BASE)
+    other = _write(tmp_path / "other", BASE, name="d2_kappa_1.0_0.0.json")
+    assert script.main([str(old), str(other)]) == 1
+    assert "0 reports matched" in capsys.readouterr().out
+
+
 def test_notes_only_changes_are_listed_but_pass(script, tmp_path, capsys):
     old = _write(tmp_path / "old", BASE)
     new = _write(tmp_path / "new", [BASE[0], IdentityReport("b", 0.0, 1.0 + 2.0j, 1e-3, notes="y"), BASE[2]])

@@ -1,13 +1,26 @@
 """Identity suites as a whole: selection, coverage, and a full green run."""
 
+import inspect
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from dunklpd import AccuracyWarning, InputError, identities, make_config, posdef, run_suites, transform
+from dunklpd import (
+    AccuracyWarning,
+    InputError,
+    functions,
+    identities,
+    make_config,
+    posdef,
+    quadrature,
+    run_suites,
+    transform,
+)
 from dunklpd.functions import bessel_k_profile, gaussian, gaussian_density, generalized_cauchy
 from dunklpd.identities import (
+    SUITE_NAMES,
     _compare,
     _diag_points,
     _indefinite_profile,
@@ -123,11 +136,72 @@ def test_generic_config_report(generic_reports, name):
     assert rep.passed, rep.line()
 
 
-def test_all_suites_pass_on_reference_config(cfg_half):
-    reports = run_suites(cfg_half)
+# The boxes each suite builds at d=1 kappa 1/2 and d=2 (1, 0): per suite,
+# {radius: node counts} over every Grid and the (d, extent, count) of every
+# uniform_axes mesh.  An edit of quadrature._RESOLUTION shows here as the
+# boxes it moves.
+_SUITE_BOXES = {
+    1: {
+        "kernel": ({16.0: (512,)}, set()),
+        "transform": ({16.0: (256, 384, 512, 768), 40.0: (256, 384, 512, 768)}, set()),
+        "translation": ({16.0: (256, 384, 512, 768), 30.0: (256, 512)}, set()),
+        "posdef": ({16.0: (256, 512), 30.0: (256, 512)}, {(1, 8.0, 641), (1, 8.0, 1601)}),
+        "heat": ({16.0: (256, 512), 27.129319932501073: (256, 512), 27.929319932501073: (256, 512)}, set()),
+    },
+    2: {
+        "kernel": ({12.0: (192,)}, set()),
+        "transform": ({12.0: (96, 192), 16.0: (128, 256, 320, 640), 33.0: (128, 256, 320, 640)}, set()),
+        "translation": ({12.0: (96, 128, 192, 256, 512), 28.0: (96, 192)}, set()),
+        "posdef": ({12.0: (96, 192), 30.0: (128, 256)}, {(2, 6.0, 121), (2, 6.0, 181)}),
+        "heat": (
+            {
+                12.0: (96, 128, 192, 256),
+                13.564659966250536: (128, 256),
+                14.130345391199775: (128, 256),
+                27.129319932501073: (128, 256),
+                27.69500535745031: (128, 256),
+            },
+            set(),
+        ),
+    },
+}
+
+
+def _run_suites_recording_boxes(config, monkeypatch):
+    """Every suite's reports, in run_suites order, and the boxes each suite
+    builds, in the form of _SUITE_BOXES."""
+    seen = {}
+    real_init, real_axes = quadrature.Grid.__init__, functions.uniform_axes
+
+    def init(self, cfg, spec):
+        seen["grids"].add((spec.radius, spec.nodes_per_axis))
+        real_init(self, cfg, spec)
+
+    def axes(d, extent, count):
+        seen["meshes"].add((d, float(extent), count))
+        return real_axes(d, extent, count)
+
+    monkeypatch.setattr(quadrature.Grid, "__init__", init)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dunklpd" and getattr(module, "uniform_axes", None) is real_axes:
+            monkeypatch.setattr(module, "uniform_axes", axes)
+    reports, boxes = [], {}
+    for suite in SUITE_NAMES:
+        seen["grids"], seen["meshes"] = set(), set()
+        reports += run_suites(config, which=suite)
+        grids = {}
+        for radius, nodes in sorted(seen["grids"]):
+            grids.setdefault(radius, []).append(nodes)
+        boxes[suite] = ({radius: tuple(nodes) for radius, nodes in grids.items()}, seen["meshes"])
+    return reports, boxes
+
+
+def test_all_suites_pass_on_reference_config(cfg_half, monkeypatch):
+    reports, boxes = _run_suites_recording_boxes(cfg_half, monkeypatch)
     failing = [r.line() for r in reports if not r.passed]
     assert not failing, "\n".join(failing)
     assert len(reports) >= 40
+    assert boxes == _SUITE_BOXES[1]
 
 
 def test_suite_selection(cfg_half):
@@ -137,15 +211,24 @@ def test_suite_selection(cfg_half):
         run_suites(cfg_half, which="fourier")
 
 
-def test_suites_pass_in_two_dimensions(cfg_plane):
-    reports = run_suites(cfg_plane)
+def test_suites_pass_in_two_dimensions(cfg_plane, monkeypatch):
+    reports, boxes = _run_suites_recording_boxes(cfg_plane, monkeypatch)
     failing = [r.line() for r in reports if not r.passed]
     assert not failing, "\n".join(failing)
+    assert boxes == _SUITE_BOXES[2]
+
+
+def test_suites_take_no_quadrature_argument():
+    # every suite reads default_spec and quadrature._RESOLUTION, so a run
+    # never mixes a caller's box with the table's
+    assert list(inspect.signature(run_suites).parameters) == ["config", "which"]
+    for suite in (suite_kernel, suite_transform, suite_translation, suite_posdef, suite_heat):
+        assert list(inspect.signature(suite).parameters) == ["config"], suite.__name__
 
 
 def test_kernel_translation_and_heat_suites_pass_in_three_dimensions():
     cfg = make_config(3, [0.5, 1.0, 0.0])
-    reports = suite_kernel(cfg, None) + suite_translation(cfg, None) + suite_heat(cfg, None)
+    reports = suite_kernel(cfg) + suite_translation(cfg) + suite_heat(cfg)
     failing = [r.line() for r in reports if not r.passed]
     assert not failing, "\n".join(failing)
 

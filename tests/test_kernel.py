@@ -100,6 +100,14 @@ _FROZEN_PANELS = [
     (3.25, 18.0, complex(0.0017131358748241733201, -0.0013067637389740171072)),
 ]
 
+# (kappa, z, value) where Gamma(k+1/2) (z/2)^(1/2-k) is a normal float but
+# the power (z/2)^(1/2-k) alone underflows (kernel._prefactor); both in the
+# jv zone; 40-digit mpmath
+_FROZEN_UNDERFLOW = [
+    (120.3, 3000.0, complex(1.5394085749224634367e-185, 1.1771495390362725124e-184)),
+    (90.3, 8000.0, complex(-6.0779401275899391941e-190, 1.8451076528742511525e-188)),
+]
+
 # (z, value) of the real-argument kernel at kappa = 1.7 (the scipy iv path)
 _FROZEN_REAL_GENERIC = [
     (2.5, 2.8095539030502644601),
@@ -241,6 +249,13 @@ class TestGenericBranch:
     def test_pinned_panel_values_both_signs(self, kappa, z, expected):
         np.testing.assert_allclose(kernel_1d(kappa, 1.0, z), expected, rtol=1e-13, atol=0)
         np.testing.assert_allclose(kernel_1d(kappa, 1.0, -z), np.conj(expected), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kappa,z,expected", _FROZEN_UNDERFLOW)
+    def test_pinned_values_past_the_power_underflow(self, kappa, z, expected):
+        # the power alone would give 0 at the first point and denormal noise
+        # (44 % off in the imaginary part) at the second
+        np.testing.assert_allclose(kernel_1d(kappa, 1.0, z), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kernel_1d(kappa, 1.0, -z), np.conj(expected), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.7, 3.25, 8.5, 12.3])
     def test_panels_match_scipy_jv(self, kappa):
