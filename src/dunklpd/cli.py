@@ -16,14 +16,13 @@ import json
 import sys
 import warnings
 
-import numpy as np
-
 from .errors import AccuracyWarning, ConfigurationError, DomainError, InputError, NotInCatalogError
 from .functions import (
     BESSEL_K_PROFILE,
     CATALOG_PARAM,
     GENERALIZED_CAUCHY,
     CatalogFunction,
+    _read_csv,
     load_sampled_csv,
     save_sampled_csv,
     uniform_axes,
@@ -58,27 +57,20 @@ def _parse_function(config: MultiplicityConfig, text: str):
         if fn.dimension != config.dimension:
             raise InputError(f"{text}: sampled in d={fn.dimension}, config has d={config.dimension}")
         return fn
-    name, _, params = text.partition(":")
+    name, _, param = text.partition(":")
     kind = _CATALOG_ALIASES.get(name, name)
     if kind not in CATALOG_PARAM:
         names = sorted([*CATALOG_PARAM, *_CATALOG_ALIASES])
         raise InputError(f"unknown function {name!r}; choose from {names} or sinmod or a CSV path")
     param_name = CATALOG_PARAM[kind]
-    kv = {}
-    for part in filter(None, params.split(",") if params else []):
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise InputError(f"bad parameter {part!r}; expected {param_name}=<value>")
-        key = key.strip()
-        if key in kv:
-            raise InputError(f"parameter {key!r} given more than once in {text!r}")
-        try:
-            kv[key] = float(val)
-        except ValueError:
-            raise InputError(f"parameter {key!r} needs a numeric value, got {val!r}") from None
-    if set(kv) != {param_name}:
-        raise InputError(f"{name} takes exactly one parameter {param_name!r}, got {sorted(kv) or 'none'}")
-    handle = CatalogFunction(kind, kv[param_name])
+    key, eq, val = param.partition("=")
+    if key.strip() != param_name or not eq:
+        raise InputError(f"{name} takes one parameter: expected {name}:{param_name}=<value>, got {text!r}")
+    try:
+        value = float(val)
+    except ValueError:
+        raise InputError(f"parameter {param_name!r} needs one numeric value, got {val!r}") from None
+    handle = CatalogFunction(kind, value)
     handle.validate_for(config)
     return handle
 
@@ -90,12 +82,10 @@ def _parse_points(config: MultiplicityConfig, text: str) -> PointSet:
         except ValueError:
             raise InputError(f"bad point spec {text!r}; expected builtin:<n>") from None
         return builtin_points(config.dimension, n)
-    with open(text, "r") as fh:
-        header = fh.readline().strip().split(",")
-        want = [f"x{i + 1}" for i in range(config.dimension)]
-        if header != want:
-            raise InputError(f"{text}: point CSV header must be {','.join(want)}, got {','.join(header)}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    header, data = _read_csv(text)
+    want = [f"x{i + 1}" for i in range(config.dimension)]
+    if header != want:
+        raise InputError(f"{text}: point CSV header must be {','.join(want)}, got {','.join(header)}")
     return PointSet(data)
 
 

@@ -18,14 +18,16 @@ grid route, from the outer sum of the axis squares.  On a tensor grid the
 grid route builds no point array and evaluates the profile only on the
 nonnegative orthant of the exactly mirrored axes (_mirror_half, the one
 mirror test of the package), then fills the rest by reflection; both routes
-agree bit for bit.  sample_grid sends catalog handles and CatalogDensity
-(a catalog partner as a plain callable, what transform.spectral_density
-returns for catalog inputs) down the grid route.  A composite density, a
-DensityProduct of such callables (the products in convolve and
-closure_suite, the heat-damped density), samples each factor on its own
-route and multiplies the grids.  Everything else, sampled handles and raw
-callables, goes through tensor_points.  The heat kernel has its own grid
-route (posdef.heat_kernel), found by tensor_axes.
+agree bit for bit.  A constant factor that is not a finite positive float
+(gaussian_density at a tiny t) raises ConfigurationError, as the parameter
+edges do.  sample_grid sends catalog handles down the grid route.  Every
+density is a DensityProduct of handles and (N, d) callables: the exact
+partner of a catalog input (one factor, from transform.spectral_density),
+the products in convolve and closure_suite, the heat-damped density;
+sample_grid samples each factor on its own route and multiplies the grids.
+Everything else, sampled handles and raw callables, goes through
+tensor_points.  The heat kernel has its own grid route (posdef.heat_kernel),
+found by tensor_axes.
 
 The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
@@ -37,7 +39,8 @@ Sampled functions live on a rectangular tensor grid and evaluate by
 multilinear interpolation, zero outside the grid box.  CSV serialization
 uses columns x1..xd, re, im with 17 significant digits and LF endings, one
 row per node in C order; loading sorts the rows and takes them only if they
-are the full tensor grid (tensor_axes).
+are the full tensor grid (tensor_axes).  _read_csv is the one CSV reader of
+the package, behind load_sampled_csv and the command line's point files.
 """
 
 from __future__ import annotations
@@ -95,6 +98,25 @@ class CatalogFunction:
             raise ConfigurationError(
                 f"bessel_k_profile needs p >= gamma + d/2 + 1 = {edge + 1.0}, got p = {self.param}"
             )
+        self._norm(config)
+
+    def _norm(self, config: MultiplicityConfig) -> float:
+        """The profile's constant factor; ConfigurationError unless a finite positive float."""
+        p, c = self.param, 1.0
+        try:
+            with np.errstate(over="ignore"):
+                if self.kind == GAUSSIAN_DENSITY:
+                    c = (2.0 * p) ** -(config.gamma + config.dimension / 2.0)
+                if self.kind == BESSEL_K_PROFILE:
+                    c = 1.0 / (sps.gamma(p) * 2.0 ** (p - 1.0))
+        except OverflowError:
+            c = math.inf
+        if not 0.0 < c < math.inf:
+            raise ConfigurationError(
+                f"{self.kind}({p}) has normalization constant {c} at gamma + d/2 = "
+                f"{config.gamma + config.dimension / 2.0}; it must be a finite positive float"
+            )
+        return c
 
     def evaluate(self, config: MultiplicityConfig, points: np.ndarray) -> np.ndarray:
         self.validate_for(config)
@@ -132,14 +154,10 @@ class CatalogFunction:
         if self.kind == GAUSSIAN:
             return np.exp(-self.param * r2)
         if self.kind == GAUSSIAN_DENSITY:
-            t = self.param
-            return (2.0 * t) ** -(config.gamma + config.dimension / 2.0) * np.exp(-r2 / (4.0 * t))
+            return self._norm(config) * np.exp(-r2 / (4.0 * self.param))
         if self.kind == GENERALIZED_CAUCHY:
             return (1.0 + r2) ** -self.param
-        return _bessel_k_profile_values(config, self.param, np.sqrt(r2))
-
-    def value_at_zero(self, config: MultiplicityConfig) -> float:
-        return float(self.evaluate(config, np.zeros((1, config.dimension)))[0])
+        return self._norm(config) * _bessel_k_profile_values(config, self.param, np.sqrt(r2))
 
 
 def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]:
@@ -160,26 +178,20 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
 
 
 def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray) -> np.ndarray:
-    """The bessel_k_profile(p) values at radii r, once per distinct radius."""
+    """r^a K_a(r), a = p - gamma - d/2, at radii r, once per distinct radius:
+    the bessel_k_profile(p) values before the constant factor."""
     alpha = p - config.gamma - config.dimension / 2.0
-    norm = 1.0 / (sps.gamma(p) * 2.0 ** (p - 1.0))
 
     def profile(u):
         out = np.empty_like(u)
         # r^a K_a(r) -> 2^(a-1) Gamma(a) as r -> 0+, with an O(r^2) correction
         tiny = u < 1e-6
         out[tiny] = 2.0 ** (alpha - 1.0) * sps.gamma(alpha)
-        rest = ~tiny
-        if rest.any():
-            rr = u[rest]
-            if alpha == int(alpha):
-                kval = sps.kn(int(alpha), rr)
-            else:
-                kval = sps.kv(alpha, rr)
-            out[rest] = rr**alpha * kval
+        rr = u[~tiny]
+        out[~tiny] = rr**alpha * sps.kv(alpha, rr)
         return out
 
-    return norm * _per_distinct(profile, r)
+    return _per_distinct(profile, r)
 
 
 def gaussian(t: float) -> CatalogFunction:
@@ -266,34 +278,19 @@ def _multilinear(axes, values, pts):
 
 
 @dataclass(frozen=True)
-class CatalogDensity:
-    """A catalog handle bound to a config, called as a plain (N, d) callable.
-
-    transform.spectral_density returns one for catalog inputs (the exact
-    partner); sample_grid reads the handle and takes its grid route.
+class DensityProduct:
+    """The pointwise product of handles and (N, d) callables under a config,
+    itself a plain (N, d) callable: every density of the package.  sample_grid
+    samples each factor on its own route and multiplies the grids in the
+    factor order, the order in which the call multiplies the values.
     """
 
     config: MultiplicityConfig
-    handle: CatalogFunction
-
-    def __call__(self, points) -> np.ndarray:
-        return self.handle.evaluate(self.config, np.atleast_2d(np.asarray(points, dtype=float)))
-
-
-@dataclass(frozen=True)
-class DensityProduct:
-    """The pointwise product of density callables, itself a plain (N, d) callable.
-
-    The composite densities of the package (the product of two transforms in
-    convolve and closure_suite, the heat-damped density) are built as one, so
-    sample_grid samples each factor on its own route and multiplies the grids
-    in the factor order, the order in which the call multiplies the values.
-    """
-
     factors: tuple
 
     def __call__(self, points) -> np.ndarray:
-        return functools.reduce(operator.mul, (f(points) for f in self.factors))
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return functools.reduce(operator.mul, (evaluate_handle(self.config, f, pts) for f in self.factors))
 
 
 def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.ndarray:
@@ -308,16 +305,14 @@ def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.nd
 def sample_grid(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> np.ndarray:
     """fn on every node of the tensor grid over `axes`, shaped as the grid.
 
-    Catalog handles and catalog densities take CatalogFunction.on_axes, with
-    no (N, d) point array, and a DensityProduct multiplies the samples of
-    its factors; sampled handles and raw callables are evaluated at
-    tensor_points(axes).  Every route gives the points route's values bit
-    for bit.
+    Catalog handles take CatalogFunction.on_axes, with no (N, d) point
+    array, and a DensityProduct multiplies the samples of its factors, each
+    taken with the product's config; sampled handles and raw callables are
+    evaluated at tensor_points(axes).  Every route gives the points route's
+    values bit for bit.
     """
     if isinstance(fn, DensityProduct):
-        return functools.reduce(operator.mul, (sample_grid(config, f, axes) for f in fn.factors))
-    if isinstance(fn, CatalogDensity):
-        return fn.handle.on_axes(fn.config, axes)
+        return functools.reduce(operator.mul, (sample_grid(fn.config, f, axes) for f in fn.factors))
     if isinstance(fn, CatalogFunction):
         return fn.on_axes(config, axes)
     return evaluate_handle(config, fn, tensor_points(axes)).reshape(tuple(len(a) for a in axes))
@@ -372,21 +367,15 @@ def _mirror_half(a: np.ndarray) -> int:
     return len(a) // 2 if np.array_equal(a, -a[::-1]) else 0
 
 
-def sample_on_axes(
-    config: MultiplicityConfig,
-    fn,
-    axes: Sequence[np.ndarray],
-    spectral_hint=None,
-) -> SampledFunction:
+def sample_on_axes(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> SampledFunction:
     """Tabulate a handle or an (N, d) -> values callable on a tensor grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    vals = sample_grid(config, fn, axes)
-    return SampledFunction(axes, np.asarray(vals, dtype=complex), spectral_hint)
+    return SampledFunction(axes, np.asarray(sample_grid(config, fn, axes), dtype=complex))
 
 
 def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray, ...]:
-    if count < 2:
-        raise InputError("need at least 2 nodes per axis")
+    if not (float(count).is_integer() and count >= 2):
+        raise InputError(f"need a whole number of at least 2 nodes per axis, got {count!r}")
     extent = float(extent)
     if not np.isfinite(extent) or extent <= 0.0:
         raise InputError(f"grid extent must be finite and positive, got {extent}")
@@ -412,23 +401,29 @@ def save_sampled_csv(fn: SampledFunction, path: str) -> None:
         fh.write(sampled_to_csv(fn))
 
 
-def load_sampled_csv(path: str) -> SampledFunction:
+def _read_csv(path: str) -> tuple[list, np.ndarray]:
+    """The header's column names and the body of a CSV file, one row per line, every field finite."""
     with open(path, "r") as fh:
         header = fh.readline().strip()
         if not header:
             raise InputError(f"{path}: empty CSV")
-        cols = header.split(",")
-        d = len(cols) - 2
-        if d < 1 or cols[d:] != ["re", "im"] or cols[:d] != [f"x{i + 1}" for i in range(d)]:
-            raise InputError(f"{path}: header must be x1..xd,re,im with d >= 1, got {header!r}")
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InputError(f"{path}: malformed CSV body: {exc}") from exc
-    if data.shape[1] != d + 2:
-        raise InputError(f"{path}: rows have {data.shape[1]} fields, expected {d + 2}")
+    cols = header.split(",")
+    if data.shape[1] != len(cols):
+        raise InputError(f"{path}: rows have {data.shape[1]} fields, expected {len(cols)}")
     if not np.all(np.isfinite(data)):
         raise InputError(f"{path}: every field must be finite (found nan or inf)")
+    return cols, data
+
+
+def load_sampled_csv(path: str) -> SampledFunction:
+    cols, data = _read_csv(path)
+    d = len(cols) - 2
+    if d < 1 or cols[d:] != ["re", "im"] or cols[:d] != [f"x{i + 1}" for i in range(d)]:
+        raise InputError(f"{path}: header must be x1..xd,re,im with d >= 1, got {','.join(cols)!r}")
     order = np.lexsort(tuple(data[:, i] for i in range(d - 1, -1, -1)))
     data = data[order]
     axes = tensor_axes(data[:, :d])

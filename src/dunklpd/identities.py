@@ -387,7 +387,7 @@ def suite_translation(config: MultiplicityConfig) -> list:
         df = spectral_density(config, spec, f)
         dg = spectral_density(config, spec, g)
         xi = _diag_points(config, [0.0, 1.1])
-        conv = lambda csp: _transformer(config, csp, DensityProduct((df, dg)), INVERSE)
+        conv = lambda csp: _transformer(config, csp, DensityProduct(config, (df, dg)), INVERSE)
         run = lambda csp, sp: _transformer(config, sp, conv(csp), FORWARD)(xi)
         lhs = _checked("convolution_product_rule", run, spec, spec)
         rhs = df(xi) * dg(xi)

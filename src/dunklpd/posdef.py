@@ -28,7 +28,6 @@ from scipy import special as sps
 
 from .errors import DomainError, InputError
 from .functions import (
-    CatalogDensity,
     CatalogFunction,
     DensityProduct,
     _query_points,
@@ -206,6 +205,8 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
     """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe."""
     spec = _resolve_spec(config, quad)
     pts, _ = _query_points(config, xs)
+    if len(pts) == 0:
+        raise InputError("bound_check needs at least one probe point")
     phi0 = float(np.real(evaluate_handle(config, phi, np.zeros((1, config.dimension)))[0]))
     vals = np.abs(np.asarray(evaluate_handle(config, phi, pts), dtype=complex))
     density = spectral_density(config, spec, phi)
@@ -239,10 +240,10 @@ def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1,
     rho1 = spectral_density(config, spec, phi1)
     rho2 = spectral_density(config, spec, phi2)
 
-    conv = _gram_from_density(config, spec, DensityProduct((rho1, rho2)), pts.points)
+    conv = _gram_from_density(config, spec, DensityProduct(config, (rho1, rho2)), pts.points)
     reports = [conv.psd_report("convolution_closure_gram_psd", "5 builtin points")]
 
-    product = DensityProduct((CatalogDensity(config, phi1), CatalogDensity(config, phi2)))
+    product = DensityProduct(config, (phi1, phi2))
     fwd = QuadratureSpec(spec.radius, max(spec.nodes_per_axis, 64))
     # nested on purpose: the Gram delta sets the PSD tolerance (delta * n), and a
     # joint delta of both legs would widen it (8.9e-9 -> 1.6e-4 at d=3)
@@ -272,7 +273,7 @@ def quadratic_form_heat(
     xs, _ = _query_points(config, pts.points)
     spec = _resolve_spec(config, quad)
     density = spectral_density(config, spec, phi)
-    damped = DensityProduct((density, CatalogDensity(config, gaussian(2.0 * t))))
+    damped = DensityProduct(config, (density, gaussian(2.0 * t)))
     a = pts.coefficients
 
     run = lambda sp: complex(a.conj() @ _gram_on(config, sp, damped, xs) @ a)
@@ -286,7 +287,8 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     never overflows: the Gaussian factor combines with the kernel's leading
     growth into exp(-(|x_i| - |y_i|)^2 / 4t) exactly.  Nonnegative and
     symmetric in (x, y); with zero multiplicities it reduces to the
-    classical heat kernel at machine precision.
+    classical heat kernel at machine precision.  A t so small that the
+    prefactor overflows raises DomainError.
 
     One point (one row, or one row repeated as by np.broadcast_to) against
     the C-ordered nodes of a tensor grid (functions.tensor_axes), in either
@@ -322,7 +324,10 @@ def _heat_product(config: MultiplicityConfig, t: float, xs, ys, join) -> np.ndar
     multiplied in the order ((out * e_i) * s_i), so the grid equals the
     pair-by-pair values bit for bit.
     """
-    out = config.mehta * (2.0 * t) ** -(config.gamma + config.dimension / 2.0)
+    try:
+        out = config.mehta * (2.0 * float(t)) ** -(config.gamma + config.dimension / 2.0)
+    except OverflowError:
+        raise DomainError(f"heat kernel prefactor c (2t)^-(gamma+d/2) overflows at t = {t}") from None
     for kappa, x, y in zip(config.kappa, xs, ys):
         z = x * y / (2.0 * t)
         gap = (np.abs(x) - np.abs(y)) ** 2 / (4.0 * t)
@@ -403,6 +408,8 @@ def kernel_independence(
     linear independence of the point phases on the probe set."""
     xpts, _ = _query_points(config, xs)
     probes, _ = _query_points(config, xis)
+    if len(xpts) == 0:
+        raise InputError("need at least one point")
     if probes.shape[0] < xpts.shape[0]:
         raise InputError("need at least as many probes as points")
     if enforce_distinct and _pairwise_min_separation(xpts) <= _MIN_SEPARATION:

@@ -127,10 +127,7 @@ class Grid:
         for k in config.kappa:
             nodes, weights = _axis_rule(float(spec.radius), int(spec.nodes_per_axis))
             axes.append(nodes)
-            if k == 0.0:
-                axis_weights.append(weights.copy())
-            else:
-                axis_weights.append(weights * np.abs(nodes) ** (2.0 * k))
+            axis_weights.append(weights * np.abs(nodes) ** (2.0 * k))
         self.axes = tuple(axes)
         self.axis_weights = tuple(axis_weights)
 

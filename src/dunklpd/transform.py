@@ -35,14 +35,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyWarning, InputError, NotInCatalogError
+from .errors import AccuracyWarning, DomainError, InputError, NotInCatalogError
 from .functions import (
     BESSEL_K_PROFILE,
     GAUSSIAN,
     GAUSSIAN_DENSITY,
     GENERALIZED_CAUCHY,
-    CatalogDensity,
     CatalogFunction,
+    DensityProduct,
     SampledFunction,
     _mirror_half,
     _query_points,
@@ -160,9 +160,12 @@ _OPERATOR_MODULES = {f"{__package__}.{m}" for m in ("transform", "translation", 
 
 
 def _checked(what: str, run: Callable, *specs: QuadratureSpec):
-    """two_pass(run, *specs)'s fine result; warns when the n/2n check moved it too far."""
+    """two_pass(run, *specs)'s fine result; warns when the n/2n check moved it too far,
+    and raises DomainError when it is not finite (an overflowed sum, which the check cannot see)."""
     fine, delta = two_pass(run, *specs)
     values = np.asarray(fine)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what}: the result is not finite (nan or inf); the quadrature sum overflowed")
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
     if delta > _WARN_FLOOR * scale:
         frame, level = sys._getframe(1), 2  # stacklevel 2 is _checked's caller
@@ -232,23 +235,23 @@ def closed_form_transform(config: MultiplicityConfig, f: CatalogFunction) -> Cat
         raise NotInCatalogError(
             "bessel_k_profile is the image side of the catalog; recover its source via inverse"
         )
-    return spectral_density(config, None, f).handle
+    return spectral_density(config, None, f).factors[0]
 
 
 def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
     """Callable xi_points -> transform values, the routing hub for operators.
 
-    Catalog handles use their exact partner, returned as a CatalogDensity:
-    a plain callable that still exposes the partner handle, so Grid.sample
-    takes its grid route.  Sampled handles use their hint when present;
-    everything else falls back to one numerical transform at doubled
-    resolution.
+    Catalog handles use their exact partner, returned as the one-factor
+    DensityProduct(config, (partner,)): a plain callable whose factor is the
+    partner handle, so Grid.sample takes its grid route.  Sampled handles
+    use their hint when present; everything else falls back to one numerical
+    transform at doubled resolution.
     """
     if isinstance(f, CatalogFunction):
         f.validate_for(config)
         partner = catalog_partner(f)
         partner.validate_for(config)
-        return CatalogDensity(config, partner)
+        return DensityProduct(config, (partner,))
     if isinstance(f, SampledFunction) and f.spectral_hint is not None:
         hint = f.spectral_hint
         return lambda pts: np.asarray(hint(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=complex)

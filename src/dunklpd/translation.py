@@ -125,7 +125,7 @@ def translate_mass(
 def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     """Spectral convolution (f * g)(x): inverse transform of the product."""
     spec = _resolve_spec(config, quad)
-    product = DensityProduct((spectral_density(config, spec, f), spectral_density(config, spec, g)))
+    product = DensityProduct(config, (spectral_density(config, spec, f), spectral_density(config, spec, g)))
     run = lambda sp, pts: _transformer(config, sp, product, INVERSE)(pts)
     return _pointwise("convolution", config, spec, x, run)
 
@@ -161,5 +161,5 @@ def convolve_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g)
     product, the exact transform of f * g.
     """
     spec = _resolve_spec(config, quad)
-    product = DensityProduct((spectral_density(config, spec, f), spectral_density(config, spec, g)))
+    product = DensityProduct(config, (spectral_density(config, spec, f), spectral_density(config, spec, g)))
     return forward_grid(config, spec, product, Grid(config, spec).axes, sign=INVERSE)

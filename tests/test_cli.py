@@ -235,6 +235,9 @@ class TestUsageErrors:
             {"function": "gaussian:t=-2"},
             {"function": "cauchy:p=1.0"},  # below the config's validity edge
             {"function": "gaussian:t=1,t=2"},  # a repeated parameter
+            {"function": "gaussian:t=1,"},  # a trailing comma: the grammar is name:param=value
+            {"function": "gaussian:"},
+            {"function": "gaussian:t"},
         ],
     )
     def test_bad_function_specs(self, config_path, tmp_path, mutation, capsys):
@@ -311,6 +314,27 @@ class TestUsageErrors:
         rc = cli.main(["certify", "--config", config_path, "--function", "gaussian:t=1", "--points", str(pts)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["0.0\n0.5,1.0\n", "0.0\nnan\n"], ids=["ragged", "nan"])
+    def test_malformed_points_csv(self, config_path, tmp_path, body, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1\n" + body)
+        rc = cli.main(["certify", "--config", config_path, "--function", "gaussian:t=1", "--points", str(pts)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("function", ["gaussian:t=1e-300", "cauchy:p=1e300", "bessel_k:p=200"])
+    def test_overflowing_catalog_constant(self, tmp_path, function, capsys):
+        # the transform partner's (or the member's own) normalization constant is past the float range at d=3
+        config = tmp_path / "config3.json"
+        config.write_text(json.dumps({"dimension": 3, "kappa": [1.0, 0.5, 0.0]}))
+        rc = cli.main(["certify", "--config", str(config), "--function", function])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "finite positive" in captured.err
+        assert "PASS" not in captured.out
 
     def test_sampled_csv_without_coordinates(self, config_path, tmp_path, capsys):
         csv = tmp_path / "d0.csv"

@@ -14,6 +14,7 @@ from dunklpd import (
     make_config,
 )
 from dunklpd.functions import SampledFunction, bessel_k_profile, gaussian, generalized_cauchy
+from dunklpd.quadrature import QuadratureSpec
 from dunklpd.kernel import kernel_1d, kernel_nd, kernel_real_1d
 from dunklpd.posdef import (
     bound_check,
@@ -23,7 +24,7 @@ from dunklpd.posdef import (
     kernel_independence,
     quadratic_form_heat,
 )
-from dunklpd.transform import forward, inverse
+from dunklpd.transform import forward, forward_grid, inverse
 from dunklpd.translation import convolve, convolve_direct, translate, translate_mass
 
 
@@ -88,4 +89,53 @@ _NON_FINITE = {
 def test_non_finite_input_raises(name):
     error, call = _NON_FINITE[name]
     with pytest.raises(error, match="finite"):
+        call(make_config(1, [0.5]))
+
+
+_D3 = make_config(3, [1.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: heat_kernel(_D3, 1e-200, [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]),
+        lambda: heat_kernel(_D3, np.float64(1e-200), [0.0, 0.0, 0.0], np.zeros((4, 3))),
+        lambda: heat_kernel_mass(_D3, None, 1e-200, [0.0, 0.0, 0.0]),
+    ],
+    ids=["heat_kernel", "heat_kernel_numpy_t", "heat_kernel_mass"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_heat_prefactor_raises_domain_error(call):
+    # (2t)^-(gamma+d/2) at t = 1e-200 and gamma + d/2 = 3 is past the float range
+    with pytest.raises(DomainError, match="overflows"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "what,call",
+    [
+        ("forward transform", lambda c, q: forward(c, q, _G, [0.5])),
+        ("inverse transform", lambda c, q: inverse(c, q, _G, [[0.5], [1.0]])),
+        ("grid transform", lambda c, q: forward_grid(c, q, _G, (np.linspace(-1.0, 1.0, 3),))),
+        ("convolution", lambda c, q: convolve(c, q, _G, _G, [0.5])),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checked_operator_raises_on_a_non_finite_result(what, call):
+    # a 1e300 box overflows the weighted sum to nan, and the n/2n check cannot see a nan scale
+    with pytest.raises(DomainError, match=f"^{what}: the result is not finite"):
+        call(make_config(1, [0.5]), QuadratureSpec(1e300, 16))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: bound_check(c, None, _G, np.zeros((0, 1))),
+        lambda c: kernel_independence(c, np.zeros((0, 1)), np.zeros((0, 1))),
+        lambda c: kernel_independence(c, np.zeros((0, 1)), [[0.5]]),
+    ],
+    ids=["bound_check", "kernel_independence", "kernel_independence_with_probes"],
+)
+def test_empty_point_sets_raise_input_error(call):
+    with pytest.raises(InputError, match="at least one"):
         call(make_config(1, [0.5]))

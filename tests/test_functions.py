@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special as sps
 
 from dunklpd import ConfigurationError, DomainError, InputError, make_config
 from dunklpd.posdef import builtin_points
 from dunklpd.transform import catalog_partner, spectral_density
 from dunklpd.functions import (
-    CatalogDensity,
     CatalogFunction,
+    DensityProduct,
     SampledFunction,
     _bessel_k_profile_values,
     _mirror_half,
@@ -92,14 +93,14 @@ class TestCatalog:
     def test_bessel_profile_continuous_at_origin(self, cfg_half):
         p = 3.0
         f = bessel_k_profile(p)
-        at_zero = f.value_at_zero(cfg_half)
+        at_zero = float(f.evaluate(cfg_half, np.zeros(1)))
         near = f.evaluate(cfg_half, np.array([[1e-7], [1e-5], [1e-4]]))
         np.testing.assert_allclose(near, at_zero, rtol=1e-6)
         alpha = p - cfg_half.gamma - 0.5
         limit = 2.0 ** (alpha - 1.0) * math.gamma(alpha) / (math.gamma(p) * 2.0 ** (p - 1.0))
         np.testing.assert_allclose(at_zero, limit, rtol=1e-13)
 
-    @pytest.mark.parametrize("p", [3.0, 2.7])  # alpha = 2 (kn) and 1.7 (kv)
+    @pytest.mark.parametrize("p", [3.0, 2.7])  # alpha = 2 (an integer order) and 1.7
     def test_bessel_profile_per_distinct_radius_matches_elementwise(self, cfg_half, p, rng):
         # the profile is evaluated once per distinct radius and gathered back;
         # that must equal evaluating each radius alone, bit for bit
@@ -118,13 +119,46 @@ class TestCatalog:
         via_points = bessel_k_profile(p).evaluate(cfg_half, pts)
         assert via_points[0] == via_points[1] and via_points[2] == via_points[3]
 
+    def test_integer_order_bessel_k_equals_the_kn_route(self):
+        # r^a K_a(r) by kv at every order is bit for bit what the integer-order kn gave
+        r = np.concatenate(([0.0, 5e-7], np.geomspace(1e-6, 60.0, 2000)))
+        tiny = r < 1e-6
+        cases = [(1, [0.5], 1), (1, [0.5], 2), (2, [1.0, 0.0], 3), (3, [1.0, 0.5, 0.0], 5), (1, [0.0], 8)]
+        for dim, kappa, alpha in cases:
+            config = make_config(dim, kappa)
+            p = alpha + config.gamma + dim / 2.0
+            old = np.empty_like(r)
+            old[tiny] = 2.0 ** (alpha - 1.0) * sps.gamma(alpha)
+            old[~tiny] = r[~tiny] ** alpha * sps.kn(alpha, r[~tiny])
+            norm = 1.0 / (sps.gamma(p) * 2.0 ** (p - 1.0))
+            got = bessel_k_profile(p).evaluate(config, np.column_stack([r] + [np.zeros_like(r)] * (dim - 1)))
+            assert got.tobytes() == (norm * old).tobytes()
+
+    @pytest.mark.parametrize(
+        "f",
+        [gaussian_density(1e-200), bessel_k_profile(200.0), bessel_k_profile(1e300)],
+        ids=["gd", "bk200", "bk1e300"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_constant_is_a_configuration_error(self, f):
+        # (2t)^-(gamma+d/2) overflows, Gamma(p) 2^(p-1) overflows: never OverflowError or nan
+        config = make_config(3, [1.0, 0.5, 0.0])
+        for call in (
+            lambda: f.validate_for(config),
+            lambda: f.evaluate(config, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])),
+            lambda: f.on_axes(config, uniform_axes(3, 1.0, 3)),
+            lambda: spectral_density(config, None, catalog_partner(f)),
+        ):
+            with pytest.raises(ConfigurationError, match="finite positive"):
+                call()
+
     @given(st.sampled_from(["gaussian", "gaussian_density"]), st.floats(0.1, 4.0))
     def test_radial_profiles_peak_at_origin(self, kind, t):
         cfg = make_config(1, [0.5])
         f = CatalogFunction(kind, t)
         pts = np.linspace(-4, 4, 41).reshape(-1, 1)
         vals = f.evaluate(cfg, pts)
-        assert np.all(vals <= f.value_at_zero(cfg) + 1e-15)
+        assert np.all(vals <= f.evaluate(cfg, np.zeros(1)) + 1e-15)
         assert np.all(vals > 0)
 
     def test_dimension_check(self, cfg_plane):
@@ -173,13 +207,18 @@ class TestGridRoute:
     def test_catalog_density_is_a_plain_callable(self, cfg_plane):
         density = spectral_density(cfg_plane, None, gaussian(1.0))
         partner = catalog_partner(gaussian(1.0))
-        assert density == CatalogDensity(cfg_plane, partner)
+        assert density == DensityProduct(cfg_plane, (partner,))
         one = density(np.array([0.3, -0.4]))
         assert one.shape == (1,)
         np.testing.assert_array_equal(one, partner.evaluate(cfg_plane, np.array([[0.3, -0.4]])))
         batch = np.array([[0.3, -0.4], [0.0, 0.0], [2.0, 1.0]])
         np.testing.assert_array_equal(density(batch), partner.evaluate(cfg_plane, batch))
         np.testing.assert_array_equal(evaluate_handle(cfg_plane, density, batch), density(batch))
+
+    def test_catalog_spectral_density_is_the_one_factor_product(self):
+        for config in (make_config(1, [0.5]), make_config(3, [1.0, 0.5, 0.0])):
+            for f in TestGridRoute._members(config):
+                assert spectral_density(config, None, f) == DensityProduct(config, (catalog_partner(f),))
 
     def test_sampled_handles_and_callables_take_the_points_route(self, cfg_half):
         axes = (np.linspace(-2.0, 2.0, 9),)
@@ -439,8 +478,10 @@ class TestCsv:
             load_sampled_csv(str(empty))
 
     def test_uniform_axes_validation(self):
-        with pytest.raises(InputError):
-            uniform_axes(1, 1.0, 1)
+        for count in (1, 2.5, np.nan, np.inf):  # linspace would truncate 2.5 to 2 nodes
+            with pytest.raises(InputError):
+                uniform_axes(1, 1.0, count)
+        np.testing.assert_array_equal(uniform_axes(1, 2.0, 3.0)[0], [-2.0, 0.0, 2.0])
 
     @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf, 0.0, -2.0])
     def test_uniform_axes_rejects_bad_extent(self, extent):

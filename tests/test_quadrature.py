@@ -1,6 +1,7 @@
 """Weighted tensor quadrature: exactness, defaults, and the two-pass check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from dunklpd import ConfigurationError, functions, make_config, quadrature
 from dunklpd.functions import (
-    CatalogDensity,
     CatalogFunction,
     DensityProduct,
     bessel_k_profile,
@@ -19,7 +19,7 @@ from dunklpd.functions import (
     generalized_cauchy,
 )
 from dunklpd.quadrature import Grid, QuadratureSpec, default_spec, integrate_with_check, two_pass
-from dunklpd.transform import spectral_density
+from dunklpd.transform import catalog_partner, spectral_density
 
 
 class TestSpec:
@@ -53,6 +53,14 @@ class TestGrid:
         # exactly: transform._axis_matrices builds phases on the mirrored half only
         np.testing.assert_array_equal(axis, -axis[::-1])
         assert axis.min() > -5.0 and axis.max() < 5.0
+
+    @pytest.mark.parametrize("radius,nodes", [(16.0, 256), (10.0, 96), (5.0, 9), (40.0, 768)])
+    def test_zero_multiplicity_axis_keeps_the_rule_weights(self, radius, nodes):
+        # |y|^0 is exactly 1, the origin included, so a kappa = 0 axis carries the bare rule weights
+        grid = Grid(make_config(2, [0.0, 1.0]), QuadratureSpec(radius, nodes))
+        _, weights = quadrature._axis_rule(radius, nodes)
+        assert grid.axis_weights[0].tobytes() == weights.tobytes()
+        assert grid.axis_weights[0].flags.writeable
 
     def test_legendre_rule_is_solved_once_per_half_panel_size(self, monkeypatch):
         calls = []
@@ -144,7 +152,7 @@ class TestGridSampling:
         grid = Grid(config, QuadratureSpec(5.0, nodes))
         for f in _catalog(config):
             density = spectral_density(config, None, f)
-            assert isinstance(density, CatalogDensity)
+            assert isinstance(density, DensityProduct) and density.factors == (catalog_partner(f),)
             np.testing.assert_array_equal(grid.sample(density), density(grid.points()).reshape(grid.shape))
             np.testing.assert_array_equal(grid.weighted(density), grid.sample(density) * grid.weight_grid())
 
@@ -181,13 +189,13 @@ class TestGridSampling:
         config = make_config(dim, kappa)
         grid = Grid(config, QuadratureSpec(5.0, nodes))
         rho = spectral_density(config, None, gaussian(0.7))
-        hinted = functions.sample_on_axes(config, gaussian(1.3), grid.axes, spectral_hint=rho)
+        hinted = replace(functions.sample_on_axes(config, gaussian(1.3), grid.axes), spectral_hint=rho)
         products = [
-            DensityProduct((rho, spectral_density(config, None, gaussian_density(0.4)))),
-            DensityProduct((CatalogDensity(config, gaussian(0.3)), CatalogDensity(config, gaussian(1.1)))),
-            DensityProduct((rho, spectral_density(config, None, hinted))),
-            DensityProduct((spectral_density(config, None, hinted), rho)),
-            DensityProduct((rho, CatalogDensity(config, gaussian(2.0 * 0.05)))),  # the heat-damped density
+            DensityProduct(config, (rho, spectral_density(config, None, gaussian_density(0.4)))),
+            DensityProduct(config, (gaussian(0.3), gaussian(1.1))),
+            DensityProduct(config, (rho, spectral_density(config, None, hinted))),
+            DensityProduct(config, (spectral_density(config, None, hinted), rho)),
+            DensityProduct(config, (rho, gaussian(2.0 * 0.05))),  # the heat-damped density
         ]
         pts = grid.points()
         for product in products:
@@ -204,7 +212,7 @@ class TestGridSampling:
         def refuse(*args):
             raise AssertionError("catalog product sampling built an (N, d) point array")
 
-        product = DensityProduct((CatalogDensity(config, gaussian(0.3)), CatalogDensity(config, gaussian_density(1.1))))
+        product = DensityProduct(config, (gaussian(0.3), gaussian_density(1.1)))
         want = product(grid.points()).reshape(grid.shape)
         monkeypatch.setattr(functions, "tensor_points", refuse)
         monkeypatch.setattr(Grid, "points", refuse)
