@@ -12,7 +12,6 @@ import os
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
-import json
 import sys
 import warnings
 
@@ -30,7 +29,7 @@ from .functions import (
 from .identities import _indefinite_profile, run_suites
 from .posdef import PointSet, bochner_certify, builtin_points, gram, strict_pd_certify
 from .quadrature import _RESOLUTION
-from .reports import reports_to_json
+from .reports import _write_json, reports_to_json
 from .root_system import MultiplicityConfig
 from .transform import FORWARD, INVERSE, forward_grid
 
@@ -140,11 +139,8 @@ def cmd_certify(args) -> int:
             payload["strict"] = {"pass": False, "notes": "skipped: transform certificate failed"}
             ok = False
     payload["pass"] = ok
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.report:
-        with open(args.report, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
+    text = _write_json(payload, args.report)
+    if not args.report:
         print(text, end="")
     tag = "PASS" if ok else "FAIL"
     print(

@@ -31,7 +31,9 @@ found by tensor_axes.
 
 The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
-(the 96^3 nodes of a d=3 grid have 22,863 distinct radii).  The Gaussians
+(the 96^3 nodes of a d=3 grid have 22,863 distinct radii).  Where r^a K_a(r)
+as a product leaves the float range (large a, small r) it is the
+small-argument sum instead (_small_radius_sum).  The Gaussians
 and the Cauchy profile are evaluated per element of r^2.  A nan or inf
 point raises InputError in every handle.
 
@@ -185,13 +187,32 @@ def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray
     def profile(u):
         out = np.empty_like(u)
         # r^a K_a(r) -> 2^(a-1) Gamma(a) as r -> 0+, with an O(r^2) correction
+        lead = 2.0 ** (alpha - 1.0) * sps.gamma(alpha)
         tiny = u < 1e-6
-        out[tiny] = 2.0 ** (alpha - 1.0) * sps.gamma(alpha)
+        out[tiny] = lead
         rr = u[~tiny]
-        out[~tiny] = rr**alpha * sps.kv(alpha, rr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[~tiny] = rr**alpha * sps.kv(alpha, rr)
+        lost = ~np.isfinite(out)
+        if lost.any():  # r^a underflows or K_a(r) overflows (large a, small r): the small-r sum
+            out[lost] = lead * _small_radius_sum(alpha, u[lost])
         return out
 
     return _per_distinct(profile, r)
+
+
+def _small_radius_sum(alpha: float, r: np.ndarray) -> np.ndarray:
+    """r^a K_a(r) / (2^(a-1) Gamma(a)) = sum_k Gamma(a-k) / (Gamma(a) k!) (-r^2/4)^k over k < a - 1,
+    up to a term of order r^(2a) (DLMF 10.27.4 with 10.25.2, or 10.31.1 at integer a).  Where the
+    product form is lost the first ratio r^2 / 4(a-1) is below 1e-2, and the terms fall below 1e-17."""
+    term = np.ones_like(r)
+    total = term.copy()
+    k = 0
+    while k + 1 < alpha - 1.0 and np.max(np.abs(term)) > 1e-17:
+        term = term * (-0.25 * r * r) / ((k + 1) * (alpha - 1.0 - k))
+        total += term
+        k += 1
+    return total
 
 
 def gaussian(t: float) -> CatalogFunction:
@@ -407,8 +428,11 @@ def _read_csv(path: str) -> tuple[list, np.ndarray]:
         header = fh.readline().strip()
         if not header:
             raise InputError(f"{path}: empty CSV")
+        lines = fh.readlines()
+        if not any(line.split("#", 1)[0].strip() for line in lines):  # loadtxt would warn and return (0, 1)
+            raise InputError(f"{path}: no data rows")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            data = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InputError(f"{path}: malformed CSV body: {exc}") from exc
     cols = header.split(",")

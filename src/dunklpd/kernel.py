@@ -319,18 +319,13 @@ def _real_1d(kappa: float, z: np.ndarray) -> np.ndarray:
 
 
 def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
-    """exp(-|z|) * E_k(x, y) on z = x*y, safe for large arguments."""
+    """exp(-|z|) * E_k(x, y) elementwise on z = x*y of any shape, safe for large
+    arguments: exp(z - |z|) at k = 0, else the series, the ive form, then the
+    DLMF 10.40.1 expansion, where from max(40, (k + 1/2)^2) on no term exceeds
+    1/2 and the first one left out is below 1e-23."""
     z = np.asarray(z, dtype=float)
     if kappa == 0.0:
         return np.exp(z - np.abs(z))
-    return _scaled_real_values(kappa, z)
-
-
-def _scaled_real_values(kappa: float, z: np.ndarray) -> np.ndarray:
-    """exp(-|z|) * E_k(x, y) elementwise on z of any shape, for k > 0: the
-    series, then the ive form, then the DLMF 10.40.1 expansion.  From
-    max(40, (k + 1/2)^2) on no term of the expansion exceeds 1/2 and the
-    first one left out is below 1e-23."""
     out = np.empty_like(z)
     az = np.abs(z)
     small = az <= _SERIES_CUTOFF

@@ -12,10 +12,16 @@ definiteness, and a nonnegative transform that is not identically zero
 certifies strictness (the phase functions attached to distinct points are
 linearly independent).
 
+bochner_certify and strict_pd_certify read one sample of the transform on
+the certification mesh (_certificate): the strict certificate takes its
+peak from the samples behind the nonnegativity report, and holds none of
+them through its Gram matrices.
+
 Also here: the heat kernel generated by the Gaussian catalog pair, the
 heat-smoothed quadratic form that converges to the Gram form, and the
-weighted-mass identity for the Matern-type profile.  The certificates' mesh
-and heat_kernel_mass's node floor are entries of quadrature._RESOLUTION.
+weighted-mass identity for the Matern-type profile, integrated by
+quadrature.integrate_with_check on the catalog handle.  The certificates'
+mesh and heat_kernel_mass's node floor are entries of quadrature._RESOLUTION.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .functions import (
     uniform_axes,
 )
 from .kernel import _real_1d_scaled
-from .quadrature import _RESOLUTION, Grid, QuadratureSpec, two_pass
+from .quadrature import _RESOLUTION, Grid, QuadratureSpec, integrate_with_check, two_pass
 from .reports import GramReport, IdentityReport
 from .root_system import MultiplicityConfig
 from .transform import (
@@ -175,14 +181,8 @@ def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi
     return forward_grid(config, spec, psi)
 
 
-def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi) -> IdentityReport:
-    """PD certificate: the transform must be real and nonnegative on a grid.
-
-    computed is the worst violation (negative dip or imaginary residue);
-    the location of the minimum goes into the notes so failures are
-    actionable.
-    """
-    spec = _resolve_spec(config, quad)
+def _certificate(config: MultiplicityConfig, spec: QuadratureSpec, phi) -> tuple[IdentityReport, float]:
+    """bochner_certify's report, and the peak |transform| over the certification mesh it sampled."""
     density = spectral_density(config, spec, phi)
     axes = _certification_axes(config, spec)
     psi = np.asarray(sample_grid(config, density, axes), dtype=complex).reshape(-1)
@@ -198,11 +198,22 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
             f"transform minimum {psi.real[k]:.6e} at xi={at}, "
             f"maximum {float(np.max(psi.real)):.6e}, max |imag| {imag_excess:.3e}"
         ),
-    )
+    ), scale
+
+
+def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi) -> IdentityReport:
+    """PD certificate: the transform must be real and nonnegative on a grid.
+
+    computed is the worst violation (negative dip or imaginary residue);
+    the location of the minimum goes into the notes so failures are
+    actionable.
+    """
+    return _certificate(config, _resolve_spec(config, quad), phi)[0]
 
 
 def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs) -> IdentityReport:
-    """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe."""
+    """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe, to 1e-8 |phi(0)|,
+    so the verdict does not change when phi is rescaled."""
     spec = _resolve_spec(config, quad)
     pts, _ = _query_points(config, xs)
     if len(pts) == 0:
@@ -222,7 +233,7 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
     return IdentityReport.bound(
         "translate_bounds",
         float(worst),
-        1e-8,
+        1e-8 * abs(phi0),
         notes=(
             f"phi(0)={phi0:.6f}, max |phi|={float(np.max(vals)):.6f}, "
             f"diagonal range [{float(np.min(diag_re)):.3e}, {float(np.max(diag_re)):.6f}], "
@@ -375,23 +386,17 @@ def bessel_integral_identity(config: MultiplicityConfig, quad: QuadratureSpec | 
     if not p >= edge:
         raise DomainError(f"need p >= {edge}, got {p}")
     spec = _resolve_spec(config, quad)
-    profile = bessel_k_profile(p)
     norm = sps.gamma(p) * 2.0 ** (p - 1.0)
-
-    def run(sp):  # the catalog handle itself, so Grid.sample takes its grid route
-        grid = Grid(config, sp)
-        return grid.integrate(norm * grid.sample(profile))
-
-    mass, delta = two_pass(run, spec)
+    mass, delta = integrate_with_check(config, spec, bessel_k_profile(p))  # the handle: Grid.sample's grid route
     oracle = norm / config.mehta
     alternate = sps.gamma(p) / (config.mehta * 2.0 ** (p - 1.0))
     return IdentityReport(
         identity_name="radial_bessel_profile_weighted_mass",
         expected=oracle,
-        computed=mass,
+        computed=norm * mass,
         tolerance=1e-5,
         notes=(
-            f"p={p}; resolution delta {delta:.3e}; "
+            f"p={p}; resolution delta {norm * delta:.3e}; "
             f"alternate constant {alternate:.9e} deviates by factor {alternate / oracle:.3e} (non-matching)"
         ),
     )
@@ -423,11 +428,9 @@ def strict_pd_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, p
     identically zero; Gram SPD checks on three builtin sets ride along as a
     consistency probe, never as the certificate's basis."""
     spec = _resolve_spec(config, quad)
-    cert = bochner_certify(config, spec, phi)
+    cert, peak = _certificate(config, spec, phi)
     if not cert.passed:
         raise InputError(f"not certified positive definite: {cert.notes}")
-    density = spectral_density(config, spec, phi)
-    peak = float(np.max(np.abs(sample_grid(config, density, _certification_axes(config, spec)))))
     phi0 = abs(complex(np.asarray(evaluate_handle(config, phi, np.zeros((1, config.dimension)))).reshape(-1)[0]))
     if peak <= 1e-10 * max(1.0, phi0):
         raise InputError("transform is numerically zero; nonzero function required")

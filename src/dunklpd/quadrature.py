@@ -13,6 +13,8 @@ resolution error estimate; given one spec per grid, it doubles them all.
 Operators (transform, translation, convolution, heat-smoothed form) and the
 suites' composites run it through transform._checked, which turns that
 delta into an AccuracyWarning; identity reports carry it in their notes.
+integrate_with_check is two_pass over one weighted integral of a handle or
+an (N, d) callable, the route of posdef.bessel_integral_identity.
 weighted_norm, numeric_density and two suite checks integrate on the doubled
 grid only.  Sums are taken by numpy pairwise summation over a fixed node
 ordering, so results are deterministic run to run.
@@ -185,9 +187,10 @@ def two_pass(run: Callable, *specs: QuadratureSpec):
 
 
 def integrate_with_check(config, spec, integrand) -> tuple[float | complex, float]:
-    """Integrate f(points) h^2 dy at n and 2n nodes; return (value_2n, |diff|).
+    """Integrate f h^2 dy at n and 2n nodes; return (value_2n, |diff|).
 
-    `integrand` maps an (N, d) point array to values of matching length.
+    `integrand` is anything Grid.sample takes: a handle (a catalog handle
+    samples from the axes) or an (N, d) callable.
     """
 
     def run(sp):

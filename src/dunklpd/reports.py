@@ -17,7 +17,9 @@ raises InputError on a non-finite matrix.
 
 JSON serialization writes complex scalars as [re, im] pairs and booleans
 under the key "pass"; numbers are rendered by json with repr-level
-precision, CSV dumps use 17 significant digits.
+precision, CSV dumps use 17 significant digits.  _write_json holds the file
+format (indent 2, a trailing newline, LF endings) for reports_to_json and
+the command line's certify report.
 """
 
 from __future__ import annotations
@@ -95,16 +97,21 @@ class IdentityReport:
         )
 
 
-def reports_to_json(reports, path: str | None = None, extra: dict | None = None) -> str:
-    payload = {"reports": [r.to_dict() for r in reports]}
-    if extra:
-        payload.update(extra)
-    payload["all_pass"] = all(r.passed for r in reports)
+def _write_json(payload: dict, path: str | None) -> str:
+    """The JSON text of payload, also written to path unless it is None."""
     text = json.dumps(payload, indent=2) + "\n"
     if path is not None:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
     return text
+
+
+def reports_to_json(reports, path: str | None = None, extra: dict | None = None) -> str:
+    payload = {"reports": [r.to_dict() for r in reports]}
+    if extra:
+        payload.update(extra)
+    payload["all_pass"] = all(r.passed for r in reports)
+    return _write_json(payload, path)
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ class GramReport:
     notes: str = ""
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, quadrature_delta: float = 0.0, notes: str = "") -> "GramReport":
+    def from_matrix(cls, matrix: np.ndarray, quadrature_delta: float = 0.0) -> "GramReport":
         g = np.asarray(matrix, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
             raise ValueError(f"gram matrix must be square and non-empty, got shape {g.shape}")
@@ -151,7 +158,6 @@ class GramReport:
             tolerance=tol,
             psd=bool(lo >= -tol),
             spd=bool(lo > tol),
-            notes=notes,
         )
 
     def psd_report(self, name: str, notes: str = "") -> IdentityReport:

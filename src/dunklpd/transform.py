@@ -229,12 +229,9 @@ def catalog_partner(f: CatalogFunction) -> CatalogFunction:
 
 
 def closed_form_transform(config: MultiplicityConfig, f: CatalogFunction) -> CatalogFunction:
+    """The exact transform of a catalog member: its partner, validated for config."""
     if not isinstance(f, CatalogFunction):
         raise NotInCatalogError(f"no closed-form transform for {type(f).__name__}")
-    if f.kind == BESSEL_K_PROFILE:
-        raise NotInCatalogError(
-            "bessel_k_profile is the image side of the catalog; recover its source via inverse"
-        )
     return spectral_density(config, None, f).factors[0]
 
 

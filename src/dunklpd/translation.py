@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import CatalogFunction, DensityProduct, SampledFunction
+from .functions import CatalogFunction, DensityProduct, SampledFunction, _query_points
 from .quadrature import Grid, QuadratureSpec, two_pass
 from .reports import IdentityReport
 from .root_system import MultiplicityConfig
@@ -41,12 +41,10 @@ from .transform import (
 
 
 def _point(config: MultiplicityConfig, y) -> np.ndarray:
-    arr = np.asarray(y, dtype=float).reshape(-1)
-    if arr.shape != (config.dimension,):
-        raise InputError(f"expected a point in R^{config.dimension}, got shape {np.shape(y)}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("point must be finite")
-    return arr
+    pts, _ = _query_points(config, y)
+    if len(pts) != 1:
+        raise InputError(f"expected one shift point in R^{config.dimension}, got shape {np.shape(y)}")
+    return pts[0]
 
 
 def _translate_at(config, grid, vw, ys, xs) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,22 @@ class TestVerifyCommand:
         assert len(rows) == 12  # three d=1 configs, four catalog functions
         assert all(float(row.split()[-2]) < 1e-6 for row in rows)
 
+    def test_heat_smoothing_sweep_table(self, capsys):
+        # scripts/heat_smoothing_sweep.py prints the sharp form and one row per t,
+        # with the gap/t figures its docstring quotes
+        path = REPO_ROOT / "scripts" / "heat_smoothing_sweep.py"
+        spec = importlib.util.spec_from_file_location("heat_smoothing_sweep", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main([]) == 0
+        sharp, header, *rows = capsys.readouterr().out.splitlines()
+        assert sharp.startswith("sharp form value: ") and float(sharp.split(": ")[1]) > 0.0
+        assert header.split() == ["t", "gap", "gap/t", "ratio"]
+        slope = {float(row.split()[0]): float(row.split()[2]) for row in rows}
+        assert len(rows) == len(slope) == 8
+        assert f"{slope[0.05]:.2f}" == "6.93" and f"{slope[0.0004]:.2f}" == "10.43"
+        assert "6.93" in script.__doc__ and "10.43" in script.__doc__
+
     def test_failing_suite_exits_one(self, config_path, monkeypatch, capsys):
         broken = [IdentityReport("always_wrong", 1.0, 2.0, 1e-9)]
         monkeypatch.setattr(cli, "run_suites", lambda *a, **k: broken)
@@ -324,6 +341,25 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("route", ["function", "points"])
+    def test_header_only_csv(self, config_path, tmp_path, route, capsys):
+        # a header with no rows is refused before numpy's loadtxt warns about it
+        csv = tmp_path / "header_only.csv"
+        if route == "function":
+            csv.write_text("x1,re,im\n")
+            argv = ["transform", "--config", config_path, "--function", str(csv), "--output", str(tmp_path / "o.csv")]
+        else:
+            csv.write_text("x1\n\n")
+            argv = ["certify", "--config", config_path, "--function", "gaussian:t=1", "--points", str(csv)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(argv)
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {csv}: no data rows\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("function", ["gaussian:t=1e-300", "cauchy:p=1e300", "bessel_k:p=200"])
     def test_overflowing_catalog_constant(self, tmp_path, function, capsys):

@@ -1,6 +1,7 @@
 """Function catalog, sampled handles, and CSV persistence."""
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -32,6 +33,23 @@ from dunklpd.functions import (
     tensor_points,
     uniform_axes,
 )
+
+
+# (p, r, bessel_k_profile(p) at radius r) at d=1 kappa 1/2, so a = p - 1; 40-digit mpmath
+_FROZEN_BESSEL_K_LARGE_P = [
+    (100.0, 5e-7, 0.0050505050505050472841),
+    (100.0, 2e-6, 0.0050505050505049989693),
+    (100.0, 1e-3, 0.0050505050376211090663),
+    (100.0, 0.05, 0.0050504728407551807132),
+    (100.0, 0.1, 0.0050503762127507841265),
+    (100.0, 1.0, 0.0050376376976641551945),
+    (140.0, 5e-7, 0.0035971223021582717522),
+    (140.0, 2e-6, 0.0035971223021582473152),
+    (140.0, 1e-3, 0.0035971222956417474775),
+    (140.0, 0.05, 0.0035971060108806599026),
+    (140.0, 0.1, 0.0035970571374937461998),
+    (140.0, 1.0, 0.0035906117183423513159),
+]
 
 
 def _bessel_k(alpha, x):
@@ -133,6 +151,22 @@ class TestCatalog:
             norm = 1.0 / (sps.gamma(p) * 2.0 ** (p - 1.0))
             got = bessel_k_profile(p).evaluate(config, np.column_stack([r] + [np.zeros_like(r)] * (dim - 1)))
             assert got.tobytes() == (norm * old).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bessel_profile_stays_finite_near_the_origin_at_large_p(self):
+        # r^a K_a(r) as a product is 0 * inf or inf there (a = 99 up to r = 0.05, a = 139 up to 0.1);
+        # values that are finite as a product keep its bits
+        config = make_config(1, [0.5])
+        for p, cases in groupby(_FROZEN_BESSEL_K_LARGE_P, key=lambda case: case[0]):
+            r, want = np.array([case[1:] for case in cases]).T
+            got = bessel_k_profile(p).evaluate(config, r.reshape(-1, 1))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            alpha = p - config.gamma - 0.5
+            with np.errstate(all="ignore"):
+                product = 1.0 / (sps.gamma(p) * 2.0 ** (p - 1.0)) * (r**alpha * sps.kv(alpha, r))
+            kept = np.isfinite(product) & (r >= 1e-6)
+            assert 0 < kept.sum() < len(r)
+            assert got[kept].tobytes() == product[kept].tobytes()
 
     @pytest.mark.parametrize(
         "f",

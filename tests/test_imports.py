@@ -313,3 +313,11 @@ def test_checked_pointwise_operators_share_one_body():
 def test_grid_contraction_has_fixed_callers():
     assert _package_users("_grid_contract") == {"transform._blocked_scatter", "identities.suite_posdef"}
     assert _package_users("tabulated_density") == {"posdef.closure_suite"}
+
+
+# the Bessel mass identity is the weighted integral checked n/2n by
+# quadrature.integrate_with_check, and report JSON has one writer
+def test_checked_integral_and_json_writer_have_one_home():
+    assert _package_users("integrate_with_check") == {"posdef.bessel_integral_identity"}
+    assert users((SRC / "cli.py").read_text(), "dumps", attribute=True) == set()
+    assert users((SRC / "reports.py").read_text(), "dumps", attribute=True) == {"_write_json"}

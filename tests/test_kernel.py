@@ -23,7 +23,6 @@ from dunklpd.kernel import (
     _phase_1d,
     _real_1d,
     _real_1d_scaled,
-    _scaled_real_values,
     dunkl_operator_1d,
     kernel_1d,
     kernel_nd,
@@ -318,7 +317,7 @@ class TestPerDistinct:
     def test_scaled_real_matches_elementwise(self, kappa, rng):
         base = np.concatenate((rng.uniform(-400.0, 400.0, 60), [0.0, 6.0, -6.0, 40.0, -40.0, -300.0]))
         z = rng.permutation(np.concatenate((base, base[::2], -base[::3], [-0.0, 0.0, -0.0])))
-        alone = np.array([_scaled_real_values(kappa, np.array([v]))[0] for v in z])
+        alone = np.array([_real_1d_scaled(kappa, np.array([v]))[0] for v in z])
         got = _real_1d_scaled(kappa, z)
         assert got.shape == z.shape and got.tobytes() == alone.tobytes()
         square = _real_1d_scaled(kappa, z[:60].reshape(6, 10))

@@ -128,6 +128,14 @@ class TestBochnerCertificates:
         out = bochner_forward(cfg_half, None, gaussian_density(1.0))
         assert out == gaussian(1.0)
 
+    def test_strict_certificate_samples_the_transform_once(self, cfg_plane, monkeypatch):
+        # the peak is read from the samples behind the nonnegativity report
+        calls = []
+        real = posdef.sample_grid
+        monkeypatch.setattr(posdef, "sample_grid", lambda *a: calls.append(a) or real(*a))
+        rep = strict_pd_certify(cfg_plane, None, gaussian(1.0))
+        assert rep.passed and len(calls) == 1
+
     def test_strict_certificate(self, cfg_half):
         rep = strict_pd_certify(cfg_half, None, gaussian(1.0))
         assert rep.passed
@@ -160,6 +168,19 @@ class TestStructuralBounds:
         xs = rng.uniform(-3.0, 3.0, size=(12, 1))
         rep = bound_check(cfg_half, None, gaussian(1.0), xs)
         assert rep.passed
+
+    def test_verdict_does_not_change_when_phi_is_rescaled(self, cfg_half):
+        # the excess scales with phi, and so must the tolerance: 1e-8 |phi(0)|
+        xs = builtin_points(1, 7).points
+        reports = {}
+        for s in (1e-6, 1.0, 1e3, 1e6, 1e9):
+            reports[s] = bound_check(cfg_half, None, lambda p, s=s: s * np.exp(-np.sum(p * p, axis=-1)), xs)
+        assert all(rep.passed for rep in reports.values())
+        unit = reports[1.0].computed
+        assert unit > 0.0
+        for s, rep in reports.items():
+            assert rep.tolerance == 1e-8 * s
+            np.testing.assert_allclose(rep.computed / s, unit, rtol=0.25)
 
     def test_nan_profile_fails(self, cfg_half):
         rep = bound_check(cfg_half, None, lambda p: np.full(len(p), np.nan), [[0.3], [1.0]])
@@ -323,8 +344,8 @@ class TestRadialMassIdentity:
         spec = QuadratureSpec(20.0, 32)
         p = cfg_plane.gamma + 1.0 + 2.0
         norm = math.gamma(p) * 2.0 ** (p - 1.0)
-        # the points route, integrated as the identity does at n and 2n nodes
-        want = integrate_with_check(cfg_plane, spec, lambda gp: norm * bessel_k_profile(p).evaluate(cfg_plane, gp))
+        # the points route, integrated at n and 2n nodes and scaled, as the identity does
+        want = integrate_with_check(cfg_plane, spec, lambda gp: bessel_k_profile(p).evaluate(cfg_plane, gp))
 
         def refuse(*args):
             raise AssertionError("the catalog profile was sampled at an (N, d) point array")
@@ -332,5 +353,5 @@ class TestRadialMassIdentity:
         monkeypatch.setattr(functions, "tensor_points", refuse)
         monkeypatch.setattr(Grid, "points", refuse)
         rep = bessel_integral_identity(cfg_plane, spec, p)
-        assert rep.computed == want[0]
-        assert f"resolution delta {want[1]:.3e}" in rep.notes
+        assert rep.computed == norm * want[0]
+        assert f"resolution delta {norm * want[1]:.3e}" in rep.notes

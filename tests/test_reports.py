@@ -1,5 +1,6 @@
 """Report records: pass logic, serialization, Gram eigenvalue verdicts."""
 
+import inspect
 import json
 
 import numpy as np
@@ -148,6 +149,11 @@ class TestGramReport:
         loose = GramReport.from_matrix(np.diag([1.0, -1e-6]), quadrature_delta=1e-5)
         assert not strict.psd
         assert loose.psd
+
+    def test_from_matrix_takes_no_notes(self):
+        # the notes field stays (the certify JSON carries "notes": ""), the unused option does not
+        assert list(inspect.signature(GramReport.from_matrix).parameters) == ["matrix", "quadrature_delta"]
+        assert GramReport.from_matrix(np.eye(2)).to_dict()["notes"] == ""
 
     def test_psd_report_passes_a_psd_matrix_with_zero(self):
         rep = GramReport.from_matrix(np.diag([2.0, 0.5]))

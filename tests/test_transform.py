@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dunklpd import AccuracyWarning, InputError, NotInCatalogError, make_config
+from dunklpd import AccuracyWarning, ConfigurationError, InputError, NotInCatalogError, make_config
 from dunklpd.functions import (
     gaussian,
     gaussian_density,
@@ -68,6 +68,19 @@ class TestCatalogPairs:
         assert catalog_partner(gaussian_density(2.0)) == gaussian(2.0)
         assert catalog_partner(generalized_cauchy(3.0)) == bessel_k_profile(3.0)
         assert catalog_partner(bessel_k_profile(3.0)) == generalized_cauchy(3.0)
+
+    @pytest.mark.parametrize("dim, kappa", [(1, [0.5]), (3, [1.0, 0.5, 0.0])])
+    def test_closed_form_transform_is_the_partner_of_every_member(self, dim, kappa):
+        # every member is even, so the transform maps the catalog onto itself
+        config = make_config(dim, kappa)
+        p = config.gamma + dim / 2.0 + 2.0
+        for f in (gaussian(1.5), gaussian_density(1.5), generalized_cauchy(p), bessel_k_profile(p)):
+            assert closed_form_transform(config, f) == catalog_partner(f)
+        # bessel_k_profile at its own edge has a partner past the Cauchy edge, as in spectral_density
+        edge = bessel_k_profile(config.gamma + dim / 2.0 + 1.0)
+        for call in (closed_form_transform, lambda c, f: spectral_density(c, None, f)):
+            with pytest.raises(ConfigurationError, match="generalized_cauchy needs"):
+                call(config, edge)
 
     def test_closed_form_transform_rejects_noncatalog(self, cfg_half):
         with pytest.raises(NotInCatalogError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dunklpd import DomainError, make_config
+from dunklpd import DomainError, InputError, make_config
 from dunklpd.functions import (
     evaluate_handle,
     gaussian,
@@ -45,6 +45,17 @@ class TestTranslate:
         assert float(np.min(got.real)) > -1e-10
         assert np.max(np.abs(got.imag)) < 1e-10
 
+
+    def test_shift_is_exactly_one_point(self, cfg_plane):
+        # the shift goes through the package's point check: a column (d, 1) is d points of R^1, not one of R^d
+        f, x = gaussian(1.0), np.array([[0.3, -0.2]])
+        want = translate(cfg_plane, None, f, [0.5, 0.2], x)
+        assert translate(cfg_plane, None, f, [[0.5, 0.2]], x) == want
+        for bad in ([[0.5], [0.2]], [[0.5, 0.2], [0.1, 0.0]], [0.5], [0.5, np.nan]):
+            with pytest.raises(InputError):
+                translate(cfg_plane, None, f, bad, x)
+            with pytest.raises(InputError):
+                translate_mass(cfg_plane, None, f, bad)
 
 class TestMass:
     def test_mass_preserved_under_shift(self, cfg_half):
