@@ -180,7 +180,7 @@ def suite_kernel(config: MultiplicityConfig) -> list:
     vw = grid.weighted(gaussian(0.5))
     for u, v in pairs:
         # c int E(-iu, xi) E(-iv, xi) e^(-|xi|^2/2) h^2 dxi is the translate by u at -v
-        lhss.append(complex(_translate_at(config, grid, vw, u[None], -v[None])[0, 0]))
+        lhss.append(complex(_translate_at(grid, vw, u[None], -v[None])[0, 0]))
         ev = kernel_real_nd(config, u, -v)
         rhss.append(math.exp(-0.5 * (u @ u + v @ v)) * ev)
         bound = math.exp(np.linalg.norm(u) * np.linalg.norm(v))
@@ -215,8 +215,8 @@ def round_trips(config: MultiplicityConfig):
         catalog += [generalized_cauchy(p), bessel_k_profile(p)]
     for f in catalog:
         name = f"inversion_round_trip_{f.kind}"
-        run = lambda fsp, isp: _transformer(config, isp, _transformer(config, fsp, f, FORWARD), INVERSE)(probes)
-        back = _checked(name, run, *round_trip_specs(config, f.kind))
+        run = lambda fg, ig: _transformer(ig, _transformer(fg, f, FORWARD), INVERSE)(probes)
+        back = _checked(name, run, config, *round_trip_specs(config, f.kind))
         notes = f"9 probe points, worst case; parameter {f.param}"
         yield _compare(name, evaluate_handle(config, f, probes), back, 1e-6, notes=notes)
 
@@ -265,8 +265,8 @@ def suite_transform(config: MultiplicityConfig) -> list:
     odd = lambda pts: pts[:, 0] * np.exp(-np.sum(pts**2, axis=1))
     x0 = _diag(config, 0.4)
     fwd_leg, _ = round_trip_specs(config, "gaussian")
-    run = lambda fsp, sp: _transformer(config, sp, _transformer(config, fsp, odd, FORWARD), FORWARD)(x0)
-    twice = complex(_checked("transform_double_is_parity", run, fwd_leg, spec)[0])
+    run = lambda fg, grid: _transformer(grid, _transformer(fg, odd, FORWARD), FORWARD)(x0)
+    twice = complex(_checked("transform_double_is_parity", run, config, fwd_leg, spec)[0])
     val = complex(odd(-x0[None, :])[0])
     notes = "odd integrand, two forward passes equal the sign flip"
     reports.append(IdentityReport("transform_double_is_parity", val, twice, 1e-6, notes=notes))
@@ -387,9 +387,9 @@ def suite_translation(config: MultiplicityConfig) -> list:
         df = spectral_density(config, spec, f)
         dg = spectral_density(config, spec, g)
         xi = _diag_points(config, [0.0, 1.1])
-        conv = lambda csp: _transformer(config, csp, DensityProduct(config, (df, dg)), INVERSE)
-        run = lambda csp, sp: _transformer(config, sp, conv(csp), FORWARD)(xi)
-        lhs = _checked("convolution_product_rule", run, spec, spec)
+        product = DensityProduct(config, (df, dg))
+        run = lambda cg, grid: _transformer(grid, _transformer(cg, product, INVERSE), FORWARD)(xi)
+        lhs = _checked("convolution_product_rule", run, config, spec, spec)
         rhs = df(xi) * dg(xi)
         notes = "transform of the convolution vs product of transforms"
         reports.append(_compare("convolution_product_rule", rhs, lhs, 1e-6, notes=notes))

@@ -46,7 +46,7 @@ from .functions import (
 )
 from .kernel import _real_1d_scaled
 from .quadrature import _RESOLUTION, Grid, QuadratureSpec, integrate_with_check, two_pass
-from .reports import GramReport, IdentityReport
+from .reports import GramReport, IdentityReport, _sign_excess
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
@@ -127,14 +127,13 @@ def builtin_points(dimension: int, n: int, coefficients=None) -> PointSet:
     return PointSet(pts, coefficients)
 
 
-def _gram_on(config: MultiplicityConfig, sp: QuadratureSpec, density, xs: np.ndarray) -> np.ndarray:
-    """Matrix of translates [tau_{x_j} phi (x_l)] on sp's grid, phi given by its transform."""
-    grid = Grid(config, sp)
-    return _translate_at(config, grid, grid.weighted(density), xs, xs)
+def _gram_on(grid, density, xs: np.ndarray) -> np.ndarray:
+    """Matrix of translates [tau_{x_j} phi (x_l)] on grid, phi given by its transform."""
+    return _translate_at(grid, grid.weighted(density), xs, xs)
 
 
 def _gram_from_density(config, spec, density, xs) -> GramReport:
-    matrix, delta = two_pass(lambda sp: _gram_on(config, sp, density, xs), spec)
+    matrix, delta = two_pass(lambda grid: _gram_on(grid, density, xs), config, spec)
     return GramReport.from_matrix(matrix, quadrature_delta=delta)
 
 
@@ -168,12 +167,9 @@ def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi
     (the transform of the result re-evaluates psi with flipped sign).
     """
     spec = _resolve_spec(config, quad)
-    vals = np.asarray(Grid(config, spec).sample(psi), dtype=complex)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, scale):
-        raise InputError("nonnegative input required, got complex values")
-    if float(np.min(vals.real)) < -1e-12 * max(1.0, scale):
-        raise InputError(f"input dips to {np.min(vals.real):.3e}; nonnegative function required")
+    excess, scale = _sign_excess(Grid(config, spec).sample(psi))
+    if excess > 1e-12 * scale:
+        raise InputError(f"real nonnegative input required; it is off by {excess:.3e} at scale {scale:.3e}")
     if isinstance(psi, CatalogFunction):
         partner = catalog_partner(psi)
         partner.validate_for(config)
@@ -186,17 +182,16 @@ def _certificate(config: MultiplicityConfig, spec: QuadratureSpec, phi) -> tuple
     density = spectral_density(config, spec, phi)
     axes = _certification_axes(config, spec)
     psi = np.asarray(sample_grid(config, density, axes), dtype=complex).reshape(-1)
-    scale = float(np.max(np.abs(psi))) if psi.size else 0.0
+    excess, scale = _sign_excess(psi)
     k = int(np.argmin(psi.real))
     at = [float(a[j]) for a, j in zip(axes, np.unravel_index(k, tuple(len(a) for a in axes)))]
-    imag_excess = float(np.max(np.abs(psi.imag))) if psi.size else 0.0
     return IdentityReport.bound(
         "transform_nonnegativity",
-        float(np.maximum(-psi.real[k], imag_excess)),
+        excess,
         1e-8 * scale,
         notes=(
             f"transform minimum {psi.real[k]:.6e} at xi={at}, "
-            f"maximum {float(np.max(psi.real)):.6e}, max |imag| {imag_excess:.3e}"
+            f"maximum {float(np.max(psi.real)):.6e}, max |imag| {float(np.max(np.abs(psi.imag))):.3e}"
         ),
     ), scale
 
@@ -222,12 +217,11 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
     vals = np.abs(np.asarray(evaluate_handle(config, phi, pts), dtype=complex))
     density = spectral_density(config, spec, phi)
 
-    def run(sp):  # the diagonal of the matrix of translates, c sum_k vw[k] prod_i |E(i x_i, xi_k)|^2
-        grid = Grid(config, sp)
+    def run(grid):  # the diagonal of the matrix of translates, c sum_k vw[k] prod_i |E(i x_i, xi_k)|^2
         mats = _axis_matrices(config, pts.T, grid.axes, INVERSE)
         return config.mehta * _scatter_contract([m.conj() * m for m in mats], grid.weighted(density))
 
-    diag, delta = two_pass(run, spec)
+    diag, delta = two_pass(run, config, spec)
     diag_re = diag.real
     worst = np.max([np.max(vals - phi0), np.max(-diag_re), np.max(diag_re - phi0), np.max(np.abs(diag.imag))])
     return IdentityReport.bound(
@@ -287,8 +281,8 @@ def quadratic_form_heat(
     damped = DensityProduct(config, (density, gaussian(2.0 * t)))
     a = pts.coefficients
 
-    run = lambda sp: complex(a.conj() @ _gram_on(config, sp, damped, xs) @ a)
-    return _checked("heat-smoothed form", run, spec)
+    run = lambda grid: complex(a.conj() @ _gram_on(grid, damped, xs) @ a)
+    return _checked("heat-smoothed form", run, config, spec)
 
 
 def heat_kernel(config: MultiplicityConfig, t: float, x, y):
@@ -357,11 +351,8 @@ def heat_kernel_mass(config: MultiplicityConfig, quad: QuadratureSpec | None, t:
     floor = _RESOLUTION["heat_mass_nodes"][config.dimension]
     spread = QuadratureSpec(max(spec.radius, need), max(spec.nodes_per_axis, floor))
 
-    def run(sp):
-        grid = Grid(config, sp)
-        return grid.integrate(_heat_product(config, t, x0, grid.axes, np.multiply.outer))
-
-    mass, delta = two_pass(run, spread)
+    run = lambda grid: grid.integrate(_heat_product(config, t, x0, grid.axes, np.multiply.outer))
+    mass, delta = two_pass(run, config, spread)
     alt = 2.0 ** -(config.gamma + config.dimension / 2.0)
     return IdentityReport(
         identity_name="heat_kernel_weighted_mass",
@@ -432,7 +423,7 @@ def strict_pd_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, p
     if not cert.passed:
         raise InputError(f"not certified positive definite: {cert.notes}")
     phi0 = abs(complex(np.asarray(evaluate_handle(config, phi, np.zeros((1, config.dimension)))).reshape(-1)[0]))
-    if peak <= 1e-10 * max(1.0, phi0):
+    if peak <= 1e-10 * phi0:
         raise InputError("transform is numerically zero; nonzero function required")
 
     sizes = (3, 5, 8)

@@ -8,16 +8,19 @@ The weight stays in the integrand (folded into per-axis weight vectors), not
 in the rule itself.
 
 two_pass is the one place that runs a computation at n and at 2n nodes per
-axis; it returns the 2n result and the largest entrywise difference as the
-resolution error estimate; given one spec per grid, it doubles them all.
-Operators (transform, translation, convolution, heat-smoothed form) and the
-suites' composites run it through transform._checked, which turns that
-delta into an AccuracyWarning; identity reports carry it in their notes.
-integrate_with_check is two_pass over one weighted integral of a handle or
-an (N, d) callable, the route of posdef.bessel_integral_identity.
-weighted_norm, numeric_density and two suite checks integrate on the doubled
-grid only.  Sums are taken by numpy pairwise summation over a fixed node
-ordering, so results are deterministic run to run.
+axis, and it builds every grid a checked computation reads: given one spec
+per grid, it calls run with a Grid for each spec, then with a Grid for each
+doubled spec, so a run takes grids and never a spec.  It returns the 2n
+result and the largest entrywise difference as the resolution error
+estimate.  Operators (transform, translation, convolution, heat-smoothed
+form) and the suites' composites run it through transform._checked, which
+turns that delta into an AccuracyWarning; identity reports carry it in
+their notes.  integrate_with_check is two_pass over one weighted integral
+of a handle or an (N, d) callable, the route of
+posdef.bessel_integral_identity.  weighted_norm, numeric_density and two
+suite checks integrate on the doubled grid only.  Sums are taken by numpy
+pairwise summation over a fixed node ordering, so results are deterministic
+run to run.
 
 _RESOLUTION is the one table of per-dimension boxes, by use and then by d:
 (radius, nodes per axis) for Grid, (extent, nodes per axis) for
@@ -174,14 +177,15 @@ class Grid:
         return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
-def two_pass(run: Callable, *specs: QuadratureSpec):
-    """Run `run(*specs)` and again with every spec doubled; return (fine, delta).
+def two_pass(run: Callable, config: MultiplicityConfig, *specs: QuadratureSpec):
+    """Run `run` on one Grid(config, spec) per spec and again with every spec
+    doubled; return (fine, delta).
 
     delta is the largest entrywise |fine - coarse| (0.0 for an empty result);
     run may return a scalar, an array or a tuple of scalars.
     """
-    coarse = run(*specs)
-    fine = run(*(s.doubled() for s in specs))
+    coarse = run(*(Grid(config, s) for s in specs))
+    fine = run(*(Grid(config, s.doubled()) for s in specs))
     diff = np.abs(np.subtract(fine, coarse))
     return fine, float(np.max(diff)) if diff.size else 0.0
 
@@ -193,8 +197,4 @@ def integrate_with_check(config, spec, integrand) -> tuple[float | complex, floa
     samples from the axes) or an (N, d) callable.
     """
 
-    def run(sp):
-        grid = Grid(config, sp)
-        return grid.integrate(grid.sample(integrand))
-
-    return two_pass(run, spec)
+    return two_pass(lambda grid: grid.integrate(grid.sample(integrand)), config, spec)

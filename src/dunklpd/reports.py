@@ -97,6 +97,13 @@ class IdentityReport:
         )
 
 
+def _sign_excess(values) -> tuple[float, float]:
+    """(max(-min Re, max |Im|), max |value|): how far values are from real and
+    nonnegative, and the scale that excess is judged against; a NaN stays NaN."""
+    v = np.asarray(values, dtype=complex)
+    return float(np.maximum(-np.min(v.real), np.max(np.abs(v.imag)))), float(np.max(np.abs(v)))
+
+
 def _write_json(payload: dict, path: str | None) -> str:
     """The JSON text of payload, also written to path unless it is None."""
     text = json.dumps(payload, indent=2) + "\n"
@@ -139,7 +146,7 @@ class GramReport:
     def from_matrix(cls, matrix: np.ndarray, quadrature_delta: float = 0.0) -> "GramReport":
         g = np.asarray(matrix, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
-            raise ValueError(f"gram matrix must be square and non-empty, got shape {g.shape}")
+            raise InputError(f"gram matrix must be square and non-empty, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise InputError("gram matrix has non-finite entries")
         herm = 0.5 * (g + g.conj().T)

@@ -11,7 +11,9 @@ Every operator integral runs through _checked, which calls
 quadrature.two_pass at the requested resolution and at doubled nodes (every
 leg of a composite at once), returns the doubled value and raises an
 AccuracyWarning when the difference exceeds 1e-6 relative to the result
-scale.  The checked operators at points share one body, _pointwise.
+scale.  two_pass builds the grids: a run takes one Grid per spec and reads
+the config from it.  The checked operators at points share one body,
+_pointwise.
 
 Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
 phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
@@ -116,7 +118,7 @@ def _grid_contract(mats: list, vw: np.ndarray) -> np.ndarray:
 _POINT_BLOCK = 16384
 
 
-def _blocked_scatter(config, grid, vw, pts, sign, shifts=None) -> np.ndarray:
+def _blocked_scatter(grid, vw, pts, sign, shifts=None) -> np.ndarray:
     """out[j, m] = sum_k vw[k] prod_i conj(P_i[j, k_i]) M_i[m, k_i], with M_i and P_i
     the phase matrices (sign i) of pts and of the shift points; one row, P = 1,
     without shifts.  One _axis_matrices call per block builds both.  Tensor-grid
@@ -135,7 +137,7 @@ def _blocked_scatter(config, grid, vw, pts, sign, shifts=None) -> np.ndarray:
         blocks = [(sl, pts[sl].T, _scatter_contract) for sl in spans]
     for sl, cols, contract in blocks:
         rows = cols if q == 0 else [np.concatenate([s, c]) for s, c in zip(shifts.T, cols)]
-        mats = _axis_matrices(config, rows, grid.axes, sign)
+        mats = _axis_matrices(grid.config, rows, grid.axes, sign)
         if q == 1:  # in place: a product beside each M_i would raise the peak memory
             for m in mats:
                 m[1:] *= m[0].conj()
@@ -144,12 +146,11 @@ def _blocked_scatter(config, grid, vw, pts, sign, shifts=None) -> np.ndarray:
     return out
 
 
-def _transformer(config, spec, f, sign) -> Callable:
-    """Map from (N, d) output points to c sum_k f(y_k) w_k E(sign i x, y_k) on spec's grid."""
-    grid = Grid(config, spec)
+def _transformer(grid, f, sign) -> Callable:
+    """Map from (N, d) output points to c sum_k f(y_k) w_k E(sign i x, y_k) on grid."""
     vw = grid.weighted(f)
-    return lambda pts: config.mehta * _blocked_scatter(
-        config, grid, vw, np.atleast_2d(np.asarray(pts, dtype=float)), sign
+    return lambda pts: grid.config.mehta * _blocked_scatter(
+        grid, vw, np.atleast_2d(np.asarray(pts, dtype=float)), sign
     )[0]
 
 
@@ -159,10 +160,10 @@ def _transformer(config, spec, f, sign) -> Callable:
 _OPERATOR_MODULES = {f"{__package__}.{m}" for m in ("transform", "translation", "posdef", "quadrature", "functions")}
 
 
-def _checked(what: str, run: Callable, *specs: QuadratureSpec):
-    """two_pass(run, *specs)'s fine result; warns when the n/2n check moved it too far,
+def _checked(what: str, run: Callable, config: MultiplicityConfig, *specs: QuadratureSpec):
+    """two_pass(run, config, *specs)'s fine result; warns when the n/2n check moved it too far,
     and raises DomainError when it is not finite (an overflowed sum, which the check cannot see)."""
-    fine, delta = two_pass(run, *specs)
+    fine, delta = two_pass(run, config, *specs)
     values = np.asarray(fine)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"{what}: the result is not finite (nan or inf); the quadrature sum overflowed")
@@ -181,21 +182,21 @@ def _checked(what: str, run: Callable, *specs: QuadratureSpec):
 
 
 def _pointwise(what: str, config: MultiplicityConfig, quad: QuadratureSpec | None, x, run):
-    """run(spec, pts) checked n/2n at one point (a complex) or an (N, d) batch (an array)."""
+    """run(grid, pts) checked n/2n at one point (a complex) or an (N, d) batch (an array)."""
     pts, squeeze = _query_points(config, x)
-    vals = _checked(what, lambda sp: run(sp, pts), _resolve_spec(config, quad))
+    vals = _checked(what, lambda grid: run(grid, pts), config, _resolve_spec(config, quad))
     return complex(vals[0]) if squeeze else vals
 
 
 def forward(config: MultiplicityConfig, quad: QuadratureSpec | None, f, xi):
     """Transform of f at one point or an (N, d) batch of points."""
-    run = lambda sp, pts: _transformer(config, sp, f, FORWARD)(pts)
+    run = lambda grid, pts: _transformer(grid, f, FORWARD)(pts)
     return _pointwise("forward transform", config, quad, xi, run)
 
 
 def inverse(config: MultiplicityConfig, quad: QuadratureSpec | None, g, x):
     """Inverse transform, the conjugate-kernel integral."""
-    run = lambda sp, pts: _transformer(config, sp, g, INVERSE)(pts)
+    run = lambda grid, pts: _transformer(grid, g, INVERSE)(pts)
     return _pointwise("inverse transform", config, quad, x, run)
 
 
@@ -211,7 +212,7 @@ def forward_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, out
         out_axes = uniform_axes(config.dimension, spec.radius, min(2 * spec.nodes_per_axis, 257))
     out_axes = tuple(np.asarray(a, dtype=float) for a in out_axes)
     nodes = tensor_points(out_axes)
-    fine = _checked("grid transform", lambda sp: _transformer(config, sp, f, sign)(nodes), spec)
+    fine = _checked("grid transform", lambda grid: _transformer(grid, f, sign)(nodes), config, spec)
     flip = -1.0 if sign == FORWARD else 1.0
     hint = lambda pts: evaluate_handle(config, f, flip * np.asarray(pts, dtype=float))
     return SampledFunction(out_axes, fine.reshape(tuple(len(a) for a in out_axes)), spectral_hint=hint)
@@ -262,7 +263,7 @@ def numeric_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) 
     round-trip and pair checks that must exercise the quadrature on both
     legs route through here.
     """
-    return _transformer(config, _resolve_spec(config, quad).doubled(), f, FORWARD)
+    return _transformer(Grid(config, _resolve_spec(config, quad).doubled()), f, FORWARD)
 
 
 def tabulated_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
@@ -288,13 +289,12 @@ def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, 
     df = spectral_density(config, spec, f)
     dg = spectral_density(config, spec, g)
 
-    def run(sp):
-        grid = Grid(config, sp)
+    def run(grid):
         lhs = grid.integrate(grid.sample(df) * grid.sample(g))
         rhs = grid.integrate(grid.sample(f) * grid.sample(dg))
         return complex(lhs), complex(rhs)
 
-    (lhs, rhs), delta = two_pass(run, spec)
+    (lhs, rhs), delta = two_pass(run, config, spec)
     return IdentityReport(
         identity_name="transform_pairing_symmetry",
         expected=lhs,

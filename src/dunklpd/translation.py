@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .functions import CatalogFunction, DensityProduct, SampledFunction, _query_points
 from .quadrature import Grid, QuadratureSpec, two_pass
-from .reports import IdentityReport
+from .reports import IdentityReport, _sign_excess
 from .root_system import MultiplicityConfig
 from .transform import (
     FORWARD,
@@ -47,10 +47,10 @@ def _point(config: MultiplicityConfig, y) -> np.ndarray:
     return pts[0]
 
 
-def _translate_at(config, grid, vw, ys, xs) -> np.ndarray:
+def _translate_at(grid, vw, ys, xs) -> np.ndarray:
     """T[j, m] = c sum_k vw[k] E(-i ys[j], xi_k) E(i xs[m], xi_k): the translate
     by ys[j] at xs[m] of the function whose weighted density on grid is vw."""
-    return config.mehta * _blocked_scatter(config, grid, vw, xs, INVERSE, shifts=ys)
+    return grid.config.mehta * _blocked_scatter(grid, vw, xs, INVERSE, shifts=ys)
 
 
 def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
@@ -59,10 +59,7 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     yv = _point(config, y)
     density = spectral_density(config, spec, f)
 
-    def run(sp, pts):
-        grid = Grid(config, sp)
-        return _translate_at(config, grid, grid.weighted(density), yv[None], pts)[0]
-
+    run = lambda grid, pts: _translate_at(grid, grid.weighted(density), yv[None], pts)[0]
     return _pointwise("translation", config, spec, x, run)
 
 
@@ -70,12 +67,9 @@ def _require_radial_nonnegative(config, f) -> None:
     if isinstance(f, CatalogFunction):
         return
     if isinstance(f, SampledFunction):
-        vals = np.asarray(f.values)
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, scale):
+        excess, scale = _sign_excess(f.values)
+        if excess > 1e-12 * scale:
             raise DomainError("mass identity needs a real nonnegative function")
-        if np.min(vals.real) < -1e-12 * max(1.0, scale):
-            raise DomainError("mass identity needs a nonnegative function")
         return
     raise DomainError("mass identity needs a catalog or sampled handle")
 
@@ -101,16 +95,14 @@ def translate_mass(
     _require_radial_nonnegative(config, f)
     density = spectral_density(config, spec, f)
 
-    def run(sp_in, sp_out):
-        gi = Grid(config, sp_in)
-        go = Grid(config, sp_out)
+    def run(gi, go):
         shifts = _axis_matrices(config, yv[:, None], gi.axes, FORWARD)
         cols = _axis_matrices(config, go.axes, gi.axes, INVERSE)
         rows = [shift * (w @ col) for shift, w, col in zip(shifts, go.axis_weights, cols)]
         lhs = config.mehta * complex(_scatter_contract(rows, gi.weighted(density))[0])
         return lhs, complex(go.integrate(go.sample(f)))
 
-    (lhs, rhs), delta = two_pass(run, spec, outer_spec)
+    (lhs, rhs), delta = two_pass(run, config, spec, outer_spec)
     return IdentityReport(
         identity_name="translation_preserves_weighted_mass",
         expected=rhs,
@@ -124,7 +116,7 @@ def convolve(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g, x):
     """Spectral convolution (f * g)(x): inverse transform of the product."""
     spec = _resolve_spec(config, quad)
     product = DensityProduct(config, (spectral_density(config, spec, f), spectral_density(config, spec, g)))
-    run = lambda sp, pts: _transformer(config, sp, product, INVERSE)(pts)
+    run = lambda grid, pts: _transformer(grid, product, INVERSE)(pts)
     return _pointwise("convolution", config, spec, x, run)
 
 
@@ -137,14 +129,13 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
     spec = _resolve_spec(config, quad)
     dg = spectral_density(config, spec, g)
 
-    def run(sp, pts):
-        grid = Grid(config, sp)
+    def run(grid, pts):
         gp = grid.points()
         fvals = grid.sample(f)
         flipped = grid.weighted(lambda p: dg(-p))
         out = np.empty(len(pts), dtype=complex)
         for m, xv in enumerate(pts):
-            shifted = _translate_at(config, grid, flipped, xv[None], gp)[0].reshape(grid.shape)
+            shifted = _translate_at(grid, flipped, xv[None], gp)[0].reshape(grid.shape)
             out[m] = config.mehta * grid.integrate(fvals * shifted)
         return out
 

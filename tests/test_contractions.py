@@ -11,6 +11,7 @@ mehta constant
     G[j, j] = c sum_k |C[j, k]|^2 dvec[k].
 """
 
+import inspect
 import warnings
 
 import numpy as np
@@ -21,7 +22,15 @@ from dunklpd.functions import gaussian, tensor_axes, tensor_points, uniform_axes
 from dunklpd.kernel import _phase_1d, kernel_nd
 from dunklpd.posdef import builtin_points, gram
 from dunklpd.quadrature import Grid, QuadratureSpec
-from dunklpd.transform import INVERSE, _blocked_scatter, forward, forward_grid, inverse, spectral_density
+from dunklpd.transform import (
+    INVERSE,
+    _blocked_scatter,
+    _transformer,
+    forward,
+    forward_grid,
+    inverse,
+    spectral_density,
+)
 from dunklpd.translation import _translate_at, convolve, translate
 
 CONFIGS = [
@@ -60,6 +69,13 @@ def test_dense_phases_match_kernel_nd(rng):
     np.testing.assert_allclose(dense, want, rtol=1e-14, atol=1e-15)
 
 
+# every contraction reads the config from its grid, which quadrature.two_pass builds
+@pytest.mark.parametrize("fn", [_blocked_scatter, _translate_at, _transformer], ids=lambda f: f.__name__)
+def test_contractions_take_no_config_beside_their_grid(fn):
+    params = list(inspect.signature(fn).parameters)
+    assert params[0] == "grid" and "config" not in params
+
+
 def _dvec(grid, rng):
     return rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
 
@@ -72,7 +88,7 @@ def test_gram_matches_dense_product(dim, kappa, rng):
     dvec = _dvec(grid, rng)
     c = _dense_phases(config, pts, grid.points())
     want = config.mehta * (c.conj() * dvec.reshape(-1)) @ c.T
-    got = _translate_at(config, grid, dvec, pts, pts)
+    got = _translate_at(grid, dvec, pts, pts)
     assert got.shape == (len(pts), len(pts))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -84,7 +100,7 @@ def test_translate_diagonal_matches_dense_diagonal(dim, kappa, rng):
     grid = Grid(config, SPEC.doubled())
     vw = grid.weighted(_density)
     # entry by entry: each one-point request is a one-node grid
-    got = np.array([_translate_at(config, grid, vw, x[None], x[None])[0, 0] for x in pts])
+    got = np.array([_translate_at(grid, vw, x[None], x[None])[0, 0] for x in pts])
     c = _dense_phases(config, pts, grid.points())
     want = config.mehta * np.sum(np.abs(c) ** 2 * vw.reshape(-1), axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -102,7 +118,7 @@ def test_translates_match_dense_product(dim, kappa, shifts, rng):
     cy = _dense_phases(config, ys, grid.points())
     cx = _dense_phases(config, xs, grid.points())
     want = config.mehta * (cy.conj() * dvec.reshape(-1)) @ cx.T
-    got = _translate_at(config, grid, dvec, ys, xs)
+    got = _translate_at(grid, dvec, ys, xs)
     assert got.shape == (shifts, 5)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -114,7 +130,7 @@ def test_unshifted_row_matches_dense_product(dim, kappa, rng):
     xs = _points(config, rng)
     dvec = _dvec(grid, rng)
     want = _dense_phases(config, xs, grid.points()) @ dvec.reshape(-1)
-    got = _blocked_scatter(config, grid, dvec, xs, INVERSE)
+    got = _blocked_scatter(grid, dvec, xs, INVERSE)
     assert got.shape == (1, len(xs))
     np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -127,9 +143,9 @@ def test_point_blocks_do_not_change_translates(dim, kappa, shifts, rng, monkeypa
     ys = _points(config, rng, shifts)
     xs = _points(config, rng, 7)
     dvec = _dvec(grid, rng)
-    whole = _translate_at(config, grid, dvec, ys, xs)
+    whole = _translate_at(grid, dvec, ys, xs)
     monkeypatch.setattr(transform, "_POINT_BLOCK", 3)
-    blocked = _translate_at(config, grid, dvec, ys, xs)
+    blocked = _translate_at(grid, dvec, ys, xs)
     # blocks of 3, 3 and 1 outputs; a one-row block may take another BLAS
     # path, so the sums agree to rounding rather than bit for bit
     np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-14 * np.max(np.abs(whole)))
@@ -150,9 +166,9 @@ def test_grid_route_matches_scattered_route(dim, kappa, shifts, rng, monkeypatch
     routes = []
     real = transform._grid_contract
     monkeypatch.setattr(transform, "_grid_contract", lambda *a: routes.append(a) or real(*a))
-    scattered = _blocked_scatter(config, grid, dvec, nodes[order], INVERSE, shifts=ys)
+    scattered = _blocked_scatter(grid, dvec, nodes[order], INVERSE, shifts=ys)
     assert routes == []
-    on_grid = _blocked_scatter(config, grid, dvec, nodes, INVERSE, shifts=ys)
+    on_grid = _blocked_scatter(grid, dvec, nodes, INVERSE, shifts=ys)
     assert len(routes) == max(shifts, 1)
     np.testing.assert_allclose(
         on_grid[:, order], scattered, rtol=1e-13, atol=1e-13 * np.max(np.abs(scattered))

@@ -254,7 +254,9 @@ def test_round_trips_run_one_two_pass_each(cfg_half, monkeypatch):
     # inverse leg plus one per forward leg it samples (3 each)
     runs = []
     real = transform.two_pass
-    monkeypatch.setattr(transform, "two_pass", lambda run, *specs: runs.append(specs) or real(run, *specs))
+    monkeypatch.setattr(
+        transform, "two_pass", lambda run, config, *specs: runs.append(specs) or real(run, config, *specs)
+    )
     kinds = [r.identity_name.removeprefix("inversion_round_trip_") for r in round_trips(cfg_half)]
     assert len(kinds) == 4
     assert runs == [round_trip_specs(cfg_half, kind) for kind in kinds]

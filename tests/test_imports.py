@@ -310,6 +310,25 @@ def test_checked_pointwise_operators_share_one_body():
     }
 
 
+# quadrature.two_pass builds every grid a checked computation reads (its runs
+# take grids); the other users of Grid build unchecked grids: the doubled-only
+# integrals (numeric_density, weighted_norm, suite_kernel's and suite_posdef's
+# fine grids), bochner_forward's sign sample, convolve_grid's output axes and
+# suite_translation's two integration grids.  A use is a Name: a call, or an
+# annotation, which the helpers that take a grid leave out.
+def test_grids_are_built_in_fixed_places():
+    assert _package_users("Grid") == {
+        "quadrature.two_pass",
+        "transform.numeric_density",
+        "transform.weighted_norm",
+        "posdef.bochner_forward",
+        "translation.convolve_grid",
+        "identities.suite_kernel",
+        "identities.suite_posdef",
+        "identities.suite_translation",
+    }
+
+
 def test_grid_contraction_has_fixed_callers():
     assert _package_users("_grid_contract") == {"transform._blocked_scatter", "identities.suite_posdef"}
     assert _package_users("tabulated_density") == {"posdef.closure_suite"}

@@ -124,6 +124,14 @@ class TestBochnerCertificates:
         with pytest.raises(InputError):
             bochner_forward(cfg_half, None, _indefinite_profile(cfg_half))
 
+    @pytest.mark.parametrize("s", [1e-13, 1.0, 1e9])
+    def test_forward_route_input_check_ignores_the_input_scale(self, cfg_half, s):
+        # s (sin(r^2) - 0.05) e^(-r^2) dips to -0.05 s at every s
+        r2 = lambda p: np.sum(p * p, axis=-1)
+        with pytest.raises(InputError):
+            bochner_forward(cfg_half, None, lambda p: s * (np.sin(r2(p)) - 0.05) * np.exp(-r2(p)))
+        bochner_forward(cfg_half, None, lambda p: s * np.exp(-r2(p)))
+
     def test_forward_route_returns_exact_partner(self, cfg_half):
         out = bochner_forward(cfg_half, None, gaussian_density(1.0))
         assert out == gaussian(1.0)
@@ -141,6 +149,14 @@ class TestBochnerCertificates:
         assert rep.passed
         with pytest.raises(InputError):
             strict_pd_certify(cfg_half, None, _indefinite_profile(cfg_half))
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e9])
+    def test_strict_certificate_ignores_the_input_scale(self, cfg_half, s):
+        assert strict_pd_certify(cfg_half, None, lambda p: s * np.exp(-np.sum(p * p, axis=-1))).passed
+
+    def test_strict_certificate_refuses_the_zero_function(self, cfg_half):
+        with pytest.raises(InputError, match="numerically zero"):
+            strict_pd_certify(cfg_half, None, lambda p: np.zeros(len(p)))
 
 
 class TestPhaseIndependence:

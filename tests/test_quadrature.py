@@ -246,19 +246,23 @@ class TestTwoPassCheck:
 
 
 class TestTwoPass:
+    CFG = make_config(2, [0.5, 1.0])
+
     def test_runs_spec_then_doubled_and_returns_fine(self):
         calls = []
 
-        def run(sp):
-            calls.append(sp.nodes_per_axis)
-            return float(sp.nodes_per_axis)
+        def run(grid):
+            assert isinstance(grid, Grid) and grid.config is self.CFG
+            calls.append((grid.spec, grid.shape))
+            return float(grid.spec.nodes_per_axis)
 
-        fine, delta = two_pass(run, QuadratureSpec(4.0, 16))
-        assert calls == [16, 32]
+        fine, delta = two_pass(run, self.CFG, QuadratureSpec(4.0, 16))
+        assert calls == [(QuadratureSpec(4.0, 16), (16, 16)), (QuadratureSpec(4.0, 32), (32, 32))]
         assert fine == 32.0 and delta == 16.0
 
     def test_tuple_result(self):
-        fine, delta = two_pass(lambda sp: (1.0 / sp.nodes_per_axis, 2.0 + 1j), QuadratureSpec(4.0, 8))
+        run = lambda grid: (1.0 / grid.spec.nodes_per_axis, 2.0 + 1j)
+        fine, delta = two_pass(run, self.CFG, QuadratureSpec(4.0, 8))
         assert fine == (1.0 / 16, 2.0 + 1j)
         assert delta == pytest.approx(1.0 / 8 - 1.0 / 16, rel=1e-15)
 
@@ -266,21 +270,23 @@ class TestTwoPass:
         seen = []
 
         def run(inner, outer):
-            seen.append((inner.nodes_per_axis, outer.nodes_per_axis, outer.radius))
-            return inner.nodes_per_axis + outer.nodes_per_axis
+            assert all(isinstance(g, Grid) and g.config is self.CFG for g in (inner, outer))
+            seen.append((inner.spec.nodes_per_axis, outer.spec.nodes_per_axis, outer.spec.radius))
+            return inner.spec.nodes_per_axis + outer.spec.nodes_per_axis
 
-        fine, delta = two_pass(run, QuadratureSpec(4.0, 8), QuadratureSpec(9.0, 12))
+        fine, delta = two_pass(run, self.CFG, QuadratureSpec(4.0, 8), QuadratureSpec(9.0, 12))
         assert seen == [(8, 12, 9.0), (16, 24, 9.0)]
         assert fine == 40 and delta == 20.0
 
     def test_empty_result_has_zero_delta(self):
-        fine, delta = two_pass(lambda sp: np.empty(0, dtype=complex), QuadratureSpec(4.0, 8))
+        fine, delta = two_pass(lambda grid: np.empty(0, dtype=complex), self.CFG, QuadratureSpec(4.0, 8))
         assert fine.size == 0
         assert delta == 0.0 and isinstance(delta, float)
 
     def test_delta_is_largest_entrywise_change(self):
         coarse = np.array([[1.0, 2.0], [3.0, 4.0]])
         fine = np.array([[1.5, 2.0], [3.0, 4.0 - 3.0j]])
-        got, delta = two_pass(lambda sp: fine if sp.nodes_per_axis == 16 else coarse, QuadratureSpec(4.0, 8))
+        run = lambda grid: fine if grid.spec.nodes_per_axis == 16 else coarse
+        got, delta = two_pass(run, self.CFG, QuadratureSpec(4.0, 8))
         assert got is fine
         assert delta == 3.0

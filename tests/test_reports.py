@@ -89,11 +89,11 @@ class TestReportsToJson:
 
 class TestGramReport:
     def test_requires_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             GramReport.from_matrix(np.zeros((2, 3)))
 
     def test_rejects_empty_matrix(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(InputError, match="non-empty"):
             GramReport.from_matrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])

@@ -81,6 +81,17 @@ class TestMass:
         with pytest.raises(DomainError):
             translate_mass(cfg_half, None, wiggle, np.array([0.5]))
 
+    @pytest.mark.parametrize("s", [1e-13, 1.0, 1e9])
+    def test_nonnegativity_check_ignores_the_input_scale(self, cfg_half, s):
+        # s (sin(r^2) - 0.05) e^(-r^2) dips to -0.05 s at every s
+        axes = uniform_axes(1, 8.0, 161)
+        r2 = lambda p: p[:, 0] ** 2
+        dip = sample_on_axes(cfg_half, lambda p: s * (np.sin(r2(p)) - 0.05) * np.exp(-r2(p)), axes)
+        with pytest.raises(DomainError):
+            translate_mass(cfg_half, None, dip, np.array([0.5]))
+        bump = sample_on_axes(cfg_half, lambda p: s * np.exp(-r2(p)), axes)
+        assert translate_mass(cfg_half, None, bump, np.array([0.5])).passed
+
     def test_rejects_raw_callables(self, cfg_half):
         with pytest.raises(DomainError):
             translate_mass(cfg_half, None, lambda p: np.exp(-p[:, 0] ** 2), np.array([0.5]))
