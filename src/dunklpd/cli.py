@@ -26,7 +26,7 @@ from .functions import (
     save_sampled_csv,
     uniform_axes,
 )
-from .identities import _indefinite_profile, run_suites
+from .identities import SUITE_NAMES, _indefinite_profile, run_suites
 from .posdef import PointSet, bochner_certify, builtin_points, gram, strict_pd_certify
 from .quadrature import _RESOLUTION
 from .reports import _write_json, reports_to_json
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity suites and report pass/fail")
     v.add_argument("--config", required=True)
-    v.add_argument("--suite", default="all", choices=["all", "kernel", "transform", "translation", "posdef", "heat"])
+    v.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
     v.add_argument("--report", help="write the JSON report here")
     v.set_defaults(handler=cmd_verify)
     return parser

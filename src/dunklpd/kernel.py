@@ -419,22 +419,23 @@ def kernel_real_nd(config: MultiplicityConfig, x, y) -> float:
     return _finite_real(val, (xa * ya).tolist())
 
 
-def dunkl_operator_1d(kappa: float, f: Callable[[float], complex], x: float, h: float = 0.01) -> complex:
+_DIFF_STEP = 0.01
+
+
+def dunkl_operator_1d(kappa: float, f: Callable[[float], complex], x: float) -> complex:
     """Rank-1 Dunkl operator T f(x) = f'(x) + kappa * (f(x) - f(-x)) / x.
 
     The derivative is a Richardson-extrapolated central difference with
-    steps h and h/2 (error O(h^4)).  Satisfies the eigenrelation
+    steps h = _DIFF_STEP and h/2 (error O(h^4)).  Satisfies the eigenrelation
     T E(., -iy)(x) = -iy E(x, -iy).
     """
     k = _check_kappa(kappa)
     xv = float(x)
     if xv == 0.0:
         raise DomainError("dunkl_operator_1d is undefined at x = 0 (reflection difference quotient)")
-    if not (h > 0.0) or not math.isfinite(h):
-        raise DomainError(f"step h must be positive and finite, got {h}")
 
     def central(step):
         return (f(xv + step) - f(xv - step)) / (2.0 * step)
 
-    deriv = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    deriv = (4.0 * central(_DIFF_STEP / 2.0) - central(_DIFF_STEP)) / 3.0
     return deriv + k * (f(xv) - f(-xv)) / xv

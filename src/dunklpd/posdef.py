@@ -15,7 +15,10 @@ linearly independent).
 bochner_certify and strict_pd_certify read one sample of the transform on
 the certification mesh (_certificate): the strict certificate takes its
 peak from the samples behind the nonnegativity report, and holds none of
-them through its Gram matrices.
+them through its one Gram matrix, on the 8 builtin points.  The smaller
+builtin sets are the first points of that one, so their Gram matrices are
+its leading principal blocks, and Cauchy interlacing bounds their smallest
+eigenvalues below by its own.
 
 Also here: the heat kernel generated by the Gaussian catalog pair, the
 heat-smoothed quadratic form that converges to the Gram form, and the
@@ -55,7 +58,7 @@ from .transform import (
     _checked,
     _resolve_spec,
     _scatter_contract,
-    catalog_partner,
+    closed_form_transform,
     forward_grid,
     spectral_density,
     tabulated_density,
@@ -171,9 +174,7 @@ def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi
     if excess > 1e-12 * scale:
         raise InputError(f"real nonnegative input required; it is off by {excess:.3e} at scale {scale:.3e}")
     if isinstance(psi, CatalogFunction):
-        partner = catalog_partner(psi)
-        partner.validate_for(config)
-        return partner
+        return closed_form_transform(config, psi)
     return forward_grid(config, spec, psi)
 
 
@@ -416,8 +417,9 @@ def kernel_independence(
 
 def strict_pd_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi) -> IdentityReport:
     """Strict-PD certificate: nonnegative transform + transform not
-    identically zero; Gram SPD checks on three builtin sets ride along as a
-    consistency probe, never as the certificate's basis."""
+    identically zero; the Gram matrix on the 8 builtin points rides along as
+    a consistency probe, never as the certificate's basis.  It covers the
+    builtin sets of 3 and 5 points, which are its leading principal blocks."""
     spec = _resolve_spec(config, quad)
     cert, peak = _certificate(config, spec, phi)
     if not cert.passed:
@@ -426,15 +428,16 @@ def strict_pd_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, p
     if peak <= 1e-10 * phi0:
         raise InputError("transform is numerically zero; nonzero function required")
 
-    sizes = (3, 5, 8)
-    reps = [gram(config, spec, phi, builtin_points(config.dimension, n)) for n in sizes]
-    eig_notes = [f"n={n}: [{r.min_eigenvalue:.3e}, {r.max_eigenvalue:.3e}]" for n, r in zip(sizes, reps)]
+    # builtin_points(d, n) is the first n of builtin_points(d, 8), so by Cauchy
+    # interlacing the n = 8 matrix has the lowest floor and the largest
+    # tolerance max(1e-8 lambda_max, n delta) of every smaller builtin set
+    rep = gram(config, spec, phi, builtin_points(config.dimension, 8))
     return IdentityReport.bound(
         "strict_positive_definiteness_certificate",
-        max(-r.min_eigenvalue for r in reps),
-        max(r.tolerance for r in reps),
+        -rep.min_eigenvalue,
+        rep.tolerance,
         notes=(
             f"transform nonnegative (min report: {cert.notes}); peak {peak:.6e}; "
-            "gram eigenvalue ranges " + ", ".join(eig_notes)
+            f"gram eigenvalue range n=8: [{rep.min_eigenvalue:.3e}, {rep.max_eigenvalue:.3e}]"
         ),
     )

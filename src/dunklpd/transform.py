@@ -12,8 +12,8 @@ quadrature.two_pass at the requested resolution and at doubled nodes (every
 leg of a composite at once), returns the doubled value and raises an
 AccuracyWarning when the difference exceeds 1e-6 relative to the result
 scale.  two_pass builds the grids: a run takes one Grid per spec and reads
-the config from it.  The checked operators at points share one body,
-_pointwise.
+the config from it.  The checked operators at points, forward_grid's output
+nodes included, share one body, _pointwise.
 
 Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
 phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
@@ -23,7 +23,7 @@ uniform_axes axis) only the nonnegative half is evaluated and the rest is
 its reversed conjugate.
 _blocked_scatter sums over output points: on the nodes of a tensor grid
 axis by axis (_grid_contract; forward_grid passes the nodes of its output
-axes), else point by point (_scatter_contract).
+axes), else point by point (_scatter_contract) in blocks of _SCATTER_BLOCK.
 _transformer (every transform, convolve and the suites' composites) takes
 its unshifted row, translation._translate_at its shifted rows: every
 translate and Gram matrix.
@@ -79,8 +79,7 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
     flip its sign).  Every even-count _axis_rule axis is mirrored, and so are
     tensor-grid outputs on such axes and every uniform_axes axis, whose odd
     counts put an exact 0 at the centre; shift rows are not and keep the
-    full build.  The matrices are fresh and writable: _blocked_scatter
-    scales them in place.
+    full build.
     """
     mats = []
     for k, r, c in zip(config.kappa, rows, cols):
@@ -95,17 +94,11 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
 
 
 def _scatter_contract(mats: list, vw: np.ndarray) -> np.ndarray:
-    # out[m] = sum_k vw[k] prod_i mats[i][m, k_i], chunked over m
-    m_total = mats[0].shape[0]
-    out = np.empty(m_total, dtype=complex)
-    step = {1: m_total or 1, 2: 4096, 3: 256}[len(mats)]
-    for s in range(0, m_total, step):
-        sl = slice(s, min(s + step, m_total))
-        t = np.tensordot(mats[0][sl], vw, axes=(1, 0))
-        for a in mats[1:]:
-            t = np.einsum("mj,mj...->m...", a[sl], t, optimize=True)
-        out[sl] = t
-    return out
+    # out[m] = sum_k vw[k] prod_i mats[i][m, k_i]
+    t = np.tensordot(mats[0], vw, axes=(1, 0))
+    for a in mats[1:]:
+        t = np.einsum("mj,mj...->m...", a, t, optimize=True)
+    return t
 
 
 def _grid_contract(mats: list, vw: np.ndarray) -> np.ndarray:
@@ -116,16 +109,17 @@ def _grid_contract(mats: list, vw: np.ndarray) -> np.ndarray:
 
 
 _POINT_BLOCK = 16384
+_SCATTER_BLOCK = {1: 16384, 2: 4096, 3: 256}
 
 
 def _blocked_scatter(grid, vw, pts, sign, shifts=None) -> np.ndarray:
     """out[j, m] = sum_k vw[k] prod_i conj(P_i[j, k_i]) M_i[m, k_i], with M_i and P_i
     the phase matrices (sign i) of pts and of the shift points; one row, P = 1,
-    without shifts.  One _axis_matrices call per block builds both.  Tensor-grid
-    nodes (tensor_axes) with at most _POINT_BLOCK per axis are one block, M_i on
-    the axes, summed by _grid_contract; other points go through _scatter_contract
-    in blocks of _POINT_BLOCK, which keeps huge requests from materializing
-    multi-GB matrices at once.
+    without shifts.  One _axis_matrices call per block builds both.  The one
+    blocking rule: tensor-grid nodes (tensor_axes) with at most _POINT_BLOCK per
+    axis are one block, M_i on the axes, summed by _grid_contract; other points
+    go through _scatter_contract in blocks of _SCATTER_BLOCK[d], which keeps
+    huge requests from materializing multi-GB intermediates at once.
     """
     q = 0 if shifts is None else len(shifts)
     out = np.empty((max(q, 1), len(pts)), dtype=complex)
@@ -133,16 +127,14 @@ def _blocked_scatter(grid, vw, pts, sign, shifts=None) -> np.ndarray:
     if axes is not None and max(len(a) for a in axes) <= _POINT_BLOCK:
         blocks = [(slice(None), axes, _grid_contract)]
     else:
-        spans = (slice(s, s + _POINT_BLOCK) for s in range(0, len(pts), _POINT_BLOCK))
+        step = _SCATTER_BLOCK[grid.config.dimension]
+        spans = (slice(s, s + step) for s in range(0, len(pts), step))
         blocks = [(sl, pts[sl].T, _scatter_contract) for sl in spans]
     for sl, cols, contract in blocks:
         rows = cols if q == 0 else [np.concatenate([s, c]) for s, c in zip(shifts.T, cols)]
         mats = _axis_matrices(grid.config, rows, grid.axes, sign)
-        if q == 1:  # in place: a product beside each M_i would raise the peak memory
-            for m in mats:
-                m[1:] *= m[0].conj()
         for j in range(max(q, 1)):
-            out[j, sl] = contract([m[j].conj() * m[q:] if q > 1 else m[q:] for m in mats], vw).reshape(-1)
+            out[j, sl] = contract([m[q:] * m[j].conj() if q else m for m in mats], vw).reshape(-1)
     return out
 
 
@@ -211,8 +203,8 @@ def forward_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, out
     if out_axes is None:
         out_axes = uniform_axes(config.dimension, spec.radius, min(2 * spec.nodes_per_axis, 257))
     out_axes = tuple(np.asarray(a, dtype=float) for a in out_axes)
-    nodes = tensor_points(out_axes)
-    fine = _checked("grid transform", lambda grid: _transformer(grid, f, sign)(nodes), config, spec)
+    run = lambda grid, pts: _transformer(grid, f, sign)(pts)
+    fine = _pointwise("grid transform", config, spec, tensor_points(out_axes), run)
     flip = -1.0 if sign == FORWARD else 1.0
     hint = lambda pts: evaluate_handle(config, f, flip * np.asarray(pts, dtype=float))
     return SampledFunction(out_axes, fine.reshape(tuple(len(a) for a in out_axes)), spectral_hint=hint)

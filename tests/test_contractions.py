@@ -106,7 +106,6 @@ def test_translate_diagonal_matches_dense_diagonal(dim, kappa, rng):
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-# one shift takes the in-place branch of _blocked_scatter, several the row loop
 @pytest.mark.parametrize("shifts", [1, 3])
 @pytest.mark.parametrize("dim,kappa", CONFIGS)
 def test_translates_match_dense_product(dim, kappa, shifts, rng):
@@ -144,10 +143,15 @@ def test_point_blocks_do_not_change_translates(dim, kappa, shifts, rng, monkeypa
     xs = _points(config, rng, 7)
     dvec = _dvec(grid, rng)
     whole = _translate_at(grid, dvec, ys, xs)
-    monkeypatch.setattr(transform, "_POINT_BLOCK", 3)
+    blocks = []
+    real = transform._scatter_contract
+    monkeypatch.setattr(transform, "_scatter_contract", lambda mats, vw: blocks.append(len(mats[0])) or real(mats, vw))
+    monkeypatch.setattr(transform, "_SCATTER_BLOCK", {dim: 3})
     blocked = _translate_at(grid, dvec, ys, xs)
-    # blocks of 3, 3 and 1 outputs; a one-row block may take another BLAS
-    # path, so the sums agree to rounding rather than bit for bit
+    # blocks of 3, 3 and 1 outputs, each contracted once per shift; a one-row
+    # block may take another BLAS path, so the sums agree to rounding rather
+    # than bit for bit
+    assert blocks == [n for n in (3, 3, 1) for _ in range(shifts)]
     np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-14 * np.max(np.abs(whole)))
 
 

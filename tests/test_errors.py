@@ -127,6 +127,22 @@ def test_checked_operator_raises_on_a_non_finite_result(what, call):
         call(make_config(1, [0.5]), QuadratureSpec(1e300, 16))
 
 
+# forward_grid's output nodes go through the one point check: a wrong number
+# of axes or a non-finite node is refused before any quadrature runs
+@pytest.mark.parametrize(
+    "axes",
+    [
+        (np.linspace(-1.0, 1.0, 5),),
+        (np.linspace(-1.0, 1.0, 5),) * 3,
+        (np.linspace(-1.0, 1.0, 5), np.array([0.0, math.nan, 1.0])),
+    ],
+    ids=["one_axis", "three_axes", "nan_node"],
+)
+def test_forward_grid_checks_its_output_nodes(axes):
+    with pytest.raises(InputError, match="points"):
+        forward_grid(make_config(2, [1.0, 0.0]), QuadratureSpec(4.0, 8), _G, axes)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -234,18 +234,18 @@ def test_kernel_translation_and_heat_suites_pass_in_three_dimensions():
 
 
 def test_posdef_suite_builds_each_gram_matrix_it_reads_once(cfg_half, monkeypatch):
-    # the suite builds the Gaussian on builtin sizes 2..8 and the Cauchy profile
-    # on 5; strict_pd_certify builds its own probes at 3, 5 and 8 per function
+    # the suite builds the Gaussian on the builtin sizes it reads, 2, 5 and 8, and
+    # the Cauchy profile on 5; strict_pd_certify builds its one probe at 8 per function
     calls = []
     real = posdef.gram
     for module in (identities, posdef):
         spy = lambda c, q, f, pts, m=module.__name__: calls.append((m, f.kind, pts.size)) or real(c, q, f, pts)
         monkeypatch.setattr(module, "gram", spy)
     suite_posdef(cfg_half)
-    suite = [("dunklpd.identities", "gaussian", n) for n in range(2, 9)]
+    suite = [("dunklpd.identities", "gaussian", n) for n in (2, 5, 8)]
     suite.append(("dunklpd.identities", "generalized_cauchy", 5))
-    strict = [("dunklpd.posdef", kind, n) for kind in ("gaussian", "generalized_cauchy") for n in (3, 5, 8)]
-    assert len(calls) == 14
+    strict = [("dunklpd.posdef", kind, 8) for kind in ("gaussian", "generalized_cauchy")]
+    assert len(calls) == 6
     assert sorted(calls) == sorted(suite + strict)
 
 

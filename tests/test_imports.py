@@ -304,6 +304,7 @@ def test_checked_pointwise_operators_share_one_body():
     assert _package_users("_pointwise") == {
         "transform.forward",
         "transform.inverse",
+        "transform.forward_grid",
         "translation.translate",
         "translation.convolve",
         "translation.convolve_direct",

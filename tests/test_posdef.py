@@ -7,7 +7,7 @@ import pytest
 
 from dunklpd import DomainError, InputError, functions, make_config, posdef
 from dunklpd.functions import gaussian, gaussian_density, generalized_cauchy, bessel_k_profile
-from dunklpd.identities import _indefinite_profile
+from dunklpd.identities import _indefinite_profile, cauchy_exponent
 from dunklpd.posdef import (
     PointSet,
     bessel_integral_identity,
@@ -143,6 +143,25 @@ class TestBochnerCertificates:
         monkeypatch.setattr(posdef, "sample_grid", lambda *a: calls.append(a) or real(*a))
         rep = strict_pd_certify(cfg_plane, None, gaussian(1.0))
         assert rep.passed and len(calls) == 1
+
+    # builtin_points(d, n) leads builtin_points(d, 8), so by Cauchy interlacing the
+    # one n = 8 Gram matrix gives the floor and tolerance of the probes at 3, 5 and 8
+    @pytest.mark.parametrize("kind", ["gaussian", "generalized_cauchy"])
+    @pytest.mark.parametrize("dim,kappa", [(1, [0.5]), (2, [1.0, 0.0])])
+    def test_strict_certificate_reads_one_gram_matrix_that_covers_the_smaller_sets(
+        self, dim, kappa, kind, monkeypatch
+    ):
+        config = make_config(dim, kappa)
+        phi = gaussian(1.0) if kind == "gaussian" else generalized_cauchy(cauchy_exponent(config))
+        reps = [gram(config, None, phi, builtin_points(dim, n)) for n in (3, 5, 8)]
+        sizes = []
+        monkeypatch.setattr(posdef, "gram", lambda c, q, f, pts: sizes.append(pts.size) or gram(c, q, f, pts))
+        rep = strict_pd_certify(config, None, phi)
+        assert sizes == [8]
+        assert rep.computed == pytest.approx(max(0.0, max(-r.min_eigenvalue for r in reps)), rel=1e-15, abs=0.0)
+        assert rep.tolerance == pytest.approx(max(r.tolerance for r in reps), rel=1e-15, abs=0.0)
+        lo, hi = min(r.min_eigenvalue for r in reps), max(r.max_eigenvalue for r in reps)
+        assert f"n=8: [{lo:.3e}, {hi:.3e}]" in rep.notes
 
     def test_strict_certificate(self, cfg_half):
         rep = strict_pd_certify(cfg_half, None, gaussian(1.0))
