@@ -25,6 +25,9 @@ density is a DensityProduct of handles and (N, d) callables: the exact
 partner of a catalog input (one factor, from transform.spectral_density),
 the products in convolve and closure_suite, the heat-damped density;
 sample_grid samples each factor on its own route and multiplies the grids.
+even_by_construction reads the same types: a catalog handle, or a
+DensityProduct of them, is even in every coordinate, which lets the kernel
+sums fold onto the nonnegative orthant (quadrature.Grid.summand).
 Everything else, sampled handles and raw callables, goes through
 tensor_points.  The heat kernel has its own grid route (posdef.heat_kernel),
 found by tensor_axes.
@@ -312,6 +315,16 @@ class DensityProduct:
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return functools.reduce(operator.mul, (evaluate_handle(self.config, f, pts) for f in self.factors))
+
+
+def even_by_construction(fn) -> bool:
+    """Whether fn is even in every coordinate by its type, whatever its values:
+    a catalog handle (all four are radial), or a DensityProduct whose factors
+    all are.  Sampled handles and raw callables are not, even when their values
+    are; no sample is scanned."""
+    if isinstance(fn, DensityProduct):
+        return all(even_by_construction(f) for f in fn.factors)
+    return isinstance(fn, CatalogFunction)
 
 
 def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.ndarray:

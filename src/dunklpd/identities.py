@@ -177,10 +177,10 @@ def suite_kernel(config: MultiplicityConfig) -> list:
         pairs.append((u, v))
     lhss, rhss, growth_excess = [], [], 0.0
     grid = Grid(config, spec.doubled())
-    vw = grid.weighted(gaussian(0.5))
+    summand = grid.summand(gaussian(0.5))
     for u, v in pairs:
         # c int E(-iu, xi) E(-iv, xi) e^(-|xi|^2/2) h^2 dxi is the translate by u at -v
-        lhss.append(complex(_translate_at(grid, vw, u[None], -v[None])[0, 0]))
+        lhss.append(complex(_translate_at(grid, summand, u[None], -v[None])[0, 0]))
         ev = kernel_real_nd(config, u, -v)
         rhss.append(math.exp(-0.5 * (u @ u + v @ v)) * ev)
         bound = math.exp(np.linalg.norm(u) * np.linalg.norm(v))

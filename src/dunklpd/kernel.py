@@ -50,7 +50,16 @@ odd (Rosler, Dunkl operators: theory and applications, LNM 1817).  Every
 branch keeps it exactly in floating point: the even part is computed from
 |z| or z^2, the odd part as sign(z), z/2 or sin(z) times an even function.
 transform._axis_matrices relies on this to evaluate only the nonnegative
-half of a mirrored axis.
+half of a mirrored axis.  transform._blocked_scatter relies on it a second
+time: over an integrand even by construction on mirrored nodes the odd part
+cancels in closed form, so its folded sums contract A_k alone, or
+A_k(yc) A_k(xc) + B_k(yc) B_k(xc) with a shift, in real arithmetic.
+
+Every polynomial (the power series, the Hankel and large-argument I
+expansions, the jv panels) is evaluated in place by _horner and _clenshaw,
+which do the products and sums of numpy.polynomial's polyval and chebval
+in the same order, so the values are the same bit for bit, without two
+temporaries per term.
 
 The two costly special-function evaluations whose callers repeat
 arguments (the generic Bessel pair and the Bessel-K catalog profile in
@@ -105,16 +114,55 @@ def _gamma(x: float) -> float:
         raise DomainError(f"multiplicity too large: Gamma({x}) overflows") from None
 
 
-@lru_cache(maxsize=128)
-def _series_coeffs(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=256)
+def _series_coeffs(kappa: float, alternating: bool) -> np.ndarray:
+    """Read-only (terms, 2) block: the even and the odd series of _series, as
+    polynomials in (z/2)^2, with alternating signs for E_k(x, -iy)."""
     g = _gamma(kappa + 0.5)
-    even = np.empty(_SERIES_TERMS)
-    odd = np.empty(_SERIES_TERMS)
+    block = np.empty((_SERIES_TERMS, 2))
     for m in range(_SERIES_TERMS):
         fact = math.factorial(m)
-        even[m] = g / (fact * _gamma(m + kappa + 0.5))
-        odd[m] = g / (fact * _gamma(m + kappa + 1.5))
-    return even, odd
+        block[m] = g / (fact * _gamma(m + kappa + 0.5)), g / (fact * _gamma(m + kappa + 1.5))
+    if alternating:
+        block *= ((-1.0) ** np.arange(_SERIES_TERMS))[:, None]
+    block.flags.writeable = False
+    return block
+
+
+def _horner(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy.polynomial.polynomial.polyval(x, c) evaluated in place: c of shape
+    (terms,) or (terms, m), the result of shape c.shape[1:] + x.shape.  The same
+    products and sums in the same order, so the same values bit for bit, with
+    no temporaries per term."""
+    shape = c.shape[1:] + x.shape
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    out = np.multiply(x, 0, out=np.empty(shape))
+    out += c[-1]
+    for coef in c[-2::-1]:
+        out *= x
+        out += coef
+    return out
+
+
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy.polynomial.chebyshev.chebval(x, c) evaluated in place, for at least
+    two coefficients: c of shape (terms,) or (terms, m), the result of shape
+    c.shape[1:] + x.shape.  The same products and sums in the same order, so
+    the same values bit for bit, in three buffers."""
+    shape = c.shape[1:] + x.shape
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    x2 = 2 * x
+    c0, c1, spare = np.empty(shape), np.empty(shape), np.empty(shape)
+    c0[...] = c[-2]
+    c1[...] = c[-1]
+    for coef in c[-3::-1]:  # c0, c1 <- coef - c1, c0 + c1 x2
+        np.multiply(c1, x2, out=spare)
+        spare += c0
+        np.subtract(coef, c1, out=c0)
+        c1, spare = spare, c1
+    np.multiply(c1, x, out=spare)
+    spare += c0
+    return spare
 
 
 def _bessel_pair_ladder(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +233,7 @@ def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
     c, s = np.cos(az), np.sin(az)
     cw = c * math.cos(phi) + s * math.sin(phi)
     sw = s * math.cos(phi) - c * math.sin(phi)
-    p_lo, q_lo, p_hi, q_hi = np.polynomial.polynomial.polyval(1.0 / (az * az), _hankel_coeffs(kappa))
+    p_lo, q_lo, p_hi, q_hi = _horner(1.0 / (az * az), _hankel_coeffs(kappa))
     amp = np.sqrt(2.0 / (np.pi * az))
     return amp * (cw * p_lo - sw * q_lo / az), amp * (sw * p_hi + cw * q_hi / az)
 
@@ -245,7 +293,7 @@ def _jv_tabulated(kappa: float, a: np.ndarray) -> np.ndarray:
         seg = slice(bounds[i], bounds[i + 1])
         lo, hi = _panel_bounds(kappa, i)
         t = (2.0 * a[seg] - (lo + hi)) / (hi - lo)
-        out[:, seg] = np.polynomial.chebyshev.chebval(t, _jv_panel(kappa, i))
+        out[:, seg] = _clenshaw(t, _jv_panel(kappa, i))
     return out
 
 
@@ -269,14 +317,9 @@ def _bessel_pair_generic(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _series(kappa: float, z: np.ndarray, alternating: bool) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) power series in z/2 of E_k(x, -iy) if alternating, else of E_k(x, y)."""
-    ce, co = _series_coeffs(kappa)
-    if alternating:
-        signs = (-1.0) ** np.arange(_SERIES_TERMS)
-        ce = ce * signs
-        co = co * signs
     zs = z / 2.0
-    q = zs * zs
-    return np.polynomial.polynomial.polyval(q, ce), zs * np.polynomial.polynomial.polyval(q, co)
+    even, odd = _horner(zs * zs, _series_coeffs(kappa, alternating))
+    return even, zs * odd
 
 
 def _parts(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +382,7 @@ def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
         out[mid] = _prefactor(kappa, a) * (sps.ive(kappa - 0.5, a) + np.sign(z[mid]) * sps.ive(kappa + 0.5, a))
     if far.any():
         a = az[far]
-        plus, minus = np.polynomial.polynomial.polyval(1.0 / a, _scaled_i_coeffs(kappa))
+        plus, minus = _horner(1.0 / a, _scaled_i_coeffs(kappa))
         out[far] = _prefactor(kappa, a) / np.sqrt(2.0 * np.pi * a) * np.where(z[far] > 0.0, plus, minus)
     return out
 

@@ -132,7 +132,7 @@ def builtin_points(dimension: int, n: int, coefficients=None) -> PointSet:
 
 def _gram_on(grid, density, xs: np.ndarray) -> np.ndarray:
     """Matrix of translates [tau_{x_j} phi (x_l)] on grid, phi given by its transform."""
-    return _translate_at(grid, grid.weighted(density), xs, xs)
+    return _translate_at(grid, grid.summand(density), xs, xs)
 
 
 def _gram_from_density(config, spec, density, xs) -> GramReport:

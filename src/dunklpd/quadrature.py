@@ -5,7 +5,9 @@ Each axis rule is a two-panel composite: Gauss-Legendre on [-R, 0] and on
 integrand carries the weight |y|^(2 kappa), whose even extension has a corner
 at 0; a single panel across the origin degrades to algebraic convergence.
 The weight stays in the integrand (folded into per-axis weight vectors), not
-in the rule itself.
+in the rule itself.  Grid.summand is the summand of every kernel sum:
+weighted(fn), or, for an integrand even by construction on axes mirrored at
+an even node count, its nonnegative orthant doubled once per axis.
 
 two_pass is the one place that runs a computation at n and at 2n nodes per
 axis, and it builds every grid a checked computation reads: given one spec
@@ -32,13 +34,13 @@ hand-tuned, as Gauss-Legendre needs the wider boxes and extra nodes it names.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .functions import sample_grid, tensor_points
+from .functions import _mirror_half, even_by_construction, sample_grid, tensor_points
 from .root_system import MultiplicityConfig
 
 _RESOLUTION = {
@@ -160,6 +162,25 @@ class Grid:
     def weighted(self, fn) -> np.ndarray:
         """sample(fn) times the weight grid: the summand of every weighted integral."""
         return self.sample(fn) * self.weight_grid()
+
+    def summand(self, fn) -> tuple[np.ndarray, bool]:
+        """The summand of a kernel sum of fn over the grid, and whether it is folded.
+
+        Folded when fn is even by construction (functions.even_by_construction)
+        and every axis is exactly mirrored at an even node count: then
+        weighted(fn) on the nonnegative orthant, doubled once per axis, which
+        transform._blocked_scatter sums against the even part of the kernel.
+        It is built from the half axes alone: fn by sample_grid and the weights
+        as the outer product of the doubled half weight vectors, which is the
+        orthant of weight_grid() times 2^d (doubling is exact).  Else
+        weighted(fn), unfolded.
+        """
+        halves = [_mirror_half(a) for a in self.axes]
+        if not (even_by_construction(fn) and all(2 * h == len(a) for h, a in zip(halves, self.axes))):
+            return self.weighted(fn), False
+        axes = [a[h:] for a, h in zip(self.axes, halves)]
+        weights = reduce(np.multiply.outer, [2.0 * w[h:] for w, h in zip(self.axis_weights, halves)])
+        return sample_grid(self.config, fn, axes) * weights, True
 
     def weight_grid(self) -> np.ndarray:
         """Product quadrature-plus-h^2 weights, shape n^d (as the grid)."""

@@ -15,7 +15,7 @@ scale.  two_pass builds the grids: a run takes one Grid per spec and reads
 the config from it.  The checked operators at points, forward_grid's output
 nodes included, share one body, _pointwise.
 
-Every kernel sum contracts a weighted grid (Grid.weighted) against per-axis
+Every kernel sum contracts a weighted grid (Grid.summand) against per-axis
 phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
 E_k(-z) = conj E_k(z) holds exactly for real z, so on an axis mirrored
 exactly about 0 (every Gauss-Legendre axis with an even node count, every
@@ -27,6 +27,16 @@ axes), else point by point (_scatter_contract) in blocks of _SCATTER_BLOCK.
 _transformer (every transform, convolve and the suites' composites) takes
 its unshifted row, translation._translate_at its shifted rows: every
 translate and Gram matrix.
+
+The same parity folds a sum whose integrand is even by construction (a
+catalog handle, or a DensityProduct of such: functions.even_by_construction)
+on a grid whose every axis is mirrored at an even node count.  Pairing each
+node with its mirror images cancels the odd part B of every phase E = A + iB,
+so Grid.summand keeps the nonnegative orthant, doubled once per axis, and
+each axis contracts A(x c), or A(y c) A(x c) + B(y c) B(x c) for a shifted
+row: 1/2^d of the nodes in real arithmetic, one _axis_matrices call as
+before.  The route follows the handle's type and the grid alone, with no
+option; every other sum is the complex sum over every node.
 """
 
 from __future__ import annotations
@@ -102,7 +112,7 @@ def _scatter_contract(mats: list, vw: np.ndarray) -> np.ndarray:
 
 
 def _grid_contract(mats: list, vw: np.ndarray) -> np.ndarray:
-    t = vw.astype(complex)
+    t = vw.astype(np.result_type(vw, *mats))
     for i, a in enumerate(mats):
         t = np.moveaxis(np.tensordot(a, t, axes=(1, i)), 0, i)
     return t
@@ -112,17 +122,36 @@ _POINT_BLOCK = 16384
 _SCATTER_BLOCK = {1: 16384, 2: 4096, 3: 256}
 
 
-def _blocked_scatter(grid, vw, pts, sign, shifts=None) -> np.ndarray:
+def _row_factors(mats: list, q: int, j: int, folded: bool) -> list:
+    """Per-axis factors of output row j, from the phase matrices E = A + i sign B over
+    [q shift rows; output rows]: conj(E_j) E, or E without shift rows.  On a folded
+    summand only their real parts survive the sum over each node and its mirror
+    image, A_j A + B_j B and A, both real."""
+    if not folded:
+        return [m[q:] * m[j].conj() if q else m for m in mats]
+    return [m.real[q:] * m.real[j] + m.imag[q:] * m.imag[j] if q else m.real for m in mats]
+
+
+def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     """out[j, m] = sum_k vw[k] prod_i conj(P_i[j, k_i]) M_i[m, k_i], with M_i and P_i
     the phase matrices (sign i) of pts and of the shift points; one row, P = 1,
-    without shifts.  One _axis_matrices call per block builds both.  The one
-    blocking rule: tensor-grid nodes (tensor_axes) with at most _POINT_BLOCK per
-    axis are one block, M_i on the axes, summed by _grid_contract; other points
-    go through _scatter_contract in blocks of _SCATTER_BLOCK[d], which keeps
-    huge requests from materializing multi-GB intermediates at once.
+    without shifts.  summand is Grid.summand's (vw, folded).  One _axis_matrices
+    call per block builds both.  The one blocking rule: tensor-grid nodes
+    (tensor_axes) with at most _POINT_BLOCK per axis are one block, M_i on the
+    axes, summed by _grid_contract; other points go through _scatter_contract in
+    blocks of _SCATTER_BLOCK[d], which keeps huge requests from materializing
+    multi-GB intermediates at once.
+
+    A folded summand (an integrand even by construction, on axes mirrored at an
+    even node count) covers the nonnegative half of every axis, and each axis
+    contracts the real factors of _row_factors there; the result is real,
+    returned with zero imaginary parts.  Any other summand takes the complex
+    sum over every node.
     """
+    vw, folded = summand
     q = 0 if shifts is None else len(shifts)
     out = np.empty((max(q, 1), len(pts)), dtype=complex)
+    nodes = [a[len(a) // 2 :] for a in grid.axes] if folded else grid.axes
     axes = tensor_axes(pts)
     if axes is not None and max(len(a) for a in axes) <= _POINT_BLOCK:
         blocks = [(slice(None), axes, _grid_contract)]
@@ -132,17 +161,17 @@ def _blocked_scatter(grid, vw, pts, sign, shifts=None) -> np.ndarray:
         blocks = [(sl, pts[sl].T, _scatter_contract) for sl in spans]
     for sl, cols, contract in blocks:
         rows = cols if q == 0 else [np.concatenate([s, c]) for s, c in zip(shifts.T, cols)]
-        mats = _axis_matrices(grid.config, rows, grid.axes, sign)
+        mats = _axis_matrices(grid.config, rows, nodes, sign)
         for j in range(max(q, 1)):
-            out[j, sl] = contract([m[q:] * m[j].conj() if q else m for m in mats], vw).reshape(-1)
+            out[j, sl] = contract(_row_factors(mats, q, j, folded), vw).reshape(-1)
     return out
 
 
 def _transformer(grid, f, sign) -> Callable:
     """Map from (N, d) output points to c sum_k f(y_k) w_k E(sign i x, y_k) on grid."""
-    vw = grid.weighted(f)
+    summand = grid.summand(f)
     return lambda pts: grid.config.mehta * _blocked_scatter(
-        grid, vw, np.atleast_2d(np.asarray(pts, dtype=float)), sign
+        grid, summand, np.atleast_2d(np.asarray(pts, dtype=float)), sign
     )[0]
 
 

@@ -47,10 +47,11 @@ def _point(config: MultiplicityConfig, y) -> np.ndarray:
     return pts[0]
 
 
-def _translate_at(grid, vw, ys, xs) -> np.ndarray:
+def _translate_at(grid, summand, ys, xs) -> np.ndarray:
     """T[j, m] = c sum_k vw[k] E(-i ys[j], xi_k) E(i xs[m], xi_k): the translate
-    by ys[j] at xs[m] of the function whose weighted density on grid is vw."""
-    return grid.config.mehta * _blocked_scatter(grid, vw, xs, INVERSE, shifts=ys)
+    by ys[j] at xs[m] of the function whose weighted density on grid is vw,
+    with (vw, folded) = summand from Grid.summand."""
+    return grid.config.mehta * _blocked_scatter(grid, summand, xs, INVERSE, shifts=ys)
 
 
 def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
@@ -59,7 +60,7 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     yv = _point(config, y)
     density = spectral_density(config, spec, f)
 
-    run = lambda grid, pts: _translate_at(grid, grid.weighted(density), yv[None], pts)[0]
+    run = lambda grid, pts: _translate_at(grid, grid.summand(density), yv[None], pts)[0]
     return _pointwise("translation", config, spec, x, run)
 
 
@@ -132,7 +133,7 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
     def run(grid, pts):
         gp = grid.points()
         fvals = grid.sample(f)
-        flipped = grid.weighted(lambda p: dg(-p))
+        flipped = grid.summand(lambda p: dg(-p))
         out = np.empty(len(pts), dtype=complex)
         for m, xv in enumerate(pts):
             shifted = _translate_at(grid, flipped, xv[None], gp)[0].reshape(grid.shape)

@@ -9,6 +9,11 @@ mehta constant
 
     T = c conj(C_y) diag(dvec) C_x^T,   G = T at y = x,
     G[j, j] = c sum_k |C[j, k]|^2 dvec[k].
+
+Each dense test runs on two summands: random complex values on every node,
+which take the complex sum, and a catalog density, even by construction,
+which Grid.summand folds onto the nonnegative orthant; its dense reference
+still sums every node of grid.weighted.
 """
 
 import inspect
@@ -18,11 +23,20 @@ import numpy as np
 import pytest
 
 from dunklpd import AccuracyWarning, make_config, transform
-from dunklpd.functions import gaussian, tensor_axes, tensor_points, uniform_axes
+from dunklpd.functions import (
+    DensityProduct,
+    gaussian,
+    generalized_cauchy,
+    sample_on_axes,
+    tensor_axes,
+    tensor_points,
+    uniform_axes,
+)
 from dunklpd.kernel import _phase_1d, kernel_nd
 from dunklpd.posdef import builtin_points, gram
 from dunklpd.quadrature import Grid, QuadratureSpec
 from dunklpd.transform import (
+    FORWARD,
     INVERSE,
     _blocked_scatter,
     _transformer,
@@ -76,21 +90,48 @@ def test_contractions_take_no_config_beside_their_grid(fn):
     assert params[0] == "grid" and "config" not in params
 
 
-def _dvec(grid, rng):
-    return rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+SUMMANDS = ("random", "catalog")
+# the folded sum is held to 1e-14 of the largest entry, the random complex one to 1e-12
+_TOL = {"random": 1e-12, "catalog": 1e-14}
 
 
-@pytest.mark.parametrize("dim,kappa", CONFIGS)
-def test_gram_matches_dense_product(dim, kappa, rng):
+def _summand(grid, kind, rng):
+    """(summand, dvec): what the contractions take, and the weighted density on every node."""
+    if kind == "random":
+        dvec = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        return (dvec, False), dvec
+    config = grid.config
+    f = DensityProduct(config, (gaussian(0.3), generalized_cauchy(config.gamma + config.dimension / 2.0 + 2.0)))
+    summand = grid.summand(f)
+    assert summand[1], "a catalog density on a mirrored grid is folded"
+    return summand, grid.weighted(f)
+
+
+def _with_summands(configs):
+    """(dim, kappa, kind) for each config and summand: the random summand under
+    the config's own id, the catalog one under that id and -folded."""
+    return [
+        pytest.param(dim, kappa, kind, id=f"{dim}-kappa{i}" + ("-folded" if kind == "catalog" else ""))
+        for kind in SUMMANDS
+        for i, (dim, kappa) in enumerate(configs)
+    ]
+
+
+def _close(got, want, kind):
+    np.testing.assert_allclose(got, want, rtol=_TOL[kind], atol=_TOL[kind] * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim,kappa,kind", _with_summands(CONFIGS))
+def test_gram_matches_dense_product(dim, kappa, kind, rng):
     config = make_config(dim, kappa)
     grid = Grid(config, SPEC)
     pts = _points(config, rng)
-    dvec = _dvec(grid, rng)
+    summand, dvec = _summand(grid, kind, rng)
     c = _dense_phases(config, pts, grid.points())
     want = config.mehta * (c.conj() * dvec.reshape(-1)) @ c.T
-    got = _translate_at(grid, dvec, pts, pts)
+    got = _translate_at(grid, summand, pts, pts)
     assert got.shape == (len(pts), len(pts))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    _close(got, want, kind)
 
 
 @pytest.mark.parametrize("dim,kappa", CONFIGS)
@@ -98,40 +139,41 @@ def test_translate_diagonal_matches_dense_diagonal(dim, kappa, rng):
     config = make_config(dim, kappa)
     pts = _points(config, rng)
     grid = Grid(config, SPEC.doubled())
-    vw = grid.weighted(_density)
+    summand = grid.summand(_density)
+    vw = summand[0]
     # entry by entry: each one-point request is a one-node grid
-    got = np.array([_translate_at(grid, vw, x[None], x[None])[0, 0] for x in pts])
+    got = np.array([_translate_at(grid, summand, x[None], x[None])[0, 0] for x in pts])
     c = _dense_phases(config, pts, grid.points())
     want = config.mehta * np.sum(np.abs(c) ** 2 * vw.reshape(-1), axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("shifts", [1, 3])
-@pytest.mark.parametrize("dim,kappa", CONFIGS)
-def test_translates_match_dense_product(dim, kappa, shifts, rng):
+@pytest.mark.parametrize("dim,kappa,kind", _with_summands(CONFIGS))
+def test_translates_match_dense_product(dim, kappa, shifts, kind, rng):
     config = make_config(dim, kappa)
     grid = Grid(config, SPEC)
     ys = _points(config, rng, shifts)
     xs = _points(config, rng, 5)
-    dvec = _dvec(grid, rng)
+    summand, dvec = _summand(grid, kind, rng)
     cy = _dense_phases(config, ys, grid.points())
     cx = _dense_phases(config, xs, grid.points())
     want = config.mehta * (cy.conj() * dvec.reshape(-1)) @ cx.T
-    got = _translate_at(grid, dvec, ys, xs)
+    got = _translate_at(grid, summand, ys, xs)
     assert got.shape == (shifts, 5)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    _close(got, want, kind)
 
 
-@pytest.mark.parametrize("dim,kappa", CONFIGS)
-def test_unshifted_row_matches_dense_product(dim, kappa, rng):
+@pytest.mark.parametrize("dim,kappa,kind", _with_summands(CONFIGS))
+def test_unshifted_row_matches_dense_product(dim, kappa, kind, rng):
     config = make_config(dim, kappa)
     grid = Grid(config, SPEC)
     xs = _points(config, rng)
-    dvec = _dvec(grid, rng)
+    summand, dvec = _summand(grid, kind, rng)
     want = _dense_phases(config, xs, grid.points()) @ dvec.reshape(-1)
-    got = _blocked_scatter(grid, dvec, xs, INVERSE)
+    got = _blocked_scatter(grid, summand, xs, INVERSE)
     assert got.shape == (1, len(xs))
-    np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    _close(got[0], want, kind)
 
 
 @pytest.mark.parametrize("shifts", [1, 3])
@@ -141,13 +183,13 @@ def test_point_blocks_do_not_change_translates(dim, kappa, shifts, rng, monkeypa
     grid = Grid(config, SPEC)
     ys = _points(config, rng, shifts)
     xs = _points(config, rng, 7)
-    dvec = _dvec(grid, rng)
-    whole = _translate_at(grid, dvec, ys, xs)
+    summand, _ = _summand(grid, "random", rng)
+    whole = _translate_at(grid, summand, ys, xs)
     blocks = []
     real = transform._scatter_contract
     monkeypatch.setattr(transform, "_scatter_contract", lambda mats, vw: blocks.append(len(mats[0])) or real(mats, vw))
     monkeypatch.setattr(transform, "_SCATTER_BLOCK", {dim: 3})
-    blocked = _translate_at(grid, dvec, ys, xs)
+    blocked = _translate_at(grid, summand, ys, xs)
     # blocks of 3, 3 and 1 outputs, each contracted once per shift; a one-row
     # block may take another BLAS path, so the sums agree to rounding rather
     # than bit for bit
@@ -158,36 +200,36 @@ def test_point_blocks_do_not_change_translates(dim, kappa, shifts, rng, monkeypa
 # _blocked_scatter contracts tensor-grid outputs axis by axis; the same nodes
 # in another order are a scattered set and go through _scatter_contract
 @pytest.mark.parametrize("shifts", [0, 1, 3])
-@pytest.mark.parametrize("dim,kappa", [c for c in CONFIGS if len(c[1]) > 1])
-def test_grid_route_matches_scattered_route(dim, kappa, shifts, rng, monkeypatch):
+@pytest.mark.parametrize("dim,kappa,kind", _with_summands([c for c in CONFIGS if len(c[1]) > 1]))
+def test_grid_route_matches_scattered_route(dim, kappa, shifts, kind, rng, monkeypatch):
     config = make_config(dim, kappa)
     grid = Grid(config, SPEC)
     nodes = tensor_points([np.sort(rng.uniform(-2.5, 2.5, n)) for n in (4, 5, 3)[:dim]])
     order = rng.permutation(len(nodes))
     assert tensor_axes(nodes) is not None and tensor_axes(nodes[order]) is None
     ys = _points(config, rng, shifts) if shifts else None
-    dvec = _dvec(grid, rng)
+    summand, _ = _summand(grid, kind, rng)
     routes = []
     real = transform._grid_contract
     monkeypatch.setattr(transform, "_grid_contract", lambda *a: routes.append(a) or real(*a))
-    scattered = _blocked_scatter(grid, dvec, nodes[order], INVERSE, shifts=ys)
+    scattered = _blocked_scatter(grid, summand, nodes[order], INVERSE, shifts=ys)
     assert routes == []
-    on_grid = _blocked_scatter(grid, dvec, nodes, INVERSE, shifts=ys)
+    on_grid = _blocked_scatter(grid, summand, nodes, INVERSE, shifts=ys)
     assert len(routes) == max(shifts, 1)
-    np.testing.assert_allclose(
-        on_grid[:, order], scattered, rtol=1e-13, atol=1e-13 * np.max(np.abs(scattered))
-    )
+    tol = 1e-13 if kind == "random" else 1e-14
+    np.testing.assert_allclose(on_grid[:, order], scattered, rtol=tol, atol=tol * np.max(np.abs(scattered)))
 
 
 def test_grid_outputs_build_phases_on_the_axes(monkeypatch):
     config = make_config(2, [1.0, 0.0])
-    rows = []
+    blocks = []
     real = transform._phase_1d
-    monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: rows.append(len(z)) or real(k, z, sign))
+    monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: blocks.append(z.shape) or real(k, z, sign))
     got = forward(config, QuadratureSpec(8.0, 48), gaussian(1.0), tensor_points(uniform_axes(2, 3.0, 30)))
     assert got.shape == (900,)
-    # two axes at n and at 2n nodes, each the nonnegative half of a mirrored 30-node axis
-    assert rows == [15] * 4
+    # two axes at n and at 2n nodes: the nonnegative half of a mirrored 30-node
+    # output axis against the nonnegative half of the grid axis, as the folded sum reads it
+    assert blocks == [(15, 24)] * 2 + [(15, 48)] * 2
 
 
 def _full_axis_matrices(config, rows, cols, sign):
@@ -279,5 +321,62 @@ def test_convolve_is_the_inverse_transform_of_the_product(dim, kappa):
     dg = spectral_density(config, None, g)
     x = np.linspace(-1.0, 1.0, 3 * dim).reshape(3, dim)
     got = convolve(config, None, f, g, x)
-    want = inverse(config, None, lambda p: df(p) * dg(p), x)
+    want = inverse(config, None, DensityProduct(config, (df, dg)), x)
     np.testing.assert_array_equal(got, want)
+
+
+# only handles even by construction are folded: a raw callable over an even
+# density and a sampled handle are not, whatever their values, and neither is
+# a grid whose axes are not mirrored at an even count (an odd node count).
+# Those keep the complex sum over every node, written out here as it was
+# before the fold: the full phase matrices, conj(E_j) E per shift row.
+@pytest.mark.parametrize("case", ["raw callable", "sampled", "odd nodes"])
+def test_unfolded_inputs_take_the_complex_sum(case, rng):
+    config = make_config(2, [0.3, 1.7])
+    grid = Grid(config, QuadratureSpec(4.0, 9) if case == "odd nodes" else SPEC)
+    f = {
+        "raw callable": lambda p: gaussian(1.0).evaluate(config, p),
+        "sampled": sample_on_axes(config, gaussian(1.0), uniform_axes(2, 5.0, 21)),
+        "odd nodes": gaussian(1.0),
+    }[case]
+    vw, folded = grid.summand(f)
+    assert not folded
+    np.testing.assert_array_equal(vw, grid.weighted(f))
+    ys, xs = _points(config, rng, 2), _points(config, rng, 5)
+    mats = transform._axis_matrices(config, [np.concatenate([s, c]) for s, c in zip(ys.T, xs.T)], grid.axes, INVERSE)
+    want = config.mehta * np.array([transform._scatter_contract([m[2:] * m[j].conj() for m in mats], vw) for j in (0, 1)])
+    got = _translate_at(grid, (vw, folded), ys, xs)
+    np.testing.assert_array_equal(got.view(float), want.view(float))
+    mats = transform._axis_matrices(config, xs.T, grid.axes, FORWARD)
+    want = config.mehta * transform._scatter_contract(mats, vw)
+    got = _transformer(grid, f, FORWARD)(xs)
+    np.testing.assert_array_equal(got.view(float), want.view(float))
+
+
+# a folded Gram matrix sums A_j A_m + B_j B_m, symmetric in (j, m) factor by
+# factor, and has no imaginary part.  At d >= 2 the first axis is a matrix
+# product whose rows do not depend on their position, so the matrix is
+# symmetric bit for bit; at d = 1 it is a BLAS matrix-vector product, whose
+# rounding may depend on the row's place in its block, so there it is
+# symmetric to rounding.
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_folded_gram_is_real_symmetric(dim, kappa, monkeypatch):
+    config = make_config(dim, kappa)
+    folds = []
+    real = Grid.summand
+
+    def summand(grid, fn):
+        out = real(grid, fn)
+        folds.append(out[1])
+        return out
+
+    monkeypatch.setattr(Grid, "summand", summand)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        g = gram(config, SPEC, gaussian(1.0), builtin_points(dim, 5)).matrix
+    assert folds == [True, True]
+    assert not np.any(g.imag)
+    if dim > 1:
+        np.testing.assert_array_equal(g.real, g.real.T)
+    else:
+        np.testing.assert_allclose(g.real, g.real.T, rtol=0, atol=4 * np.finfo(float).eps * np.max(np.abs(g)))

@@ -340,6 +340,27 @@ class TestPerDistinct:
         assert 0 < max(sizes) <= 24
 
 
+class TestInPlacePolynomials:
+    """_horner and _clenshaw evaluate numpy.polynomial's polyval and chebval
+    in place, with the same products and sums in the same order: the values
+    must be the same bit for bit, for coefficient vectors and for the (terms,
+    m) blocks the kernel passes, at 1-D and 2-D arguments."""
+
+    @pytest.mark.parametrize("cols", [None, 2, 4])
+    @pytest.mark.parametrize("terms", [2, 3, 25, 30])
+    def test_match_numpy_polynomial(self, terms, cols, rng):
+        shape = (terms,) if cols is None else (terms, cols)
+        c = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 3, size=shape)
+        x = np.concatenate((rng.uniform(-3.0, 3.0, 396), [0.0, -0.0, 1.0, -1.0]))
+        for arg in (x, x.reshape(8, 50)):
+            for mine, numpys in (
+                (kernel_module._horner, np.polynomial.polynomial.polyval),
+                (kernel_module._clenshaw, np.polynomial.chebyshev.chebval),
+            ):
+                got, want = mine(arg, c), numpys(arg, c)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestStructure:
     @given(_KAPPAS, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
     def test_modulus_bounded_by_one(self, kappa, x, y):
