@@ -17,6 +17,9 @@ Theory and Approximation Practice, ch. 8; DLMF 3.11): panels of width 2 from
 |z| = 6, the last one ending exactly at the zone's top, each of degree 24 and
 interpolated from scipy's jv at its Chebyshev points.  A panel is built on
 first use and cached per (k, panel), so the cost follows the arguments seen.
+The panels are read in one pass: each argument takes its panel's index and
+bounds, and one Clenshaw recurrence runs over all of them, each term
+spreading its panels' coefficients over their runs of arguments.
 The panels hold the even and odd parts themselves, not J, so they keep their
 relative accuracy where J_{k-1/2}(|z|) rises steeply (|z| below k).  From the
 zone's top on, J comes from the Hankel large-argument expansion
@@ -54,6 +57,11 @@ half of a mirrored axis.  transform._blocked_scatter relies on it a second
 time: over an integrand even by construction on mirrored nodes the odd part
 cancels in closed form, so its folded sums contract A_k alone, or
 A_k(yc) A_k(xc) + B_k(yc) B_k(xc) with a shift, in real arithmetic.
+_phase_1d at sign 0 returns that real even part A_k alone, bit for bit the
+real part at either sign: every branch then evaluates only its even column
+(cos at k = 0, the even series, the even panel column, P and Q of the lower
+order in the Hankel expansion), and the ladder drops the odd order after its
+recurrence.
 
 Every polynomial (the power series, the Hankel and large-argument I
 expansions, the jv panels) is evaluated in place by _horner and _clenshaw,
@@ -144,21 +152,32 @@ def _horner(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _clenshaw(x: np.ndarray, c: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
     """numpy.polynomial.chebyshev.chebval(x, c) evaluated in place, for at least
     two coefficients: c of shape (terms,) or (terms, m), the result of shape
     c.shape[1:] + x.shape.  The same products and sums in the same order, so
-    the same values bit for bit, in three buffers."""
-    shape = c.shape[1:] + x.shape
-    c = c.reshape(c.shape + (1,) * x.ndim)
+    the same values bit for bit, in three buffers.
+
+    With runs, c is a (terms, m, len(runs)) table and the 1-D x falls into
+    consecutive runs of those lengths, run r evaluated against c[:, :, r]: the
+    result, of shape (m,) + x.shape, equals chebval(x[e], c[:, :, r]) element
+    by element.  Each term spreads its own coefficient row over the runs, so
+    the gathered coefficients never exceed one buffer."""
+    if runs is None:
+        shape = c.shape[1:] + x.shape
+        c = c.reshape(c.shape + (1,) * x.ndim)
+        row = c.__getitem__
+    else:
+        shape = c.shape[1:2] + x.shape
+        row = lambda j: np.repeat(c[j], runs, axis=1)
     x2 = 2 * x
     c0, c1, spare = np.empty(shape), np.empty(shape), np.empty(shape)
-    c0[...] = c[-2]
-    c1[...] = c[-1]
-    for coef in c[-3::-1]:  # c0, c1 <- coef - c1, c0 + c1 x2
+    c0[...] = row(-2)
+    c1[...] = row(-1)
+    for j in range(len(c) - 3, -1, -1):  # c0, c1 <- c[j] - c1, c0 + c1 x2
         np.multiply(c1, x2, out=spare)
         spare += c0
-        np.subtract(coef, c1, out=c0)
+        np.subtract(row(j), c1, out=c0)
         c1, spare = spare, c1
     np.multiply(c1, x, out=spare)
     spare += c0
@@ -224,18 +243,23 @@ def _scaled_i_coeffs(kappa: float) -> np.ndarray:
     return np.stack((signs * (lo + hi), signs * (lo - hi)), axis=1)
 
 
-def _bessel_pair_hankel(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bessel_pair_hankel(kappa: float, az: np.ndarray, odd: bool) -> tuple[np.ndarray, ...]:
     """(J_{k-1/2}(az), J_{k+1/2}(az)) by the large-argument expansion
-    J_nu(z) = sqrt(2/(pi z)) (cos(w) P - sin(w) Q), w = z - (nu/2 + 1/4) pi.
-    For the order k + 1/2 the phase is w - pi/2, so one cos/sin of az
-    serves both orders."""
+    J_nu(z) = sqrt(2/(pi z)) (cos(w) P - sin(w) Q), w = z - (nu/2 + 1/4) pi,
+    or (J_{k-1/2}(az),) alone, from P_lo and Q_lo, unless odd.  For the order
+    k + 1/2 the phase is w - pi/2, so one cos/sin of az serves both orders."""
     phi = 0.5 * math.pi * kappa
     c, s = np.cos(az), np.sin(az)
     cw = c * math.cos(phi) + s * math.sin(phi)
     sw = s * math.cos(phi) - c * math.sin(phi)
-    p_lo, q_lo, p_hi, q_hi = _horner(1.0 / (az * az), _hankel_coeffs(kappa))
+    coeffs = _hankel_coeffs(kappa)
+    p_lo, q_lo, *hi = _horner(1.0 / (az * az), coeffs if odd else coeffs[:, :2])
     amp = np.sqrt(2.0 / (np.pi * az))
-    return amp * (cw * p_lo - sw * q_lo / az), amp * (sw * p_hi + cw * q_hi / az)
+    lo = amp * (cw * p_lo - sw * q_lo / az)
+    if not odd:
+        return (lo,)
+    p_hi, q_hi = hi
+    return lo, amp * (sw * p_hi + cw * q_hi / az)
 
 
 def _prefactor(kappa: float, a: np.ndarray) -> np.ndarray:
@@ -278,78 +302,87 @@ def _jv_panel(kappa: float, index: int) -> np.ndarray:
     return coeffs
 
 
-def _jv_tabulated(kappa: float, a: np.ndarray) -> np.ndarray:
-    """The (2, n) even and odd parts from _jv_panel at ascending a in
-    (6, top): one searchsorted splits a into panel segments, and each
-    touched panel, built on first use, is evaluated once.  Each value
-    depends on its own argument only."""
+def _jv_tabulated(kappa: float, a: np.ndarray, odd: bool) -> np.ndarray:
+    """The even part from _jv_panel at ascending a in (6, top), and the odd
+    part over sign(z) if odd: a (2, n) or (1, n) array.  Each element takes the
+    index of its panel and its t from that panel's bounds, and one Clenshaw
+    pass evaluates every element against its own panel; the touched panels
+    are built on first use.  Each value depends on its own argument only, so
+    it equals evaluating that element alone."""
+    cols = 2 if odd else 1
     if not a.size:
-        return np.empty((2, 0))
-    count = math.ceil((_jv_top(kappa) - _SERIES_CUTOFF) / _PANEL_WIDTH)
-    edges = np.searchsorted(a, _SERIES_CUTOFF + _PANEL_WIDTH * np.arange(1, count))
-    bounds = np.concatenate(([0], edges, [a.size]))
-    out = np.empty((2, a.size))
-    for i in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
-        seg = slice(bounds[i], bounds[i + 1])
-        lo, hi = _panel_bounds(kappa, i)
-        t = (2.0 * a[seg] - (lo + hi)) / (hi - lo)
-        out[:, seg] = _clenshaw(t, _jv_panel(kappa, i))
-    return out
+        return np.empty((cols, 0))
+    top = _jv_top(kappa)
+    count = math.ceil((top - _SERIES_CUTOFF) / _PANEL_WIDTH)
+    index = np.searchsorted(_SERIES_CUTOFF + _PANEL_WIDTH * np.arange(1, count), a, side="right")
+    lo = _SERIES_CUTOFF + _PANEL_WIDTH * index
+    hi = np.minimum(lo + _PANEL_WIDTH, top)
+    t = (2.0 * a - (lo + hi)) / (hi - lo)
+    starts = np.flatnonzero(np.diff(index, prepend=-1))  # a ascends, so each panel's elements are one run
+    table = np.stack([_jv_panel(kappa, i)[:, :cols] for i in index[starts].tolist()], axis=-1)
+    return _clenshaw(t, table, np.diff(starts, append=a.size))
 
 
-def _bessel_pair_generic(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bessel_pair_generic(kappa: float, az: np.ndarray, odd: bool) -> np.ndarray:
     """The kernel's even part and its odd part over sign(z), that is the
-    prefactor times (J_{k-1/2}(az), J_{k+1/2}(az)), computed once per
-    distinct argument.  Below max(20, (k + 1/2)^2) they come from the
+    prefactor times (J_{k-1/2}(az), J_{k+1/2}(az)), as a (2,) + az.shape
+    array, or the (1,) + az.shape even part alone unless odd; computed once
+    per distinct argument.  Below max(20, (k + 1/2)^2) they come from the
     Chebyshev panels of _jv_panel, from there on from the Hankel expansion,
     where no term exceeds 1/2 and the first one left out is below 1e-18."""
 
     def pair(u):  # ascending, so one split separates the two zones
-        top = _jv_top(kappa)
-        split = np.searchsorted(u, top)
+        split = np.searchsorted(u, _jv_top(kappa))
         far = u[split:]
-        near = _jv_tabulated(kappa, u[:split])
-        return np.concatenate((near, _prefactor(kappa, far) * _bessel_pair_hankel(kappa, far)), axis=1)
+        near = _jv_tabulated(kappa, u[:split], odd)
+        return np.concatenate((near, _prefactor(kappa, far) * _bessel_pair_hankel(kappa, far, odd)), axis=1)
 
-    lo, hi = _per_distinct(pair, az)
-    return lo, hi
+    return _per_distinct(pair, az)
 
 
-def _series(kappa: float, z: np.ndarray, alternating: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) power series in z/2 of E_k(x, -iy) if alternating, else of E_k(x, y)."""
+def _series(kappa: float, z: np.ndarray, alternating: bool, odd: bool = True) -> tuple[np.ndarray, ...]:
+    """(even, odd) power series in z/2 of E_k(x, -iy) if alternating, else of
+    E_k(x, y); (even,) alone unless odd."""
     zs = z / 2.0
-    even, odd = _horner(zs * zs, _series_coeffs(kappa, alternating))
-    return even, zs * odd
+    coeffs = _series_coeffs(kappa, alternating)
+    if not odd:
+        return (_horner(zs * zs, coeffs[:, 0]),)
+    even, odd_series = _horner(zs * zs, coeffs)
+    return even, zs * odd_series
 
 
-def _parts(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) parts of E_k(x, -iy) as functions of z = x*y."""
+def _parts(kappa: float, z: np.ndarray, odd: bool = True) -> list:
+    """[even, odd] parts of E_k(x, -iy) as functions of z = x*y, or [even]
+    alone unless odd: each branch then computes the even part only."""
     z = np.asarray(z, dtype=float)
     if kappa == 0.0:
-        return np.cos(z), np.sin(z)
-    even = np.empty_like(z)
-    odd = np.empty_like(z)
+        return [np.cos(z), np.sin(z)] if odd else [np.cos(z)]
+    parts = [np.empty_like(z) for _ in range(2 if odd else 1)]
     ladder = kappa <= _LADDER_MAX_KAPPA and (2.0 * kappa).is_integer()
     cutoff = max(_SERIES_CUTOFF, 2.0 * kappa + 2.0) if ladder else _SERIES_CUTOFF
     small = np.abs(z) <= cutoff
     if small.any():
-        even[small], odd[small] = _series(kappa, z[small], alternating=True)
+        for part, vals in zip(parts, _series(kappa, z[small], True, odd)):
+            part[small] = vals
     big = ~small
     if big.any():
         az = np.abs(z[big])
-        if ladder:
+        if ladder:  # the recurrence needs both orders; the odd one is dropped after it
             pref = _prefactor(kappa, az)
-            lo, hi = _bessel_pair_ladder(kappa, az)
-            lo, hi = pref * lo, pref * hi
+            vals = [pref * j for j in _bessel_pair_ladder(kappa, az)[: len(parts)]]
         else:
-            lo, hi = _bessel_pair_generic(kappa, az)
-        even[big] = lo
-        odd[big] = np.sign(z[big]) * hi
-    return even, odd
+            vals = _bessel_pair_generic(kappa, az, odd)
+        parts[0][big] = vals[0]
+        if odd:
+            parts[1][big] = np.sign(z[big]) * vals[1]
+    return parts
 
 
 def _phase_1d(kappa: float, z: np.ndarray, sign: int) -> np.ndarray:
-    """E_k(x, sign * i * y) on an array of products z = x*y."""
+    """E_k(x, sign * i * y) on an array of products z = x*y; at sign 0 the
+    real even part A_k(z) alone, the real part at either sign bit for bit."""
+    if sign == 0:
+        return _parts(kappa, z, odd=False)[0]
     even, odd = _parts(kappa, z)
     return even + 1j * sign * odd
 

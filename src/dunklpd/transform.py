@@ -35,8 +35,10 @@ node with its mirror images cancels the odd part B of every phase E = A + iB,
 so Grid.summand keeps the nonnegative orthant, doubled once per axis, and
 each axis contracts A(x c), or A(y c) A(x c) + B(y c) B(x c) for a shifted
 row: 1/2^d of the nodes in real arithmetic, one _axis_matrices call as
-before.  The route follows the handle's type and the grid alone, with no
-option; every other sum is the complex sum over every node.
+before.  Without shift rows that call builds the real matrices of A alone
+(sign 0), and the kernel evaluates no odd part.  The route follows the
+handle's type and the grid alone, with no option; every other sum is the
+complex sum over every node.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def _resolve_spec(config: MultiplicityConfig, quad: QuadratureSpec | None) -> Qu
 
 
 def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
-    """Phase matrices E_k(r, sign i c) over rows[i] x cols[i], given as pts.T, grid.axes or y[:, None].
+    """Phase matrices E_k(r, sign i c) over rows[i] x cols[i], given as pts.T, grid.axes or y[:, None];
+    at sign 0 the real matrices of the even part A_k(r c), the real parts of either sign bit for bit.
 
     Only the nonnegative half of an exactly mirrored rows[i] or cols[i] is
     evaluated; the other half is the reversed conjugate, by the parity
@@ -94,9 +97,10 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
     mats = []
     for k, r, c in zip(config.kappa, rows, cols):
         hr, hc = _mirror_half(r), _mirror_half(c)
-        m = np.empty((len(r), len(c)), dtype=complex)
+        m = np.empty((len(r), len(c)), dtype=float if sign == 0 else complex)
         m[hr:, hc:] = _phase_1d(k, np.multiply.outer(r[hr:], c[hc:]), sign)
-        # column j < hc is column len(c) - 1 - j conjugated; a centre column is skipped
+        # column j < hc is column len(c) - 1 - j conjugated (a copy for the real
+        # A_k); a centre column is skipped
         m[hr:, :hc] = m[hr:, : len(c) - hc - 1 : -1].conj()
         m[:hr] = m[: len(r) - hr - 1 : -1].conj()
         mats.append(m)
@@ -104,10 +108,17 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
 
 
 def _scatter_contract(mats: list, vw: np.ndarray) -> np.ndarray:
-    # out[m] = sum_k vw[k] prod_i mats[i][m, k_i]
+    # out[m] = sum_k vw[k] prod_i mats[i][m, k_i].  One real axis (a folded
+    # sum) is summed by einsum's own loop, not a BLAS matrix-vector product,
+    # whose rounding of a row depends on its place in the matrix: so a row's
+    # sum does not, and a folded Gram matrix is symmetric bit for bit at d = 1
+    # as at d >= 2.  The complex sum keeps its BLAS product and its values.
+    # Each later axis is a batch of row-vector times matrix products.
+    if len(mats) == 1 and not np.iscomplexobj(mats[0]):
+        return np.einsum("mk,k->m", mats[0], vw)
     t = np.tensordot(mats[0], vw, axes=(1, 0))
     for a in mats[1:]:
-        t = np.einsum("mj,mj...->m...", a, t, optimize=True)
+        t = np.matmul(a[:, None, :], t.reshape(len(t), a.shape[1], -1)).reshape((len(t),) + t.shape[2:])
     return t
 
 
@@ -126,10 +137,11 @@ def _row_factors(mats: list, q: int, j: int, folded: bool) -> list:
     """Per-axis factors of output row j, from the phase matrices E = A + i sign B over
     [q shift rows; output rows]: conj(E_j) E, or E without shift rows.  On a folded
     summand only their real parts survive the sum over each node and its mirror
-    image, A_j A + B_j B and A, both real."""
+    image, A_j A + B_j B and A, both real; without shift rows the matrices are
+    already A (sign 0) and are handed on as they are."""
     if not folded:
         return [m[q:] * m[j].conj() if q else m for m in mats]
-    return [m.real[q:] * m.real[j] + m.imag[q:] * m.imag[j] if q else m.real for m in mats]
+    return [m.real[q:] * m.real[j] + m.imag[q:] * m.imag[j] for m in mats] if q else mats
 
 
 def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
@@ -144,9 +156,10 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
 
     A folded summand (an integrand even by construction, on axes mirrored at an
     even node count) covers the nonnegative half of every axis, and each axis
-    contracts the real factors of _row_factors there; the result is real,
-    returned with zero imaginary parts.  Any other summand takes the complex
-    sum over every node.
+    contracts the real factors of _row_factors there; without shift rows
+    _axis_matrices builds A_k alone (sign 0).  The result is real, returned
+    with zero imaginary parts.  Any other summand takes the complex sum over
+    every node.
     """
     vw, folded = summand
     q = 0 if shifts is None else len(shifts)
@@ -161,7 +174,7 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
         blocks = [(sl, pts[sl].T, _scatter_contract) for sl in spans]
     for sl, cols, contract in blocks:
         rows = cols if q == 0 else [np.concatenate([s, c]) for s, c in zip(shifts.T, cols)]
-        mats = _axis_matrices(grid.config, rows, nodes, sign)
+        mats = _axis_matrices(grid.config, rows, nodes, 0 if folded and q == 0 else sign)
         for j in range(max(q, 1)):
             out[j, sl] = contract(_row_factors(mats, q, j, folded), vw).reshape(-1)
     return out

@@ -355,10 +355,10 @@ def test_unfolded_inputs_take_the_complex_sum(case, rng):
 
 # a folded Gram matrix sums A_j A_m + B_j B_m, symmetric in (j, m) factor by
 # factor, and has no imaginary part.  At d >= 2 the first axis is a matrix
-# product whose rows do not depend on their position, so the matrix is
-# symmetric bit for bit; at d = 1 it is a BLAS matrix-vector product, whose
-# rounding may depend on the row's place in its block, so there it is
-# symmetric to rounding.
+# product whose rows do not depend on their position, and at d = 1 the one
+# axis is summed by einsum's loop rather than a BLAS matrix-vector product
+# (whose rounding may depend on the row's place in its block), so the matrix
+# is symmetric bit for bit at every d.
 @pytest.mark.parametrize("dim,kappa", CONFIGS)
 def test_folded_gram_is_real_symmetric(dim, kappa, monkeypatch):
     config = make_config(dim, kappa)
@@ -376,7 +376,33 @@ def test_folded_gram_is_real_symmetric(dim, kappa, monkeypatch):
         g = gram(config, SPEC, gaussian(1.0), builtin_points(dim, 5)).matrix
     assert folds == [True, True]
     assert not np.any(g.imag)
-    if dim > 1:
-        np.testing.assert_array_equal(g.real, g.real.T)
-    else:
-        np.testing.assert_allclose(g.real, g.real.T, rtol=0, atol=4 * np.finfo(float).eps * np.max(np.abs(g)))
+    np.testing.assert_array_equal(g.real, g.real.T)
+
+
+# a folded sum without shift rows reads only the real even part A_k, which
+# _axis_matrices builds alone at sign 0; shifted rows (translates, Gram
+# matrices) need B_k too, and an unfolded sum the whole complex phase, so they
+# never ask for sign 0.  kernel.products.* in perfbench/tracer.py count the
+# elements at _phase_1d whatever the sign.
+@pytest.mark.parametrize("dim,kappa", _RESULT_CONFIGS)
+def test_only_unshifted_folded_sums_read_the_even_part_alone(dim, kappa, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    f = gaussian(1.0)
+    y, x = _points(config, rng, 1)[0], _points(config, rng, 4)
+    signs = []
+    real = transform._phase_1d
+    monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: signs.append(sign) or real(k, z, sign))
+
+    def signs_of(run):
+        signs.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            run()
+        assert signs
+        return set(signs)
+
+    assert signs_of(lambda: forward(config, SPEC, f, x)) == {0}
+    assert signs_of(lambda: inverse(config, SPEC, spectral_density(config, SPEC, f), x)) == {0}
+    assert 0 not in signs_of(lambda: translate(config, SPEC, f, y, x))
+    assert 0 not in signs_of(lambda: gram(config, SPEC, f, builtin_points(dim, 4)))
+    assert signs_of(lambda: forward(config, SPEC, lambda p: f.evaluate(config, p), x)) == {FORWARD}

@@ -287,6 +287,23 @@ class TestGenericBranch:
         assert kernel_module._jv_panel.cache_info().currsize <= 3
         assert not kernel_module._jv_panel(40.0, 0).flags.writeable
 
+    def test_one_pass_panels_match_elementwise(self, rng):
+        # _jv_tabulated evaluates every touched panel in one Clenshaw pass, each
+        # element against its own panel's coefficients; at kappa 12.3 the zone
+        # [6, 163.84) has 79 panels, and every one of them is hit here, at its
+        # edges and just inside them
+        kappa = 12.3
+        top = _hankel_cutoff(kappa)
+        edges = np.arange(6.0, top, 2.0)
+        inner = np.concatenate((edges[1:], np.nextafter(edges[1:], 0.0), np.nextafter(edges, np.inf)))
+        a = np.sort(np.concatenate((rng.uniform(6.0, top, 2000), inner, [np.nextafter(top, 0.0)])))
+        assert len(np.unique(np.searchsorted(edges, a, side="right"))) == len(edges)
+        pair = kernel_module._jv_tabulated(kappa, a, odd=True)
+        alone = np.concatenate([kernel_module._jv_tabulated(kappa, a[i : i + 1], True) for i in range(a.size)], axis=1)
+        assert pair.shape == (2, a.size) and pair.tobytes() == alone.tobytes()
+        even = kernel_module._jv_tabulated(kappa, a, odd=False)
+        assert even.shape == (1, a.size) and even.tobytes() == pair[:1].tobytes()
+
     def test_repeated_arguments_match_scalar_evaluation(self, rng):
         # the Bessel pair is evaluated once per distinct |z|; the gathered
         # result must be bit-identical to evaluating each element alone
@@ -402,6 +419,24 @@ class TestStructure:
         got = _phase_1d(kappa, -z, sign)
         want = np.conj(_phase_1d(kappa, z, sign))
         np.testing.assert_array_equal(got.view(float), want.view(float))
+
+    # sign 0 is the real even part A_k alone, which the folded sums read: each
+    # branch computes only that column, and it must equal the real part of the
+    # full phase at either sign bit for bit, on both sides of every seam (series
+    # cutoff 6 or 2k + 2, Hankel start max(20, (k + 1/2)^2)), every panel edge
+    # of the jv zone, and at z = +-0
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.0, 8.0, 0.3, 1.7, 12.3])
+    def test_sign_zero_is_the_real_part(self, kappa):
+        top = _hankel_cutoff(kappa)
+        seams = np.concatenate(([6.0, 2.0 * kappa + 2.0, top], np.arange(6.0, top, 2.0)))
+        z = np.concatenate(
+            [np.linspace(0.0, 400.0, 8001), seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf), [-0.0]]
+        )
+        z = np.concatenate((z, -z))
+        got = _phase_1d(kappa, z, 0)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        for sign in (-1, 1):
+            assert got.tobytes() == np.ascontiguousarray(_phase_1d(kappa, z, sign).real).tobytes()
 
     def test_series_ladder_seam_is_smooth(self):
         # the evaluator switches algorithms at a |z| cutoff; a fine sweep
