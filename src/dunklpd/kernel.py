@@ -152,24 +152,17 @@ def _horner(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clenshaw(x: np.ndarray, c: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
-    """numpy.polynomial.chebyshev.chebval(x, c) evaluated in place, for at least
-    two coefficients: c of shape (terms,) or (terms, m), the result of shape
-    c.shape[1:] + x.shape.  The same products and sums in the same order, so
-    the same values bit for bit, in three buffers.
-
-    With runs, c is a (terms, m, len(runs)) table and the 1-D x falls into
-    consecutive runs of those lengths, run r evaluated against c[:, :, r]: the
-    result, of shape (m,) + x.shape, equals chebval(x[e], c[:, :, r]) element
-    by element.  Each term spreads its own coefficient row over the runs, so
-    the gathered coefficients never exceed one buffer."""
-    if runs is None:
-        shape = c.shape[1:] + x.shape
-        c = c.reshape(c.shape + (1,) * x.ndim)
-        row = c.__getitem__
-    else:
-        shape = c.shape[1:2] + x.shape
-        row = lambda j: np.repeat(c[j], runs, axis=1)
+def _clenshaw(x: np.ndarray, c: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """numpy.polynomial.chebyshev.chebval evaluated in place, for at least two
+    coefficients, one coefficient block per run of elements: c is a (terms, m,
+    len(runs)) table and the 1-D x falls into consecutive runs of those
+    lengths, run r evaluated against c[:, :, r].  The result, of shape (m,) +
+    x.shape, equals chebval(x[e], c[:, :, r]) element by element: the same
+    products and sums in the same order, so the same values bit for bit, in
+    three buffers.  Each term spreads its own coefficient row over the runs,
+    so the gathered coefficients never exceed one buffer."""
+    shape = c.shape[1:2] + x.shape
+    row = lambda j: np.repeat(c[j], runs, axis=1)
     x2 = 2 * x
     c0, c1, spare = np.empty(shape), np.empty(shape), np.empty(shape)
     c0[...] = row(-2)

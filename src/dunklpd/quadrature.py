@@ -1,13 +1,15 @@
 """Truncated tensor-product Gauss-Legendre quadrature on [-R, R]^d.
 
 Each axis rule is a two-panel composite: Gauss-Legendre on [-R, 0] and on
-[0, R].  Splitting at the origin keeps the rule spectrally accurate when the
-integrand carries the weight |y|^(2 kappa), whose even extension has a corner
-at 0; a single panel across the origin degrades to algebraic convergence.
-The weight stays in the integrand (folded into per-axis weight vectors), not
-in the rule itself.  Grid.summand is the summand of every kernel sum:
-weighted(fn), or, for an integrand even by construction on axes mirrored at
-an even node count, its nonnegative orthant doubled once per axis.
+[0, R], n/2 nodes each, so every axis is mirrored exactly about 0 and
+QuadratureSpec refuses an odd n.  Splitting at the origin keeps the rule
+spectrally accurate when the integrand carries the weight |y|^(2 kappa),
+whose even extension has a corner at 0; a single panel across the origin
+degrades to algebraic convergence.  The weight stays in the integrand
+(folded into per-axis weight vectors), not in the rule itself.
+Grid.summand is the summand of every kernel sum: weighted(fn), or, for an
+integrand even by construction, its nonnegative orthant doubled once per
+axis.
 
 two_pass is the one place that runs a computation at n and at 2n nodes per
 axis, and it builds every grid a checked computation reads: given one spec
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .functions import _mirror_half, even_by_construction, sample_grid, tensor_points
+from .functions import even_by_construction, sample_grid, tensor_points
 from .root_system import MultiplicityConfig
 
 _RESOLUTION = {
@@ -83,8 +85,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise ConfigurationError(f"quadrature radius must be positive, got {self.radius}")
-        if not isinstance(self.nodes_per_axis, int) or self.nodes_per_axis < 8:
-            raise ConfigurationError(f"nodes_per_axis must be an integer >= 8, got {self.nodes_per_axis}")
+        if not isinstance(self.nodes_per_axis, int) or self.nodes_per_axis < 8 or self.nodes_per_axis % 2:
+            raise ConfigurationError(f"nodes_per_axis must be an even integer >= 8, got {self.nodes_per_axis}")
 
     def doubled(self) -> "QuadratureSpec":
         return replace(self, nodes_per_axis=2 * self.nodes_per_axis)
@@ -107,13 +109,11 @@ def _unit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _axis_rule(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    n_neg = nodes // 2
-    n_pos = nodes - n_neg
-    x_neg, w_neg = _unit_rule(n_neg)
-    x_pos, w_pos = _unit_rule(n_pos)
+    """The two panels, each the nodes // 2 point rule: an axis mirrored exactly about 0."""
+    x, w = _unit_rule(nodes // 2)
     half = radius / 2.0
-    nodes_out = np.concatenate([(x_neg - 1.0) * half, (x_pos + 1.0) * half])
-    weights_out = np.concatenate([w_neg * half, w_pos * half])
+    nodes_out = np.concatenate([(x - 1.0) * half, (x + 1.0) * half])
+    weights_out = np.concatenate([w * half, w * half])
     nodes_out.setflags(write=False)
     weights_out.setflags(write=False)
     return nodes_out, weights_out
@@ -166,20 +166,19 @@ class Grid:
     def summand(self, fn) -> tuple[np.ndarray, bool]:
         """The summand of a kernel sum of fn over the grid, and whether it is folded.
 
-        Folded when fn is even by construction (functions.even_by_construction)
-        and every axis is exactly mirrored at an even node count: then
-        weighted(fn) on the nonnegative orthant, doubled once per axis, which
+        Folded when fn is even by construction (functions.even_by_construction),
+        as every axis is mirrored exactly about 0: then weighted(fn) on the
+        nonnegative orthant, doubled once per axis, which
         transform._blocked_scatter sums against the even part of the kernel.
         It is built from the half axes alone: fn by sample_grid and the weights
         as the outer product of the doubled half weight vectors, which is the
         orthant of weight_grid() times 2^d (doubling is exact).  Else
         weighted(fn), unfolded.
         """
-        halves = [_mirror_half(a) for a in self.axes]
-        if not (even_by_construction(fn) and all(2 * h == len(a) for h, a in zip(halves, self.axes))):
+        if not even_by_construction(fn):
             return self.weighted(fn), False
-        axes = [a[h:] for a, h in zip(self.axes, halves)]
-        weights = reduce(np.multiply.outer, [2.0 * w[h:] for w, h in zip(self.axis_weights, halves)])
+        axes = [a[len(a) // 2 :] for a in self.axes]
+        weights = reduce(np.multiply.outer, [2.0 * w[len(w) // 2 :] for w in self.axis_weights])
         return sample_grid(self.config, fn, axes) * weights, True
 
     def weight_grid(self) -> np.ndarray:

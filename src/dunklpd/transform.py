@@ -18,27 +18,26 @@ nodes included, share one body, _pointwise.
 Every kernel sum contracts a weighted grid (Grid.summand) against per-axis
 phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
 E_k(-z) = conj E_k(z) holds exactly for real z, so on an axis mirrored
-exactly about 0 (every Gauss-Legendre axis with an even node count, every
-uniform_axes axis) only the nonnegative half is evaluated and the rest is
-its reversed conjugate.
+exactly about 0 (every Gauss-Legendre axis, every uniform_axes axis) only
+the nonnegative half is evaluated and the rest is its reversed conjugate.
 _blocked_scatter sums over output points: on the nodes of a tensor grid
 axis by axis (_grid_contract; forward_grid passes the nodes of its output
 axes), else point by point (_scatter_contract) in blocks of _SCATTER_BLOCK.
-_transformer (every transform, convolve and the suites' composites) takes
-its unshifted row, translation._translate_at its shifted rows: every
-translate and Gram matrix.
+_transformer (every transform, every convolution and the suites'
+composites) takes its unshifted row, translation._translate_at its shifted
+rows: every translate and Gram matrix.
 
 The same parity folds a sum whose integrand is even by construction (a
 catalog handle, or a DensityProduct of such: functions.even_by_construction)
-on a grid whose every axis is mirrored at an even node count.  Pairing each
-node with its mirror images cancels the odd part B of every phase E = A + iB,
+on any grid, every axis of which is mirrored.  Pairing each node with its
+mirror images cancels the odd part B of every phase E = A + iB,
 so Grid.summand keeps the nonnegative orthant, doubled once per axis, and
 each axis contracts A(x c), or A(y c) A(x c) + B(y c) B(x c) for a shifted
 row: 1/2^d of the nodes in real arithmetic, one _axis_matrices call as
 before.  Without shift rows that call builds the real matrices of A alone
 (sign 0), and the kernel evaluates no odd part.  The route follows the
-handle's type and the grid alone, with no option; every other sum is the
-complex sum over every node.
+handle's type alone, with no option; every other sum is the complex sum
+over every node.
 """
 
 from __future__ import annotations
@@ -89,10 +88,9 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
     E_k(-z) = conj E_k(z) of real z, which every kernel branch keeps exactly
     (kernel.py).  Since (-r) c = -(r c) in floating point, the fill equals
     the full build value for value (where r c = 0 a zero imaginary part may
-    flip its sign).  Every even-count _axis_rule axis is mirrored, and so are
-    tensor-grid outputs on such axes and every uniform_axes axis, whose odd
-    counts put an exact 0 at the centre; shift rows are not and keep the
-    full build.
+    flip its sign).  Every _axis_rule axis is mirrored, and so are tensor-grid
+    outputs on such axes and every uniform_axes axis, whose odd counts put an
+    exact 0 at the centre; shift rows are not and keep the full build.
     """
     mats = []
     for k, r, c in zip(config.kappa, rows, cols):
@@ -154,12 +152,11 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     blocks of _SCATTER_BLOCK[d], which keeps huge requests from materializing
     multi-GB intermediates at once.
 
-    A folded summand (an integrand even by construction, on axes mirrored at an
-    even node count) covers the nonnegative half of every axis, and each axis
-    contracts the real factors of _row_factors there; without shift rows
-    _axis_matrices builds A_k alone (sign 0).  The result is real, returned
-    with zero imaginary parts.  Any other summand takes the complex sum over
-    every node.
+    A folded summand (an integrand even by construction) covers the
+    nonnegative half of every axis, and each axis contracts the real factors
+    of _row_factors there; without shift rows _axis_matrices builds A_k alone
+    (sign 0).  The result is real, returned with zero imaginary parts.  Any
+    other summand takes the complex sum over every node.
     """
     vw, folded = summand
     q = 0 if shifts is None else len(shifts)

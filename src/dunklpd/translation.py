@@ -2,14 +2,17 @@
 
 translate moves a function by y through the transform side: the translate's
 transform is the kernel phase E(-iy, .) times the original transform.  With
-zero multiplicities this is exactly f(x - y).  convolve multiplies the two
-transforms and maps back, so the transform of a convolution is the product
-of transforms by construction; a direct-space form (integrating f against
-the translated flip of g) is provided as an independent cross-check, and
-convolve_grid tabulates the convolution on the quadrature nodes as a grid
+zero multiplicities this is exactly f(x - y).  Every convolution is a
+transform composite on one grid.  convolve multiplies the two transforms and
+maps back, so the transform of a convolution is the product of transforms by
+construction; convolve_grid tabulates it on the quadrature nodes as a grid
 transform of the product (transform.forward_grid with the inverse sign).
+convolve_direct, the independent cross-check, integrates f against the
+translated flip of g: summed over the positions first, that double sum is
+f's grid transform times the flipped density, transformed forward.
 _translate_at is the one translation sum, the matrix T[j, m] of translates
-by y_j evaluated at x_m; posdef's Gram matrices are T at y = x.
+by y_j evaluated at x_m.  It serves translates, posdef's Gram matrices (T at
+y = x) and its heat-smoothed form, and no convolution.
 
 All operators accept catalog handles, sampled handles with spectral hints,
 or plain callables; the spectral density is routed through
@@ -125,20 +128,18 @@ def convolve_direct(config: MultiplicityConfig, quad: QuadratureSpec | None, f, 
     """Direct-space convolution: c int f(y) (translate of flipped g to x)(y) h^2 dy.
 
     Same normalization as convolve; kept as an independent route for
-    consistency checks, one nested quadrature slower than the spectral form.
+    consistency checks.  On a grid the integral is the finite double sum
+    c^2 sum_y sum_xi f(y) w(y) dg(-xi) w(xi) E(-ix, xi) E(iy, xi), summed over
+    y first: the inverse grid transform of f times the flipped density, then
+    forward at x.  Its f leg is f's grid transform, not spectral_density(f),
+    so it is one grid transform slower than convolve.
     """
     spec = _resolve_spec(config, quad)
     dg = spectral_density(config, spec, g)
 
     def run(grid, pts):
-        gp = grid.points()
-        fvals = grid.sample(f)
-        flipped = grid.summand(lambda p: dg(-p))
-        out = np.empty(len(pts), dtype=complex)
-        for m, xv in enumerate(pts):
-            shifted = _translate_at(grid, flipped, xv[None], gp)[0].reshape(grid.shape)
-            out[m] = config.mehta * grid.integrate(fvals * shifted)
-        return out
+        leg = DensityProduct(config, (lambda p: dg(-p), _transformer(grid, f, INVERSE)))
+        return _transformer(grid, leg, FORWARD)(pts)
 
     return _pointwise("direct convolution", config, spec, x, run)
 

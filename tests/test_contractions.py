@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dunklpd import AccuracyWarning, make_config, transform
+from dunklpd import AccuracyWarning, make_config, transform, translation
 from dunklpd.functions import (
     DensityProduct,
     gaussian,
@@ -45,7 +45,7 @@ from dunklpd.transform import (
     inverse,
     spectral_density,
 )
-from dunklpd.translation import _translate_at, convolve, translate
+from dunklpd.translation import _translate_at, convolve, convolve_direct, translate
 
 CONFIGS = [
     (1, [0.3]),
@@ -325,19 +325,71 @@ def test_convolve_is_the_inverse_transform_of_the_product(dim, kappa):
     np.testing.assert_array_equal(got, want)
 
 
+def _convolve_inputs(config, kind):
+    """(f, g) for convolve_direct: a catalog f or a sampled f that is not even."""
+    g = generalized_cauchy(config.gamma + config.dimension / 2.0 + 2.0)
+    if kind == "catalog":
+        return gaussian(1.0), g
+    fn = lambda p: np.exp(-np.sum(p * p, axis=1)) * (1.0 + 0.5 * p[:, 0])
+    return sample_on_axes(config, fn, uniform_axes(config.dimension, 5.0, 21)), g
+
+
+# convolve_direct's grid sum written out densely, with C_x and C_y the phases
+# E(i x, xi) of the outputs and of the nodes, w the weights on the nodes:
+#     c^2 conj(C_x) diag(dg(-xi) w) C_y^T (f w),
+# the integral of f against the translate of the flipped g at every node
+@pytest.mark.parametrize("kind", ["catalog", "sampled"])
+@pytest.mark.parametrize("dim,kappa", [(1, [0.5]), (1, [0.3]), (2, [1.0, 0.0])])
+def test_direct_convolution_matches_dense_double_sum(dim, kappa, kind, rng):
+    config = make_config(dim, kappa)
+    f, g = _convolve_inputs(config, kind)
+    xs = _points(config, rng, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        got = convolve_direct(config, SPEC, f, g, xs)
+    grid = Grid(config, SPEC.doubled())  # two_pass returns the doubled pass
+    nodes, w = grid.points(), grid.weight_grid().reshape(-1)
+    fw = grid.weighted(f).reshape(-1)
+    flipped = spectral_density(config, None, g)(-nodes) * w
+    inner = _dense_phases(config, nodes, nodes).T @ fw
+    want = config.mehta**2 * _dense_phases(config, xs, nodes).conj() @ (flipped * inner)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
+
+# one composite per pass, whatever the number of outputs: no translate is
+# taken, and the phase matrices are built once per leg and pass
+def test_direct_convolution_is_one_composite(rng, monkeypatch):
+    config = make_config(2, [1.0, 0.0])
+    f, g = _convolve_inputs(config, "catalog")
+
+    def refuse(*args):
+        raise AssertionError("convolve_direct took a translate")
+
+    monkeypatch.setattr(translation, "_translate_at", refuse)
+    calls = []
+    real = transform._axis_matrices
+    monkeypatch.setattr(transform, "_axis_matrices", lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for n in (2, 12):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            convolve_direct(config, SPEC, f, g, _points(config, rng, n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 4
+
+
 # only handles even by construction are folded: a raw callable over an even
-# density and a sampled handle are not, whatever their values, and neither is
-# a grid whose axes are not mirrored at an even count (an odd node count).
-# Those keep the complex sum over every node, written out here as it was
-# before the fold: the full phase matrices, conj(E_j) E per shift row.
-@pytest.mark.parametrize("case", ["raw callable", "sampled", "odd nodes"])
+# density and a sampled handle are not, whatever their values.  Those keep
+# the complex sum over every node, written out here as it was before the
+# fold: the full phase matrices, conj(E_j) E per shift row.
+@pytest.mark.parametrize("case", ["raw callable", "sampled"])
 def test_unfolded_inputs_take_the_complex_sum(case, rng):
     config = make_config(2, [0.3, 1.7])
-    grid = Grid(config, QuadratureSpec(4.0, 9) if case == "odd nodes" else SPEC)
+    grid = Grid(config, SPEC)
     f = {
         "raw callable": lambda p: gaussian(1.0).evaluate(config, p),
         "sampled": sample_on_axes(config, gaussian(1.0), uniform_axes(2, 5.0, 21)),
-        "odd nodes": gaussian(1.0),
     }[case]
     vw, folded = grid.summand(f)
     assert not folded

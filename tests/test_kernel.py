@@ -357,11 +357,18 @@ class TestPerDistinct:
         assert 0 < max(sizes) <= 24
 
 
+def _clenshaw_one_run(x, c):
+    """kernel._clenshaw with one run spanning x, shaped as chebval's result."""
+    out = kernel_module._clenshaw(x.reshape(-1), c.reshape(len(c), -1, 1), np.array([x.size]))
+    return out.reshape(c.shape[1:] + x.shape)
+
+
 class TestInPlacePolynomials:
     """_horner and _clenshaw evaluate numpy.polynomial's polyval and chebval
     in place, with the same products and sums in the same order: the values
     must be the same bit for bit, for coefficient vectors and for the (terms,
-    m) blocks the kernel passes, at 1-D and 2-D arguments."""
+    m) blocks the kernel passes, at 1-D and 2-D arguments.  _clenshaw takes
+    its arguments in runs; here one run spans them all."""
 
     @pytest.mark.parametrize("cols", [None, 2, 4])
     @pytest.mark.parametrize("terms", [2, 3, 25, 30])
@@ -372,7 +379,7 @@ class TestInPlacePolynomials:
         for arg in (x, x.reshape(8, 50)):
             for mine, numpys in (
                 (kernel_module._horner, np.polynomial.polynomial.polyval),
-                (kernel_module._clenshaw, np.polynomial.chebyshev.chebval),
+                (_clenshaw_one_run, np.polynomial.chebyshev.chebval),
             ):
                 got, want = mine(arg, c), numpys(arg, c)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -32,6 +32,8 @@ class TestSpec:
             QuadratureSpec(10.0, 4)
         with pytest.raises(ConfigurationError):
             QuadratureSpec(10.0, 64.0)
+        with pytest.raises(ConfigurationError):
+            QuadratureSpec(10.0, 65)  # every axis is mirrored: an even count
 
     def test_doubled(self):
         spec = QuadratureSpec(8.0, 48)
@@ -54,7 +56,7 @@ class TestGrid:
         np.testing.assert_array_equal(axis, -axis[::-1])
         assert axis.min() > -5.0 and axis.max() < 5.0
 
-    @pytest.mark.parametrize("radius,nodes", [(16.0, 256), (10.0, 96), (5.0, 9), (40.0, 768)])
+    @pytest.mark.parametrize("radius,nodes", [(16.0, 256), (10.0, 96), (5.0, 10), (40.0, 768)])
     def test_zero_multiplicity_axis_keeps_the_rule_weights(self, radius, nodes):
         # |y|^0 is exactly 1, the origin included, so a kappa = 0 axis carries the bare rule weights
         grid = Grid(make_config(2, [0.0, 1.0]), QuadratureSpec(radius, nodes))
@@ -131,29 +133,42 @@ def _catalog(config):
     return [gaussian(1.3), gaussian_density(0.7), generalized_cauchy(edge + 0.5), bessel_k_profile(edge + 0.5)]
 
 
+def _sampling_axes(config, nodes):
+    """The axes of Grid(config, QuadratureSpec(5.0, nodes)) at an even count; at an
+    odd count the axes of the nodes + 1 rule less their first node, which are not
+    mirrored, so sample_grid's route for unmirrored axes stays covered."""
+    axis = quadrature._axis_rule(5.0, nodes + nodes % 2)[0][nodes % 2 :]
+    assert functions._mirror_half(axis) == (0 if nodes % 2 else nodes // 2)
+    return (axis,) * config.dimension
+
+
 class TestGridSampling:
     # catalog handles sample from the axis squares on the nonnegative orthant;
-    # that route must equal evaluating every node of points(), bit for bit
+    # that route must equal evaluating every node of the tensor grid, bit for bit
     @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
     @pytest.mark.parametrize("nodes", [8, 9, 16, 17])
     def test_catalog_sample_equals_the_points_route(self, dim, kappa, nodes):
         config = make_config(dim, kappa)
-        grid = Grid(config, QuadratureSpec(5.0, nodes))
+        axes = _sampling_axes(config, nodes)
+        shape = (len(axes[0]),) * dim
         for f in _catalog(config):
-            got = grid.sample(f)
-            want = evaluate_handle(config, f, grid.points()).reshape(grid.shape)
-            assert got.shape == grid.shape and got.dtype == want.dtype
+            got = functions.sample_grid(config, f, axes)
+            want = evaluate_handle(config, f, functions.tensor_points(axes)).reshape(shape)
+            assert got.shape == shape and got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
     @pytest.mark.parametrize("nodes", [8, 9])
     def test_catalog_density_sample_equals_the_points_route(self, dim, kappa, nodes):
         config = make_config(dim, kappa)
-        grid = Grid(config, QuadratureSpec(5.0, nodes))
+        axes = _sampling_axes(config, nodes)
+        pts = functions.tensor_points(axes)
+        grid = Grid(config, QuadratureSpec(5.0, nodes + nodes % 2))
         for f in _catalog(config):
             density = spectral_density(config, None, f)
             assert isinstance(density, DensityProduct) and density.factors == (catalog_partner(f),)
-            np.testing.assert_array_equal(grid.sample(density), density(grid.points()).reshape(grid.shape))
+            got = functions.sample_grid(config, density, axes)
+            np.testing.assert_array_equal(got, density(pts).reshape(got.shape))
             np.testing.assert_array_equal(grid.weighted(density), grid.sample(density) * grid.weight_grid())
 
     @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
@@ -187,9 +202,10 @@ class TestGridSampling:
     @pytest.mark.parametrize("nodes", [8, 9])
     def test_density_product_sample_equals_the_points_route(self, dim, kappa, nodes):
         config = make_config(dim, kappa)
-        grid = Grid(config, QuadratureSpec(5.0, nodes))
+        axes = _sampling_axes(config, nodes)
+        shape = (len(axes[0]),) * dim
         rho = spectral_density(config, None, gaussian(0.7))
-        hinted = replace(functions.sample_on_axes(config, gaussian(1.3), grid.axes), spectral_hint=rho)
+        hinted = replace(functions.sample_on_axes(config, gaussian(1.3), axes), spectral_hint=rho)
         products = [
             DensityProduct(config, (rho, spectral_density(config, None, gaussian_density(0.4)))),
             DensityProduct(config, (gaussian(0.3), gaussian(1.1))),
@@ -197,10 +213,10 @@ class TestGridSampling:
             DensityProduct(config, (spectral_density(config, None, hinted), rho)),
             DensityProduct(config, (rho, gaussian(2.0 * 0.05))),  # the heat-damped density
         ]
-        pts = grid.points()
+        pts = functions.tensor_points(axes)
         for product in products:
-            want = product(pts).reshape(grid.shape)
-            got = grid.sample(product)
+            want = product(pts).reshape(shape)
+            got = functions.sample_grid(config, product, axes)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # the damping factor as a catalog Gaussian is the exp(-2t|xi|^2) it replaces
         assert np.array_equal(products[-1](pts), rho(pts) * np.exp(-2.0 * 0.05 * np.sum(pts * pts, axis=-1)))

@@ -1,5 +1,7 @@
 """Generalized shift and convolution: reductions, symmetry, mass."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,23 @@ class TestMass:
     def test_rejects_raw_callables(self, cfg_half):
         with pytest.raises(DomainError):
             translate_mass(cfg_half, None, lambda p: np.exp(-p[:, 0] ** 2), np.array([0.5]))
+
+    # the suites' mass report at its default box passes on its value, but its
+    # own n/2n check does not back the pass: the 96- and 48-node spectral grids
+    # are too coarse for the phases of the shift (with the inner nodes doubled
+    # the deltas are 3.9e-12 and 9.9e-11)
+    @pytest.mark.parametrize(
+        "dim,kappa",
+        [
+            pytest.param(dim, kappa, marks=pytest.mark.xfail(strict=True, reason=f"measured resolution delta {delta} against 1e-6"))
+            for dim, kappa, delta in ((2, [1.0, 0.0], "4.29e-6"), (3, [1.0, 0.5, 0.0], "5.05e-2"))
+        ],
+    )
+    def test_default_box_backs_the_mass_report(self, dim, kappa):
+        config = make_config(dim, kappa)
+        rep = translate_mass(config, None, gaussian_density(1.0), np.full(dim, 0.8 / np.sqrt(dim)))
+        delta = float(re.search(r"resolution delta (\S+)", rep.notes).group(1))
+        assert delta <= rep.tolerance
 
 
 class TestConvolution:
