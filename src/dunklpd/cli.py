@@ -12,6 +12,7 @@ import os
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -180,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--inverse", action="store_true", help="apply the inverse transform")
     t.add_argument("--grid", help="output grid as R,n (extent and nodes per axis)")
     t.add_argument("--strict", action="store_true", help="escalate accuracy warnings to exit 1")
-    t.set_defaults(handler=cmd_transform)
 
     c = sub.add_parser("certify", help="Gram + transform-positivity certification")
     c.add_argument("--config", required=True)
@@ -188,21 +188,24 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--points", default="builtin:5", help="builtin:<n> or CSV with columns x1..xd")
     c.add_argument("--report", help="write the JSON report here instead of stdout")
     c.add_argument("--strict-pd", action="store_true", help="add the strict-PD certificate")
-    c.set_defaults(handler=cmd_certify)
 
     v = sub.add_parser("verify", help="run identity suites and report pass/fail")
     v.add_argument("--config", required=True)
     v.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
     v.add_argument("--report", help="write the JSON report here")
-    v.set_defaults(handler=cmd_verify)
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: its handler, cmd_<name>, is looked up at call time."""
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,9 @@ density is a DensityProduct of handles and (N, d) callables: the exact
 partner of a catalog input (one factor, from transform.spectral_density),
 the products in convolve and closure_suite, the heat-damped density;
 sample_grid samples each factor on its own route and multiplies the grids.
-even_by_construction reads the same types: a catalog handle, or a
-DensityProduct of them, is even in every coordinate, which lets the kernel
-sums fold onto the nonnegative orthant (quadrature.Grid.summand).
+even_by_construction reads each handle's `even` answer (catalog handles,
+a DensityProduct of even factors, transforms of folded sums), which lets the
+kernel sums fold onto the nonnegative orthant (quadrature.Grid.summand).
 Everything else, sampled handles and raw callables, goes through
 tensor_points.  The heat kernel has its own grid route (posdef.heat_kernel),
 found by tensor_axes.
@@ -82,6 +82,7 @@ CATALOG_PARAM = {
 class CatalogFunction:
     kind: str
     param: float
+    even = True  # all four are radial
 
     def __post_init__(self):
         if self.kind not in CATALOG_KINDS:
@@ -316,15 +317,17 @@ class DensityProduct:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return functools.reduce(operator.mul, (evaluate_handle(self.config, f, pts) for f in self.factors))
 
+    @property
+    def even(self) -> bool:
+        return all(even_by_construction(f) for f in self.factors)
+
 
 def even_by_construction(fn) -> bool:
-    """Whether fn is even in every coordinate by its type, whatever its values:
-    a catalog handle (all four are radial), or a DensityProduct whose factors
-    all are.  Sampled handles and raw callables are not, even when their values
-    are; no sample is scanned."""
-    if isinstance(fn, DensityProduct):
-        return all(even_by_construction(f) for f in fn.factors)
-    return isinstance(fn, CatalogFunction)
+    """Whether fn is even in every coordinate by construction, whatever its values: its
+    `even` answer.  Catalog handles are (all four are radial), a DensityProduct when every
+    factor is, and transforms of folded sums (transform._transformer, tabulated_density of
+    an even f).  Sampled handles and raw callables answer nothing: no sample is scanned."""
+    return getattr(fn, "even", False) is True
 
 
 def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.ndarray:

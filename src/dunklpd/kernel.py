@@ -67,7 +67,8 @@ Every polynomial (the power series, the Hankel and large-argument I
 expansions, the jv panels) is evaluated in place by _horner and _clenshaw,
 which do the products and sums of numpy.polynomial's polyval and chebval
 in the same order, so the values are the same bit for bit, without two
-temporaries per term.
+temporaries per term.  A scalar call's one element is evaluated in Python
+floats, IEEE doubles without fused multiply-add as in numpy: the same values.
 
 The two costly special-function evaluations whose callers repeat
 arguments (the generic Bessel pair and the Bessel-K catalog profile in
@@ -141,8 +142,17 @@ def _horner(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """numpy.polynomial.polynomial.polyval(x, c) evaluated in place: c of shape
     (terms,) or (terms, m), the result of shape c.shape[1:] + x.shape.  The same
     products and sums in the same order, so the same values bit for bit, with
-    no temporaries per term."""
+    no temporaries per term.  A one-element x is evaluated in Python floats,
+    the same IEEE double products and sums without a ufunc call per term."""
     shape = c.shape[1:] + x.shape
+    if x.size == 1:
+        v, vals = x.item(), []
+        for col in c.reshape(len(c), -1).T.tolist():
+            acc = col[-1] + v * 0
+            for coef in col[-2::-1]:
+                acc = acc * v + coef
+            vals.append(acc)
+        return np.array(vals).reshape(shape)
     c = c.reshape(c.shape + (1,) * x.ndim)
     out = np.multiply(x, 0, out=np.empty(shape))
     out += c[-1]

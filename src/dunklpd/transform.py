@@ -27,17 +27,20 @@ _transformer (every transform, every convolution and the suites'
 composites) takes its unshifted row, translation._translate_at its shifted
 rows: every translate and Gram matrix.
 
-The same parity folds a sum whose integrand is even by construction (a
-catalog handle, or a DensityProduct of such: functions.even_by_construction)
-on any grid, every axis of which is mirrored.  Pairing each node with its
-mirror images cancels the odd part B of every phase E = A + iB,
-so Grid.summand keeps the nonnegative orthant, doubled once per axis, and
-each axis contracts A(x c), or A(y c) A(x c) + B(y c) B(x c) for a shifted
-row: 1/2^d of the nodes in real arithmetic, one _axis_matrices call as
-before.  Without shift rows that call builds the real matrices of A alone
-(sign 0), and the kernel evaluates no odd part.  The route follows the
-handle's type alone, with no option; every other sum is the complex sum
-over every node.
+The same parity folds a sum whose integrand is even by construction
+(functions.even_by_construction) on any grid, every axis of which is
+mirrored.  Pairing each node with its mirror images cancels the odd part B
+of every phase E = A + iB, so Grid.summand keeps the nonnegative orthant,
+doubled once per axis, and each axis contracts A(x c), or
+A(y c) A(x c) + B(y c) B(x c) for a shifted row: 1/2^d of the nodes in real
+arithmetic (without shift rows, A alone at sign 0).  A folded sum is even
+in turn: _transformer's callable answers even when it folds, as does
+tabulated_density of an even f, so the outer legs of the round trips and
+the product rule, and closure_suite's tabulated density, fold too, sampling
+the inner transform on the orthant.  translation.translate_mass folds its
+position sum always.  The route follows each handle's answer, with no
+option; every other sum (sampled handles, raw callables, their transforms)
+is complex over every node.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .functions import (
     _mirror_half,
     _query_points,
     evaluate_handle,
+    even_by_construction,
     tensor_axes,
     tensor_points,
     uniform_axes,
@@ -178,11 +182,13 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
 
 
 def _transformer(grid, f, sign) -> Callable:
-    """Map from (N, d) output points to c sum_k f(y_k) w_k E(sign i x, y_k) on grid."""
+    """Map from (N, d) output points to c sum_k f(y_k) w_k E(sign i x, y_k) on grid; `even` if folded."""
     summand = grid.summand(f)
-    return lambda pts: grid.config.mehta * _blocked_scatter(
+    run = lambda pts: grid.config.mehta * _blocked_scatter(
         grid, summand, np.atleast_2d(np.asarray(pts, dtype=float)), sign
     )[0]
+    run.even = summand[1]
+    return run
 
 
 # operators call each other (convolve_grid -> forward_grid) and may read
@@ -303,7 +309,9 @@ def tabulated_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f
     grid, contracted axis by axis.  Read by a checked operator it doubles twice;
     the suites' composites are one _checked call, tested against this route.
     Kept for closure_suite and for perfbench/tracer.py, which wraps it by name."""
-    return lambda pts: forward(config, quad, f, pts)
+    run = lambda pts: forward(config, quad, f, pts)
+    run.even = even_by_construction(f)
+    return run
 
 
 def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p: float = 2.0) -> float:

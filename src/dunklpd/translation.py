@@ -89,9 +89,12 @@ def translate_mass(
     """Weighted mass of the translate equals the weighted mass of f.
 
     The double integral is contracted axis-by-axis: the position integral of
-    the phase collapses to one weighted column sum per axis, so a wide outer
-    box for slowly decaying translates costs next to nothing.  `outer`
-    overrides the position-space box; the spectral side keeps `quad`.
+    the phase collapses to one weighted column sum per axis, real and even as
+    the outer axis is mirrored with even weights, sum_{x >= 0} 2 w(x) A(x xi),
+    so a wide outer box for slowly decaying translates costs next to nothing.
+    The spectral sum reads Grid.summand: folded (catalog inputs) on the
+    nonnegative nodes with the shift row A(y xi), else on every node with the
+    complex one.  `outer` overrides the position box; the spectral side `quad`.
     """
     spec = _resolve_spec(config, quad)
     outer_spec = outer if outer is not None else spec
@@ -100,10 +103,12 @@ def translate_mass(
     density = spectral_density(config, spec, f)
 
     def run(gi, go):
-        shifts = _axis_matrices(config, yv[:, None], gi.axes, FORWARD)
-        cols = _axis_matrices(config, go.axes, gi.axes, INVERSE)
-        rows = [shift * (w @ col) for shift, w, col in zip(shifts, go.axis_weights, cols)]
-        lhs = config.mehta * complex(_scatter_contract(rows, gi.weighted(density))[0])
+        vw, folded = gi.summand(density)
+        nodes = [a[len(a) // 2 :] for a in gi.axes] if folded else gi.axes
+        cols = _axis_matrices(config, [a[len(a) // 2 :] for a in go.axes], nodes, 0)
+        shifts = _axis_matrices(config, yv[:, None], nodes, 0 if folded else FORWARD)
+        rows = [s * ((2.0 * w[len(w) // 2 :]) @ c) for s, w, c in zip(shifts, go.axis_weights, cols)]
+        lhs = config.mehta * complex(_scatter_contract(rows, vw)[0])
         return lhs, complex(go.integrate(go.sample(f)))
 
     (lhs, rhs), delta = two_pass(run, config, spec, outer_spec)

@@ -427,3 +427,34 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "transform" in proc.stdout and "certify" in proc.stdout and "verify" in proc.stdout
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, config_path, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 0)
+        try:
+            for _ in range(3):
+                assert cli.main(["verify", "--config", config_path]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
+    def test_main_calls_the_handler_bound_at_call_time(self, config_path, monkeypatch):
+        seen = []
+        cli._parser()  # built before the patch, so no handler can be bound into it
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.suite) or 7)
+        assert cli.main(["verify", "--config", config_path, "--suite", "heat"]) == 7
+        assert seen == ["heat"]
+
+    def test_options_do_not_carry_over_between_calls(self, config_path, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = ["certify", "--config", config_path, "--function", "gaussian:t=2", "--points", "builtin:3"]
+        assert cli.main(argv + ["--strict-pd", "--report", str(first)]) == 0
+        assert cli.main(argv + ["--report", str(second)]) == 0
+        assert "strict" in json.loads(first.read_text())
+        assert "strict" not in json.loads(second.read_text())
+        capsys.readouterr()

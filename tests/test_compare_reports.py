@@ -139,3 +139,14 @@ def test_atol_lets_rounding_level_changes_through(script, tmp_path, capsys):
 def test_rejects_a_negative_atol(script, tmp_path):
     with pytest.raises(SystemExit):
         script.main(["--atol", "-1e-14", str(tmp_path), str(tmp_path)])
+
+
+def test_residual_imaginary_parts_pass_at_the_sweep_tolerances(script, tmp_path, capsys):
+    # a computed value written as [re, 1e-18] against the same value turned real
+    old = _write(tmp_path / "old", [IdentityReport("a", 2.0, complex(2.0000000000000124, 1e-18), 1e-6)])
+    new = _write(tmp_path / "new", [IdentityReport("a", 2.0, 2.0000000000000124, 1e-6)])
+    assert json.loads((old / "d1_kappa_0.5.json").read_text())["reports"][0]["computed"] == [2.0000000000000124, 1e-18]
+    assert script.main(["--rtol", "1e-12", "--atol", "1e-14", str(old), str(new)]) == 0
+    assert "1 reports matched, 0 differences" in capsys.readouterr().out
+    assert script.main(["--rtol", "0", str(old), str(new)]) == 1
+    assert "changed   d1_kappa_0.5.json a computed" in capsys.readouterr().out

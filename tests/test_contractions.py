@@ -22,9 +22,10 @@ import warnings
 import numpy as np
 import pytest
 
-from dunklpd import AccuracyWarning, make_config, transform, translation
+from dunklpd import AccuracyWarning, identities, make_config, transform, translation
 from dunklpd.functions import (
     DensityProduct,
+    even_by_construction,
     gaussian,
     generalized_cauchy,
     sample_on_axes,
@@ -43,7 +44,9 @@ from dunklpd.transform import (
     forward,
     forward_grid,
     inverse,
+    numeric_density,
     spectral_density,
+    tabulated_density,
 )
 from dunklpd.translation import _translate_at, convolve, convolve_direct, translate
 
@@ -458,3 +461,51 @@ def test_only_unshifted_folded_sums_read_the_even_part_alone(dim, kappa, rng, mo
     assert 0 not in signs_of(lambda: translate(config, SPEC, f, y, x))
     assert 0 not in signs_of(lambda: gram(config, SPEC, f, builtin_points(dim, 4)))
     assert signs_of(lambda: forward(config, SPEC, lambda p: f.evaluate(config, p), x)) == {FORWARD}
+
+
+# a folded sum is itself even, so the transform it builds answers even and the
+# outer leg of a composite over it folds too: the round trips and the product
+# rule read only A_k (sign 0) on both legs.  transform_double_is_parity's odd
+# raw integrand is not folded on either leg and keeps the complex phases.
+def test_even_composites_fold_both_legs(monkeypatch):
+    config = make_config(1, [0.5])
+    signs, current = {}, [None]
+    checked, phase = identities._checked, transform._phase_1d
+
+    def named(what, *args):
+        current[0] = what
+        try:
+            return checked(what, *args)
+        finally:
+            current[0] = None
+
+    def spy(k, z, sign):
+        signs.setdefault(current[0], set()).add(sign)
+        return phase(k, z, sign)
+
+    monkeypatch.setattr(identities, "_checked", named)
+    monkeypatch.setattr(transform, "_phase_1d", spy)
+    identities.suite_transform(config)
+    identities.suite_translation(config)
+    composites = [name for name in signs if name and name.startswith("inversion_round_trip_")]
+    assert len(composites) == 4
+    for name in composites + ["convolution_product_rule"]:
+        assert signs[name] == {0}, name
+    assert FORWARD in signs["transform_double_is_parity"]
+
+
+def test_transforms_answer_even_when_their_sum_folds():
+    config = make_config(2, [1.0, 0.0])
+    grid = Grid(config, SPEC)
+    raw = lambda p: gaussian(1.0).evaluate(config, p)
+    assert even_by_construction(tabulated_density(config, SPEC, gaussian(1.0)))
+    assert not even_by_construction(tabulated_density(config, SPEC, raw))
+    assert even_by_construction(_transformer(grid, gaussian(1.0), FORWARD))
+    product = DensityProduct(config, (gaussian(1.0), generalized_cauchy(4.0)))
+    assert even_by_construction(_transformer(grid, product, INVERSE))
+    assert not even_by_construction(_transformer(grid, raw, FORWARD))
+    assert not even_by_construction(numeric_density(config, SPEC, raw))
+    sampled = sample_on_axes(config, gaussian(1.0), uniform_axes(2, 5.0, 21))
+    assert not even_by_construction(_transformer(grid, sampled, FORWARD))
+    # a product is even only when every factor is
+    assert not even_by_construction(DensityProduct(config, (gaussian(1.0), _transformer(grid, raw, FORWARD))))

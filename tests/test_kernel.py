@@ -385,6 +385,70 @@ class TestInPlacePolynomials:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+class TestOneElementHorner:
+    """A one-element argument takes _horner's Python-float path: the same IEEE
+    double products and sums as polyval, so the same values bit for bit, on
+    every coefficient block the kernel passes, and scalar kernel calls equal
+    the matching entries of an array evaluation on every branch."""
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 1.7, 2.0, 12.3])
+    def test_matches_polyval_on_the_kernel_blocks(self, kappa):
+        hankel = kernel_module._hankel_coeffs(kappa)
+        blocks = [
+            kernel_module._series_coeffs(kappa, True),
+            kernel_module._series_coeffs(kappa, False),
+            kernel_module._series_coeffs(kappa, True)[:, 0],
+            hankel,
+            hankel[:, :2],
+            kernel_module._scaled_i_coeffs(kappa),
+        ]
+        for c in blocks:
+            for v in (0.0, -0.0, 5e-324, 2.5e-310, 0.37, -1.9, 9.0, 1.0 / 23.0):
+                for x in (np.array(v), np.array([v]), np.array([[v]])):
+                    got, want = kernel_module._horner(x, c), np.polynomial.polynomial.polyval(x, c)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (c.shape, v, x.shape)
+
+    # (kappa, z): the free case, the series, the ladder, the jv panels and the
+    # Hankel zone of E_k(x, -iy), both signs
+    _PHASE = [
+        (0.0, [0.4, -7.5]),
+        (0.5, [0.0, -0.0, 1e-310, 2.3, -5.9]),
+        (1.5, [7.0, -30.0]),
+        (0.3, [0.2, 6.5, -13.1, 19.9]),
+        (0.3, [20.5, -57.0, 300.0]),
+        (12.3, [3.0, 40.0, -170.0, 200.0]),
+    ]
+    # (kappa, z): the series, the ive zone and the far expansion of E_k(x, y)
+    _REAL = [
+        (0.3, [0.0, 1e-310, -2.2, 5.9, 6.1, -18.0, 39.5, 40.0, -45.0, 700.0]),
+        (1.7, [-3.3, 12.0, -41.0, 90.0]),
+        (8.5, [4.0, 70.0, -100.0, 300.0]),
+    ]
+
+    @pytest.mark.parametrize("kappa,zs", _PHASE)
+    def test_scalar_phase_equals_the_array_entries(self, kappa, zs):
+        want = _phase_1d(kappa, np.array(zs), -1)
+        got = np.array([kernel_1d(kappa, 1.0, z) for z in zs])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kappa,zs", _REAL)
+    def test_scalar_real_kernel_equals_the_array_entries(self, kappa, zs):
+        want = _real_1d(kappa, np.array(zs))
+        got = np.array([kernel_real_1d(kappa, 1.0, z) for z in zs])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kappa,zs", _REAL)
+    def test_scalar_heat_kernel_equals_the_array_entries(self, kappa, zs):
+        # z = x y / 2t with t = 1/2 and distinct y, so the batch is taken pair
+        # by pair: the same branches
+        config = make_config(1, [kappa])
+        ys = 1.5 + 0.25 * np.arange(len(zs))[:, None]
+        xs = np.array(zs)[:, None] / ys
+        want = heat_kernel(config, 0.5, xs, ys)
+        got = np.array([heat_kernel(config, 0.5, x, y) for x, y in zip(xs, ys)])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestStructure:
     @given(_KAPPAS, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
     def test_modulus_bounded_by_one(self, kappa, x, y):

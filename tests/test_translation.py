@@ -1,11 +1,12 @@
 """Generalized shift and convolution: reductions, symmetry, mass."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from dunklpd import DomainError, InputError, make_config
+from dunklpd import AccuracyWarning, DomainError, InputError, make_config
 from dunklpd.functions import (
     evaluate_handle,
     gaussian,
@@ -15,7 +16,8 @@ from dunklpd.functions import (
     uniform_axes,
 )
 from dunklpd.quadrature import Grid, QuadratureSpec
-from dunklpd.translation import convolve, convolve_direct, convolve_grid, translate, translate_mass
+from dunklpd.transform import spectral_density
+from dunklpd.translation import _translate_at, convolve, convolve_direct, convolve_grid, translate, translate_mass
 
 
 class TestTranslate:
@@ -97,6 +99,39 @@ class TestMass:
     def test_rejects_raw_callables(self, cfg_half):
         with pytest.raises(DomainError):
             translate_mass(cfg_half, None, lambda p: np.exp(-p[:, 0] ** 2), np.array([0.5]))
+
+    # translate_mass folds the position sum always and the spectral sum for a
+    # catalog input; here both are written out unfolded: the translate by y at
+    # every outer node, the complex sum over every spectral node, integrated
+    # against the outer weights, on the fine pass's grids
+    @pytest.mark.parametrize(
+        "dim,kappa,sampled",
+        [(1, [0.5], False), (1, [0.3], False), (2, [1.0, 0.0], False), (1, [0.5], True)],
+    )
+    def test_folded_mass_matches_the_unfolded_double_sum(self, dim, kappa, sampled, monkeypatch):
+        config = make_config(dim, kappa)
+        spec, outer = QuadratureSpec(8.0, 24), QuadratureSpec(10.0, 16)
+        f = gaussian_density(1.0)
+        if sampled:
+            f = sample_on_axes(config, gaussian(1.0), uniform_axes(dim, 6.0, 41))
+        y = np.full(dim, 0.7 / np.sqrt(dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            density = spectral_density(config, spec, f)
+            folds, real = [], Grid.summand
+
+            def summand(grid, fn):
+                out = real(grid, fn)
+                folds.append(out[1])
+                return out
+
+            monkeypatch.setattr(Grid, "summand", summand)
+            rep = translate_mass(config, spec, f, y, outer=outer)
+        assert folds[-2:] == [not sampled] * 2  # the coarse and the fine pass
+        gi, go = Grid(config, spec.doubled()), Grid(config, outer.doubled())
+        rows = _translate_at(gi, (gi.weighted(density), False), y[None], go.points())[0]
+        want = go.integrate(rows)
+        assert abs(complex(rep.computed) - want) <= 1e-13 * abs(want)
 
     # the suites' mass report at its default box passes on its value, but its
     # own n/2n check does not back the pass: the 96- and 48-node spectral grids
