@@ -170,10 +170,15 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
     """Points as an (N, d) array, and whether a single point was passed.
 
     The one point check of the package (handles, transforms, translates,
-    Gram matrices, the heat kernel): a wrong shape or a nan or inf
-    coordinate raises InputError.
+    Gram matrices, the heat kernel): None, strings, complex numbers, ragged
+    rows, a wrong shape or a nan or inf coordinate raise InputError.
     """
-    pts = np.asarray(points, dtype=float)
+    try:
+        if points is None or np.iscomplexobj(points):  # as floats: nan, or the real parts alone
+            raise TypeError("got None" if points is None else "got complex values")
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected real points in R^{config.dimension}: {exc}") from None
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != config.dimension:
@@ -411,7 +416,7 @@ def sample_on_axes(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -
 
 
 def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray, ...]:
-    if not (float(count).is_integer() and count >= 2):
+    if not (isinstance(count, (int, float, np.integer, np.floating)) and float(count).is_integer() and count >= 2):
         raise InputError(f"need a whole number of at least 2 nodes per axis, got {count!r}")
     extent = float(extent)
     if not np.isfinite(extent) or extent <= 0.0:

@@ -32,10 +32,12 @@ from .functions import (
     gaussian_density,
     generalized_cauchy,
     sample_on_axes,
+    tensor_points,
     uniform_axes,
 )
 from .kernel import _kernel_pairs, dunkl_operator_1d, kernel_1d, kernel_nd, kernel_real_nd
 from .posdef import (
+    _heat_product,
     bessel_integral_identity,
     bochner_certify,
     bound_check,
@@ -50,7 +52,7 @@ from .posdef import (
 )
 from .quadrature import _RESOLUTION, Grid, QuadratureSpec, default_spec
 from .reports import IdentityReport
-from .root_system import MultiplicityConfig
+from .root_system import MultiplicityConfig, make_config
 from .transform import (
     FORWARD,
     INVERSE,
@@ -154,13 +156,12 @@ def suite_kernel(config: MultiplicityConfig) -> list:
     )
 
     worst_eig = 0.0
+    xv, yv = tensor_points(([-1.1, -0.3, 0.3, 1.1], [0.5, 2.0])).T
     for kv in (0.0, 0.5, 1.0, 2.0):
-        for xv in (-1.1, -0.3, 0.3, 1.1):
-            for yv in (0.5, 2.0):
-                fn = lambda s, _k=kv, _y=yv: kernel_1d(_k, s, _y)
-                lhs = dunkl_operator_1d(kv, fn, xv)
-                rhs = -1j * yv * kernel_1d(kv, xv, yv)
-                worst_eig = max(worst_eig, abs(lhs - rhs))
+        fn = lambda s, _c=make_config(1, [kv]): _kernel_pairs(_c, s[:, None], yv[:, None])
+        lhs = dunkl_operator_1d(kv, fn, xv)
+        rhs = -1j * yv * fn(xv)
+        worst_eig = max(worst_eig, float(np.max(np.abs(lhs - rhs))))
     notes = "multiplicities {0, 1/2, 1, 2}, 8 evaluation points"
     reports.append(IdentityReport.bound("kernel_operator_eigen_relation", worst_eig, 1e-6, notes=notes))
 
@@ -539,29 +540,23 @@ def suite_heat(config: MultiplicityConfig) -> list:
                 worst = rep
     reports.append(replace(worst, notes=worst.notes + "; sweep " + "; ".join(cases)))
 
-    rng = np.random.default_rng(23)
-    neg = 0.0
-    asym = 0.0
-    for _ in range(100):
-        t = float(rng.uniform(0.05, 4.0))
-        x = rng.uniform(-3, 3, size=d)
-        y = rng.uniform(-3, 3, size=d)
-        v = heat_kernel(config, t, x, y)
-        neg = max(neg, -v)
-        asym = max(asym, abs(v - heat_kernel(config, t, y, x)))
+    # 150 random (t, x, y) with the values of rng.uniform's draws of t, x and y
+    # sample by sample: 100 for every config, then 50 for the classical reduction
+    u = np.random.default_rng(23).random((150, 1 + 2 * d))
+    t, x, y = 0.05 + (4.0 - 0.05) * u[:, 0], -3.0 + 6.0 * u[:, 1 : 1 + d].T, -3.0 + 6.0 * u[:, 1 + d :].T
+    v = _heat_product(config, t, x, y, np.multiply)
+    neg = max(0.0, float(np.max(-v[:100])))
+    asym = float(np.max(np.abs(v - _heat_product(config, t, y, x, np.multiply))[:100]))
     reports.append(IdentityReport.bound("heat_kernel_nonnegative", neg, 1e-15, notes="100 random (t, x, y)"))
     reports.append(IdentityReport.bound("heat_kernel_argument_symmetry", asym, 1e-12, notes="same 100 samples"))
 
     if _is_classical(config):
-        wants, gots = [], []
-        for _ in range(50):
-            t = float(rng.uniform(0.05, 4.0))
-            x = rng.uniform(-3, 3, size=d)
-            y = rng.uniform(-3, 3, size=d)
-            gots.append(heat_kernel(config, t, x, y))
-            wants.append((4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-float(np.sum((x - y) ** 2)) / (4.0 * t)))
+        wants = [
+            (4.0 * math.pi * tv) ** (-d / 2.0) * math.exp(-float(np.sum((xv - yv) ** 2)) / (4.0 * tv))
+            for tv, xv, yv in zip(t[100:].tolist(), x.T[100:], y.T[100:])
+        ]
         notes = "zero multiplicities, 50 samples"
-        reports.append(_compare("classical_heat_reduction", wants, gots, 1e-10, notes=notes, relative=False))
+        reports.append(_compare("classical_heat_reduction", wants, v[100:], 1e-10, notes=notes, relative=False))
 
     t0 = 0.7
     x = _diag(config, 0.8)

@@ -67,8 +67,7 @@ Every polynomial (the power series, the Hankel and large-argument I
 expansions, the jv panels) is evaluated in place by _horner and _clenshaw,
 which do the products and sums of numpy.polynomial's polyval and chebval
 in the same order, so the values are the same bit for bit, without two
-temporaries per term.  A scalar call's one element is evaluated in Python
-floats, IEEE doubles without fused multiply-add as in numpy: the same values.
+temporaries per term.
 
 The two costly special-function evaluations whose callers repeat
 arguments (the generic Bessel pair and the Bessel-K catalog profile in
@@ -142,17 +141,8 @@ def _horner(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """numpy.polynomial.polynomial.polyval(x, c) evaluated in place: c of shape
     (terms,) or (terms, m), the result of shape c.shape[1:] + x.shape.  The same
     products and sums in the same order, so the same values bit for bit, with
-    no temporaries per term.  A one-element x is evaluated in Python floats,
-    the same IEEE double products and sums without a ufunc call per term."""
+    no temporaries per term."""
     shape = c.shape[1:] + x.shape
-    if x.size == 1:
-        v, vals = x.item(), []
-        for col in c.reshape(len(c), -1).T.tolist():
-            acc = col[-1] + v * 0
-            for coef in col[-2::-1]:
-                acc = acc * v + coef
-            vals.append(acc)
-        return np.array(vals).reshape(shape)
     c = c.reshape(c.shape + (1,) * x.ndim)
     out = np.multiply(x, 0, out=np.empty(shape))
     out += c[-1]
@@ -501,20 +491,23 @@ def kernel_real_nd(config: MultiplicityConfig, x, y) -> float:
 _DIFF_STEP = 0.01
 
 
-def dunkl_operator_1d(kappa: float, f: Callable[[float], complex], x: float) -> complex:
+def dunkl_operator_1d(kappa: float, f: Callable, x):
     """Rank-1 Dunkl operator T f(x) = f'(x) + kappa * (f(x) - f(-x)) / x.
 
     The derivative is a Richardson-extrapolated central difference with
     steps h = _DIFF_STEP and h/2 (error O(h^4)).  Satisfies the eigenrelation
-    T E(., -iy)(x) = -iy E(x, -iy).
+    T E(., -iy)(x) = -iy E(x, -iy).  x may be an array, f then taking arrays
+    of its shape; a scalar x returns a complex, an array's entry bit for bit.
     """
     k = _check_kappa(kappa)
-    xv = float(x)
-    if xv == 0.0:
+    xv = np.asarray(x, dtype=float)
+    if np.any(xv == 0.0):
         raise DomainError("dunkl_operator_1d is undefined at x = 0 (reflection difference quotient)")
+    g = lambda s: np.asarray(f(s), dtype=complex)
 
     def central(step):
-        return (f(xv + step) - f(xv - step)) / (2.0 * step)
+        return (g(xv + step) - g(xv - step)) / (2.0 * step)
 
     deriv = (4.0 * central(_DIFF_STEP / 2.0) - central(_DIFF_STEP)) / 3.0
-    return deriv + k * (f(xv) - f(-xv)) / xv
+    out = deriv + k * (g(xv) - g(-xv)) / xv
+    return complex(out) if out.ndim == 0 else out

@@ -117,8 +117,8 @@ def builtin_points(dimension: int, n: int, coefficients=None) -> PointSet:
     in d > 1 each point sits at s/sqrt(d) in every coordinate so pairwise
     distances match the d = 1 layout.
     """
-    if n < 1:
-        raise InputError("need at least one point")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (dimension, n)):
+        raise InputError(f"dimension and point count must be whole numbers >= 1, got {dimension!r} and {n!r}")
     mags = [0.0]
     k = 0
     while len(mags) < n:
@@ -319,7 +319,7 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     return float(out[0]) if squeeze else out
 
 
-def _heat_product(config: MultiplicityConfig, t: float, xs, ys, join) -> np.ndarray:
+def _heat_product(config: MultiplicityConfig, t, xs, ys, join) -> np.ndarray:
     """The heat kernel as the product over axes i of its factors at xs[i], ys[i].
 
     Axis i contributes exp(-(|x| - |y|)^2 / 4t) and exp(-|z|) E_k(x, y) at
@@ -328,12 +328,15 @@ def _heat_product(config: MultiplicityConfig, t: float, xs, ys, join) -> np.ndar
     point xs against the tensor grid over the axes ys, whose factors are
     then built on the n_i axis values alone.  Either way every value is
     multiplied in the order ((out * e_i) * s_i), so the grid equals the
-    pair-by-pair values bit for bit.
+    pair-by-pair values bit for bit.  On the pair route t may hold one time per
+    pair, each prefactor taken in Python floats as for one t (numpy's power
+    can differ by an ulp), so each value is heat_kernel's at its t bit for bit.
     """
+    power = -(config.gamma + config.dimension / 2.0)
     try:
-        out = config.mehta * (2.0 * float(t)) ** -(config.gamma + config.dimension / 2.0)
-    except OverflowError:
-        raise DomainError(f"heat kernel prefactor c (2t)^-(gamma+d/2) overflows at t = {t}") from None
+        out = np.reshape([config.mehta * (2.0 * tv) ** power for tv in np.ravel(t).tolist()], np.shape(t))
+    except OverflowError:  # at the smallest t, since the power is negative
+        raise DomainError(f"heat kernel prefactor c (2t)^-(gamma+d/2) overflows at t = {np.min(t)}") from None
     for kappa, x, y in zip(config.kappa, xs, ys):
         z = x * y / (2.0 * t)
         gap = (np.abs(x) - np.abs(y)) ** 2 / (4.0 * t)

@@ -53,8 +53,9 @@ class MultiplicityConfig:
 
 
 def make_config(dimension: int, kappa: Sequence[float]) -> MultiplicityConfig:
-    if not isinstance(dimension, int) or isinstance(dimension, bool):
+    if not isinstance(dimension, (int, np.integer)) or isinstance(dimension, bool):
         raise ConfigurationError(f"dimension must be an integer, got {dimension!r}")
+    dimension = int(dimension)
     if dimension < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
     if dimension > MAX_DIMENSION:

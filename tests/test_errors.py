@@ -13,10 +13,11 @@ from dunklpd import (
     NotInCatalogError,
     make_config,
 )
-from dunklpd.functions import SampledFunction, bessel_k_profile, gaussian, generalized_cauchy
+from dunklpd.functions import SampledFunction, bessel_k_profile, gaussian, generalized_cauchy, uniform_axes
 from dunklpd.quadrature import QuadratureSpec
 from dunklpd.kernel import kernel_1d, kernel_nd, kernel_real_1d
 from dunklpd.posdef import (
+    _heat_product,
     bound_check,
     builtin_points,
     heat_kernel,
@@ -101,8 +102,9 @@ _D3 = make_config(3, [1.0, 0.5, 0.0])
         lambda: heat_kernel(_D3, 1e-200, [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]),
         lambda: heat_kernel(_D3, np.float64(1e-200), [0.0, 0.0, 0.0], np.zeros((4, 3))),
         lambda: heat_kernel_mass(_D3, None, 1e-200, [0.0, 0.0, 0.0]),
+        lambda: _heat_product(_D3, np.array([0.5, 1e-200]), np.zeros((3, 2)), np.ones((3, 2)), np.multiply),
     ],
-    ids=["heat_kernel", "heat_kernel_numpy_t", "heat_kernel_mass"],
+    ids=["heat_kernel", "heat_kernel_numpy_t", "heat_kernel_mass", "heat_product_time_per_pair"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_heat_prefactor_raises_domain_error(call):
@@ -125,6 +127,57 @@ def test_checked_operator_raises_on_a_non_finite_result(what, call):
     # a 1e300 box overflows the weighted sum to nan, and the n/2n check cannot see a nan scale
     with pytest.raises(DomainError, match=f"^{what}: the result is not finite"):
         call(make_config(1, [0.5]), QuadratureSpec(1e300, 16))
+
+
+# the one point check refuses what is not an array of real numbers before
+# converting it: strings, ragged rows and complex numbers would escape as
+# other errors, complex arrays lose their imaginary parts, and None turns nan
+@pytest.mark.parametrize(
+    "points",
+    ["abc", [[0.5], [0.1, 0.2]], [1 + 2j], np.array([0.5 + 0.0j]), None],
+    ids=["string", "ragged", "complex_list", "complex_array", "none"],
+)
+@pytest.mark.filterwarnings("error")
+def test_malformed_points_raise_input_error(points):
+    with pytest.raises(InputError, match="expected real points in R\\^1"):
+        forward(make_config(1, [0.5]), None, _G, points)
+
+
+def test_numpy_integers_are_accepted_as_integers():
+    spec = QuadratureSpec(10.0, np.int64(64))
+    assert spec == QuadratureSpec(10.0, 64) and type(spec.nodes_per_axis) is int
+    config = make_config(np.int64(2), [1, 0])
+    assert config == make_config(2, [1, 0]) and type(config.dimension) is int
+    assert np.array_equal(builtin_points(np.int64(2), np.int64(3)).points, builtin_points(2, 3).points)
+    assert np.array_equal(uniform_axes(1, 2.0, np.int64(5))[0], uniform_axes(1, 2.0, 5)[0])
+
+
+@pytest.mark.parametrize(
+    "error,match,call",
+    [
+        (ConfigurationError, "even integer >= 8, got 64.0", lambda: QuadratureSpec(10.0, 64.0)),
+        (ConfigurationError, "even integer >= 8, got '64'", lambda: QuadratureSpec(10.0, "64")),
+        (ConfigurationError, "dimension must be an integer", lambda: make_config(2.0, [1, 0])),
+        (ConfigurationError, "dimension must be an integer", lambda: make_config(np.True_, [1])),
+        (InputError, "whole numbers >= 1, got 1 and 2.5", lambda: builtin_points(1, 2.5)),
+        (InputError, "whole numbers >= 1, got 2.5 and 3", lambda: builtin_points(2.5, 3)),
+        (InputError, "whole numbers >= 1, got 0 and 3", lambda: builtin_points(0, 3)),
+        (InputError, "whole number of at least 2 nodes per axis, got '5'", lambda: uniform_axes(1, 2.0, "5")),
+    ],
+    ids=[
+        "spec_float",
+        "spec_string",
+        "dimension_float",
+        "dimension_numpy_bool",
+        "points_float",
+        "points_dimension_float",
+        "points_dimension_zero",
+        "axes_string",
+    ],
+)
+def test_non_integer_counts_raise_package_errors(error, match, call):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # forward_grid's output nodes go through the one point check: a wrong number

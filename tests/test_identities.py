@@ -18,6 +18,7 @@ from dunklpd import (
     run_suites,
     transform,
 )
+from dunklpd import kernel as kernel_module
 from dunklpd.functions import bessel_k_profile, gaussian, gaussian_density, generalized_cauchy
 from dunklpd.identities import (
     SUITE_NAMES,
@@ -231,6 +232,21 @@ def test_kernel_translation_and_heat_suites_pass_in_three_dimensions():
     reports = suite_kernel(cfg) + suite_translation(cfg) + suite_heat(cfg)
     failing = [r.line() for r in reports if not r.passed]
     assert not failing, "\n".join(failing)
+
+
+@pytest.mark.parametrize("dim, kappa", [(1, [0.5]), (2, [1.0, 0.0])])
+def test_kernel_and_heat_suites_evaluate_their_sample_families_as_arrays(dim, kappa, monkeypatch):
+    # the heat suite's random (t, x, y) samples and the eigen relation's
+    # Richardson differences are one array evaluation each, not one call per
+    # sample; what is left are the suites' few single-pair checks
+    config = make_config(dim, kappa)
+    real = kernel_module._horner
+    sizes = []
+    monkeypatch.setattr(kernel_module, "_horner", lambda x, c: sizes.append(np.size(x)) or real(x, c))
+    for suite, most in (("kernel", 10), ("heat", 1)):
+        sizes.clear()
+        run_suites(config, suite)
+        assert sizes.count(1) <= most, suite
 
 
 def test_posdef_suite_builds_each_gram_matrix_it_reads_once(cfg_half, monkeypatch):

@@ -20,6 +20,7 @@ from scipy import special as sps
 from dunklpd import DomainError, make_config
 from dunklpd import kernel as kernel_module
 from dunklpd.kernel import (
+    _kernel_pairs,
     _phase_1d,
     _real_1d,
     _real_1d_scaled,
@@ -386,10 +387,10 @@ class TestInPlacePolynomials:
 
 
 class TestOneElementHorner:
-    """A one-element argument takes _horner's Python-float path: the same IEEE
-    double products and sums as polyval, so the same values bit for bit, on
-    every coefficient block the kernel passes, and scalar kernel calls equal
-    the matching entries of an array evaluation on every branch."""
+    """_horner has one in-place path for every shape: a one-element argument,
+    0-d included, gets the same values as polyval bit for bit on every
+    coefficient block the kernel passes, and scalar kernel calls equal the
+    matching entries of an array evaluation on every branch."""
 
     @pytest.mark.parametrize("kappa", [0.3, 0.5, 1.7, 2.0, 12.3])
     def test_matches_polyval_on_the_kernel_blocks(self, kappa):
@@ -574,3 +575,20 @@ class TestOperatorEigenRelation:
         for x in (0.6, 1.1, 2.3):
             got = dunkl_operator_1d(kappa, f, x)
             np.testing.assert_allclose(got, -1j * y * f(x), rtol=2e-6, atol=2e-8)
+
+    # the free case, the series, the ladder, the jv panels and the Hankel zone
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.5, 0.3, 12.3])
+    def test_array_argument_equals_the_scalar_calls(self, kappa):
+        xs = np.array([-7.3, -1.1, -0.3, 0.3, 1.1, 4.0, 25.0, 60.0])
+        ys = np.array([0.5, 2.0, 1.4, -3.0, 9.0, 2.2, 1.9, -4.5])
+        config = make_config(1, [kappa])
+        got = dunkl_operator_1d(kappa, lambda s: _kernel_pairs(config, s[:, None], ys[:, None]), xs)
+        want = [dunkl_operator_1d(kappa, lambda s, y=y: kernel_1d(kappa, s, y), x) for x, y in zip(xs.tolist(), ys)]
+        assert {type(w) for w in want} == {complex}
+        assert got.shape == xs.shape and got.tobytes() == np.array(want).tobytes()
+
+    def test_zero_anywhere_in_an_array_raises(self):
+        with pytest.raises(DomainError, match="undefined at x = 0"):
+            dunkl_operator_1d(0.5, np.cos, np.array([0.3, 0.0, 1.0]))
+        with pytest.raises(DomainError, match="undefined at x = 0"):
+            dunkl_operator_1d(0.5, np.cos, -0.0)

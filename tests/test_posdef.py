@@ -290,6 +290,18 @@ class TestHeatKernel:
         ):
             assert got.shape == want.shape and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dim,kappa", [(1, [0.3]), (2, [1.0, 0.5]), (3, [1.0, 0.5, 0.0]), (3, [0.0, 0.0, 0.0])])
+    def test_one_time_per_pair_equals_heat_kernel_pair_by_pair(self, dim, kappa):
+        # the prefactor is taken per time in Python floats: numpy's power of
+        # the time array differs by an ulp at some t, and the values must not
+        config = make_config(dim, kappa)
+        rng = np.random.default_rng(dim)
+        t = 10.0 ** rng.uniform(-2.0, 1.0, 200)
+        x, y = rng.uniform(-6.0, 6.0, (2, 200, dim))
+        got = posdef._heat_product(config, t, x.T, y.T, np.multiply)
+        want = [heat_kernel(config, tv, xv, yv) for tv, xv, yv in zip(t.tolist(), x, y)]
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_grid_route_evaluates_each_axis_alone(self, monkeypatch):
         config = make_config(3, [1.0, 0.5, 0.3])
         nodes = Grid(config, QuadratureSpec(9.0, 16)).points()
