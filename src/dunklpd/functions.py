@@ -171,7 +171,8 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
 
     The one point check of the package (handles, transforms, translates,
     Gram matrices, the heat kernel): None, strings, complex numbers, ragged
-    rows, a wrong shape or a nan or inf coordinate raise InputError.
+    rows, a wrong shape or a nan or inf coordinate raise InputError.  Rows
+    at stride 0 (np.broadcast_to) are one row in memory, checked once.
     """
     try:
         if points is None or np.iscomplexobj(points):  # as floats: nan, or the real parts alone
@@ -183,7 +184,7 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != config.dimension:
         raise InputError(f"expected points in R^{config.dimension}, got shape {np.shape(points)}")
-    if not np.all(np.isfinite(pts)):
+    if not np.all(np.isfinite(pts[:1] if pts.strides[0] == 0 else pts)):
         raise InputError("points must be finite (found nan or inf)")
     return pts, squeeze
 
@@ -416,11 +417,13 @@ def sample_on_axes(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -
 
 
 def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray, ...]:
+    if not (isinstance(dimension, (int, np.integer)) and dimension >= 1):
+        raise InputError(f"grid dimension must be a whole number >= 1, got {dimension!r}")
     if not (isinstance(count, (int, float, np.integer, np.floating)) and float(count).is_integer() and count >= 2):
         raise InputError(f"need a whole number of at least 2 nodes per axis, got {count!r}")
+    if not (isinstance(extent, (int, float, np.integer, np.floating)) and 0.0 < extent < math.inf):
+        raise InputError(f"grid extent must be finite and positive, got {extent!r}")
     extent = float(extent)
-    if not np.isfinite(extent) or extent <= 0.0:
-        raise InputError(f"grid extent must be finite and positive, got {extent}")
     ax = np.linspace(-extent, extent, int(count))
     # within two ulp of the extent from linspace, but exactly mirrored (an
     # exact 0 at an odd centre), so the grid route and the phase matrices

@@ -61,7 +61,7 @@ _phase_1d at sign 0 returns that real even part A_k alone, bit for bit the
 real part at either sign: every branch then evaluates only its even column
 (cos at k = 0, the even series, the even panel column, P and Q of the lower
 order in the Hankel expansion), and the ladder drops the odd order after its
-recurrence.
+recurrence, or at k = 1/2 takes J_0 alone (its prefactor is exactly 1).
 
 Every polynomial (the power series, the Hankel and large-argument I
 expansions, the jv panels) is evaluated in place by _horner and _clenshaw,
@@ -360,7 +360,9 @@ def _parts(kappa: float, z: np.ndarray, odd: bool = True) -> list:
     big = ~small
     if big.any():
         az = np.abs(z[big])
-        if ladder:  # the recurrence needs both orders; the odd one is dropped after it
+        if kappa == 0.5:  # J_0 and J_1 themselves: the prefactor Gamma(1) (a/2)^0 is exactly 1
+            vals = [sps.j0(az), sps.j1(az)] if odd else [sps.j0(az)]
+        elif ladder:  # the recurrence needs both orders; the odd one is dropped after it
             pref = _prefactor(kappa, az)
             vals = [pref * j for j in _bessel_pair_ladder(kappa, az)[: len(parts)]]
         else:
@@ -498,11 +500,14 @@ def dunkl_operator_1d(kappa: float, f: Callable, x):
     steps h = _DIFF_STEP and h/2 (error O(h^4)).  Satisfies the eigenrelation
     T E(., -iy)(x) = -iy E(x, -iy).  x may be an array, f then taking arrays
     of its shape; a scalar x returns a complex, an array's entry bit for bit.
+    An x of 0, nan or inf anywhere raises DomainError before f is called.
     """
     k = _check_kappa(kappa)
     xv = np.asarray(x, dtype=float)
     if np.any(xv == 0.0):
         raise DomainError("dunkl_operator_1d is undefined at x = 0 (reflection difference quotient)")
+    if not np.all(np.isfinite(xv)):
+        raise DomainError("dunkl_operator_1d needs a finite x (found nan or inf)")
     g = lambda s: np.asarray(f(s), dtype=complex)
 
     def central(step):

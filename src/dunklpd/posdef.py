@@ -299,8 +299,11 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     One point (one row, or one row repeated as by np.broadcast_to) against
     the C-ordered nodes of a tensor grid (functions.tensor_axes), in either
     argument order, builds each axis factor on the axis alone and joins the
-    factors by outer products, with the same values bit for bit.  Other
-    pairs are evaluated pair by pair.
+    factors by outer products, with the same values bit for bit.  A side at
+    row stride 0 (one row broadcast, or np.broadcast_to) is one point without
+    reading its rows, and is tried first, so past the point check the nodes
+    are read once, by tensor_axes; a repeated array in memory (np.repeat) is
+    compared row by row.  Other pairs are evaluated pair by pair.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"time must be positive and finite, got {t}")
@@ -310,8 +313,8 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
         raise InputError(f"{len(xp)} points x against {len(yp)} points y; lengths must match or one be 1")
     squeeze = x_single and y_single
     xp, yp = np.broadcast_arrays(xp, yp)
-    for point, nodes in ((xp, yp), (yp, xp)):
-        if len(nodes) > 1 and np.all(point == point[0]):
+    for point, nodes in sorted(((xp, yp), (yp, xp)), key=lambda pair: pair[0].strides[0] != 0):
+        if len(nodes) > 1 and (point.strides[0] == 0 or np.all(point == point[0])):
             axes = tensor_axes(nodes)
             if axes is not None:
                 return _heat_product(config, t, point[0], axes, np.multiply.outer).reshape(-1)

@@ -83,8 +83,8 @@ class QuadratureSpec:
     nodes_per_axis: int
 
     def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ConfigurationError(f"quadrature radius must be positive, got {self.radius}")
+        if not (isinstance(self.radius, (int, float, np.integer, np.floating)) and 0 < self.radius < np.inf):
+            raise ConfigurationError(f"quadrature radius must be positive and finite, got {self.radius!r}")
         if not isinstance(self.nodes_per_axis, (int, np.integer)) or self.nodes_per_axis < 8 or self.nodes_per_axis % 2:
             raise ConfigurationError(f"nodes_per_axis must be an even integer >= 8, got {self.nodes_per_axis!r}")
         object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))  # a NumPy integer becomes an int

@@ -163,6 +163,11 @@ def test_numpy_integers_are_accepted_as_integers():
         (InputError, "whole numbers >= 1, got 2.5 and 3", lambda: builtin_points(2.5, 3)),
         (InputError, "whole numbers >= 1, got 0 and 3", lambda: builtin_points(0, 3)),
         (InputError, "whole number of at least 2 nodes per axis, got '5'", lambda: uniform_axes(1, 2.0, "5")),
+        (ConfigurationError, "positive and finite, got 'abc'", lambda: QuadratureSpec("abc", 64)),
+        (ConfigurationError, "positive and finite, got None", lambda: QuadratureSpec(None, 64)),
+        (InputError, "whole number >= 1, got 2.5", lambda: uniform_axes(2.5, 1.0, 5)),
+        (InputError, "whole number >= 1, got '2'", lambda: uniform_axes("2", 1.0, 5)),
+        (InputError, "whole number >= 1, got 0", lambda: uniform_axes(0, 1.0, 5)),
     ],
     ids=[
         "spec_float",
@@ -173,6 +178,11 @@ def test_numpy_integers_are_accepted_as_integers():
         "points_dimension_float",
         "points_dimension_zero",
         "axes_string",
+        "spec_radius_string",
+        "spec_radius_none",
+        "axes_dimension_float",
+        "axes_dimension_string",
+        "axes_dimension_zero",
     ],
 )
 def test_non_integer_counts_raise_package_errors(error, match, call):

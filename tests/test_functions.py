@@ -1,6 +1,7 @@
 """Function catalog, sampled handles, and CSV persistence."""
 
 import math
+import tracemalloc
 from itertools import groupby
 
 import numpy as np
@@ -19,6 +20,7 @@ from dunklpd.functions import (
     SampledFunction,
     _bessel_k_profile_values,
     _mirror_half,
+    _query_points,
     bessel_k_profile,
     evaluate_handle,
     gaussian,
@@ -452,6 +454,29 @@ def test_tensor_axes_matches_the_sorting_definition(case):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+class TestQueryPoints:
+    # rows at stride 0 (np.broadcast_to) are one row in memory, so the
+    # finiteness check reads that row alone, with the verdict of every row
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_broadcast_rows_are_checked_at_the_cost_of_one_row(self, dim):
+        config = make_config(dim, [0.5] * dim)
+        block = np.broadcast_to(np.linspace(-1.0, 1.0, dim), (10**6, dim))
+        tracemalloc.start()
+        try:
+            pts, single = _query_points(config, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, f"checking one broadcast row allocated {peak} bytes"
+        assert pts.shape == block.shape and not single and np.shares_memory(pts, block)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_broadcast_non_finite_row_raises(self, bad):
+        row = np.array([0.2, bad, -0.4])
+        with pytest.raises(InputError, match="finite"):
+            _query_points(make_config(3, [1.0, 0.5, 0.0]), np.broadcast_to(row, (10**6, 3)))
+
+
 class TestCsv:
     def test_round_trip_preserves_values(self, cfg_plane, tmp_path):
         axes = uniform_axes(2, 1.5, 7)
@@ -517,7 +542,7 @@ class TestCsv:
                 uniform_axes(1, 1.0, count)
         np.testing.assert_array_equal(uniform_axes(1, 2.0, 3.0)[0], [-2.0, 0.0, 2.0])
 
-    @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf, 0.0, -2.0, None, "abc"])
     def test_uniform_axes_rejects_bad_extent(self, extent):
         with pytest.raises(InputError):
             uniform_axes(1, extent, 5)

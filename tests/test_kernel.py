@@ -510,6 +510,20 @@ class TestStructure:
         for sign in (-1, 1):
             assert got.tobytes() == np.ascontiguousarray(_phase_1d(kappa, z, sign).real).tobytes()
 
+    # at k = 1/2 the ladder's prefactor Gamma(1) (a/2)^0 is exactly 1: sign 0
+    # takes J_0 alone, evaluates no J_1, and keeps the values of the
+    # prefactor times the recurrence's J_0 bit for bit
+    def test_half_integer_even_part_is_j0_alone(self, monkeypatch):
+        z = np.concatenate((np.linspace(-400.0, 400.0, 8001), np.nextafter(6.0, [0.0, np.inf])))
+        big = np.abs(z) > 6.0
+        az = np.abs(z[big])
+        want = kernel_module._prefactor(0.5, az) * kernel_module._bessel_pair_ladder(0.5, az)[0]
+        full = _phase_1d(0.5, z, -1)
+        monkeypatch.setattr(kernel_module.sps, "j1", lambda a: pytest.fail("sign 0 evaluated J_1"))
+        got = _phase_1d(0.5, z, 0)
+        assert got[big].tobytes() == want.tobytes()
+        assert got.tobytes() == np.ascontiguousarray(full.real).tobytes()
+
     def test_series_ladder_seam_is_smooth(self):
         # the evaluator switches algorithms at a |z| cutoff; a fine sweep
         # across the seam must not show a jump above root precision
@@ -592,3 +606,12 @@ class TestOperatorEigenRelation:
             dunkl_operator_1d(0.5, np.cos, np.array([0.3, 0.0, 1.0]))
         with pytest.raises(DomainError, match="undefined at x = 0"):
             dunkl_operator_1d(0.5, np.cos, -0.0)
+
+    # a nan or inf x would come back as nan with RuntimeWarnings
+    @pytest.mark.parametrize(
+        "x", [math.nan, math.inf, -math.inf, np.array([0.3, math.nan, 1.0])], ids=["nan", "inf", "-inf", "array"]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_x_raises_before_f_is_called(self, x):
+        with pytest.raises(DomainError, match="finite x"):
+            dunkl_operator_1d(0.5, lambda s: pytest.fail("f was called"), x)

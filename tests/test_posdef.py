@@ -313,6 +313,24 @@ class TestHeatKernel:
         heat_kernel(config, 0.6, [0.4, -0.2, 1.1], nodes[::-1])
         assert sizes[3:] == [16**3] * 3
 
+    def test_grid_route_reads_the_nodes_once(self, monkeypatch):
+        # a side at row stride 0 is one point without reading its rows and is
+        # tried first, so past the point check only tensor_axes reads the
+        # nodes, once per call in either argument order; a repeated point in
+        # memory (np.repeat) is compared row by row and takes the grid route
+        config = make_config(3, [1.0, 0.5, 0.3])
+        nodes = Grid(config, QuadratureSpec(9.0, 16)).points()
+        x = np.array([0.4, -0.2, 1.1])
+        want = heat_kernel(config, 0.6, x, nodes)
+        calls, sizes = [], []
+        real_axes, real_scaled = posdef.tensor_axes, posdef._real_1d_scaled
+        monkeypatch.setattr(posdef, "tensor_axes", lambda p: calls.append(len(p)) or real_axes(p))
+        monkeypatch.setattr(posdef, "_real_1d_scaled", lambda k, z: sizes.append(np.size(z)) or real_scaled(k, z))
+        for point in (x[None], np.broadcast_to(x, nodes.shape), np.repeat(x[None], len(nodes), axis=0)):
+            for got in (heat_kernel(config, 0.6, point, nodes), heat_kernel(config, 0.6, nodes, point)):
+                assert got.tobytes() == want.tobytes()
+        assert calls == [len(nodes)] * 6 and sizes == [16] * 18
+
     def test_mass_integrates_the_grid_route(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("heat_kernel_mass built an (N, d) point array")
