@@ -34,9 +34,13 @@ found by tensor_axes.
 
 The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
-(the 96^3 nodes of a d=3 grid have 22,863 distinct radii).  Where r^a K_a(r)
-as a product leaves the float range (large a, small r) it is the
-small-argument sum instead (_small_radius_sum).  The Gaussians
+(the 96^3 nodes of a d=3 grid have 22,863 distinct radii).  At an order a
+with 2a an integer up to the kernel's ladder bound (every order the identity
+suites use) r^a K_a(r) is the upward recurrence from K_0 and K_1 or from the
+closed form K_{1/2} (_bessel_k_ladder), the rule the kernel's sine/cosine
+ladder follows; any other order is r^a times scipy's kv.  Where that
+product leaves the float range (large a, small r) it is the small-argument
+sum instead (_small_radius_sum).  The Gaussians
 and the Cauchy profile are evaluated per element of r^2.  A nan or inf
 point raises InputError in every handle.
 
@@ -44,7 +48,8 @@ Sampled functions live on a rectangular tensor grid and evaluate by
 multilinear interpolation, zero outside the grid box.  CSV serialization
 uses columns x1..xd, re, im with 17 significant digits and LF endings, one
 row per node in C order; loading sorts the rows and takes them only if they
-are the full tensor grid (tensor_axes).  _read_csv is the one CSV reader of
+are the full tensor grid (tensor_axes, which compares whole slabs of the
+first axis against one template).  _read_csv is the one CSV reader of
 the package, behind load_sampled_csv and the command line's point files.
 """
 
@@ -61,13 +66,15 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import ConfigurationError, InputError
-from .kernel import _per_distinct
+from .kernel import _LADDER_MAX_KAPPA, _per_distinct
 from .root_system import MultiplicityConfig
 
 GAUSSIAN = "gaussian"
 GAUSSIAN_DENSITY = "gaussian_density"
 GENERALIZED_CAUCHY = "generalized_cauchy"
 BESSEL_K_PROFILE = "bessel_k_profile"
+
+_CHECK_ROWS = 1 << 14  # tensor_axes compares whole slabs, as many at a time as fit in this many rows
 
 CATALOG_KINDS = (GAUSSIAN, GAUSSIAN_DENSITY, GENERALIZED_CAUCHY, BESSEL_K_PROFILE)
 CATALOG_PARAM = {
@@ -191,8 +198,11 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
 
 def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray) -> np.ndarray:
     """r^a K_a(r), a = p - gamma - d/2, at radii r, once per distinct radius:
-    the bessel_k_profile(p) values before the constant factor."""
+    the bessel_k_profile(p) values before the constant factor.  Where a >= 1 is
+    a multiple of 1/2 up to kernel._LADDER_MAX_KAPPA it is _bessel_k_ladder, else
+    r^a times scipy's kv; below r = 1e-6 it is the limit 2^(a-1) Gamma(a)."""
     alpha = p - config.gamma - config.dimension / 2.0
+    ladder = 1.0 <= alpha <= _LADDER_MAX_KAPPA and (2.0 * alpha).is_integer()
 
     def profile(u):
         out = np.empty_like(u)
@@ -202,13 +212,34 @@ def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray
         out[tiny] = lead
         rr = u[~tiny]
         with np.errstate(over="ignore", invalid="ignore"):
-            out[~tiny] = rr**alpha * sps.kv(alpha, rr)
+            out[~tiny] = _bessel_k_ladder(alpha, rr) if ladder else rr**alpha * sps.kv(alpha, rr)
         lost = ~np.isfinite(out)
         if lost.any():  # r^a underflows or K_a(r) overflows (large a, small r): the small-r sum
             out[lost] = lead * _small_radius_sum(alpha, u[lost])
         return out
 
     return _per_distinct(profile, r)
+
+
+def _bessel_k_ladder(alpha: float, r: np.ndarray) -> np.ndarray:
+    """r^a K_a(r) at a >= 1 a multiple of 1/2, by the upward recurrence
+    K_{v+1} = K_{v-1} + (2v/r) K_v (DLMF 10.29.1), stable since K_v grows with v.
+    It is carried on g_v = r^v K_v as g_{v+1} = 2v g_v + r^2 g_{v-1}: positive
+    terms, and no power of r.  It starts from K_0 and r K_1 at integer a, else
+    from sqrt(r) K_{1/2} = sqrt(pi/2) e^-r and r^(3/2) K_{3/2} = sqrt(pi/2) e^-r (1 + r)
+    (DLMF 10.39.2)."""
+    if alpha.is_integer():
+        lo, hi = sps.k0(r), r * sps.k1(r)
+        order = 1.0
+    else:
+        lo = math.sqrt(math.pi / 2.0) * np.exp(-r)
+        hi = lo * (1.0 + r)
+        order = 1.5
+    r2 = r * r
+    while order < alpha - 0.25:
+        lo, hi = hi, 2.0 * order * hi + r2 * lo
+        order += 1.0
+    return hi
 
 
 def _small_radius_sum(alpha: float, r: np.ndarray) -> np.ndarray:
@@ -381,7 +412,10 @@ def tensor_axes(points: np.ndarray) -> tuple[np.ndarray, ...] | None:
 
     O(N d), with no sort: on such nodes column i, read at the stride of the
     later axis lengths, starts with its axis as a strictly ascending run.
-    Each column is then checked against the grid its run spans.
+    The rows behind one value of the first axis are the nodes of the later
+    axes, so the points are checked in slabs of the first axis against one
+    template, in contiguous passes over as many slabs as fit in _CHECK_ROWS
+    rows (one slab of a 96^3 grid, 128 of a 128^2 one).
     """
     if len(points) == 0:
         return None
@@ -390,11 +424,17 @@ def tensor_axes(points: np.ndarray) -> tuple[np.ndarray, ...] | None:
         head = col[:: math.prod(len(a) for a in axes)]
         falls = np.flatnonzero(~(head[1:] > head[:-1]))
         axes = (head[: falls[0] + 1 if falls.size else len(head)].copy(),) + axes
-    shape = tuple(len(a) for a in axes)
-    if math.prod(shape) != len(points):
+    if math.prod(len(a) for a in axes) != len(points):
         return None
-    for i, a in enumerate(axes):
-        if np.any(points[:, i].reshape(shape) != a.reshape((-1,) + (1,) * (len(axes) - i - 1))):
+    slabs = points.reshape(len(axes[0]), -1, len(axes))
+    template = np.empty((max(1, _CHECK_ROWS // slabs.shape[1]),) + slabs.shape[1:], dtype=points.dtype)
+    if len(axes) > 1:
+        template[..., 1:] = tensor_points(axes[1:])
+    for j in range(0, len(slabs), len(template)):
+        block = slabs[j : j + len(template)]
+        expected = template[: len(block)]
+        expected[..., 0] = axes[0][j : j + len(block), None]
+        if not np.array_equal(block, expected):
             return None
     return axes
 
@@ -417,11 +457,13 @@ def sample_on_axes(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -
 
 
 def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray, ...]:
-    if not (isinstance(dimension, (int, np.integer)) and dimension >= 1):
+    if isinstance(dimension, bool) or not (isinstance(dimension, (int, np.integer)) and dimension >= 1):
         raise InputError(f"grid dimension must be a whole number >= 1, got {dimension!r}")
     if not (isinstance(count, (int, float, np.integer, np.floating)) and float(count).is_integer() and count >= 2):
         raise InputError(f"need a whole number of at least 2 nodes per axis, got {count!r}")
-    if not (isinstance(extent, (int, float, np.integer, np.floating)) and 0.0 < extent < math.inf):
+    if isinstance(extent, bool) or not (
+        isinstance(extent, (int, float, np.integer, np.floating)) and 0.0 < extent < math.inf
+    ):
         raise InputError(f"grid extent must be finite and positive, got {extent!r}")
     extent = float(extent)
     ax = np.linspace(-extent, extent, int(count))

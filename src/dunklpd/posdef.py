@@ -117,7 +117,7 @@ def builtin_points(dimension: int, n: int, coefficients=None) -> PointSet:
     in d > 1 each point sits at s/sqrt(d) in every coordinate so pairwise
     distances match the d = 1 layout.
     """
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (dimension, n)):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in (dimension, n)):
         raise InputError(f"dimension and point count must be whole numbers >= 1, got {dimension!r} and {n!r}")
     mags = [0.0]
     k = 0
@@ -302,8 +302,9 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     factors by outer products, with the same values bit for bit.  A side at
     row stride 0 (one row broadcast, or np.broadcast_to) is one point without
     reading its rows, and is tried first, so past the point check the nodes
-    are read once, by tensor_axes; a repeated array in memory (np.repeat) is
-    compared row by row.  Other pairs are evaluated pair by pair.
+    are read once, by tensor_axes, in contiguous passes over whole slabs of
+    the first axis; a repeated array in memory (np.repeat) is compared row by
+    row.  Other pairs are evaluated pair by pair.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"time must be positive and finite, got {t}")

@@ -168,6 +168,11 @@ def test_numpy_integers_are_accepted_as_integers():
         (InputError, "whole number >= 1, got 2.5", lambda: uniform_axes(2.5, 1.0, 5)),
         (InputError, "whole number >= 1, got '2'", lambda: uniform_axes("2", 1.0, 5)),
         (InputError, "whole number >= 1, got 0", lambda: uniform_axes(0, 1.0, 5)),
+        (ConfigurationError, "positive and finite, got True", lambda: QuadratureSpec(True, 64)),
+        (InputError, "whole numbers >= 1, got True and 3", lambda: builtin_points(True, 3)),
+        (InputError, "whole numbers >= 1, got 1 and True", lambda: builtin_points(1, True)),
+        (InputError, "whole number >= 1, got True", lambda: uniform_axes(True, 1.0, 5)),
+        (InputError, "finite and positive, got True", lambda: uniform_axes(1, True, 5)),
     ],
     ids=[
         "spec_float",
@@ -183,6 +188,11 @@ def test_numpy_integers_are_accepted_as_integers():
         "axes_dimension_float",
         "axes_dimension_string",
         "axes_dimension_zero",
+        "spec_radius_bool",
+        "points_dimension_bool",
+        "points_count_bool",
+        "axes_dimension_bool",
+        "axes_extent_bool",
     ],
 )
 def test_non_integer_counts_raise_package_errors(error, match, call):

@@ -139,20 +139,35 @@ class TestCatalog:
         via_points = bessel_k_profile(p).evaluate(cfg_half, pts)
         assert via_points[0] == via_points[1] and via_points[2] == via_points[3]
 
-    def test_integer_order_bessel_k_equals_the_kn_route(self):
-        # r^a K_a(r) by kv at every order is bit for bit what the integer-order kn gave
-        r = np.concatenate(([0.0, 5e-7], np.geomspace(1e-6, 60.0, 2000)))
-        tiny = r < 1e-6
-        cases = [(1, [0.5], 1), (1, [0.5], 2), (2, [1.0, 0.0], 3), (3, [1.0, 0.5, 0.0], 5), (1, [0.0], 8)]
-        for dim, kappa, alpha in cases:
-            config = make_config(dim, kappa)
-            p = alpha + config.gamma + dim / 2.0
-            old = np.empty_like(r)
-            old[tiny] = 2.0 ** (alpha - 1.0) * sps.gamma(alpha)
-            old[~tiny] = r[~tiny] ** alpha * sps.kn(alpha, r[~tiny])
-            norm = 1.0 / (sps.gamma(p) * 2.0 ** (p - 1.0))
-            got = bessel_k_profile(p).evaluate(config, np.column_stack([r] + [np.zeros_like(r)] * (dim - 1)))
-            assert got.tobytes() == (norm * old).tobytes()
+    def test_ladder_orders_match_mpmath(self):
+        # at a >= 1 a multiple of 1/2 up to 8, r^a K_a(r) is the upward recurrence (_bessel_k_ladder):
+        # against 20-digit mpmath on every 50th radius of geomspace(1e-6, 60, 2000) it is
+        # within 1e-15 relative at every order, and no worse than r^a kv(a, r) on the same radii
+        mpmath = pytest.importorskip("mpmath")
+        config = make_config(1, [0.5])  # a = p - 1
+        r = np.geomspace(1e-6, 60.0, 2000)[::50]
+        worst = {"ladder": 0.0, "kv": 0.0}
+        with mpmath.workdps(20):
+            for alpha in np.arange(1.0, 8.5, 0.5):
+                want = [mpmath.mpf(x) ** alpha * mpmath.besselk(alpha, x) for x in r]
+                ladder = _bessel_k_profile_values(config, alpha + 1.0, r)
+                for route, got in (("ladder", ladder), ("kv", r**alpha * sps.kv(alpha, r))):
+                    err = max(float(abs(mpmath.mpf(float(g)) - w) / w) for g, w in zip(got, want))
+                    worst[route] = max(worst[route], err)
+        assert worst["ladder"] <= 1e-15 and worst["ladder"] <= worst["kv"], worst
+        # below r = 1e-6 the profile is its limit 2^(a-1) Gamma(a)
+        tiny = _bessel_k_profile_values(config, 5.0, np.array([0.0, 5e-7]))
+        assert np.all(tiny == 2.0**3 * math.gamma(4.0))
+
+    @pytest.mark.parametrize("kappa,p", [([0.3], 4.0), ([0.5], 10.0), ([0.5], 9.5)], ids=["a3.2", "a9", "a8.5"])
+    def test_other_orders_stay_on_kv(self, kappa, p):
+        # a fractional order (3.2, the kappa 0.3 config) and orders past the ladder bound
+        # are r^a kv(a, r) bit for bit
+        config = make_config(1, kappa)
+        alpha = p - config.gamma - 0.5
+        r = np.geomspace(1e-6, 60.0, 2000)
+        assert alpha > 8.0 or not (2.0 * alpha).is_integer()
+        assert _bessel_k_profile_values(config, p, r).tobytes() == (r**alpha * sps.kv(alpha, r)).tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_bessel_profile_stays_finite_near_the_origin_at_large_p(self):
@@ -386,6 +401,26 @@ class TestTensorAxes:
         assert tensor_axes(builtin_points(dim, 5).points) is None
         # at d = 1 any ascending list is a grid, so a removed node leaves one
         assert (tensor_axes(np.delete(pts, 1, axis=0)) is None) == (dim > 1)
+
+    # grids of several blocks of whole slabs (at most functions._CHECK_ROWS rows), the last one partial
+    _BLOCKED = {2: (200, 300), 3: (4, 70, 70)}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_changed_node_or_swapped_slabs_are_not_a_grid(self, dim):
+        rng = np.random.default_rng(dim)
+        axes = tuple(np.sort(rng.normal(size=n)) for n in self._BLOCKED[dim])
+        pts = tensor_points(axes)
+        assert tensor_axes(pts) is not None
+        slab = len(pts) // len(axes[0])
+        for row in (slab // 2, len(pts) - slab // 2):  # inside the first and the last slab
+            for col in range(dim):
+                nudged = pts.copy()
+                nudged[row, col] = np.nextafter(nudged[row, col], np.inf)
+                assert tensor_axes(nudged) is None, (row, col)
+        for i, j in ((0, 1), (len(axes[0]) - 2, len(axes[0]) - 1)):
+            swapped = pts.reshape(len(axes[0]), slab, dim).copy()
+            swapped[[i, j]] = swapped[[j, i]]
+            assert tensor_axes(swapped.reshape(-1, dim)) is None, (i, j)
 
 
 def _sorted_tensor_axes(points):
