@@ -200,7 +200,8 @@ def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray
     """r^a K_a(r), a = p - gamma - d/2, at radii r, once per distinct radius:
     the bessel_k_profile(p) values before the constant factor.  Where a >= 1 is
     a multiple of 1/2 up to kernel._LADDER_MAX_KAPPA it is _bessel_k_ladder, else
-    r^a times scipy's kv; below r = 1e-6 it is the limit 2^(a-1) Gamma(a)."""
+    r^a times scipy's kv; below r = 1e-6 it is the limit 2^(a-1) Gamma(a), at an
+    infinite r (an overflowed r^2) the limit 0."""
     alpha = p - config.gamma - config.dimension / 2.0
     ladder = 1.0 <= alpha <= _LADDER_MAX_KAPPA and (2.0 * alpha).is_integer()
 
@@ -213,6 +214,7 @@ def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray
         rr = u[~tiny]
         with np.errstate(over="ignore", invalid="ignore"):
             out[~tiny] = _bessel_k_ladder(alpha, rr) if ladder else rr**alpha * sps.kv(alpha, rr)
+        out[u == np.inf] = 0.0  # r^a K_a(r) -> 0 as r -> inf, where the products are nan
         lost = ~np.isfinite(out)
         if lost.any():  # r^a underflows or K_a(r) overflows (large a, small r): the small-r sum
             out[lost] = lead * _small_radius_sum(alpha, u[lost])

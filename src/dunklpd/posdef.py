@@ -5,12 +5,13 @@ translates [translate of phi by x_j, evaluated at x_l] generates a
 nonnegative quadratic form; it is strictly positive definite when the form
 is positive for nonzero coefficients.  translation._translate_at computes
 that matrix of translates and the heat-smoothed form; bound_check contracts
-only its diagonal.  The certifier leans on the transform side: the Gram
-form equals the weighted integral of |sum_j a_j E(-i x_j, xi)|^2 times the
-transform of phi, so a nonnegative transform certifies positive
-definiteness, and a nonnegative transform that is not identically zero
-certifies strictness (the phase functions attached to distinct points are
-linearly independent).
+only its diagonal, over the density's Grid.summand (folded for an even
+phi).  The certifier leans on the transform side: the Gram form equals the
+weighted integral of |sum_j a_j E(-i x_j, xi)|^2 times the transform of
+phi, so a nonnegative transform certifies positive definiteness, and a
+nonnegative transform that is not identically zero certifies strictness
+(the phase functions attached to distinct points are linearly
+independent).
 
 bochner_certify and strict_pd_certify read one sample of the transform on
 the certification mesh (_certificate): the strict certificate takes its
@@ -23,8 +24,9 @@ eigenvalues below by its own.
 Also here: the heat kernel generated by the Gaussian catalog pair, the
 heat-smoothed quadratic form that converges to the Gram form, and the
 weighted-mass identity for the Matern-type profile, integrated by
-quadrature.integrate_with_check on the catalog handle.  The certificates'
-mesh and heat_kernel_mass's node floor are entries of quadrature._RESOLUTION.
+quadrature.integrate_with_check on the catalog handle, whose summand
+folds.  The certificates' mesh and heat_kernel_mass's node floor are
+entries of quadrature._RESOLUTION.
 """
 
 from __future__ import annotations
@@ -209,7 +211,8 @@ def bochner_certify(config: MultiplicityConfig, quad: QuadratureSpec | None, phi
 
 def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs) -> IdentityReport:
     """|phi(x)| <= phi(0) and 0 <= tau_x phi(x) <= phi(0) at every probe, to 1e-8 |phi(0)|,
-    so the verdict does not change when phi is rescaled."""
+    so the verdict does not change when phi is rescaled.  The translate diagonal sums
+    c vw[k] prod_i |E(i x_i, xi_k)|^2, even in xi, over the (maybe folded) Grid.summand."""
     spec = _resolve_spec(config, quad)
     pts, _ = _query_points(config, xs)
     if len(pts) == 0:
@@ -218,9 +221,10 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
     vals = np.abs(np.asarray(evaluate_handle(config, phi, pts), dtype=complex))
     density = spectral_density(config, spec, phi)
 
-    def run(grid):  # the diagonal of the matrix of translates, c sum_k vw[k] prod_i |E(i x_i, xi_k)|^2
-        mats = _axis_matrices(config, pts.T, grid.axes, INVERSE)
-        return config.mehta * _scatter_contract([m.conj() * m for m in mats], grid.weighted(density))
+    def run(grid):
+        nodes, vw, _ = grid.summand(density)
+        mats = _axis_matrices(config, pts.T, nodes, INVERSE)
+        return config.mehta * _scatter_contract([(m.conj() * m).real for m in mats], vw)
 
     diag, delta = two_pass(run, config, spec)
     diag_re = diag.real
@@ -386,7 +390,7 @@ def bessel_integral_identity(config: MultiplicityConfig, quad: QuadratureSpec | 
         raise DomainError(f"need p >= {edge}, got {p}")
     spec = _resolve_spec(config, quad)
     norm = sps.gamma(p) * 2.0 ** (p - 1.0)
-    mass, delta = integrate_with_check(config, spec, bessel_k_profile(p))  # the handle: Grid.sample's grid route
+    mass, delta = integrate_with_check(config, spec, bessel_k_profile(p))  # the handle: its summand folds
     oracle = norm / config.mehta
     alternate = sps.gamma(p) / (config.mehta * 2.0 ** (p - 1.0))
     return IdentityReport(

@@ -7,9 +7,9 @@ spectrally accurate when the integrand carries the weight |y|^(2 kappa),
 whose even extension has a corner at 0; a single panel across the origin
 degrades to algebraic convergence.  The weight stays in the integrand
 (folded into per-axis weight vectors), not in the rule itself.
-Grid.summand is the summand of every kernel sum: weighted(fn), or, for an
-integrand even by construction, its nonnegative orthant doubled once per
-axis.
+Every sum of a handle over a grid, an integral or a kernel sum, reads
+Grid.summand, the one owner of the orthant fold; value arrays are summed
+by Grid.integrate.
 
 two_pass is the one place that runs a computation at n and at 2n nodes per
 axis, and it builds every grid a checked computation reads: given one spec
@@ -19,8 +19,8 @@ result and the largest entrywise difference as the resolution error
 estimate.  Operators (transform, translation, convolution, heat-smoothed
 form) and the suites' composites run it through transform._checked, which
 turns that delta into an AccuracyWarning; identity reports carry it in
-their notes.  integrate_with_check is two_pass over one weighted integral
-of a handle or an (N, d) callable, the route of
+their notes.  integrate_with_check is two_pass over the sum of one
+summand, of a handle or an (N, d) callable, the route of
 posdef.bessel_integral_identity.  weighted_norm, numeric_density and two
 suite checks integrate on the doubled grid only.  Sums are taken by numpy
 pairwise summation over a fixed node ordering, so results are deterministic
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,24 +122,31 @@ def _axis_rule(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes_out, weights_out
 
 
+class Summand(NamedTuple):
+    """Grid.summand: the node axes it covers, the handle times the weights there, and the fold flag."""
+
+    axes: tuple
+    vw: np.ndarray
+    folded: bool
+
+
 class Grid:
     """Tensor quadrature grid with the reflection-group weight pre-applied.
 
     axes[i]         node coordinates along axis i, ascending
     axis_weights[i] Gauss-Legendre weights times |y|^(2 kappa_i)
+    half_axes[i]    the nonnegative half of axes[i] (every axis is mirrored, with no node at 0)
+    half_weights[i] the weights there, doubled: the orthant of an even integrand
     """
 
     def __init__(self, config: MultiplicityConfig, spec: QuadratureSpec):
         self.config = config
         self.spec = spec
-        axes = []
-        axis_weights = []
-        for k in config.kappa:
-            nodes, weights = _axis_rule(float(spec.radius), int(spec.nodes_per_axis))
-            axes.append(nodes)
-            axis_weights.append(weights * np.abs(nodes) ** (2.0 * k))
-        self.axes = tuple(axes)
-        self.axis_weights = tuple(axis_weights)
+        nodes, weights = _axis_rule(float(spec.radius), int(spec.nodes_per_axis))
+        self.axes = (nodes,) * config.dimension
+        self.axis_weights = tuple(weights * np.abs(nodes) ** (2.0 * k) for k in config.kappa)
+        self.half_axes = tuple(a[len(a) // 2 :] for a in self.axes)
+        self.half_weights = tuple(2.0 * w[len(w) // 2 :] for w in self.axis_weights)
 
     @property
     def dimension(self) -> int:
@@ -162,42 +169,31 @@ class Grid:
         """
         return sample_grid(self.config, fn, self.axes)
 
-    def weighted(self, fn) -> np.ndarray:
-        """sample(fn) times the weight grid: the summand of every weighted integral."""
-        return self.sample(fn) * self.weight_grid()
+    def summand(self, fn) -> Summand:
+        """The summand of every sum of a handle fn over the grid.
 
-    def summand(self, fn) -> tuple[np.ndarray, bool]:
-        """The summand of a kernel sum of fn over the grid, and whether it is folded.
-
-        Folded when fn is even by construction (functions.even_by_construction),
-        as every axis is mirrored exactly about 0: then weighted(fn) on the
-        nonnegative orthant, doubled once per axis, which
-        transform._blocked_scatter sums against the even part of the kernel.
-        It is built from the half axes alone: fn by sample_grid and the weights
-        as the outer product of the doubled half weight vectors, which is the
-        orthant of weight_grid() times 2^d (doubling is exact).  Else
-        weighted(fn), unfolded.
+        Folded when fn is even by construction (functions.even_by_construction):
+        fn on the half axes times the outer product of the half weights, the
+        orthant of sample(fn) * weight_grid() times 2^d (doubling is exact),
+        whose sum, or contraction against the kernel's even part
+        (transform._blocked_scatter), is the sum over every node.  Else
+        sample(fn) * weight_grid(), unfolded.
         """
         if not even_by_construction(fn):
-            return self.weighted(fn), False
-        axes = [a[len(a) // 2 :] for a in self.axes]
-        weights = reduce(np.multiply.outer, [2.0 * w[len(w) // 2 :] for w in self.axis_weights])
-        return sample_grid(self.config, fn, axes) * weights, True
+            return Summand(self.axes, self.sample(fn) * self.weight_grid(), False)
+        weights = reduce(np.multiply.outer, self.half_weights)
+        return Summand(self.half_axes, sample_grid(self.config, fn, self.half_axes) * weights, True)
 
     def weight_grid(self) -> np.ndarray:
         """Product quadrature-plus-h^2 weights, shape n^d (as the grid)."""
-        w = self.axis_weights[0]
-        for aw in self.axis_weights[1:]:
-            w = np.multiply.outer(w, aw)
-        return w
+        return reduce(np.multiply.outer, self.axis_weights)
 
     def integrate(self, values: np.ndarray) -> float | complex:
         """Integrate gridded values against the weighted measure h^2 dy."""
-        vals = np.asarray(values).reshape(self.shape)
-        total = vals
+        total = np.asarray(values).reshape(self.shape)
         for axis in range(self.dimension - 1, -1, -1):
             total = np.tensordot(total, self.axis_weights[axis], axes=([axis], [0]))
-        return complex(total) if np.iscomplexobj(vals) else float(total)
+        return complex(total) if np.iscomplexobj(total) else float(total)
 
 
 def two_pass(run: Callable, config: MultiplicityConfig, *specs: QuadratureSpec):
@@ -216,8 +212,7 @@ def two_pass(run: Callable, config: MultiplicityConfig, *specs: QuadratureSpec):
 def integrate_with_check(config, spec, integrand) -> tuple[float | complex, float]:
     """Integrate f h^2 dy at n and 2n nodes; return (value_2n, |diff|).
 
-    `integrand` is anything Grid.sample takes: a handle (a catalog handle
-    samples from the axes) or an (N, d) callable.
+    `integrand` is anything Grid.summand takes: a handle (a catalog handle
+    samples from the axes and folds) or an (N, d) callable.
     """
-
-    return two_pass(lambda grid: grid.integrate(grid.sample(integrand)), config, spec)
+    return two_pass(lambda grid: grid.summand(integrand).vw.sum(), config, spec)

@@ -30,17 +30,17 @@ rows: every translate and Gram matrix.
 The same parity folds a sum whose integrand is even by construction
 (functions.even_by_construction) on any grid, every axis of which is
 mirrored.  Pairing each node with its mirror images cancels the odd part B
-of every phase E = A + iB, so Grid.summand keeps the nonnegative orthant,
-doubled once per axis, and each axis contracts A(x c), or
+of every phase E = A + iB, so each axis of the folded summand (laid out by
+Grid.summand alone, on its own axes) contracts A(x c), or
 A(y c) A(x c) + B(y c) B(x c) for a shifted row: 1/2^d of the nodes in real
 arithmetic (without shift rows, A alone at sign 0).  A folded sum is even
 in turn: _transformer's callable answers even when it folds, as does
 tabulated_density of an even f, so the outer legs of the round trips and
-the product rule, and closure_suite's tabulated density, fold too, sampling
-the inner transform on the orthant.  translation.translate_mass folds its
-position sum always.  The route follows each handle's answer, with no
-option; every other sum (sampled handles, raw callables, their transforms)
-is complex over every node.
+the product rule, and closure_suite's tabulated density, fold too.
+plancherel_duality's pairings are sums of DensityProduct summands.  The
+route follows each handle's answer, with no option; every other sum
+(sampled handles, raw callables, their transforms) is complex over every
+node.
 """
 
 from __future__ import annotations
@@ -110,13 +110,14 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
 
 
 def _scatter_contract(mats: list, vw: np.ndarray) -> np.ndarray:
-    # out[m] = sum_k vw[k] prod_i mats[i][m, k_i].  One real axis (a folded
-    # sum) is summed by einsum's own loop, not a BLAS matrix-vector product,
-    # whose rounding of a row depends on its place in the matrix: so a row's
-    # sum does not, and a folded Gram matrix is symmetric bit for bit at d = 1
-    # as at d >= 2.  The complex sum keeps its BLAS product and its values.
-    # Each later axis is a batch of row-vector times matrix products.
-    if len(mats) == 1 and not np.iscomplexobj(mats[0]):
+    # out[m] = sum_k vw[k] prod_i mats[i][m, k_i].  One real axis against a
+    # real summand (a folded sum) is summed by einsum's own loop, not a BLAS
+    # matrix-vector product, whose rounding of a row depends on its place in
+    # the matrix: so a row's sum does not, and a folded Gram matrix is
+    # symmetric bit for bit at d = 1 as at d >= 2.  A complex sum keeps its
+    # BLAS product and its values.  Each later axis is a batch of row-vector
+    # times matrix products.
+    if len(mats) == 1 and not np.iscomplexobj(mats[0]) and not np.iscomplexobj(vw):
         return np.einsum("mk,k->m", mats[0], vw)
     t = np.tensordot(mats[0], vw, axes=(1, 0))
     for a in mats[1:]:
@@ -149,7 +150,7 @@ def _row_factors(mats: list, q: int, j: int, folded: bool) -> list:
 def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     """out[j, m] = sum_k vw[k] prod_i conj(P_i[j, k_i]) M_i[m, k_i], with M_i and P_i
     the phase matrices (sign i) of pts and of the shift points; one row, P = 1,
-    without shifts.  summand is Grid.summand's (vw, folded).  One _axis_matrices
+    without shifts.  summand is a Grid.summand, over its own axes.  One _axis_matrices
     call per block builds both.  The one blocking rule: tensor-grid nodes
     (tensor_axes) with at most _POINT_BLOCK per axis are one block, M_i on the
     axes, summed by _grid_contract; other points go through _scatter_contract in
@@ -162,10 +163,9 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     (sign 0).  The result is real, returned with zero imaginary parts.  Any
     other summand takes the complex sum over every node.
     """
-    vw, folded = summand
+    nodes, vw, folded = summand
     q = 0 if shifts is None else len(shifts)
     out = np.empty((max(q, 1), len(pts)), dtype=complex)
-    nodes = [a[len(a) // 2 :] for a in grid.axes] if folded else grid.axes
     axes = tensor_axes(pts)
     if axes is not None and max(len(a) for a in axes) <= _POINT_BLOCK:
         blocks = [(slice(None), axes, _grid_contract)]
@@ -187,7 +187,7 @@ def _transformer(grid, f, sign) -> Callable:
     run = lambda pts: grid.config.mehta * _blocked_scatter(
         grid, summand, np.atleast_2d(np.asarray(pts, dtype=float)), sign
     )[0]
-    run.even = summand[1]
+    run.even = summand.folded
     return run
 
 
@@ -267,10 +267,13 @@ def catalog_partner(f: CatalogFunction) -> CatalogFunction:
 
 
 def closed_form_transform(config: MultiplicityConfig, f: CatalogFunction) -> CatalogFunction:
-    """The exact transform of a catalog member: its partner, validated for config."""
+    """The exact transform of a catalog member: its partner, both validated for config."""
     if not isinstance(f, CatalogFunction):
         raise NotInCatalogError(f"no closed-form transform for {type(f).__name__}")
-    return spectral_density(config, None, f).factors[0]
+    f.validate_for(config)
+    partner = catalog_partner(f)
+    partner.validate_for(config)
+    return partner
 
 
 def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
@@ -283,10 +286,7 @@ def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f)
     transform at doubled resolution.
     """
     if isinstance(f, CatalogFunction):
-        f.validate_for(config)
-        partner = catalog_partner(f)
-        partner.validate_for(config)
-        return DensityProduct(config, (partner,))
+        return DensityProduct(config, (closed_form_transform(config, f),))
     if isinstance(f, SampledFunction) and f.spectral_hint is not None:
         hint = f.spectral_hint
         return lambda pts: np.asarray(hint(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=complex)
@@ -323,16 +323,11 @@ def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p:
 
 
 def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g) -> IdentityReport:
-    """Pairing symmetry: int (Tf) g h^2 = int f (Tg) h^2."""
+    """Pairing symmetry: int (Tf) g h^2 = int f (Tg) h^2, each side a DensityProduct's Grid.summand."""
     spec = _resolve_spec(config, quad)
-    df = spectral_density(config, spec, f)
-    dg = spectral_density(config, spec, g)
-
-    def run(grid):
-        lhs = grid.integrate(grid.sample(df) * grid.sample(g))
-        rhs = grid.integrate(grid.sample(f) * grid.sample(dg))
-        return complex(lhs), complex(rhs)
-
+    df, dg = spectral_density(config, spec, f), spectral_density(config, spec, g)
+    pairs = DensityProduct(config, (df, g)), DensityProduct(config, (f, dg))
+    run = lambda grid: tuple(complex(grid.summand(fg).vw.sum()) for fg in pairs)
     (lhs, rhs), delta = two_pass(run, config, spec)
     return IdentityReport(
         identity_name="transform_pairing_symmetry",

@@ -12,7 +12,9 @@ translated flip of g: summed over the positions first, that double sum is
 f's grid transform times the flipped density, transformed forward.
 _translate_at is the one translation sum, the matrix T[j, m] of translates
 by y_j evaluated at x_m.  It serves translates, posdef's Gram matrices (T at
-y = x) and its heat-smoothed form, and no convolution.
+y = x) and its heat-smoothed form, and no convolution.  translate_mass
+reads Grid.summand for its spectral sum and the mass of f, and the outer
+grid's orthant (Grid.half_axes) for its position sum.
 
 All operators accept catalog handles, sampled handles with spectral hints,
 or plain callables; the spectral density is routed through
@@ -52,8 +54,8 @@ def _point(config: MultiplicityConfig, y) -> np.ndarray:
 
 def _translate_at(grid, summand, ys, xs) -> np.ndarray:
     """T[j, m] = c sum_k vw[k] E(-i ys[j], xi_k) E(i xs[m], xi_k): the translate
-    by ys[j] at xs[m] of the function whose weighted density on grid is vw,
-    with (vw, folded) = summand from Grid.summand."""
+    by ys[j] at xs[m] of the function whose weighted density on grid is the
+    Grid.summand `summand`."""
     return grid.config.mehta * _blocked_scatter(grid, summand, xs, INVERSE, shifts=ys)
 
 
@@ -90,11 +92,11 @@ def translate_mass(
 
     The double integral is contracted axis-by-axis: the position integral of
     the phase collapses to one weighted column sum per axis, real and even as
-    the outer axis is mirrored with even weights, sum_{x >= 0} 2 w(x) A(x xi),
-    so a wide outer box for slowly decaying translates costs next to nothing.
-    The spectral sum reads Grid.summand: folded (catalog inputs) on the
-    nonnegative nodes with the shift row A(y xi), else on every node with the
-    complex one.  `outer` overrides the position box; the spectral side `quad`.
+    the outer axis is mirrored with even weights, sum_{x >= 0} 2 w(x) A(x xi)
+    over Grid.half_axes and Grid.half_weights, so a wide outer box costs next
+    to nothing.  The spectral sum and the mass of f read Grid.summand: folded
+    (catalog inputs) with the shift row A(y xi), else with the complex one.
+    `outer` overrides the position box; the spectral side `quad`.
     """
     spec = _resolve_spec(config, quad)
     outer_spec = outer if outer is not None else spec
@@ -103,13 +105,12 @@ def translate_mass(
     density = spectral_density(config, spec, f)
 
     def run(gi, go):
-        vw, folded = gi.summand(density)
-        nodes = [a[len(a) // 2 :] for a in gi.axes] if folded else gi.axes
-        cols = _axis_matrices(config, [a[len(a) // 2 :] for a in go.axes], nodes, 0)
+        nodes, vw, folded = gi.summand(density)
+        cols = _axis_matrices(config, go.half_axes, nodes, 0)
         shifts = _axis_matrices(config, yv[:, None], nodes, 0 if folded else FORWARD)
-        rows = [s * ((2.0 * w[len(w) // 2 :]) @ c) for s, w, c in zip(shifts, go.axis_weights, cols)]
+        rows = [s * (w @ c) for s, w, c in zip(shifts, go.half_weights, cols)]
         lhs = config.mehta * complex(_scatter_contract(rows, vw)[0])
-        return lhs, complex(go.integrate(go.sample(f)))
+        return lhs, complex(go.summand(f).vw.sum())
 
     (lhs, rhs), delta = two_pass(run, config, spec, outer_spec)
     return IdentityReport(

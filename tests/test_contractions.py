@@ -13,7 +13,7 @@ mehta constant
 Each dense test runs on two summands: random complex values on every node,
 which take the complex sum, and a catalog density, even by construction,
 which Grid.summand folds onto the nonnegative orthant; its dense reference
-still sums every node of grid.weighted.
+still sums every node of grid.sample(f) * grid.weight_grid().
 """
 
 import inspect
@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dunklpd import AccuracyWarning, identities, make_config, transform, translation
+from dunklpd import AccuracyWarning, identities, make_config, posdef, quadrature, transform, translation
 from dunklpd.functions import (
     DensityProduct,
     even_by_construction,
@@ -35,7 +35,7 @@ from dunklpd.functions import (
 )
 from dunklpd.kernel import _phase_1d, kernel_nd
 from dunklpd.posdef import builtin_points, gram
-from dunklpd.quadrature import Grid, QuadratureSpec
+from dunklpd.quadrature import Grid, QuadratureSpec, Summand, integrate_with_check
 from dunklpd.transform import (
     FORWARD,
     INVERSE,
@@ -45,10 +45,11 @@ from dunklpd.transform import (
     forward_grid,
     inverse,
     numeric_density,
+    plancherel_duality,
     spectral_density,
     tabulated_density,
 )
-from dunklpd.translation import _translate_at, convolve, convolve_direct, translate
+from dunklpd.translation import _translate_at, convolve, convolve_direct, translate, translate_mass
 
 CONFIGS = [
     (1, [0.3]),
@@ -102,12 +103,12 @@ def _summand(grid, kind, rng):
     """(summand, dvec): what the contractions take, and the weighted density on every node."""
     if kind == "random":
         dvec = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-        return (dvec, False), dvec
+        return Summand(grid.axes, dvec, False), dvec
     config = grid.config
     f = DensityProduct(config, (gaussian(0.3), generalized_cauchy(config.gamma + config.dimension / 2.0 + 2.0)))
     summand = grid.summand(f)
-    assert summand[1], "a catalog density on a mirrored grid is folded"
-    return summand, grid.weighted(f)
+    assert summand.folded, "a catalog density on a mirrored grid is folded"
+    return summand, grid.sample(f) * grid.weight_grid()
 
 
 def _with_summands(configs):
@@ -143,7 +144,7 @@ def test_translate_diagonal_matches_dense_diagonal(dim, kappa, rng):
     pts = _points(config, rng)
     grid = Grid(config, SPEC.doubled())
     summand = grid.summand(_density)
-    vw = summand[0]
+    vw = summand.vw
     # entry by entry: each one-point request is a one-node grid
     got = np.array([_translate_at(grid, summand, x[None], x[None])[0, 0] for x in pts])
     c = _dense_phases(config, pts, grid.points())
@@ -352,7 +353,7 @@ def test_direct_convolution_matches_dense_double_sum(dim, kappa, kind, rng):
         got = convolve_direct(config, SPEC, f, g, xs)
     grid = Grid(config, SPEC.doubled())  # two_pass returns the doubled pass
     nodes, w = grid.points(), grid.weight_grid().reshape(-1)
-    fw = grid.weighted(f).reshape(-1)
+    fw = (grid.sample(f) * grid.weight_grid()).reshape(-1)
     flipped = spectral_density(config, None, g)(-nodes) * w
     inner = _dense_phases(config, nodes, nodes).T @ fw
     want = config.mehta**2 * _dense_phases(config, xs, nodes).conj() @ (flipped * inner)
@@ -394,13 +395,14 @@ def test_unfolded_inputs_take_the_complex_sum(case, rng):
         "raw callable": lambda p: gaussian(1.0).evaluate(config, p),
         "sampled": sample_on_axes(config, gaussian(1.0), uniform_axes(2, 5.0, 21)),
     }[case]
-    vw, folded = grid.summand(f)
-    assert not folded
-    np.testing.assert_array_equal(vw, grid.weighted(f))
+    summand = grid.summand(f)
+    nodes, vw, folded = summand
+    assert not folded and all(a is b for a, b in zip(nodes, grid.axes))
+    np.testing.assert_array_equal(vw, grid.sample(f) * grid.weight_grid())
     ys, xs = _points(config, rng, 2), _points(config, rng, 5)
     mats = transform._axis_matrices(config, [np.concatenate([s, c]) for s, c in zip(ys.T, xs.T)], grid.axes, INVERSE)
     want = config.mehta * np.array([transform._scatter_contract([m[2:] * m[j].conj() for m in mats], vw) for j in (0, 1)])
-    got = _translate_at(grid, (vw, folded), ys, xs)
+    got = _translate_at(grid, summand, ys, xs)
     np.testing.assert_array_equal(got.view(float), want.view(float))
     mats = transform._axis_matrices(config, xs.T, grid.axes, FORWARD)
     want = config.mehta * transform._scatter_contract(mats, vw)
@@ -422,7 +424,7 @@ def test_folded_gram_is_real_symmetric(dim, kappa, monkeypatch):
 
     def summand(grid, fn):
         out = real(grid, fn)
-        folds.append(out[1])
+        folds.append(out.folded)
         return out
 
     monkeypatch.setattr(Grid, "summand", summand)
@@ -509,3 +511,137 @@ def test_transforms_answer_even_when_their_sum_folds():
     assert not even_by_construction(_transformer(grid, sampled, FORWARD))
     # a product is even only when every factor is
     assert not even_by_construction(DensityProduct(config, (gaussian(1.0), _transformer(grid, raw, FORWARD))))
+
+
+# Every sum of a handle over a grid reads Grid.summand: the translate diagonal
+# of bound_check, integrate_with_check, both sides of translate_mass and both
+# pairings of plancherel_duality.  An even handle is sampled, and its phase
+# matrices built, on the nonnegative half axes alone; a raw callable or a
+# sampled handle on every node.  Each sum is run on SPEC, so its reported
+# value is the doubled pass, and compared with that sum written out over every
+# node of Grid(config, SPEC.doubled()).
+HANDLE_SUMS = ("bound_check", "integrate_with_check", "translate_mass", "plancherel_duality")
+_PAIRED = gaussian(0.7)  # plancherel_duality's g
+
+
+def _spy_on_grid_axes(monkeypatch):
+    """Record the axes of every grid sample (quadrature.sample_grid, behind
+    Grid.sample and Grid.summand) and the columns of every phase matrix."""
+    seen = {"sample": [], "phase": []}
+    sample, phases = quadrature.sample_grid, transform._axis_matrices
+    spy_sample = lambda c, fn, axes: seen["sample"].append(axes) or sample(c, fn, axes)
+    spy = lambda c, rows, cols, sign: seen["phase"].append(cols) or phases(c, rows, cols, sign)
+    monkeypatch.setattr(quadrature, "sample_grid", spy_sample)
+    for module in (transform, translation, posdef):
+        monkeypatch.setattr(module, "_axis_matrices", spy)
+    return seen
+
+
+def _run_handle_sum(name, config, f, xs, y, monkeypatch):
+    """The sum's values: bound_check's fine diagonal (read from its two_pass),
+    integrate_with_check's value, and (lhs, rhs) of the two identities."""
+    if name == "bound_check":
+        passes, real = [], posdef.two_pass
+        monkeypatch.setattr(posdef, "two_pass", lambda *a: passes.append(real(*a)) or passes[-1])
+        posdef.bound_check(config, SPEC, f, xs)
+        return passes[0][0]
+    if name == "integrate_with_check":
+        return integrate_with_check(config, SPEC, f)[0]
+    if name == "translate_mass":
+        rep = translate_mass(config, SPEC, f, y)
+    else:
+        rep = plancherel_duality(config, SPEC, f, _PAIRED)
+    return complex(rep.computed), complex(rep.expected)
+
+
+def _full_grid_sum(name, config, f, xs, y):
+    """The sum over every node of the doubled grid, written out densely (the
+    position sum of the mass per axis, over every node of each outer axis)."""
+    grid = Grid(config, SPEC.doubled())
+    nodes, w = grid.points(), grid.weight_grid().reshape(-1)
+    if name == "bound_check":
+        dvec = spectral_density(config, SPEC, f)(nodes) * w
+        return config.mehta * np.sum(np.abs(_dense_phases(config, xs, nodes)) ** 2 * dvec, axis=1)
+    mass = np.sum(f.evaluate(config, nodes) * w)
+    if name == "integrate_with_check":
+        return mass
+    if name == "translate_mass":
+        dvec = spectral_density(config, SPEC, f)(nodes) * w
+        columns = np.ones(len(nodes), dtype=complex)
+        for k, a, w, c in zip(config.kappa, grid.axes, grid.axis_weights, nodes.T):
+            columns = columns * (w @ _phase_1d(k, np.multiply.outer(a, c), INVERSE))
+        return config.mehta * np.sum(_dense_phases(config, y[None], nodes)[0].conj() * dvec * columns), mass
+    df, dg = spectral_density(config, SPEC, f), spectral_density(config, SPEC, _PAIRED)
+    return np.sum(f.evaluate(config, nodes) * dg(nodes) * w), np.sum(df(nodes) * _PAIRED.evaluate(config, nodes) * w)
+
+
+@pytest.mark.parametrize("name", HANDLE_SUMS)
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_even_handle_sums_fold_onto_the_half_axes(dim, kappa, name, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    f, xs, y = gaussian(1.0), _points(config, rng, 4), _points(config, rng, 1)[0]
+    seen = _spy_on_grid_axes(monkeypatch)
+    got = _run_handle_sum(name, config, f, xs, y, monkeypatch)
+    assert seen["sample"] and bool(seen["phase"]) == (name in ("bound_check", "translate_mass"))
+    for axes in seen["sample"] + seen["phase"]:
+        assert all(np.all(a > 0.0) for a in axes), name
+    monkeypatch.undo()
+    want = _full_grid_sum(name, config, f, xs, y)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# the unfolded contractions are the code they were before every handle sum went
+# through Grid.summand, written out here, and equal it bit for bit: the
+# translate diagonal on its real part (the old one summed the complex
+# products conj(E) E, whose imaginary parts were rounding noise, against the
+# weighted density; the new one sums |E|^2 as reals and keeps the density's
+# imaginary part), the mass's contraction whole.  The integrals equal the sum
+# of the unfolded summand, sample(f) * weight_grid(), bit for bit, and the old
+# axis-by-axis Grid.integrate of sample(f) to rounding.
+# (translate_mass takes catalog and sampled handles only)
+_UNFOLDED = [(c, n) for c in ("raw callable", "sampled") for n in HANDLE_SUMS]
+
+
+@pytest.mark.parametrize("case,name", [cn for cn in _UNFOLDED if cn != ("raw callable", "translate_mass")])
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_raw_and_sampled_handle_sums_stay_unfolded(dim, kappa, case, name, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    f = {
+        "raw callable": lambda p: gaussian(1.0).evaluate(config, p),
+        "sampled": sample_on_axes(config, gaussian(1.0), uniform_axes(dim, 5.0, 11)),
+    }[case]
+    xs, y = _points(config, rng, 4), _points(config, rng, 1)[0]
+    seen = _spy_on_grid_axes(monkeypatch)
+    got = _run_handle_sum(name, config, f, xs, y, monkeypatch)
+    assert seen["sample"]
+    for axes in seen["sample"] + seen["phase"]:
+        assert all(np.any(a < 0.0) for a in axes), name
+    monkeypatch.undo()
+    grid = Grid(config, SPEC.doubled())
+    old_integral = lambda fn: grid.integrate(grid.sample(fn))
+    summed = lambda fn: np.sum(grid.sample(fn) * grid.weight_grid())
+    if name == "bound_check":
+        density = spectral_density(config, SPEC, f)
+        mats = transform._axis_matrices(config, xs.T, grid.axes, INVERSE)
+        vw = grid.sample(density) * grid.weight_grid()
+        want = config.mehta * transform._scatter_contract([m.conj() * m for m in mats], vw)
+        np.testing.assert_array_equal(got.real, want.real)
+        np.testing.assert_allclose(got.imag, want.imag, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
+        return
+    if name == "integrate_with_check":
+        assert got == summed(f)
+        np.testing.assert_allclose(got, old_integral(f), rtol=1e-14)
+        return
+    if name == "translate_mass":
+        vw = grid.sample(spectral_density(config, SPEC, f)) * grid.weight_grid()
+        cols = transform._axis_matrices(config, [a[len(a) // 2 :] for a in grid.axes], grid.axes, 0)
+        shifts = transform._axis_matrices(config, y[:, None], grid.axes, FORWARD)
+        rows = [s * ((2.0 * w[len(w) // 2 :]) @ c) for s, w, c in zip(shifts, grid.axis_weights, cols)]
+        assert got[0] == config.mehta * complex(transform._scatter_contract(rows, vw)[0])
+        assert got[1] == complex(summed(f))
+        np.testing.assert_allclose(got[1], old_integral(f), rtol=1e-14)
+        return
+    df, dg = spectral_density(config, SPEC, f), spectral_density(config, SPEC, _PAIRED)
+    pairings = [DensityProduct(config, (f, dg)), DensityProduct(config, (df, _PAIRED))]
+    assert got == tuple(complex(summed(fg)) for fg in pairings)
+    np.testing.assert_allclose(got, [old_integral(fg) for fg in pairings], rtol=1e-14)

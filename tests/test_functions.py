@@ -169,6 +169,27 @@ class TestCatalog:
         assert alpha > 8.0 or not (2.0 * alpha).is_integer()
         assert _bessel_k_profile_values(config, p, r).tobytes() == (r**alpha * sps.kv(alpha, r)).tobytes()
 
+    # at |x| = 1e200, r^2 overflows to inf; every member is at its limit 0 there, on both
+    # routes.  The Bessel-K products are nan at r = inf, which once sent it to the
+    # small-radius sum: its value at the origin at d=1, -inf at d=2.  Ladder orders
+    # a = 2 and 3, and the kv order a = 3.2
+    @pytest.mark.parametrize(
+        "dim,kappa,p", [(1, [0.5], 3.0), (2, [1.0, 0.0], 5.0), (1, [0.3], 4.0)], ids=["a2", "a3", "a3.2-kv"]
+    )
+    def test_every_member_vanishes_at_an_overflowing_radius(self, dim, kappa, p):
+        config = make_config(dim, kappa)
+        far = 1e200 * np.vstack([np.eye(dim), -np.eye(dim)])
+        axis = np.array([-1e200, -1.0, 1.0, 1e200])  # mirrored: on_axes takes its orthant
+        finite = np.ix_(*[[1, 2]] * dim)
+        for f in (gaussian(1.0), gaussian_density(1.0), generalized_cauchy(p), bessel_k_profile(p)):
+            with np.errstate(over="ignore"):  # squaring 1e200
+                at_points = f.evaluate(config, far)
+                on_axes = f.on_axes(config, [axis] * dim)
+            assert at_points.tolist() == [0.0] * (2 * dim), f
+            assert np.all(on_axes[finite] > 0.0), f
+            on_axes[finite] = 0.0
+            assert np.all(on_axes == 0.0), f
+
     @pytest.mark.filterwarnings("error")
     def test_bessel_profile_stays_finite_near_the_origin_at_large_p(self):
         # r^a K_a(r) as a product is 0 * inf or inf there (a = 99 up to r = 0.05, a = 139 up to 0.1);

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every name
 it defines is used somewhere, the kernel phase primitive and the
-scattered contraction have no users beyond the listed ones, every bound
-report is built by IdentityReport.bound, and every entry point the
-benchmark's tracer wraps by name exists.
+scattered contraction have no users beyond the listed ones, the orthant
+fold has one owner (quadrature.Grid), every bound report is built by
+IdentityReport.bound, and every entry point the benchmark's tracer wraps
+by name exists.
 
 The scans read src/dunklpd/*.py (except __init__.py, whose imports are the
 public re-exports) with the ast module: a name bound by `import` or
@@ -189,6 +190,98 @@ def test_scattered_contraction_has_one_caller_per_sum():
         "transform._blocked_scatter",
         "translation.translate_mass",
         "posdef.bound_check",
+    }
+
+
+# Grid.summand is the one owner of the orthant fold: only quadrature.py reads a
+# grid's raw axis weights or halves an axis (a[len(a) // 2 :]), every other
+# module reads the fold from the summand's axes or from Grid.half_axes and
+# Grid.half_weights (translate_mass's position sum), and Grid has no second
+# summand beside it.  Every handle summed over a grid is a Grid.summand; value
+# arrays are summed by Grid.integrate.  suite_posdef's spectral quadratic form
+# is the one value array times a handle sample, |sum_j a_j E(-i x_j, xi)|^2
+# rho(xi): with complex coefficients that integrand is not even.
+
+
+def attribute_readers(source: str, name: str) -> set[str]:
+    """The top-level definitions of `source` that read the attribute `name` (x.name)."""
+    return {
+        top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for top in ast.parse(source).body
+        for sub in ast.walk(top)
+        if isinstance(sub, ast.Attribute) and sub.attr == name
+    }
+
+
+def halved_slices(source: str) -> set[str]:
+    """The top-level definitions of `source` that slice with a bound len(...) // 2."""
+
+    def halves(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "len"
+            and getattr(node.right, "value", None) == 2
+        )
+
+    return {
+        top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for top in ast.parse(source).body
+        for sub in ast.walk(top)
+        if isinstance(sub, ast.Slice) and any(halves(b) for b in (sub.lower, sub.upper) if b is not None)
+    }
+
+
+def test_fold_scans_name_the_enclosing_definition():
+    source = (
+        "def f(g):\n"
+        "    return g.axis_weights, [a[len(a) // 2 :] for a in g.axes]\n"
+        "def h(a):\n"
+        "    return len(a) // 2, a[: len(a) // 3], a[n // 2 :], axis_weights\n"
+        "class C:\n"
+        "    w = x[: len(x) // 2]\n"
+    )
+    assert attribute_readers(source, "axis_weights") == {"f"}
+    assert halved_slices(source) == {"f", "C"}
+
+
+def _package_readers(scan, *args) -> set[str]:
+    return {f"{p.stem}.{owner}" for p in MODULES for owner in scan(p.read_text(), *args)}
+
+
+def test_the_orthant_fold_has_one_owner():
+    from dunklpd.quadrature import Grid
+
+    assert _package_readers(attribute_readers, "axis_weights") == {"quadrature.Grid"}
+    assert _package_readers(halved_slices) == {"quadrature.Grid"}
+    for half in ("half_axes", "half_weights"):
+        assert _package_readers(attribute_readers, half) == {"quadrature.Grid", "translation.translate_mass"}
+    assert not hasattr(Grid, "weighted")
+
+
+def test_handle_sums_read_the_summand_and_value_arrays_integrate():
+    assert _package_readers(attribute_readers, "summand") == {
+        "transform._transformer",
+        "transform.plancherel_duality",
+        "translation.translate",
+        "translation.translate_mass",
+        "posdef._gram_on",
+        "posdef.bound_check",
+        "quadrature.integrate_with_check",
+        "identities.suite_kernel",
+    }
+    assert _package_readers(attribute_readers, "integrate") == {
+        "transform.weighted_norm",
+        "posdef.heat_kernel_mass",
+        "identities.suite_translation",
+        "identities.suite_posdef",
+    }
+    assert _package_readers(attribute_readers, "sample") == {
+        "quadrature.Grid",
+        "transform.weighted_norm",
+        "posdef.bochner_forward",
+        "identities.suite_posdef",
     }
 
 

@@ -169,7 +169,11 @@ class TestGridSampling:
             assert isinstance(density, DensityProduct) and density.factors == (catalog_partner(f),)
             got = functions.sample_grid(config, density, axes)
             np.testing.assert_array_equal(got, density(pts).reshape(got.shape))
-            np.testing.assert_array_equal(grid.weighted(density), grid.sample(density) * grid.weight_grid())
+            # the folded summand is the orthant of the weighted sample, doubled once per axis, bit for bit
+            orthant = (slice(grid.shape[0] // 2, None),) * dim
+            summand = grid.summand(density)
+            assert summand.folded and all(a is b for a, b in zip(summand.axes, grid.half_axes))
+            np.testing.assert_array_equal(summand.vw, 2.0**dim * (grid.sample(density) * grid.weight_grid())[orthant])
 
     @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
     def test_catalog_sampling_builds_no_points(self, dim, kappa, monkeypatch):
@@ -196,7 +200,7 @@ class TestGridSampling:
         with pytest.raises(ConfigurationError):
             grid.sample(generalized_cauchy(3.0))
         with pytest.raises(ConfigurationError):
-            grid.weighted(bessel_k_profile(2.9))
+            grid.summand(bessel_k_profile(2.9))
 
     @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
     @pytest.mark.parametrize("nodes", [8, 9])

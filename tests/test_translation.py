@@ -15,7 +15,7 @@ from dunklpd.functions import (
     sample_on_axes,
     uniform_axes,
 )
-from dunklpd.quadrature import Grid, QuadratureSpec
+from dunklpd.quadrature import Grid, QuadratureSpec, Summand
 from dunklpd.transform import spectral_density
 from dunklpd.translation import _translate_at, convolve, convolve_direct, convolve_grid, translate, translate_mass
 
@@ -122,14 +122,15 @@ class TestMass:
 
             def summand(grid, fn):
                 out = real(grid, fn)
-                folds.append(out[1])
+                folds.append(out.folded)
                 return out
 
             monkeypatch.setattr(Grid, "summand", summand)
             rep = translate_mass(config, spec, f, y, outer=outer)
         assert folds[-2:] == [not sampled] * 2  # the coarse and the fine pass
         gi, go = Grid(config, spec.doubled()), Grid(config, outer.doubled())
-        rows = _translate_at(gi, (gi.weighted(density), False), y[None], go.points())[0]
+        unfolded = Summand(gi.axes, gi.sample(density) * gi.weight_grid(), False)
+        rows = _translate_at(gi, unfolded, y[None], go.points())[0]
         want = go.integrate(rows)
         assert abs(complex(rep.computed) - want) <= 1e-13 * abs(want)
 
