@@ -9,8 +9,8 @@ parameters; gamma denotes the multiplicity sum of the active config):
   bessel_k_profile(p)    (Gamma(p) 2^(p-1))^-1 |x|^a K_a(|x|),  a = p - gamma - d/2 >= 1
 
 The transform maps gaussian(t) <-> gaussian_density(t) and
-generalized_cauchy(p) <-> bessel_k_profile(p); all four are fixed under the
-sign flip x -> -x, so forward and inverse agree on them.
+generalized_cauchy(p) <-> bessel_k_profile(p) (CATALOG_PARTNER); all four
+are fixed under the sign flip x -> -x, so forward and inverse agree on them.
 
 Each member is one radial profile of r^2 (CatalogFunction.profile), reached
 two ways: evaluate takes r^2 from an (N, d) point array, and on_axes, the
@@ -20,17 +20,20 @@ nonnegative orthant of the exactly mirrored axes (_mirror_half, the one
 mirror test of the package), then fills the rest by reflection; both routes
 agree bit for bit.  A constant factor that is not a finite positive float
 (gaussian_density at a tiny t) raises ConfigurationError, as the parameter
-edges do.  sample_grid sends catalog handles down the grid route.  Every
-density is a DensityProduct of handles and (N, d) callables: the exact
-partner of a catalog input (one factor, from transform.spectral_density),
-the products in convolve and closure_suite, the heat-damped density;
-sample_grid samples each factor on its own route and multiplies the grids.
-even_by_construction reads each handle's `even` answer (catalog handles,
-a DensityProduct of even factors, transforms of folded sums), which lets the
-kernel sums fold onto the nonnegative orthant (quadrature.Grid.summand).
-Everything else, sampled handles and raw callables, goes through
-tensor_points.  The heat kernel has its own grid route (posdef.heat_kernel),
+edges do.  The heat kernel has its own grid route (posdef.heat_kernel),
 found by tensor_axes.
+
+Handles answer for themselves: the operators read getattr(fn, name, None),
+never a handle's type, and take the general route where it answers nothing.
+
+  evaluate(config, points)  catalog, sampled; evaluate_handle (else it calls fn)
+  on_axes(config, axes)     catalog, DensityProduct; sample_grid (else tensor_points)
+  partner(config)           catalog; closed_form_transform, spectral_density, bochner_forward
+  spectral_hint             forward_grid's results; spectral_density
+  profile                   catalog; closure_suite's radial guard
+  nonnegative               catalog (always), sampled (a sign scan); translate_mass's guard
+  even                      catalog, DensityProducts of even factors, transforms of folded
+                            sums; even_by_construction, so the kernel sums fold (Grid.summand)
 
 The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
@@ -67,7 +70,8 @@ from scipy import special as sps
 
 from .errors import ConfigurationError, InputError
 from .kernel import _LADDER_MAX_KAPPA, _per_distinct
-from .root_system import MultiplicityConfig
+from .reports import _sign_excess
+from .root_system import MultiplicityConfig, _query_points
 
 GAUSSIAN = "gaussian"
 GAUSSIAN_DENSITY = "gaussian_density"
@@ -83,6 +87,12 @@ CATALOG_PARAM = {
     GENERALIZED_CAUCHY: "p",
     BESSEL_K_PROFILE: "p",
 }
+CATALOG_PARTNER = {
+    GAUSSIAN: GAUSSIAN_DENSITY,
+    GAUSSIAN_DENSITY: GAUSSIAN,
+    GENERALIZED_CAUCHY: BESSEL_K_PROFILE,
+    BESSEL_K_PROFILE: GENERALIZED_CAUCHY,
+}
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,7 @@ class CatalogFunction:
     kind: str
     param: float
     even = True  # all four are radial
+    nonnegative = True  # and positive
 
     def __post_init__(self):
         if self.kind not in CATALOG_KINDS:
@@ -113,6 +124,13 @@ class CatalogFunction:
             )
         self._norm(config)
 
+    def partner(self, config: MultiplicityConfig) -> "CatalogFunction":
+        """The exact transform (CATALOG_PARTNER), with both handles validated for config."""
+        self.validate_for(config)
+        partner = CatalogFunction(CATALOG_PARTNER[self.kind], self.param)
+        partner.validate_for(config)
+        return partner
+
     def _norm(self, config: MultiplicityConfig) -> float:
         """The profile's constant factor; ConfigurationError unless a finite positive float."""
         p, c = self.param, 1.0
@@ -134,7 +152,9 @@ class CatalogFunction:
     def evaluate(self, config: MultiplicityConfig, points: np.ndarray) -> np.ndarray:
         self.validate_for(config)
         pts, squeeze = _query_points(config, points)
-        out = self.profile(config, np.sum(pts * pts, axis=-1))
+        with np.errstate(over="ignore"):  # an overflowed r^2 is inf, where every profile is 0
+            r2 = np.sum(pts * pts, axis=-1)
+        out = self.profile(config, r2)
         return out[0] if squeeze else out
 
     def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -153,7 +173,8 @@ class CatalogFunction:
         if not all(np.all(np.isfinite(a)) for a in axes):
             raise InputError("grid axes must be finite (found nan or inf)")
         halves = [_mirror_half(a) for a in axes]
-        squares = [a[h:] * a[h:] for a, h in zip(axes, halves)]
+        with np.errstate(over="ignore"):
+            squares = [a[h:] * a[h:] for a, h in zip(axes, halves)]
         out = self.profile(config, functools.reduce(np.add.outer, squares))
         for i, h in enumerate(halves):
             if h:  # prepend the mirror image of a[h:], less a centre 0
@@ -171,29 +192,6 @@ class CatalogFunction:
         if self.kind == GENERALIZED_CAUCHY:
             return (1.0 + r2) ** -self.param
         return self._norm(config) * _bessel_k_profile_values(config, self.param, np.sqrt(r2))
-
-
-def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]:
-    """Points as an (N, d) array, and whether a single point was passed.
-
-    The one point check of the package (handles, transforms, translates,
-    Gram matrices, the heat kernel): None, strings, complex numbers, ragged
-    rows, a wrong shape or a nan or inf coordinate raise InputError.  Rows
-    at stride 0 (np.broadcast_to) are one row in memory, checked once.
-    """
-    try:
-        if points is None or np.iscomplexobj(points):  # as floats: nan, or the real parts alone
-            raise TypeError("got None" if points is None else "got complex values")
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected real points in R^{config.dimension}: {exc}") from None
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != config.dimension:
-        raise InputError(f"expected points in R^{config.dimension}, got shape {np.shape(points)}")
-    if not np.all(np.isfinite(pts[:1] if pts.strides[0] == 0 else pts)):
-        raise InputError("points must be finite (found nan or inf)")
-    return pts, squeeze
 
 
 def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray) -> np.ndarray:
@@ -311,6 +309,12 @@ class SampledFunction:
         out = _multilinear(self.axes, np.asarray(self.values, dtype=complex), pts)
         return out[0] if squeeze else out
 
+    @property
+    def nonnegative(self) -> bool:
+        """Whether the values are real and nonnegative, to 1e-12 of their largest magnitude."""
+        excess, scale = _sign_excess(self.values)
+        return excess <= 1e-12 * scale
+
 
 def _multilinear(axes, values, pts):
     """Multilinear interpolation on a tensor grid, zero fill outside."""
@@ -344,9 +348,9 @@ def _multilinear(axes, values, pts):
 @dataclass(frozen=True)
 class DensityProduct:
     """The pointwise product of handles and (N, d) callables under a config,
-    itself a plain (N, d) callable: every density of the package.  sample_grid
-    samples each factor on its own route and multiplies the grids in the
-    factor order, the order in which the call multiplies the values.
+    itself a plain (N, d) callable: every density of the package.  on_axes
+    samples each factor on its own route, with the product's config, and
+    multiplies the grids in the factor order, the order of the call.
     """
 
     config: MultiplicityConfig
@@ -356,6 +360,9 @@ class DensityProduct:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return functools.reduce(operator.mul, (evaluate_handle(self.config, f, pts) for f in self.factors))
 
+    def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
+        return functools.reduce(operator.mul, (sample_grid(self.config, f, axes) for f in self.factors))
+
     @property
     def even(self) -> bool:
         return all(even_by_construction(f) for f in self.factors)
@@ -363,34 +370,32 @@ class DensityProduct:
 
 def even_by_construction(fn) -> bool:
     """Whether fn is even in every coordinate by construction, whatever its values: its
-    `even` answer.  Catalog handles are (all four are radial), a DensityProduct when every
-    factor is, and transforms of folded sums (transform._transformer, tabulated_density of
-    an even f).  Sampled handles and raw callables answer nothing: no sample is scanned."""
+    `even` answer.  Sampled handles and raw callables answer nothing: no sample is scanned."""
     return getattr(fn, "even", False) is True
 
 
 def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.ndarray:
-    """Evaluate a catalog handle, a sampled handle, or a raw (N, d) callable."""
-    if isinstance(fn, (CatalogFunction, SampledFunction)):
-        return np.asarray(fn.evaluate(config, points))
-    if callable(fn):
-        return np.asarray(fn(np.atleast_2d(np.asarray(points, dtype=float))))
-    raise InputError(f"not a function handle: {type(fn).__name__}")
+    """fn at points: its `evaluate` answer (catalog and sampled handles), else fn called
+    on the (N, d) array, a raw callable or a DensityProduct, which must return shape (N,)."""
+    evaluate = getattr(fn, "evaluate", None)
+    if evaluate is not None:
+        return np.asarray(evaluate(config, points))
+    if not callable(fn):
+        raise InputError(f"not a function handle: {type(fn).__name__}")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.asarray(fn(pts))
+    if out.shape != (len(pts),):
+        raise InputError(f"a callable at points of shape {pts.shape} must return shape {(len(pts),)}, got {out.shape}")
+    return out
 
 
 def sample_grid(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """fn on every node of the tensor grid over `axes`, shaped as the grid.
-
-    Catalog handles take CatalogFunction.on_axes, with no (N, d) point
-    array, and a DensityProduct multiplies the samples of its factors, each
-    taken with the product's config; sampled handles and raw callables are
-    evaluated at tensor_points(axes).  Every route gives the points route's
-    values bit for bit.
-    """
-    if isinstance(fn, DensityProduct):
-        return functools.reduce(operator.mul, (sample_grid(fn.config, f, axes) for f in fn.factors))
-    if isinstance(fn, CatalogFunction):
-        return fn.on_axes(config, axes)
+    """fn on every node of the tensor grid over `axes`, shaped as the grid: its `on_axes`
+    answer (catalog handles, with no (N, d) point array; a DensityProduct), else fn at
+    tensor_points(axes).  Every route gives the points route's values bit for bit."""
+    on_axes = getattr(fn, "on_axes", None)
+    if on_axes is not None:
+        return on_axes(config, axes)
     return evaluate_handle(config, fn, tensor_points(axes)).reshape(tuple(len(a) for a in axes))
 
 

@@ -39,9 +39,7 @@ from scipy import special as sps
 
 from .errors import DomainError, InputError
 from .functions import (
-    CatalogFunction,
     DensityProduct,
-    _query_points,
     bessel_k_profile,
     evaluate_handle,
     gaussian,
@@ -52,7 +50,7 @@ from .functions import (
 from .kernel import _real_1d_scaled
 from .quadrature import _RESOLUTION, Grid, QuadratureSpec, integrate_with_check, two_pass
 from .reports import GramReport, IdentityReport, _sign_excess
-from .root_system import MultiplicityConfig
+from .root_system import MultiplicityConfig, _in_range, _query_points
 from .transform import (
     FORWARD,
     INVERSE,
@@ -60,7 +58,6 @@ from .transform import (
     _checked,
     _resolve_spec,
     _scatter_contract,
-    closed_form_transform,
     forward_grid,
     spectral_density,
     tabulated_density,
@@ -68,6 +65,12 @@ from .transform import (
 from .translation import _translate_at
 
 _MIN_SEPARATION = 1e-9
+
+
+def _require_time(t, what: str) -> None:
+    """The one time check: DomainError unless t is a real number in (0, inf), not a bool."""
+    if not _in_range(t, 0, math.inf):
+        raise DomainError(f"{what} must be positive and finite, got {t}")
 
 
 def _pairwise_min_separation(points: np.ndarray) -> float:
@@ -167,17 +170,16 @@ def _certification_axes(config: MultiplicityConfig, spec: QuadratureSpec) -> tup
 def bochner_forward(config: MultiplicityConfig, quad: QuadratureSpec | None, psi):
     """Transform of a nonnegative function; the result is certified PD.
 
-    Catalog inputs map to their exact partners; anything else is sampled
-    through one numerical transform and carries the exact spectral hint
-    (the transform of the result re-evaluates psi with flipped sign).
+    A handle's `partner` answer (catalog inputs) is the result; anything else
+    is sampled through one numerical transform and carries the exact spectral
+    hint (the transform of the result re-evaluates psi with flipped sign).
     """
     spec = _resolve_spec(config, quad)
     excess, scale = _sign_excess(Grid(config, spec).sample(psi))
     if excess > 1e-12 * scale:
         raise InputError(f"real nonnegative input required; it is off by {excess:.3e} at scale {scale:.3e}")
-    if isinstance(psi, CatalogFunction):
-        return closed_form_transform(config, psi)
-    return forward_grid(config, spec, psi)
+    partner = getattr(psi, "partner", None)
+    return partner(config) if partner is not None else forward_grid(config, spec, psi)
 
 
 def _certificate(config: MultiplicityConfig, spec: QuadratureSpec, phi) -> tuple[IdentityReport, float]:
@@ -242,8 +244,8 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
 
 
 def closure_suite(config: MultiplicityConfig, quad: QuadratureSpec | None, phi1, phi2) -> list:
-    """PSD reports for the convolution and (radial case) the product."""
-    if not (isinstance(phi1, CatalogFunction) and isinstance(phi2, CatalogFunction)):
+    """PSD reports for the convolution and (radial case, both handles answer `profile`) the product."""
+    if getattr(phi1, "profile", None) is None or getattr(phi2, "profile", None) is None:
         raise DomainError("product closure is established for radial profiles; need catalog inputs")
     spec = _resolve_spec(config, quad)
     pts = builtin_points(config.dimension, 5)
@@ -276,8 +278,7 @@ def quadratic_form_heat(
     exp(-2 t |xi|^2) h^2 dxi.  At t = 0 the damping factor is 1 and the
     integral is exactly the Gram quadratic form.
     """
-    if not 0 < t < math.inf:
-        raise DomainError(f"smoothing time must be positive and finite, got {t}")
+    _require_time(t, "smoothing time")
     if pts.coefficients is None:
         raise InputError("point set carries no coefficients")
     xs, _ = _query_points(config, pts.points)
@@ -310,8 +311,7 @@ def heat_kernel(config: MultiplicityConfig, t: float, x, y):
     the first axis; a repeated array in memory (np.repeat) is compared row by
     row.  Other pairs are evaluated pair by pair.
     """
-    if not 0 < t < math.inf:
-        raise DomainError(f"time must be positive and finite, got {t}")
+    _require_time(t, "time")
     xp, x_single = _query_points(config, x)
     yp, y_single = _query_points(config, y)
     if len(xp) != len(yp) and 1 not in (len(xp), len(yp)):
@@ -354,8 +354,7 @@ def _heat_product(config: MultiplicityConfig, t, xs, ys, join) -> np.ndarray:
 
 def heat_kernel_mass(config: MultiplicityConfig, quad: QuadratureSpec | None, t: float, x) -> IdentityReport:
     """int heat_kernel(t, x, y) h^2(y) dy = 1, on a box wide enough for t."""
-    if not 0 < t < math.inf:
-        raise DomainError(f"time must be positive and finite, got {t}")
+    _require_time(t, "time")
     spec = _resolve_spec(config, quad)
     xv = np.asarray(x, dtype=float).reshape(-1)
     x0 = _query_points(config, xv)[0][0]

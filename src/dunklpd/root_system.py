@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, InputError
 
 MAX_DIMENSION = 3
 
@@ -84,17 +84,44 @@ def make_config(dimension: int, kappa: Sequence[float]) -> MultiplicityConfig:
 
 
 def weight(config: MultiplicityConfig, x) -> float | np.ndarray:
-    """Group-invariant weight h^2(x) = prod_i |x_i|^(2 kappa_i), with 0^0 = 1.
-
-    Accepts a single point of shape (d,) or a batch of shape (n, d).
-    """
-    pts = np.asarray(x, dtype=float)
-    if pts.shape[-1] != config.dimension:
-        raise DomainError(f"point has {pts.shape[-1]} coordinates, config has dimension {config.dimension}")
-    out = np.ones(pts.shape[:-1], dtype=float)
+    """Group-invariant weight h^2(x) = prod_i |x_i|^(2 kappa_i), with 0^0 = 1, at a single
+    point of shape (d,) or a batch of shape (n, d), through the one point check."""
+    pts, single = _query_points(config, x)
+    out = np.ones(len(pts))
     for i, k in enumerate(config.kappa):
         if k != 0.0:
-            out = out * np.abs(pts[..., i]) ** (2.0 * k)
-    if out.ndim == 0:
-        return float(out)
-    return out
+            out = out * np.abs(pts[:, i]) ** (2.0 * k)
+    return float(out[0]) if single else out
+
+
+def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]:
+    """Points as an (N, d) array, and whether a single point was passed.
+
+    The one point check of the package (handles, transforms, translates,
+    Gram matrices, the heat kernel, the weight): None, strings, complex
+    numbers, ragged rows, a wrong shape or a nan or inf coordinate raise
+    InputError.  Rows at stride 0 (np.broadcast_to) are one row in memory,
+    checked once.
+    """
+    try:
+        if points is None or np.iscomplexobj(points):  # as floats: nan, or the real parts alone
+            raise TypeError("got None" if points is None else "got complex values")
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected real points in R^{config.dimension}: {exc}") from None
+    squeeze = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] != config.dimension:
+        raise InputError(f"expected points in R^{config.dimension}, got shape {np.shape(points)}")
+    if not np.all(np.isfinite(pts[:1] if pts.strides[0] == 0 else pts)):
+        raise InputError("points must be finite (found nan or inf)")
+    return pts, squeeze
+
+
+def _in_range(v, low, high, closed: bool = False) -> bool:
+    """Whether v is a real number, not a bool, in (low, high), or [low, high) when closed."""
+    try:
+        real = not isinstance(v, (bool, np.bool_)) and not np.iscomplexobj(v)
+        return real and bool(low <= v < high if closed else low < v < high)
+    except TypeError:  # None, strings
+        return False

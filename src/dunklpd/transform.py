@@ -53,15 +53,11 @@ import numpy as np
 
 from .errors import AccuracyWarning, DomainError, InputError, NotInCatalogError
 from .functions import (
-    BESSEL_K_PROFILE,
-    GAUSSIAN,
-    GAUSSIAN_DENSITY,
-    GENERALIZED_CAUCHY,
+    CATALOG_PARTNER,
     CatalogFunction,
     DensityProduct,
     SampledFunction,
     _mirror_half,
-    _query_points,
     evaluate_handle,
     even_by_construction,
     tensor_axes,
@@ -71,7 +67,7 @@ from .functions import (
 from .kernel import _phase_1d
 from .quadrature import Grid, QuadratureSpec, default_spec, two_pass
 from .reports import IdentityReport
-from .root_system import MultiplicityConfig
+from .root_system import MultiplicityConfig, _in_range, _query_points
 
 _WARN_FLOOR = 1e-6
 
@@ -256,39 +252,29 @@ def forward_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, out
 
 
 def catalog_partner(f: CatalogFunction) -> CatalogFunction:
-    """Exact transform partner of any catalog member (all four are even)."""
-    pair = {
-        GAUSSIAN: GAUSSIAN_DENSITY,
-        GAUSSIAN_DENSITY: GAUSSIAN,
-        GENERALIZED_CAUCHY: BESSEL_K_PROFILE,
-        BESSEL_K_PROFILE: GENERALIZED_CAUCHY,
-    }
-    return CatalogFunction(pair[f.kind], f.param)
+    """Exact transform partner of any catalog member (functions.CATALOG_PARTNER), unvalidated."""
+    return CatalogFunction(CATALOG_PARTNER[f.kind], f.param)
 
 
-def closed_form_transform(config: MultiplicityConfig, f: CatalogFunction) -> CatalogFunction:
-    """The exact transform of a catalog member: its partner, both validated for config."""
-    if not isinstance(f, CatalogFunction):
+def closed_form_transform(config: MultiplicityConfig, f) -> CatalogFunction:
+    """The exact transform of f: its `partner` answer (a catalog member's partner, both
+    validated for config), or NotInCatalogError when f gives none."""
+    partner = getattr(f, "partner", None)
+    if partner is None:
         raise NotInCatalogError(f"no closed-form transform for {type(f).__name__}")
-    f.validate_for(config)
-    partner = catalog_partner(f)
-    partner.validate_for(config)
-    return partner
+    return partner(config)
 
 
 def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f) -> Callable:
-    """Callable xi_points -> transform values, the routing hub for operators.
-
-    Catalog handles use their exact partner, returned as the one-factor
-    DensityProduct(config, (partner,)): a plain callable whose factor is the
-    partner handle, so Grid.sample takes its grid route.  Sampled handles
-    use their hint when present; everything else falls back to one numerical
-    transform at doubled resolution.
-    """
-    if isinstance(f, CatalogFunction):
-        return DensityProduct(config, (closed_form_transform(config, f),))
-    if isinstance(f, SampledFunction) and f.spectral_hint is not None:
-        hint = f.spectral_hint
+    """Callable xi_points -> transform values, the routing hub for operators: a handle's
+    `partner` answer (catalog handles) as the one-factor DensityProduct(config, (partner,)),
+    whose factor Grid.sample takes down its grid route; else its `spectral_hint` (forward_grid's
+    results); else one numerical transform at doubled resolution."""
+    partner = getattr(f, "partner", None)
+    if partner is not None:
+        return DensityProduct(config, (partner(config),))
+    hint = getattr(f, "spectral_hint", None)
+    if hint is not None:
         return lambda pts: np.asarray(hint(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=complex)
     return numeric_density(config, quad, f)
 
@@ -316,7 +302,7 @@ def tabulated_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f
 
 def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p: float = 2.0) -> float:
     """L^p norm against the reflection weight, (int |f|^p h^2)^(1/p)."""
-    if not 1 <= p < np.inf:
+    if not _in_range(p, 1, np.inf, closed=True):
         raise InputError(f"norm order must be finite and >= 1, got {p}")
     grid = Grid(config, _resolve_spec(config, quad).doubled())
     return float(np.real(grid.integrate(np.abs(grid.sample(f)) ** p))) ** (1.0 / p)

@@ -27,10 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import CatalogFunction, DensityProduct, SampledFunction, _query_points
+from .functions import DensityProduct, SampledFunction
 from .quadrature import Grid, QuadratureSpec, two_pass
-from .reports import IdentityReport, _sign_excess
-from .root_system import MultiplicityConfig
+from .reports import IdentityReport
+from .root_system import MultiplicityConfig, _query_points
 from .transform import (
     FORWARD,
     INVERSE,
@@ -69,17 +69,6 @@ def translate(config: MultiplicityConfig, quad: QuadratureSpec | None, f, y, x):
     return _pointwise("translation", config, spec, x, run)
 
 
-def _require_radial_nonnegative(config, f) -> None:
-    if isinstance(f, CatalogFunction):
-        return
-    if isinstance(f, SampledFunction):
-        excess, scale = _sign_excess(f.values)
-        if excess > 1e-12 * scale:
-            raise DomainError("mass identity needs a real nonnegative function")
-        return
-    raise DomainError("mass identity needs a catalog or sampled handle")
-
-
 def translate_mass(
     config: MultiplicityConfig,
     quad: QuadratureSpec | None,
@@ -101,7 +90,11 @@ def translate_mass(
     spec = _resolve_spec(config, quad)
     outer_spec = outer if outer is not None else spec
     yv = _point(config, y)
-    _require_radial_nonnegative(config, f)
+    nonnegative = getattr(f, "nonnegative", None)
+    if nonnegative is None:
+        raise DomainError("mass identity needs a catalog or sampled handle")
+    if not nonnegative:
+        raise DomainError("mass identity needs a real nonnegative function")
     density = spectral_density(config, spec, f)
 
     def run(gi, go):

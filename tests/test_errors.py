@@ -25,7 +25,7 @@ from dunklpd.posdef import (
     kernel_independence,
     quadratic_form_heat,
 )
-from dunklpd.transform import forward, forward_grid, inverse
+from dunklpd.transform import forward, forward_grid, inverse, weighted_norm
 from dunklpd.translation import convolve, convolve_direct, translate, translate_mass
 
 
@@ -228,3 +228,35 @@ def test_forward_grid_checks_its_output_nodes(axes):
 def test_empty_point_sets_raise_input_error(call):
     with pytest.raises(InputError, match="at least one"):
         call(make_config(1, [0.5]))
+
+
+# times and the norm order are real numbers: a bool is not taken as 1, and None, a
+# string or a complex value raises the package's error instead of TypeError
+_TWO = builtin_points(1, 2, coefficients=[1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, None, "1", 1 + 0j, np.complex128(1.0)],
+    ids=["bool", "numpy_bool", "none", "string", "complex", "numpy_complex"],
+)
+@pytest.mark.parametrize(
+    "error,match,call",
+    [
+        (DomainError, "^time must be positive and finite", lambda c, v: heat_kernel(c, v, [0.2], [0.1])),
+        (DomainError, "^time must be positive and finite", lambda c, v: heat_kernel_mass(c, None, v, [0.2])),
+        (DomainError, "^smoothing time must be positive", lambda c, v: quadratic_form_heat(c, None, _G, _TWO, v)),
+        (InputError, "^norm order must be finite and >= 1", lambda c, v: weighted_norm(c, None, _G, v)),
+    ],
+    ids=["heat_kernel", "heat_kernel_mass", "quadratic_form_heat", "weighted_norm"],
+)
+def test_times_and_orders_must_be_real_numbers(value, error, match, call):
+    with pytest.raises(error, match=match):
+        call(make_config(1, [0.5]), value)
+
+
+def test_real_times_and_orders_of_every_numeric_type_are_accepted():
+    config = make_config(1, [0.5])
+    for t in (1, 0.5, np.float32(0.5), np.int64(1), np.array(0.5)):
+        assert heat_kernel(config, t, [0.2], [0.1]) == heat_kernel(config, float(t), [0.2], [0.1])
+    assert weighted_norm(config, None, _G, np.int64(1)) == weighted_norm(config, None, _G, 1.0)

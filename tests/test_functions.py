@@ -12,8 +12,9 @@ from scipy import integrate
 from scipy import special as sps
 
 from dunklpd import ConfigurationError, DomainError, InputError, make_config
-from dunklpd.posdef import builtin_points
-from dunklpd.transform import catalog_partner, spectral_density
+from dunklpd.posdef import bochner_certify, bound_check, builtin_points, gram
+from dunklpd.quadrature import QuadratureSpec
+from dunklpd.transform import catalog_partner, forward, spectral_density
 from dunklpd.functions import (
     CatalogFunction,
     DensityProduct,
@@ -176,15 +177,16 @@ class TestCatalog:
     @pytest.mark.parametrize(
         "dim,kappa,p", [(1, [0.5], 3.0), (2, [1.0, 0.0], 5.0), (1, [0.3], 4.0)], ids=["a2", "a3", "a3.2-kv"]
     )
+    @pytest.mark.filterwarnings("error")
     def test_every_member_vanishes_at_an_overflowing_radius(self, dim, kappa, p):
+        # squaring 1e200 overflows to inf without a RuntimeWarning, on both routes
         config = make_config(dim, kappa)
         far = 1e200 * np.vstack([np.eye(dim), -np.eye(dim)])
         axis = np.array([-1e200, -1.0, 1.0, 1e200])  # mirrored: on_axes takes its orthant
         finite = np.ix_(*[[1, 2]] * dim)
         for f in (gaussian(1.0), gaussian_density(1.0), generalized_cauchy(p), bessel_k_profile(p)):
-            with np.errstate(over="ignore"):  # squaring 1e200
-                at_points = f.evaluate(config, far)
-                on_axes = f.on_axes(config, [axis] * dim)
+            at_points = f.evaluate(config, far)
+            on_axes = f.on_axes(config, [axis] * dim)
             assert at_points.tolist() == [0.0] * (2 * dim), f
             assert np.all(on_axes[finite] > 0.0), f
             on_axes[finite] = 0.0
@@ -386,6 +388,23 @@ class TestSampledFunction:
         np.testing.assert_allclose(got, [9.0])
         with pytest.raises(InputError):
             evaluate_handle(cfg_half, 42, np.array([[0.0]]))
+
+    # a raw callable returns one value per point; any other shape used to escape as
+    # shape (3,) from evaluate_handle and as numpy's reshape ValueError from the operators
+    @pytest.mark.parametrize("bad", [lambda p: np.ones(3), lambda p: np.ones((len(p), 2))], ids=["short", "wide"])
+    def test_a_callable_of_the_wrong_shape_raises_input_error(self, cfg_half, bad):
+        got = r"got \((3,|4, 2)\)"
+        with pytest.raises(InputError, match=r"points of shape \(4, 1\) must return shape \(4,\), " + got):
+            evaluate_handle(cfg_half, bad, np.zeros((4, 1)))
+        spec = QuadratureSpec(6.0, 16)
+        for call in (
+            lambda: forward(cfg_half, spec, bad, [0.5]),
+            lambda: gram(cfg_half, spec, bad, builtin_points(1, 2)),
+            lambda: bound_check(cfg_half, spec, bad, [0.5]),
+            lambda: bochner_certify(cfg_half, spec, bad),
+        ):
+            with pytest.raises(InputError, match=r"must return shape \(\d+,\), got \((3,|\d+, 2)\)"):
+                call()
 
 
 class TestTensorAxes:

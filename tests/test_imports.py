@@ -365,6 +365,40 @@ def test_bound_reports_have_one_builder():
     assert found == ["reports.IdentityReport.bound"]
 
 
+# Handles answer for themselves: operators read a capability with
+# getattr(fn, name, None) (evaluate, on_axes, partner, spectral_hint, profile,
+# nonnegative, even), and no isinstance or issubclass call in the package names
+# a handle type.
+HANDLE_TYPES = {"CatalogFunction", "SampledFunction", "DensityProduct"}
+
+
+def handle_type_tests(source: str) -> list[int]:
+    """Line numbers of the isinstance and issubclass calls of `source` whose class argument names a handle type."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+            named = {getattr(n, "id", None) or getattr(n, "attr", None) for arg in node.args[1:] for n in ast.walk(arg)}
+            if named & HANDLE_TYPES:
+                found.append(node.lineno)
+    return found
+
+
+def test_handle_type_scan_finds_every_spelling():
+    source = (
+        "isinstance(f, CatalogFunction)\n"
+        "isinstance(f, (int, functions.SampledFunction))\n"
+        "issubclass(type(f), DensityProduct)\n"
+        "isinstance(f, (int, float))\n"
+        "getattr(f, 'partner', None)\n"
+    )
+    assert handle_type_tests(source) == [1, 2, 3]
+
+
+def test_no_type_test_names_a_handle_type():
+    found = {p.name: handle_type_tests(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # perfbench/tracer.py wraps each layer's entry points by name (setattr on the
 # module, or on the class for "Class.method"); a rename in src/ would break
 # traced benchmark runs while every other test passes.  The tracer is loaded

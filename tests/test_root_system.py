@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dunklpd import ConfigurationError, make_config
+from dunklpd import ConfigurationError, InputError, make_config
 from dunklpd.root_system import MultiplicityConfig, weight
 
 
@@ -122,3 +122,27 @@ class TestWeightAndReflections:
             flipped = pts.copy()
             flipped[:, axis] *= -1.0
             np.testing.assert_allclose(weight(cfg, flipped), weight(cfg, pts), rtol=1e-12)
+
+    def test_weight_at_one_point_is_a_float(self):
+        cfg = make_config(2, [1.0, 0.5])
+        assert weight(cfg, [3.0, -4.0]) == 36.0 and type(weight(cfg, [3.0, -4.0])) is float
+        assert weight(cfg, [[3.0, -4.0]]).tolist() == [36.0]
+
+    # the weight takes its points through the package's one point check: a nan or inf
+    # coordinate used to give nan or inf, None an IndexError and complex input a TypeError
+    @pytest.mark.parametrize(
+        "x,match",
+        [
+            ([math.nan, 1.0], "finite"),
+            ([[1.0, 2.0], [math.inf, 1.0]], "finite"),
+            (None, "got None"),
+            ([1.0 + 1.0j, 0.0], "got complex values"),
+            ("ab", "expected real points"),
+            ([1.0, 2.0, 3.0], "expected points in R\\^2"),
+        ],
+        ids=["nan", "inf", "none", "complex", "string", "wrong_dimension"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_weight_refuses_what_is_not_a_finite_real_point(self, x, match):
+        with pytest.raises(InputError, match=match):
+            weight(make_config(2, [1.0, 0.5]), x)
