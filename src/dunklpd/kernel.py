@@ -25,6 +25,15 @@ relative accuracy where J_{k-1/2}(|z|) rises steeply (|z| below k).  From the
 zone's top on, J comes from the Hankel large-argument expansion
 (DLMF 10.17.3).  At k = 0 the kernel is exp(-i z).
 
+Each series sums only the terms its arguments need.  The power series
+takes the fewest terms, at most 30, whose tails stay below 1e-19 at its
+cutoff (22 at k = 0 and |z| <= 6).  The Hankel zone is summed in bands of
+doubling |z|, [top, 2 top), [2 top, 4 top), ..., each to the fewest terms,
+at most 20, whose first one left out is below 1e-18 at the band's bottom:
+at k = 0.3, 17 terms from |z| = 20, 8 from 40 and 5 from 160.  Both counts
+follow from the argument's value or the zone alone, never from the other
+arguments of a batch, so every branch stays elementwise.
+
 The real-argument kernel E_k(x, y) is the same pair with J replaced by the
 modified Bessel I, so it grows like exp(|z|).  Its scaled form
 exp(-|z|) E_k(x, y) is exp(z - |z|) at k = 0.  Otherwise it is the power
@@ -97,9 +106,11 @@ from .errors import DomainError
 from .root_system import MultiplicityConfig
 
 _SERIES_TERMS = 30
+_SERIES_TAIL = 1e-19
 _SERIES_CUTOFF = 6.0
 _LADDER_MAX_KAPPA = 8.0
 _HANKEL_TERMS = 20
+_HANKEL_TAIL = 1e-18
 _HANKEL_MIN_ARG = 20.0
 _I_EXPANSION_TERMS = 24
 _I_EXPANSION_MIN_ARG = 40.0
@@ -135,6 +146,22 @@ def _series_coeffs(kappa: float, alternating: bool) -> np.ndarray:
         block *= ((-1.0) ** np.arange(_SERIES_TERMS))[:, None]
     block.flags.writeable = False
     return block
+
+
+@lru_cache(maxsize=256)
+def _series_terms(kappa: float, bound: float) -> int:
+    """The fewest terms, at most _SERIES_TERMS, of both series of _series
+    whose tails (the sums of the terms left out) are below 1e-19 at
+    |z| = bound, and so at every smaller |z|: 22 at k = 0 and bound 6, 20 at
+    k = 2.  The alternating series have the same terms up to sign.  The
+    terms are taken in logs, which no kappa overflows."""
+    m = np.arange(3 * _SERIES_TERMS)
+    log_term = math.lgamma(kappa + 0.5) - sps.gammaln(m + 1.0) + 2.0 * m * math.log(bound / 2.0)
+    even, odd = (np.exp(log_term - sps.gammaln(m + kappa + shift)) for shift in (0.5, 1.5))
+    terms = even + bound / 2.0 * odd
+    tails = np.cumsum(terms[::-1])[::-1][1 : _SERIES_TERMS + 1]  # entry n - 1: the terms from n on
+    below = tails < _SERIES_TAIL
+    return int(np.argmax(below)) + 1 if below.any() else _SERIES_TERMS
 
 
 def _horner(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -236,16 +263,35 @@ def _scaled_i_coeffs(kappa: float) -> np.ndarray:
     return np.stack((signs * (lo + hi), signs * (lo - hi)), axis=1)
 
 
-def _bessel_pair_hankel(kappa: float, az: np.ndarray, odd: bool) -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=128)
+def _hankel_band_terms(kappa: float) -> tuple[int, ...]:
+    """Rows of _hankel_coeffs taken by band b of the Hankel zone,
+    [top 2^b, top 2^(b+1)) with top = max(20, (k + 1/2)^2): the fewest whose
+    first terms left out, a_m(nu) / z^m of P and Q at both orders, are below
+    1e-18 at the band's bottom, and at most _HANKEL_TERMS.  The terms fall
+    as z grows, so the bottom is the band's worst case.  The last band, the
+    first to take one row (or the 64th), runs on to infinity."""
+    a = np.maximum(*(np.abs(_expansion_coeffs(nu, 2 * _HANKEL_TERMS)) for nu in (kappa - 0.5, kappa + 0.5)))
+    bottoms = _jv_top(kappa) * 2.0 ** np.arange(64.0)[:, None]
+    # band b, n rows: the larger of the first P and Q terms left out
+    left_out = (a * bottoms ** -np.arange(a.size)).reshape(len(bottoms), -1, 2).max(axis=2)
+    fits = left_out[:, 1:] < _HANKEL_TAIL
+    terms = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, _HANKEL_TERMS)
+    last = int(np.argmax(terms == 1)) if terms[-1] == 1 else len(terms) - 1
+    return tuple(terms[: last + 1].tolist())
+
+
+def _bessel_pair_hankel(kappa: float, az: np.ndarray, odd: bool, terms: int) -> tuple[np.ndarray, ...]:
     """(J_{k-1/2}(az), J_{k+1/2}(az)) by the large-argument expansion
     J_nu(z) = sqrt(2/(pi z)) (cos(w) P - sin(w) Q), w = z - (nu/2 + 1/4) pi,
-    or (J_{k-1/2}(az),) alone, from P_lo and Q_lo, unless odd.  For the order
-    k + 1/2 the phase is w - pi/2, so one cos/sin of az serves both orders."""
+    summed to the first `terms` rows of _hankel_coeffs, or (J_{k-1/2}(az),)
+    alone, from P_lo and Q_lo, unless odd.  For the order k + 1/2 the phase
+    is w - pi/2, so one cos/sin of az serves both orders."""
     phi = 0.5 * math.pi * kappa
     c, s = np.cos(az), np.sin(az)
     cw = c * math.cos(phi) + s * math.sin(phi)
     sw = s * math.cos(phi) - c * math.sin(phi)
-    coeffs = _hankel_coeffs(kappa)
+    coeffs = _hankel_coeffs(kappa)[:terms]
     p_lo, q_lo, *hi = _horner(1.0 / (az * az), coeffs if odd else coeffs[:, :2])
     amp = np.sqrt(2.0 / (np.pi * az))
     lo = amp * (cw * p_lo - sw * q_lo / az)
@@ -320,24 +366,37 @@ def _bessel_pair_generic(kappa: float, az: np.ndarray, odd: bool) -> np.ndarray:
     """The kernel's even part and its odd part over sign(z), that is the
     prefactor times (J_{k-1/2}(az), J_{k+1/2}(az)), as a (2,) + az.shape
     array, or the (1,) + az.shape even part alone unless odd; computed once
-    per distinct argument.  Below max(20, (k + 1/2)^2) they come from the
-    Chebyshev panels of _jv_panel, from there on from the Hankel expansion,
-    where no term exceeds 1/2 and the first one left out is below 1e-18."""
+    per distinct argument.  Below top = max(20, (k + 1/2)^2) they come from
+    the Chebyshev panels of _jv_panel, from there on from the Hankel
+    expansion, where no term exceeds 1/2.  That zone is summed in bands
+    [top, 2 top), [2 top, 4 top), ..., each to the fewest terms whose first
+    one left out is below 1e-18 at the band's bottom (_hankel_band_terms):
+    at k = 0.3, 17 terms from 20, 8 from 40 and 5 from 160.  An argument's
+    band follows from its value, so each value still depends on its own
+    argument only."""
 
-    def pair(u):  # ascending, so one split separates the two zones
-        split = np.searchsorted(u, _jv_top(kappa))
-        far = u[split:]
-        near = _jv_tabulated(kappa, u[:split], odd)
-        return np.concatenate((near, _prefactor(kappa, far) * _bessel_pair_hankel(kappa, far, odd)), axis=1)
+    def pair(u):  # ascending, so one search finds where the Hankel zone and each of its bands start
+        terms = _hankel_band_terms(kappa)
+        starts = np.searchsorted(u, _jv_top(kappa) * 2.0 ** np.arange(len(terms))).tolist() + [u.size]
+        out = np.empty((2 if odd else 1, u.size))
+        out[:, : starts[0]] = _jv_tabulated(kappa, u[: starts[0]], odd)
+        for start, end, n in zip(starts, starts[1:], terms):
+            if end > start:
+                out[:, start:end] = _bessel_pair_hankel(kappa, u[start:end], odd, n)
+        out[:, starts[0] :] *= _prefactor(kappa, u[starts[0] :])
+        return out
 
     return _per_distinct(pair, az)
 
 
-def _series(kappa: float, z: np.ndarray, alternating: bool, odd: bool = True) -> tuple[np.ndarray, ...]:
+def _series(kappa: float, z: np.ndarray, alternating: bool, bound: float, odd: bool = True) -> tuple[np.ndarray, ...]:
     """(even, odd) power series in z/2 of E_k(x, -iy) if alternating, else of
-    E_k(x, y); (even,) alone unless odd."""
+    E_k(x, y), at |z| <= bound; (even,) alone unless odd.  Both are summed to
+    the fewest terms whose tails stay below 1e-19 at |z| = bound
+    (_series_terms).  The count follows the caller's cutoff, not the batch,
+    so each value still depends on its own argument only."""
     zs = z / 2.0
-    coeffs = _series_coeffs(kappa, alternating)
+    coeffs = _series_coeffs(kappa, alternating)[: _series_terms(kappa, bound)]
     if not odd:
         return (_horner(zs * zs, coeffs[:, 0]),)
     even, odd_series = _horner(zs * zs, coeffs)
@@ -355,7 +414,7 @@ def _parts(kappa: float, z: np.ndarray, odd: bool = True) -> list:
     cutoff = max(_SERIES_CUTOFF, 2.0 * kappa + 2.0) if ladder else _SERIES_CUTOFF
     small = np.abs(z) <= cutoff
     if small.any():
-        for part, vals in zip(parts, _series(kappa, z[small], True, odd)):
+        for part, vals in zip(parts, _series(kappa, z[small], True, cutoff, odd)):
             part[small] = vals
     big = ~small
     if big.any():
@@ -403,7 +462,7 @@ def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
     far = az >= max(_I_EXPANSION_MIN_ARG, (kappa + 0.5) ** 2)
     mid = ~(small | far)
     if small.any():
-        even, odd = _series(kappa, z[small], alternating=False)
+        even, odd = _series(kappa, z[small], False, _SERIES_CUTOFF)
         out[small] = np.exp(-az[small]) * (even + odd)
     if mid.any():
         a = az[mid]

@@ -50,7 +50,7 @@ from .functions import (
 from .kernel import _real_1d_scaled
 from .quadrature import _RESOLUTION, Grid, QuadratureSpec, integrate_with_check, two_pass
 from .reports import GramReport, IdentityReport, _sign_excess
-from .root_system import MultiplicityConfig, _in_range, _query_points
+from .root_system import MultiplicityConfig, _in_range, _query_points, _real_points
 from .transform import (
     FORWARD,
     INVERSE,
@@ -88,7 +88,7 @@ class PointSet:
     coefficients: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(_real_points(self.points, "as an (n, d) array"))
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InputError(f"points must form an (n, d) array, got shape {np.shape(self.points)}")
         if not np.all(np.isfinite(pts)):
@@ -356,9 +356,11 @@ def heat_kernel_mass(config: MultiplicityConfig, quad: QuadratureSpec | None, t:
     """int heat_kernel(t, x, y) h^2(y) dy = 1, on a box wide enough for t."""
     _require_time(t, "time")
     spec = _resolve_spec(config, quad)
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    x0 = _query_points(config, xv)[0][0]
-    need = float(np.max(np.abs(xv))) + math.sqrt(4.0 * t * 46.0)
+    pts = _query_points(config, x)[0]
+    if len(pts) != 1:
+        raise InputError(f"heat_kernel_mass takes one point in R^{config.dimension}, got {len(pts)}")
+    x0 = pts[0]
+    need = float(np.max(np.abs(x0))) + math.sqrt(4.0 * t * 46.0)
     floor = _RESOLUTION["heat_mass_nodes"][config.dimension]
     spread = QuadratureSpec(max(spec.radius, need), max(spec.nodes_per_axis, floor))
 
@@ -371,7 +373,7 @@ def heat_kernel_mass(config: MultiplicityConfig, quad: QuadratureSpec | None, t:
         computed=mass,
         tolerance=1e-6,
         notes=(
-            f"t={t}, x={xv.tolist()}, resolution delta {delta:.3e}; "
+            f"t={t}, x={x0.tolist()}, resolution delta {delta:.3e}; "
             f"alternate (4t)-power prefactor would give mass {alt:.6f} (non-matching, kept for reference)"
         ),
     )

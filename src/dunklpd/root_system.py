@@ -103,12 +103,7 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
     InputError.  Rows at stride 0 (np.broadcast_to) are one row in memory,
     checked once.
     """
-    try:
-        if points is None or np.iscomplexobj(points):  # as floats: nan, or the real parts alone
-            raise TypeError("got None" if points is None else "got complex values")
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected real points in R^{config.dimension}: {exc}") from None
+    pts = _real_points(points, f"in R^{config.dimension}")
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != config.dimension:
@@ -116,6 +111,17 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
     if not np.all(np.isfinite(pts[:1] if pts.strides[0] == 0 else pts)):
         raise InputError("points must be finite (found nan or inf)")
     return pts, squeeze
+
+
+def _real_points(points, where: str) -> np.ndarray:
+    """points as a float array, the conversion of _query_points and PointSet: None, strings,
+    complex numbers and ragged rows raise InputError, whose message says where points were wanted."""
+    try:
+        if points is None or np.iscomplexobj(points):  # as floats: nan, or the real parts alone
+            raise TypeError("got None" if points is None else "got complex values")
+        return np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected real points {where}: {exc}") from None
 
 
 def _in_range(v, low, high, closed: bool = False) -> bool:

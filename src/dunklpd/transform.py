@@ -20,6 +20,10 @@ phase matrices, all built by _axis_matrices.  The kernel's conjugate parity
 E_k(-z) = conj E_k(z) holds exactly for real z, so on an axis mirrored
 exactly about 0 (every Gauss-Legendre axis, every uniform_axes axis) only
 the nonnegative half is evaluated and the rest is its reversed conjugate.
+When the evaluated row and column halves hold the same values (a sum read
+at the nodes of its own grid), that block is symmetric, since
+r_i c_j = r_j c_i exactly: its upper triangle is evaluated and transposed
+below it.
 _blocked_scatter sums over output points: on the nodes of a tensor grid
 axis by axis (_grid_contract; forward_grid passes the nodes of its output
 axes), else point by point (_scatter_contract) in blocks of _SCATTER_BLOCK.
@@ -91,12 +95,25 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
     flip its sign).  Every _axis_rule axis is mirrored, and so are tensor-grid
     outputs on such axes and every uniform_axes axis, whose odd counts put an
     exact 0 at the centre; shift rows are not and keep the full build.
+
+    When the evaluated halves of rows[i] and cols[i] are equal (np.array_equal),
+    the evaluated block is symmetric: r_j c_i = r_i c_j holds exactly in
+    floating point and every kernel branch is elementwise, so only its upper
+    triangle is evaluated and its transpose fills the rest, value for value
+    the full build.  Halves that differ anywhere, by one ulp included, take
+    the full block.  The triangle's indices are built per call: cached, they
+    would stay resident at the largest grids' sizes.
     """
     mats = []
     for k, r, c in zip(config.kappa, rows, cols):
         hr, hc = _mirror_half(r), _mirror_half(c)
         m = np.empty((len(r), len(c)), dtype=float if sign == 0 else complex)
-        m[hr:, hc:] = _phase_1d(k, np.multiply.outer(r[hr:], c[hc:]), sign)
+        rh, ch, block = r[hr:], c[hc:], m[hr:, hc:]
+        if np.array_equal(rh, ch):  # r_i c_j = r_j c_i: the upper triangle, transposed below it
+            i, j = np.triu_indices(len(rh))
+            block[i, j] = block[j, i] = _phase_1d(k, rh[i] * rh[j], sign)
+        else:
+            block[...] = _phase_1d(k, np.multiply.outer(rh, ch), sign)
         # column j < hc is column len(c) - 1 - j conjugated (a copy for the real
         # A_k); a centre column is skipped
         m[hr:, :hc] = m[hr:, : len(c) - hc - 1 : -1].conj()

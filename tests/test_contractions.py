@@ -247,9 +247,17 @@ _MIRRORED = Grid(make_config(1, [0.0]), SPEC.doubled()).axes[0]  # 20 Gauss-Lege
 _ODD = uniform_axes(1, 3.0, 9)[0]  # mirrored, with an exact 0 at the centre
 
 
+# _MIRRORED with its outermost pair of nodes moved out by one ulp: still
+# mirrored, and its half one ulp from _MIRRORED's
+_MIRRORED_ULP = _MIRRORED.copy()
+_MIRRORED_ULP[-1] = np.nextafter(_MIRRORED[-1], np.inf)
+_MIRRORED_ULP[0] = -_MIRRORED_ULP[-1]
+
+
 # mirrored rows and columns (even, odd, mixed); mirrored columns only
 # (shift-like rows, a row at 0, a single row, no rows); mirrored odd rows
-# only; neither (odd length, mirrored but for one ulp)
+# only; neither (odd length, mirrored but for one ulp); mirrored rows and
+# columns with equal halves (symmetric) and with halves one ulp apart
 @pytest.mark.parametrize(
     "rows,cols",
     [
@@ -263,15 +271,17 @@ _ODD = uniform_axes(1, 3.0, 9)[0]  # mirrored, with an exact 0 at the centre
         (np.array([]), _MIRRORED),
         (np.linspace(-3.0, 3.0, 7), _MIRRORED[1:]),
         (_MIRRORED, np.append(_MIRRORED[:-1], np.nextafter(_MIRRORED[-1], np.inf))),
+        (_MIRRORED, _MIRRORED),
+        (_MIRRORED, _MIRRORED_ULP),
     ],
 )
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0, 0.3, 1.7])
-@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("sign", [-1, 0, 1])
 def test_mirrored_build_equals_the_full_build(rows, cols, kappa, sign):
     config = make_config(1, [kappa])
     (got,) = transform._axis_matrices(config, [rows], [cols], sign)
     (want,) = _full_axis_matrices(config, [rows], [cols], sign)
-    assert got.shape == want.shape and got.flags.writeable
+    assert got.shape == want.shape and got.dtype == want.dtype and got.flags.writeable
     # compared as floats: at a row 0 a zero imaginary part may differ in sign
     np.testing.assert_array_equal(got.view(float), want.view(float))
 
@@ -282,10 +292,13 @@ def test_mirrored_pair_evaluates_one_quadrant(monkeypatch):
     monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: sizes.append(z.shape) or real(k, z, sign))
     (m,) = transform._axis_matrices(make_config(1, [0.5]), [_MIRRORED], [_MIRRORED], INVERSE)
     assert m.shape == (20, 20)
-    assert sizes == [(10, 10)]
+    assert sizes == [(55,)]  # equal halves: the upper triangle of the 10 x 10 quadrant
     (m,) = transform._axis_matrices(make_config(1, [0.5]), [_ODD], [_MIRRORED], INVERSE)
     assert m.shape == (9, 20)
     assert sizes[1:] == [(5, 10)]  # the centre 0 and the four positive nodes
+    (m,) = transform._axis_matrices(make_config(1, [0.5]), [_MIRRORED], [_MIRRORED_ULP], INVERSE)
+    assert m.shape == (20, 20)
+    assert sizes[2:] == [(10, 10)]  # halves one ulp apart: the whole quadrant
 
 
 _RESULT_CONFIGS = [(1, [0.5]), (2, [0.3, 1.7]), (3, [1.0, 0.5, 0.0])]

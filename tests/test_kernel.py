@@ -358,6 +358,80 @@ class TestPerDistinct:
         assert 0 < max(sizes) <= 24
 
 
+_SIZED_KAPPAS = [0.3, 0.5, 1.7, 2.0, 8.0, 12.3, 40.0]
+
+
+class TestSizedSums:
+    """The power series and the Hankel expansion sum only the terms their
+    arguments need: the series the fewest whose tails stay below 1e-19 at the
+    caller's cutoff (_series_terms), the Hankel zone the fewest per band
+    [top 2^b, top 2^(b+1)) whose first terms left out are below 1e-18 at the
+    band's bottom (_hankel_band_terms).  At every band edge the truncated sum
+    must match the full-length one (_SERIES_TERMS, _HANKEL_TERMS) to 2 ulp of
+    max(1, |value|)."""
+
+    @staticmethod
+    def _assert_within_two_ulp(got, want):
+        tol = 2.0 * np.spacing(np.maximum(1.0, np.abs(want)))
+        assert np.all(np.abs(got - want) <= tol), np.max(np.abs(got - want) / tol)
+
+    @pytest.mark.parametrize("kappa", _SIZED_KAPPAS)
+    @pytest.mark.parametrize("alternating", [True, False])
+    def test_series_matches_the_full_sum_up_to_its_cutoff(self, kappa, alternating, monkeypatch):
+        # 6 for every series, 2k + 2 for the ladder's alternating one
+        for bound in sorted({6.0, max(6.0, 2.0 * kappa + 2.0)}):
+            edge = np.array([bound, np.nextafter(bound, 0.0)])
+            z = np.concatenate((np.linspace(-bound, bound, 2001), edge, -edge))
+            short = kernel_module._series(kappa, z, alternating, bound)
+            with monkeypatch.context() as m:
+                m.setattr(kernel_module, "_series_terms", lambda k, b: kernel_module._SERIES_TERMS)
+                full = kernel_module._series(kappa, z, alternating, bound)
+            for got, want in zip(short, full):
+                self._assert_within_two_ulp(got, want)
+
+    def test_series_terms_follow_the_cutoff(self):
+        assert kernel_module._series_terms(0.0, 6.0) == 22
+        assert kernel_module._series_terms(2.0, 6.0) == 20
+        assert kernel_module._series_terms(8.0, 18.0) == kernel_module._SERIES_TERMS  # capped
+
+    @pytest.mark.parametrize("kappa", _SIZED_KAPPAS)
+    def test_each_hankel_band_matches_the_full_sum_at_its_edges(self, kappa):
+        terms = kernel_module._hankel_band_terms(kappa)
+        assert terms[-1] == 1 and all(a >= b for a, b in zip(terms, terms[1:]))
+        assert max(terms) <= kernel_module._HANKEL_TERMS
+        bottoms = _hankel_cutoff(kappa) * 2.0 ** np.arange(len(terms) + 1)
+        for band, n in enumerate(terms):
+            az = np.array([bottoms[band], np.nextafter(bottoms[band + 1], 0.0)])
+            short = kernel_module._bessel_pair_hankel(kappa, az, True, n)
+            full = kernel_module._bessel_pair_hankel(kappa, az, True, kernel_module._HANKEL_TERMS)
+            for got, want in zip(short, full):
+                self._assert_within_two_ulp(got, want)
+
+    def test_hankel_bands_take_their_own_term_counts(self, monkeypatch):
+        # at k = 0.3: 17 terms from 20, 8 from 40, 5 from 160
+        taken = []
+        real = kernel_module._bessel_pair_hankel
+        spy = lambda k, az, odd, n: taken.append((az.size, n)) or real(k, az, odd, n)
+        monkeypatch.setattr(kernel_module, "_bessel_pair_hankel", spy)
+        _phase_1d(0.3, np.array([-30.0, 20.0, 39.0, 45.0, 170.0, 30.0]), -1)
+        assert taken == [(3, 17), (1, 8), (1, 5)]  # |z| = 20, 30, 39 (+-30 once); 45; 170
+
+
+class TestContiguousRelation:
+    """B_k(z) = z A_{k+1}(z) / (2k + 1) holds exactly: both sides are
+    sign(z) Gamma(k + 1/2) (|z|/2)^(1/2 - k) J_{k+1/2}(|z|).  The pairs of
+    orders below reach every branch of the phase: the plane wave (k = 0),
+    the series, both ladders, J_0 and J_1 at k = 1/2, the jv panels and the
+    Hankel bands up to |z| = 2000 (A_{8.5} at k = 7.5 crosses from the ladder
+    to the generic branch)."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.5, 1.0, 1.7, 2.0, 7.5, 12.3, 40.0])
+    def test_odd_part_is_z_times_the_next_even_part(self, kappa):
+        z = np.concatenate((np.linspace(-25.0, 25.0, 40001), np.linspace(-2000.0, 2000.0, 20001)))
+        odd = -_phase_1d(kappa, z, -1).imag  # E_k(x, -iy) = A_k - i B_k
+        assert np.max(np.abs(odd - z * _phase_1d(kappa + 1.0, z, 0) / (2.0 * kappa + 1.0))) <= 5e-14
+
+
 def _clenshaw_one_run(x, c):
     """kernel._clenshaw with one run spanning x, shaped as chebval's result."""
     out = kernel_module._clenshaw(x.reshape(-1), c.reshape(len(c), -1, 1), np.array([x.size]))

@@ -43,6 +43,18 @@ class TestPointSets:
         with pytest.raises(InputError):
             PointSet(np.array([[0.0], [1.0]]), coefficients=np.array([0.0, 0.0]))
 
+    # the conversion of the one point check (root_system._real_points), so no
+    # bare TypeError or ValueError escapes
+    @pytest.mark.parametrize(
+        "points,match",
+        [([[1 + 1j], [0.0]], "got complex values"), ([["a"], [1.0]], "could not convert"), (None, "got None")],
+        ids=["complex", "string", "none"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_point_set_rejects_what_is_not_real(self, points, match):
+        with pytest.raises(InputError, match=match):
+            PointSet(points)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_point_set_rejects_non_finite(self, bad):
         with pytest.raises(InputError, match="finite"):
@@ -340,6 +352,28 @@ class TestHeatKernel:
         config = make_config(2, [1.0, 0.0])
         rep = heat_kernel_mass(config, None, 1.0, [0.8, -0.3])
         assert rep.passed
+
+    # the point goes through the one point check before anything reads it
+    @pytest.mark.parametrize(
+        "x,match",
+        [
+            ([1 + 1j], "got complex values"),
+            ("a", "could not convert"),
+            (None, "got None"),
+            ([[0.1], [0.2]], "takes one point in R\\^1, got 2"),
+            ([0.1, 0.2], "expected points in R\\^1"),
+        ],
+        ids=["complex", "string", "none", "two_rows", "wrong_dimension"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_mass_rejects_what_is_not_one_real_point(self, cfg_half, x, match):
+        with pytest.raises(InputError, match=match):
+            heat_kernel_mass(cfg_half, None, 0.5, x)
+
+    def test_mass_notes_print_the_point_as_a_flat_list(self):
+        config = make_config(2, [1.0, 0.0])
+        for x in ([0.8, -0.3], [[0.8, -0.3]], np.array([0.8, -0.3])):
+            assert heat_kernel_mass(config, None, 1.0, x).notes.startswith("t=1.0, x=[0.8, -0.3], resolution delta ")
 
     def test_rejects_nonpositive_time(self, cfg_half):
         with pytest.raises(DomainError):
