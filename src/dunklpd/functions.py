@@ -21,7 +21,8 @@ mirror test of the package), then fills the rest by reflection; both routes
 agree bit for bit.  A constant factor that is not a finite positive float
 (gaussian_density at a tiny t) raises ConfigurationError, as the parameter
 edges do.  The heat kernel has its own grid route (posdef.heat_kernel),
-found by tensor_axes.
+found by tensor_axes.  The two Gaussians also factor over the axes
+(axis_factors): exp(-t |x|^2) = prod_i exp(-t x_i^2), to rounding.
 
 Handles answer for themselves: the operators read getattr(fn, name, None),
 never a handle's type, and take the general route where it answers nothing.
@@ -34,6 +35,10 @@ never a handle's type, and take the general route where it answers nothing.
   nonnegative               catalog (always), sampled (a sign scan); translate_mass's guard
   even                      catalog, DensityProducts of even factors, transforms of folded
                             sums; even_by_construction, so the kernel sums fold (Grid.summand)
+  axis_factors(config, axes)
+                            the Gaussians (the other members answer None), DensityProducts
+                            whose every factor answers; sample_factors, so the folded sums of
+                            such handles split into per-axis sums (Grid.summand)
 
 The Bessel-K profile is evaluated once per distinct radius through
 kernel._per_distinct: a symmetric tensor grid repeats radii many times over
@@ -157,6 +162,16 @@ class CatalogFunction:
         out = self.profile(config, r2)
         return out[0] if squeeze else out
 
+    def _grid_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> list:
+        """The axes as float arrays, one per dimension and finite, for a handle valid for config."""
+        self.validate_for(config)
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != config.dimension:
+            raise InputError(f"expected {config.dimension} grid axes, got {len(axes)}")
+        if not all(np.all(np.isfinite(a)) for a in axes):
+            raise InputError("grid axes must be finite (found nan or inf)")
+        return axes
+
     def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Values on every node of the tensor grid over `axes`, shaped as the grid.
 
@@ -166,12 +181,7 @@ class CatalogFunction:
         holds exactly.  No (N, d) point array is built, and the result equals
         evaluate(config, tensor_points(axes)) bit for bit.
         """
-        self.validate_for(config)
-        axes = [np.asarray(a, dtype=float) for a in axes]
-        if len(axes) != config.dimension:
-            raise InputError(f"expected {config.dimension} grid axes, got {len(axes)}")
-        if not all(np.all(np.isfinite(a)) for a in axes):
-            raise InputError("grid axes must be finite (found nan or inf)")
+        axes = self._grid_axes(config, axes)
         halves = [_mirror_half(a) for a in axes]
         with np.errstate(over="ignore"):
             squares = [a[h:] * a[h:] for a, h in zip(axes, halves)]
@@ -182,13 +192,31 @@ class CatalogFunction:
                 out = np.concatenate([mirror, out], axis=i)
         return out
 
+    def axis_factors(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> list | None:
+        """The Gaussians' factors on each axis, whose outer product is on_axes' value
+        up to rounding, since exp(-t |x|^2) = prod_i exp(-t x_i^2): the Gaussian part
+        of the profile at the axis squares, with gaussian_density's constant on the
+        first axis (gaussian's is 1).  At d = 1 the one factor is on_axes' value bit
+        for bit.  None for the other members, which do not factor."""
+        if self.kind not in (GAUSSIAN, GAUSSIAN_DENSITY):
+            return None
+        axes = self._grid_axes(config, axes)
+        with np.errstate(over="ignore"):
+            factors = [self._decay(a * a) for a in axes]
+        factors[0] = self._norm(config) * factors[0]
+        return factors
+
+    def _decay(self, r2: np.ndarray) -> np.ndarray:
+        """exp(-t r^2) for gaussian(t), exp(-r^2 / 4t) for gaussian_density(t)."""
+        return np.exp(-self.param * r2) if self.kind == GAUSSIAN else np.exp(-r2 / (4.0 * self.param))
+
     def profile(self, config: MultiplicityConfig, r2: np.ndarray) -> np.ndarray:
         """The radial profile at squared radii r2 of any shape: the one body
         behind evaluate (r^2 from points) and on_axes (r^2 from axes)."""
         if self.kind == GAUSSIAN:
-            return np.exp(-self.param * r2)
+            return self._decay(r2)
         if self.kind == GAUSSIAN_DENSITY:
-            return self._norm(config) * np.exp(-r2 / (4.0 * self.param))
+            return self._norm(config) * self._decay(r2)
         if self.kind == GENERALIZED_CAUCHY:
             return (1.0 + r2) ** -self.param
         return self._norm(config) * _bessel_k_profile_values(config, self.param, np.sqrt(r2))
@@ -350,7 +378,8 @@ class DensityProduct:
     """The pointwise product of handles and (N, d) callables under a config,
     itself a plain (N, d) callable: every density of the package.  on_axes
     samples each factor on its own route, with the product's config, and
-    multiplies the grids in the factor order, the order of the call.
+    multiplies the grids in the factor order, the order of the call;
+    axis_factors does the same axis by axis.
     """
 
     config: MultiplicityConfig
@@ -362,6 +391,14 @@ class DensityProduct:
 
     def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
         return functools.reduce(operator.mul, (sample_grid(self.config, f, axes) for f in self.factors))
+
+    def axis_factors(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> list | None:
+        """On each axis the product of the factors' axis factors, in the factor order,
+        when every factor answers; else None."""
+        each = [sample_factors(self.config, f, axes) for f in self.factors]
+        if any(factors is None for factors in each):
+            return None
+        return [functools.reduce(operator.mul, column) for column in zip(*each)]
 
     @property
     def even(self) -> bool:
@@ -397,6 +434,14 @@ def sample_grid(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> n
     if on_axes is not None:
         return on_axes(config, axes)
     return evaluate_handle(config, fn, tensor_points(axes)).reshape(tuple(len(a) for a in axes))
+
+
+def sample_factors(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> list | None:
+    """fn's per-axis factors on `axes`, one array per axis whose outer product is fn on the
+    tensor grid: its `axis_factors` answer, or None when it gives none (a handle that does
+    not factor, a raw callable, a sampled handle)."""
+    axis_factors = getattr(fn, "axis_factors", None)
+    return None if axis_factors is None else axis_factors(config, axes)
 
 
 def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -7,11 +7,13 @@ odd parts,
   A_k(z) = Gamma(k+1/2) (|z|/2)^(1/2-k) J_{k-1/2}(|z|)
   B_k(z) = sign(z) Gamma(k+1/2) (|z|/2)^(1/2-k) J_{k+1/2}(|z|).
 
-Small arguments go through the normalized power series; beyond the cutoff
-the Bessel product form is used, with explicit sine/cosine ladders replacing
-the generic Bessel routine whenever 2k is an integer (the ladder is stable
-there because the cutoff keeps |z| above the largest order).  Every other
-order takes the generic branch.  Its jv zone, 6 < |z| < max(20, (k + 1/2)^2),
+Small arguments, |z| <= 6, go through the normalized power series; beyond
+that cutoff the Bessel product form is used, with explicit sine/cosine
+ladders replacing the generic Bessel routine whenever 2k is an integer and
+|z| > 2k + 2 (the forward recurrence is stable there, with |z| above the
+largest order).  Every other argument takes the generic branch: at a ladder
+k above 2 that is 6 < |z| <= 2k + 2, where the series would cancel (its
+terms reach the hundreds at k = 8).  Its jv zone, 6 < |z| < max(20, (k + 1/2)^2),
 is tabulated by piecewise Chebyshev interpolation (Trefethen, Approximation
 Theory and Approximation Practice, ch. 8; DLMF 3.11): panels of width 2 from
 |z| = 6, the last one ending exactly at the zone's top, each of degree 24 and
@@ -206,7 +208,7 @@ def _clenshaw(x: np.ndarray, c: np.ndarray, runs: np.ndarray) -> np.ndarray:
 
 def _bessel_pair_ladder(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(J_{k-1/2}(az), J_{k+1/2}(az)) by forward recurrence, for az above
-    the series cutoff so every order stays below the argument."""
+    2k + 2 so every order stays below the argument."""
     target = kappa + 0.5
     if (round(2.0 * kappa)) % 2 == 1:
         lo, hi = sps.j0(az), sps.j1(az)
@@ -410,26 +412,30 @@ def _parts(kappa: float, z: np.ndarray, odd: bool = True) -> list:
     if kappa == 0.0:
         return [np.cos(z), np.sin(z)] if odd else [np.cos(z)]
     parts = [np.empty_like(z) for _ in range(2 if odd else 1)]
-    ladder = kappa <= _LADDER_MAX_KAPPA and (2.0 * kappa).is_integer()
-    cutoff = max(_SERIES_CUTOFF, 2.0 * kappa + 2.0) if ladder else _SERIES_CUTOFF
-    small = np.abs(z) <= cutoff
+    small = np.abs(z) <= _SERIES_CUTOFF
     if small.any():
-        for part, vals in zip(parts, _series(kappa, z[small], True, cutoff, odd)):
+        for part, vals in zip(parts, _series(kappa, z[small], True, _SERIES_CUTOFF, odd)):
             part[small] = vals
-    big = ~small
-    if big.any():
-        az = np.abs(z[big])
-        if kappa == 0.5:  # J_0 and J_1 themselves: the prefactor Gamma(1) (a/2)^0 is exactly 1
-            vals = [sps.j0(az), sps.j1(az)] if odd else [sps.j0(az)]
-        elif ladder:  # the recurrence needs both orders; the odd one is dropped after it
-            pref = _prefactor(kappa, az)
-            vals = [pref * j for j in _bessel_pair_ladder(kappa, az)[: len(parts)]]
-        else:
-            vals = _bessel_pair_generic(kappa, az, odd)
-        parts[0][big] = vals[0]
-        if odd:
-            parts[1][big] = np.sign(z[big]) * vals[1]
+    # the ladder's forward recurrence is stable once |z| exceeds 2k + 2, above every order
+    # it runs through; between the cutoff and there (k > 2 only) the jv panels serve
+    ladder = kappa <= _LADDER_MAX_KAPPA and (2.0 * kappa).is_integer()
+    rungs = ~small & (np.abs(z) > 2.0 * kappa + 2.0) if ladder else np.zeros_like(small)
+    for zone, pair in ((rungs, _ladder_parts), (~small & ~rungs, _bessel_pair_generic)):
+        if zone.any():
+            vals = pair(kappa, np.abs(z[zone]), odd)
+            parts[0][zone] = vals[0]
+            if odd:
+                parts[1][zone] = np.sign(z[zone]) * vals[1]
     return parts
+
+
+def _ladder_parts(kappa: float, az: np.ndarray, odd: bool) -> list:
+    """The kernel's even part and its odd part over sign(z) at az > 2k + 2 for 2k an
+    integer, from the ladder, or the even part alone unless odd."""
+    if kappa == 0.5:  # J_0 and J_1 themselves: the prefactor Gamma(1) (a/2)^0 is exactly 1
+        return [sps.j0(az), sps.j1(az)] if odd else [sps.j0(az)]
+    pref = _prefactor(kappa, az)  # the recurrence needs both orders; the odd one is dropped after it
+    return [pref * j for j in _bessel_pair_ladder(kappa, az)[: 2 if odd else 1]]
 
 
 def _phase_1d(kappa: float, z: np.ndarray, sign: int) -> np.ndarray:

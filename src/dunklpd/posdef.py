@@ -6,12 +6,13 @@ nonnegative quadratic form; it is strictly positive definite when the form
 is positive for nonzero coefficients.  translation._translate_at computes
 that matrix of translates and the heat-smoothed form; bound_check contracts
 only its diagonal, over the density's Grid.summand (folded for an even
-phi).  The certifier leans on the transform side: the Gram form equals the
-weighted integral of |sum_j a_j E(-i x_j, xi)|^2 times the transform of
-phi, so a nonnegative transform certifies positive definiteness, and a
-nonnegative transform that is not identically zero certifies strictness
-(the phase functions attached to distinct points are linearly
-independent).
+phi, and a product of per-axis sums when the density factors over the
+axes, as a Gaussian's does).  The certifier leans on the transform side:
+the Gram form equals the weighted integral of |sum_j a_j E(-i x_j, xi)|^2
+times the transform of phi, so a nonnegative transform certifies positive
+definiteness, and a nonnegative transform that is not identically zero
+certifies strictness (the phase functions attached to distinct points are
+linearly independent).
 
 bochner_certify and strict_pd_certify read one sample of the transform on
 the certification mesh (_certificate): the strict certificate takes its
@@ -224,9 +225,9 @@ def bound_check(config: MultiplicityConfig, quad: QuadratureSpec | None, phi, xs
     density = spectral_density(config, spec, phi)
 
     def run(grid):
-        nodes, vw, _ = grid.summand(density)
-        mats = _axis_matrices(config, pts.T, nodes, INVERSE)
-        return config.mehta * _scatter_contract([(m.conj() * m).real for m in mats], vw)
+        summand = grid.summand(density)
+        mats = _axis_matrices(config, pts.T, summand.axes, INVERSE)
+        return config.mehta * summand.contract([(m.conj() * m).real for m in mats], _scatter_contract)
 
     diag, delta = two_pass(run, config, spec)
     diag_re = diag.real

@@ -9,7 +9,12 @@ degrades to algebraic convergence.  The weight stays in the integrand
 (folded into per-axis weight vectors), not in the rule itself.
 Every sum of a handle over a grid, an integral or a kernel sum, reads
 Grid.summand, the one owner of the orthant fold; value arrays are summed
-by Grid.integrate.
+by Grid.integrate.  Grid.summand also owns the separable layout: an even
+handle that factors over the axes (functions.sample_factors: the Gaussians,
+their densities and products of such) is laid out as one weighted factor
+per half axis, with no grid of n^d values, and every sum of it, by
+Summand.contract against one matrix per axis or by Summand.total, is a
+product of 1-D sums: O(d n) work per output in place of O(n^d).
 
 two_pass is the one place that runs a computation at n and at 2n nodes per
 axis, and it builds every grid a checked computation reads: given one spec
@@ -42,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .functions import even_by_construction, sample_grid, tensor_points
+from .functions import even_by_construction, sample_factors, sample_grid, tensor_points
 from .root_system import MultiplicityConfig
 
 _RESOLUTION = {
@@ -123,11 +128,30 @@ def _axis_rule(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Summand(NamedTuple):
-    """Grid.summand: the node axes it covers, the handle times the weights there, and the fold flag."""
+    """Grid.summand: the node axes it covers, the handle times the weights there, and the
+    fold flag.  A separable summand holds no vw: axis_vw holds one weighted factor per
+    axis, and vw would be their outer product.  Its sums are read through contract and
+    total, which take either layout."""
 
     axes: tuple
-    vw: np.ndarray
+    vw: np.ndarray | None
     folded: bool
+    axis_vw: tuple | None = None
+
+    def contract(self, mats: list, contraction: Callable, join=np.multiply) -> np.ndarray:
+        """contraction(mats, vw), the sum over the nodes against one matrix per axis.  On
+        a separable summand each axis is contracted alone, contraction([mats[i]],
+        axis_vw[i]), and the results are joined: np.multiply for the rows of scattered
+        points, np.multiply.outer for the axes of a tensor grid."""
+        if self.axis_vw is None:
+            return contraction(mats, self.vw)
+        return reduce(join, (contraction([m], v) for m, v in zip(mats, self.axis_vw)))
+
+    def total(self) -> float | complex:
+        """The sum over the nodes: of vw, or the product of the per-axis sums."""
+        if self.axis_vw is None:
+            return self.vw.sum()
+        return reduce(np.multiply, (v.sum() for v in self.axis_vw))
 
 
 class Grid:
@@ -178,9 +202,17 @@ class Grid:
         whose sum, or contraction against the kernel's even part
         (transform._blocked_scatter), is the sum over every node.  Else
         sample(fn) * weight_grid(), unfolded.
+
+        A folded fn that factors over the axes (functions.sample_factors) is
+        separable: axis_vw holds each factor times its half weights, and no grid
+        of n^d values is built.  Its outer product is the folded vw up to
+        rounding, and at d = 1 its one factor is vw bit for bit.
         """
         if not even_by_construction(fn):
             return Summand(self.axes, self.sample(fn) * self.weight_grid(), False)
+        factors = sample_factors(self.config, fn, self.half_axes)
+        if factors is not None:
+            return Summand(self.half_axes, None, True, tuple(f * w for f, w in zip(factors, self.half_weights)))
         weights = reduce(np.multiply.outer, self.half_weights)
         return Summand(self.half_axes, sample_grid(self.config, fn, self.half_axes) * weights, True)
 
@@ -215,4 +247,4 @@ def integrate_with_check(config, spec, integrand) -> tuple[float | complex, floa
     `integrand` is anything Grid.summand takes: a handle (a catalog handle
     samples from the axes and folds) or an (N, d) callable.
     """
-    return two_pass(lambda grid: grid.summand(integrand).vw.sum(), config, spec)
+    return two_pass(lambda grid: grid.summand(integrand).total(), config, spec)

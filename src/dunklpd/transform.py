@@ -45,6 +45,15 @@ plancherel_duality's pairings are sums of DensityProduct summands.  The
 route follows each handle's answer, with no option; every other sum
 (sampled handles, raw callables, their transforms) is complex over every
 node.
+
+The kernel is a product over the axes, so the sum of a folded summand
+that factors over them too (the Gaussians and products of them; see
+Grid.summand) separates: each axis is contracted alone, by the call its
+block uses (_grid_contract or _scatter_contract), and the per-axis results
+are multiplied, as an outer product on a tensor grid (Summand.contract).
+At d = 1 that is the dense sum, bit for bit.  Cauchy and Bessel-K handles,
+sampled handles, raw callables, _transformer's callables and products with
+any of these stay dense.
 """
 
 from __future__ import annotations
@@ -175,22 +184,28 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     of _row_factors there; without shift rows _axis_matrices builds A_k alone
     (sign 0).  The result is real, returned with zero imaginary parts.  Any
     other summand takes the complex sum over every node.
+
+    A separable summand (Grid.summand of a handle that factors over the axes)
+    is contracted axis by axis, each axis by its block's call alone, and the
+    per-axis sums are multiplied (Summand.contract): as an outer product on a
+    tensor grid, point by point for scattered points.  That is O(d n m) work
+    for m outputs on n half nodes per axis, in place of O(n^d m).
     """
-    nodes, vw, folded = summand
+    folded = summand.folded
     q = 0 if shifts is None else len(shifts)
     out = np.empty((max(q, 1), len(pts)), dtype=complex)
     axes = tensor_axes(pts)
     if axes is not None and max(len(a) for a in axes) <= _POINT_BLOCK:
-        blocks = [(slice(None), axes, _grid_contract)]
+        blocks = [(slice(None), axes, _grid_contract, np.multiply.outer)]
     else:
         step = _SCATTER_BLOCK[grid.config.dimension]
         spans = (slice(s, s + step) for s in range(0, len(pts), step))
-        blocks = [(sl, pts[sl].T, _scatter_contract) for sl in spans]
-    for sl, cols, contract in blocks:
+        blocks = [(sl, pts[sl].T, _scatter_contract, np.multiply) for sl in spans]
+    for sl, cols, contract, join in blocks:
         rows = cols if q == 0 else [np.concatenate([s, c]) for s, c in zip(shifts.T, cols)]
-        mats = _axis_matrices(grid.config, rows, nodes, 0 if folded and q == 0 else sign)
+        mats = _axis_matrices(grid.config, rows, summand.axes, 0 if folded and q == 0 else sign)
         for j in range(max(q, 1)):
-            out[j, sl] = contract(_row_factors(mats, q, j, folded), vw).reshape(-1)
+            out[j, sl] = summand.contract(_row_factors(mats, q, j, folded), contract, join).reshape(-1)
     return out
 
 
@@ -330,7 +345,7 @@ def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, 
     spec = _resolve_spec(config, quad)
     df, dg = spectral_density(config, spec, f), spectral_density(config, spec, g)
     pairs = DensityProduct(config, (df, g)), DensityProduct(config, (f, dg))
-    run = lambda grid: tuple(complex(grid.summand(fg).vw.sum()) for fg in pairs)
+    run = lambda grid: tuple(complex(grid.summand(fg).total()) for fg in pairs)
     (lhs, rhs), delta = two_pass(run, config, spec)
     return IdentityReport(
         identity_name="transform_pairing_symmetry",

@@ -14,7 +14,10 @@ _translate_at is the one translation sum, the matrix T[j, m] of translates
 by y_j evaluated at x_m.  It serves translates, posdef's Gram matrices (T at
 y = x) and its heat-smoothed form, and no convolution.  translate_mass
 reads Grid.summand for its spectral sum and the mass of f, and the outer
-grid's orthant (Grid.half_axes) for its position sum.
+grid's orthant (Grid.half_axes) for its position sum.  For a Gaussian f
+both sums are separable: products over the axes of 1-D sums
+(Summand.contract and Summand.total), as are the translates and Gram
+matrices of a Gaussian.
 
 All operators accept catalog handles, sampled handles with spectral hints,
 or plain callables; the spectral density is routed through
@@ -98,12 +101,12 @@ def translate_mass(
     density = spectral_density(config, spec, f)
 
     def run(gi, go):
-        nodes, vw, folded = gi.summand(density)
-        cols = _axis_matrices(config, go.half_axes, nodes, 0)
-        shifts = _axis_matrices(config, yv[:, None], nodes, 0 if folded else FORWARD)
+        summand = gi.summand(density)
+        cols = _axis_matrices(config, go.half_axes, summand.axes, 0)
+        shifts = _axis_matrices(config, yv[:, None], summand.axes, 0 if summand.folded else FORWARD)
         rows = [s * (w @ c) for s, w, c in zip(shifts, go.half_weights, cols)]
-        lhs = config.mehta * complex(_scatter_contract(rows, vw)[0])
-        return lhs, complex(go.summand(f).vw.sum())
+        lhs = config.mehta * complex(summand.contract(rows, _scatter_contract)[0])
+        return lhs, complex(go.summand(f).total())
 
     (lhs, rhs), delta = two_pass(run, config, spec, outer_spec)
     return IdentityReport(

@@ -1,10 +1,10 @@
 """Operators route a handle by what it answers, never by its type.
 
 Each capability (evaluate, on_axes, partner, spectral_hint, profile,
-nonnegative) is read with getattr(fn, name, None).  A handle class defined
-here, neither a CatalogFunction nor a SampledFunction, answers evaluate,
-on_axes, partner and nonnegative with the values of gaussian(1), and every
-reader routes it by those answers.
+nonnegative, even, axis_factors) is read with getattr(fn, name, None).  A
+handle class defined here, neither a CatalogFunction nor a SampledFunction,
+answers evaluate, on_axes, partner and nonnegative with the values of
+gaussian(1), and every reader routes it by those answers.
 """
 
 import functools
@@ -25,6 +25,7 @@ from dunklpd.functions import (
     uniform_axes,
 )
 from dunklpd.posdef import bochner_forward, closure_suite
+from dunklpd.quadrature import Grid, QuadratureSpec, integrate_with_check
 from dunklpd.transform import closed_form_transform, spectral_density
 from dunklpd.translation import translate_mass
 
@@ -135,3 +136,37 @@ def test_density_product_on_axes_is_the_product_of_its_factors_samples():
     assert product.on_axes(PLANE, axes).tobytes() == old.tobytes()
     assert sample_grid(PLANE, product, axes).tobytes() == old.tobytes()
     assert sample_grid(PLANE, product, axes).reshape(-1).tobytes() == product(tensor_points(axes)).tobytes()
+
+
+class Factoring(Answering):
+    """Answering, even, and with gaussian(1)'s per-axis factors, or None when told."""
+
+    def __init__(self, even=True, factors=True):
+        super().__init__()
+        self.even, self.answers = even, factors
+
+    def axis_factors(self, config, axes):
+        self.asked.append("axis_factors")
+        return self.inner.axis_factors(config, axes) if self.answers else None
+
+
+def test_the_axis_factors_answer_separates_an_even_sum():
+    spec = QuadratureSpec(5.0, 16)
+    grid = Grid(PLANE, spec)
+    h = Factoring()
+    summand = grid.summand(h)
+    assert h.asked == ["axis_factors"]
+    assert summand.folded and summand.vw is None
+    want = grid.summand(gaussian(1.0))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(summand.axis_vw, want.axis_vw))
+    assert integrate_with_check(PLANE, spec, h) == integrate_with_check(PLANE, spec, gaussian(1.0))
+    # an even handle whose answer is None is sampled on the half axes, dense
+    h = Factoring(factors=False)
+    summand = grid.summand(h)
+    assert h.asked == ["axis_factors", "on_axes"]
+    assert summand.folded and summand.axis_vw is None
+    # a handle that is not even is not asked: it is summed over every node
+    h = Factoring(even=False)
+    summand = grid.summand(h)
+    assert h.asked == ["on_axes"]
+    assert not summand.folded and summand.axis_vw is None

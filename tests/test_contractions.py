@@ -27,6 +27,7 @@ from dunklpd.functions import (
     DensityProduct,
     even_by_construction,
     gaussian,
+    gaussian_density,
     generalized_cauchy,
     sample_on_axes,
     tensor_axes,
@@ -409,8 +410,8 @@ def test_unfolded_inputs_take_the_complex_sum(case, rng):
         "sampled": sample_on_axes(config, gaussian(1.0), uniform_axes(2, 5.0, 21)),
     }[case]
     summand = grid.summand(f)
-    nodes, vw, folded = summand
-    assert not folded and all(a is b for a, b in zip(nodes, grid.axes))
+    nodes, vw, folded, axis_vw = summand
+    assert not folded and axis_vw is None and all(a is b for a, b in zip(nodes, grid.axes))
     np.testing.assert_array_equal(vw, grid.sample(f) * grid.weight_grid())
     ys, xs = _points(config, rng, 2), _points(config, rng, 5)
     mats = transform._axis_matrices(config, [np.concatenate([s, c]) for s, c in zip(ys.T, xs.T)], grid.axes, INVERSE)
@@ -528,31 +529,43 @@ def test_transforms_answer_even_when_their_sum_folds():
 
 # Every sum of a handle over a grid reads Grid.summand: the translate diagonal
 # of bound_check, integrate_with_check, both sides of translate_mass and both
-# pairings of plancherel_duality.  An even handle is sampled, and its phase
-# matrices built, on the nonnegative half axes alone; a raw callable or a
-# sampled handle on every node.  Each sum is run on SPEC, so its reported
-# value is the doubled pass, and compared with that sum written out over every
-# node of Grid(config, SPEC.doubled()).
+# pairings of plancherel_duality.  An even handle is sampled, or factored per
+# axis when it factors (the Gaussians), and its phase matrices built, on the
+# nonnegative half axes alone; a raw callable or a sampled handle on every
+# node.  Each sum is run on SPEC, so its reported value is the doubled pass,
+# and compared with that sum written out over every node of
+# Grid(config, SPEC.doubled()).
 HANDLE_SUMS = ("bound_check", "integrate_with_check", "translate_mass", "plancherel_duality")
 _PAIRED = gaussian(0.7)  # plancherel_duality's g
 
 
 def _spy_on_grid_axes(monkeypatch):
     """Record the axes of every grid sample (quadrature.sample_grid, behind
-    Grid.sample and Grid.summand) and the columns of every phase matrix."""
-    seen = {"sample": [], "phase": []}
-    sample, phases = quadrature.sample_grid, transform._axis_matrices
+    Grid.sample and Grid.summand), of every answered per-axis factoring
+    (quadrature.sample_factors, behind a separable Grid.summand) and the
+    columns of every phase matrix."""
+    seen = {"sample": [], "factors": [], "phase": []}
+    sample, factors, phases = quadrature.sample_grid, quadrature.sample_factors, transform._axis_matrices
+
+    def spy_factors(c, fn, axes):
+        out = factors(c, fn, axes)
+        if out is not None:
+            seen["factors"].append(axes)
+        return out
+
     spy_sample = lambda c, fn, axes: seen["sample"].append(axes) or sample(c, fn, axes)
     spy = lambda c, rows, cols, sign: seen["phase"].append(cols) or phases(c, rows, cols, sign)
     monkeypatch.setattr(quadrature, "sample_grid", spy_sample)
+    monkeypatch.setattr(quadrature, "sample_factors", spy_factors)
     for module in (transform, translation, posdef):
         monkeypatch.setattr(module, "_axis_matrices", spy)
     return seen
 
 
-def _run_handle_sum(name, config, f, xs, y, monkeypatch):
+def _run_handle_sum(name, config, f, xs, y, monkeypatch, paired=_PAIRED):
     """The sum's values: bound_check's fine diagonal (read from its two_pass),
-    integrate_with_check's value, and (lhs, rhs) of the two identities."""
+    integrate_with_check's value, and (lhs, rhs) of the two identities, with
+    paired as plancherel_duality's g."""
     if name == "bound_check":
         passes, real = [], posdef.two_pass
         monkeypatch.setattr(posdef, "two_pass", lambda *a: passes.append(real(*a)) or passes[-1])
@@ -563,7 +576,7 @@ def _run_handle_sum(name, config, f, xs, y, monkeypatch):
     if name == "translate_mass":
         rep = translate_mass(config, SPEC, f, y)
     else:
-        rep = plancherel_duality(config, SPEC, f, _PAIRED)
+        rep = plancherel_duality(config, SPEC, f, paired)
     return complex(rep.computed), complex(rep.expected)
 
 
@@ -588,19 +601,39 @@ def _full_grid_sum(name, config, f, xs, y):
     return np.sum(f.evaluate(config, nodes) * dg(nodes) * w), np.sum(df(nodes) * _PAIRED.evaluate(config, nodes) * w)
 
 
-@pytest.mark.parametrize("name", HANDLE_SUMS)
-@pytest.mark.parametrize("dim,kappa", CONFIGS)
-def test_even_handle_sums_fold_onto_the_half_axes(dim, kappa, name, rng, monkeypatch):
-    config = make_config(dim, kappa)
-    f, xs, y = gaussian(1.0), _points(config, rng, 4), _points(config, rng, 1)[0]
+def _folded_handle_sum(name, config, f, rng, monkeypatch) -> dict:
+    """Run the sum of the even handle f, check that it read the half axes alone and
+    matches the sum over every node; return what the spy saw."""
+    xs, y = _points(config, rng, 4), _points(config, rng, 1)[0]
     seen = _spy_on_grid_axes(monkeypatch)
     got = _run_handle_sum(name, config, f, xs, y, monkeypatch)
-    assert seen["sample"] and bool(seen["phase"]) == (name in ("bound_check", "translate_mass"))
-    for axes in seen["sample"] + seen["phase"]:
+    assert bool(seen["phase"]) == (name in ("bound_check", "translate_mass"))
+    for axes in seen["sample"] + seen["factors"] + seen["phase"]:
         assert all(np.all(a > 0.0) for a in axes), name
     monkeypatch.undo()
     want = _full_grid_sum(name, config, f, xs, y)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    return seen
+
+
+# gaussian(1), its density and plancherel_duality's pairings of the two factor
+# over the axes: every summand is separable and no grid is sampled
+@pytest.mark.parametrize("name", HANDLE_SUMS)
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_even_handle_sums_fold_onto_the_half_axes(dim, kappa, name, rng, monkeypatch):
+    seen = _folded_handle_sum(name, make_config(dim, kappa), gaussian(1.0), rng, monkeypatch)
+    assert seen["factors"] and not seen["sample"]
+
+
+# the Cauchy profile and its Bessel-K density do not factor: their folded
+# summands are sampled on the half axes, dense
+@pytest.mark.parametrize("name", HANDLE_SUMS)
+@pytest.mark.parametrize("dim,kappa", CONFIGS)
+def test_dense_even_handle_sums_fold_onto_the_half_axes(dim, kappa, name, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    f = generalized_cauchy(config.gamma + config.dimension / 2.0 + 2.0)
+    seen = _folded_handle_sum(name, config, f, rng, monkeypatch)
+    assert seen["sample"] and not seen["factors"]
 
 
 # the unfolded contractions are the code they were before every handle sum went
@@ -658,3 +691,69 @@ def test_raw_and_sampled_handle_sums_stay_unfolded(dim, kappa, case, name, rng, 
     pairings = [DensityProduct(config, (f, dg)), DensityProduct(config, (df, _PAIRED))]
     assert got == tuple(complex(summed(fg)) for fg in pairings)
     np.testing.assert_allclose(got, [old_integral(fg) for fg in pairings], rtol=1e-14)
+
+
+# The separable route against the dense one.  _Dense answers what its handle
+# answers except axis_factors, and wraps its partner the same way, so its sums
+# take the dense folded route with no switch in the package.  The routes
+# differ only in rounding: exp(-t |x|^2) against prod_i exp(-t x_i^2), and
+# the order of the sums.  At d = 1 the one factor is the dense summand and
+# each axis is contracted by the same call, so the routes agree bit for bit.
+class _Dense:
+    """inner's answers, all but axis_factors; its partner is wrapped the same way."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        if name == "axis_factors":
+            raise AttributeError(name)
+        answer = getattr(self.inner, name)
+        return (lambda config: _Dense(answer(config))) if name == "partner" else answer
+
+    def __call__(self, points):
+        return self.inner(points)
+
+
+_SEPARABLE = {
+    "gaussian": lambda config: gaussian(1.0),
+    "gaussian_density": lambda config: gaussian_density(0.8),
+    "product": lambda config: DensityProduct(config, (gaussian(0.6), gaussian_density(1.1))),
+}
+# translate_mass needs a handle that answers nonnegative, which a DensityProduct does not
+_ROUTE_CASES = [
+    (handle, name)
+    for handle in _SEPARABLE
+    for name in ("forward", "translate", "gram") + HANDLE_SUMS
+    if (handle, name) != ("product", "translate_mass")
+]
+
+
+def _any_handle_sum(name, config, f, xs, y, paired, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        if name == "forward":
+            return forward(config, SPEC, f, xs)
+        if name == "translate":
+            return translate(config, SPEC, f, y, xs)
+        if name == "gram":
+            return gram(config, SPEC, f, builtin_points(config.dimension, 4)).matrix
+        got = _run_handle_sum(name, config, f, xs, y, monkeypatch, paired)
+    monkeypatch.undo()
+    return got
+
+
+@pytest.mark.parametrize("handle,name", _ROUTE_CASES)
+@pytest.mark.parametrize("dim,kappa", [(1, [0.5]), (2, [1.0, 0.0]), (2, [0.3, 1.7]), (3, [1.0, 0.5, 0.0])])
+def test_separable_sums_match_the_dense_route(dim, kappa, handle, name, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    f = _SEPARABLE[handle](config)
+    xs, y = _points(config, rng, 4), _points(config, rng, 1)[0]
+    assert quadrature.sample_factors(config, f, Grid(config, SPEC).half_axes) is not None
+    assert quadrature.sample_factors(config, _Dense(f), Grid(config, SPEC).half_axes) is None
+    got = np.asarray(_any_handle_sum(name, config, f, xs, y, _PAIRED, monkeypatch))
+    want = np.asarray(_any_handle_sum(name, config, _Dense(f), xs, y, _Dense(_PAIRED), monkeypatch))
+    if dim == 1:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))

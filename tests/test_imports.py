@@ -260,6 +260,19 @@ def test_the_orthant_fold_has_one_owner():
     assert not hasattr(Grid, "weighted")
 
 
+# Grid.summand is also the one owner of the separable layout: only it asks a
+# handle for its per-axis factors (functions.sample_factors; no module reads
+# an axis_factors attribute) and multiplies them by the half weights, and
+# only Summand reads a summand's values, dense (vw) or per axis (axis_vw).
+# Every other module sums a summand through Summand.contract or
+# Summand.total, which take either layout.
+def test_the_separable_layout_has_one_owner():
+    assert _package_readers(attribute_readers, "axis_factors") == set()
+    assert _package_users("sample_factors", skip="functions.py") == {"quadrature.Grid"}
+    for values in ("vw", "axis_vw"):
+        assert _package_readers(attribute_readers, values) == {"quadrature.Summand"}, values
+
+
 def test_handle_sums_read_the_summand_and_value_arrays_integrate():
     assert _package_readers(attribute_readers, "summand") == {
         "transform._transformer",

@@ -100,6 +100,35 @@ _FROZEN_PANELS = [
     (3.25, 18.0, complex(0.0017131358748241733201, -0.0013067637389740171072)),
 ]
 
+# (kappa, z, value) at ladder orders above 2 between the series cutoff 6 and
+# 2k + 2, below which the ladder's recurrence is not run: the jv panels serve
+# there, since the alternating series cancels (its terms reach the hundreds
+# at k = 8; it was off by 8.8e-11 at k = 6.5, z = 14.99 and by 3.0e-10 at
+# k = 8, z = 17.99); 40-digit mpmath
+_FROZEN_LADDER_GAP = [
+    (3.0, 6.5, complex(-0.035534525973796286051, -0.024199235438196720334)),
+    (3.0, 7.0, complex(-0.041101919630755365823, 0.00049348373239496115689)),
+    (3.0, -7.6, complex(-0.034745465105918721359, -0.018625073939353964178)),
+    (3.0, 7.99, complex(-0.02626904951103947524, 0.024072759483091561257)),
+    (4.0, 6.3, complex(0.040457628517597172446, -0.077724504098605418649)),
+    (4.0, 7.5, complex(-0.015359750951765981725, -0.019733054107194852111)),
+    (4.0, 8.7, complex(-0.019104997243911556935, 0.0084340333794542939162)),
+    (4.0, -9.4, complex(-0.011368818648807725346, -0.012435055665851543305)),
+    (4.0, 9.99, complex(-0.0042581675205037127563, 0.011133776712163091008)),
+    (6.5, 6.2, complex(0.2179032635932076731, -0.12095841258049407776)),
+    (6.5, 8.1, complex(0.05386407105672463459, -0.053168097515540947834)),
+    (6.5, 10.3, complex(-0.0030879680318341189157, -0.0062897749616440176712)),
+    (6.5, -12.6, complex(-0.0021267798518177764792, -0.0026669859472602146785)),
+    (6.5, 14.2, complex(0.00065482632029595497526, 0.00066106914018079452809)),
+    (6.5, 14.99, complex(0.00083532318733452370429, -0.00013225156674720628921)),
+    (8.0, 6.7, complex(0.2388407762713390878, -0.11191068693077272555)),
+    (8.0, 9.0, complex(0.058461841696097032789, -0.046619045905233778956)),
+    (8.0, 11.4, complex(0.0015959261673653217503, -0.0072503282528636785478)),
+    (8.0, -13.8, complex(-0.0016553570914629941384, -0.0012194229629737321422)),
+    (8.0, 16.1, complex(0.00026505664100158559918, 0.00021751862303066476674)),
+    (8.0, 17.99, complex(0.00014593324477906939045, -0.0001816123954650571991)),
+]
+
 # (kappa, z, value) where Gamma(k+1/2) (z/2)^(1/2-k) is a normal float but
 # the power (z/2)^(1/2-k) alone underflows (kernel._prefactor); both in the
 # jv zone; 40-digit mpmath
@@ -245,6 +274,25 @@ class TestGenericBranch:
             below = kernel_1d(kappa, 1.0, np.nextafter(cutoff, 0.0))
             np.testing.assert_allclose(below, kernel_1d(kappa, 1.0, cutoff), rtol=1e-13, atol=0)
 
+    # each part to 1e-13 of itself; the worst measured is 6.5e-14, the odd part
+    # at k = 3, z = 7, near a zero of J_{7/2}
+    @pytest.mark.parametrize("kappa,z,expected", _FROZEN_LADDER_GAP)
+    def test_ladder_orders_take_the_panels_below_2k_plus_2(self, kappa, z, expected):
+        got = _phase_1d(kappa, np.array([z]), -1)[0]
+        np.testing.assert_allclose([got.real, got.imag], [expected.real, expected.imag], rtol=1e-13, atol=0.0)
+
+    def test_the_ladder_runs_above_2k_plus_2_and_above_the_cutoff(self, monkeypatch):
+        seen = []
+        real = kernel_module._bessel_pair_generic
+        monkeypatch.setattr(kernel_module, "_bessel_pair_generic", lambda k, az, odd: seen.append(az) or real(k, az, odd))
+        z = np.linspace(-30.0, 30.0, 6001)
+        for kappa in (0.5, 1.0, 1.5, 2.0):  # 2k + 2 <= 6: the panels are never read
+            _phase_1d(kappa, z, -1)
+        assert seen == []
+        _phase_1d(8.0, z, -1)
+        (az,) = seen
+        np.testing.assert_array_equal(az, np.abs(z[(np.abs(z) > 6.0) & (np.abs(z) <= 18.0)]))
+
     @pytest.mark.parametrize("kappa,z,expected", _FROZEN_PANELS)
     def test_pinned_panel_values_both_signs(self, kappa, z, expected):
         np.testing.assert_allclose(kernel_1d(kappa, 1.0, z), expected, rtol=1e-13, atol=0)
@@ -378,7 +426,7 @@ class TestSizedSums:
     @pytest.mark.parametrize("kappa", _SIZED_KAPPAS)
     @pytest.mark.parametrize("alternating", [True, False])
     def test_series_matches_the_full_sum_up_to_its_cutoff(self, kappa, alternating, monkeypatch):
-        # 6 for every series, 2k + 2 for the ladder's alternating one
+        # 6, the cutoff of every series, and the wider 2k + 2
         for bound in sorted({6.0, max(6.0, 2.0 * kappa + 2.0)}):
             edge = np.array([bound, np.nextafter(bound, 0.0)])
             z = np.concatenate((np.linspace(-bound, bound, 2001), edge, -edge))

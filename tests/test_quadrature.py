@@ -1,5 +1,6 @@
 """Weighted tensor quadrature: exactness, defaults, and the two-pass check."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -173,7 +174,19 @@ class TestGridSampling:
             orthant = (slice(grid.shape[0] // 2, None),) * dim
             summand = grid.summand(density)
             assert summand.folded and all(a is b for a, b in zip(summand.axes, grid.half_axes))
-            np.testing.assert_array_equal(summand.vw, 2.0**dim * (grid.sample(density) * grid.weight_grid())[orthant])
+            dense = 2.0**dim * (grid.sample(density) * grid.weight_grid())[orthant]
+            assert (summand.axis_vw is not None) == (f.kind in (functions.GAUSSIAN, functions.GAUSSIAN_DENSITY))
+            if summand.axis_vw is None:
+                np.testing.assert_array_equal(summand.vw, dense)
+            elif dim == 1:
+                assert summand.vw is None
+                np.testing.assert_array_equal(summand.axis_vw[0], dense)
+            else:
+                # the Gaussians' factors: exp(-s) turns the rounding of its argument s
+                # into a relative error near s eps / 2, and s reaches 52 here (gaussian(0.7)
+                # at |x|^2 = 75); the worst difference measured is 24.9 eps, at d=3
+                outer = functools.reduce(np.multiply.outer, summand.axis_vw)
+                np.testing.assert_allclose(outer, dense, rtol=32 * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
     def test_catalog_sampling_builds_no_points(self, dim, kappa, monkeypatch):
