@@ -76,7 +76,7 @@ from scipy import special as sps
 from .errors import ConfigurationError, InputError
 from .kernel import _LADDER_MAX_KAPPA, _per_distinct
 from .reports import _sign_excess
-from .root_system import MultiplicityConfig, _query_points
+from .root_system import MultiplicityConfig, _in_range, _query_points, _real_points
 
 GAUSSIAN = "gaussian"
 GAUSSIAN_DENSITY = "gaussian_density"
@@ -110,11 +110,11 @@ class CatalogFunction:
     def __post_init__(self):
         if self.kind not in CATALOG_KINDS:
             raise ConfigurationError(f"unknown catalog function {self.kind!r}")
-        p = float(self.param)
-        if not np.isfinite(p) or p <= 0.0:
+        if not _in_range(self.param, 0.0, math.inf):
             raise ConfigurationError(
                 f"{self.kind} parameter {CATALOG_PARAM[self.kind]} must be positive, got {self.param!r}"
             )
+        object.__setattr__(self, "param", float(self.param))
 
     def validate_for(self, config: MultiplicityConfig) -> None:
         """Parameter constraints that depend on the active config."""
@@ -165,7 +165,7 @@ class CatalogFunction:
     def _grid_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> list:
         """The axes as float arrays, one per dimension and finite, for a handle valid for config."""
         self.validate_for(config)
-        axes = [np.asarray(a, dtype=float) for a in axes]
+        axes = [_real_points(a, "on a grid axis") for a in axes]
         if len(axes) != config.dimension:
             raise InputError(f"expected {config.dimension} grid axes, got {len(axes)}")
         if not all(np.all(np.isfinite(a)) for a in axes):
@@ -285,19 +285,19 @@ def _small_radius_sum(alpha: float, r: np.ndarray) -> np.ndarray:
 
 
 def gaussian(t: float) -> CatalogFunction:
-    return CatalogFunction(GAUSSIAN, float(t))
+    return CatalogFunction(GAUSSIAN, t)
 
 
 def gaussian_density(t: float) -> CatalogFunction:
-    return CatalogFunction(GAUSSIAN_DENSITY, float(t))
+    return CatalogFunction(GAUSSIAN_DENSITY, t)
 
 
 def generalized_cauchy(p: float) -> CatalogFunction:
-    return CatalogFunction(GENERALIZED_CAUCHY, float(p))
+    return CatalogFunction(GENERALIZED_CAUCHY, p)
 
 
 def bessel_k_profile(p: float) -> CatalogFunction:
-    return CatalogFunction(BESSEL_K_PROFILE, float(p))
+    return CatalogFunction(BESSEL_K_PROFILE, p)
 
 
 @dataclass(frozen=True)
@@ -314,17 +314,21 @@ class SampledFunction:
     spectral_hint: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.axes) == 0:
-            raise InputError("sampled function needs at least one axis")
-        shape = tuple(len(a) for a in self.axes)
-        vals = np.asarray(self.values)
+        axes = tuple(_real_points(a, "on a grid axis") for a in self.axes)
+        increasing = lambda a: a.ndim == 1 and len(a) > 1 and np.all(np.isfinite(a)) and np.all(np.diff(a) > 0)
+        if not axes or not all(map(increasing, axes)):
+            raise InputError("a sampled function needs axes, each finite and strictly increasing with >= 2 nodes")
+        try:
+            vals = np.asarray(self.values, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"sampled values must be numbers: {exc}") from None
+        shape = tuple(len(a) for a in axes)
         if vals.shape != shape:
             raise InputError(f"values shape {vals.shape} does not match grid shape {shape}")
         if not np.all(np.isfinite(vals)):
             raise InputError("sampled values must be finite (found nan or inf)")
-        for a in self.axes:
-            if len(a) < 2 or not np.all(np.isfinite(a)) or not np.all(np.diff(a) > 0):
-                raise InputError("grid axes must be finite and strictly increasing with >= 2 nodes")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "values", vals)
 
     @property
     def dimension(self) -> int:
@@ -334,7 +338,7 @@ class SampledFunction:
         if config.dimension != self.dimension:
             raise InputError(f"sampled function has dimension {self.dimension}, config {config.dimension}")
         pts, squeeze = _query_points(config, points)
-        out = _multilinear(self.axes, np.asarray(self.values, dtype=complex), pts)
+        out = _multilinear(self.axes, self.values, pts)
         return out[0] if squeeze else out
 
     @property
@@ -386,7 +390,7 @@ class DensityProduct:
     factors: tuple
 
     def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_real_points(points, f"in R^{self.config.dimension}"))
         return functools.reduce(operator.mul, (evaluate_handle(self.config, f, pts) for f in self.factors))
 
     def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -419,7 +423,7 @@ def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.nd
         return np.asarray(evaluate(config, points))
     if not callable(fn):
         raise InputError(f"not a function handle: {type(fn).__name__}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_real_points(points, f"in R^{config.dimension}"))
     out = np.asarray(fn(pts))
     if out.shape != (len(pts),):
         raise InputError(f"a callable at points of shape {pts.shape} must return shape {(len(pts),)}, got {out.shape}")
@@ -504,8 +508,8 @@ def _mirror_half(a: np.ndarray) -> int:
 
 def sample_on_axes(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> SampledFunction:
     """Tabulate a handle or an (N, d) -> values callable on a tensor grid."""
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    return SampledFunction(axes, np.asarray(sample_grid(config, fn, axes), dtype=complex))
+    axes = tuple(_real_points(a, "on a grid axis") for a in axes)
+    return SampledFunction(axes, sample_grid(config, fn, axes))
 
 
 def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray, ...]:
@@ -513,9 +517,7 @@ def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray,
         raise InputError(f"grid dimension must be a whole number >= 1, got {dimension!r}")
     if not (isinstance(count, (int, float, np.integer, np.floating)) and float(count).is_integer() and count >= 2):
         raise InputError(f"need a whole number of at least 2 nodes per axis, got {count!r}")
-    if isinstance(extent, bool) or not (
-        isinstance(extent, (int, float, np.integer, np.floating)) and 0.0 < extent < math.inf
-    ):
+    if not _in_range(extent, 0.0, math.inf):
         raise InputError(f"grid extent must be finite and positive, got {extent!r}")
     extent = float(extent)
     ax = np.linspace(-extent, extent, int(count))
@@ -528,7 +530,7 @@ def uniform_axes(dimension: int, extent: float, count: int) -> tuple[np.ndarray,
 
 def sampled_to_csv(fn: SampledFunction) -> str:
     header = ",".join([f"x{i + 1}" for i in range(fn.dimension)] + ["re", "im"])
-    flat = np.asarray(fn.values, dtype=complex).reshape(-1)
+    flat = fn.values.reshape(-1)
     table = np.column_stack([tensor_points(fn.axes), flat.real, flat.imag])
     buf = io.StringIO()
     np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=header, comments="")

@@ -105,7 +105,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import DomainError
-from .root_system import MultiplicityConfig
+from .root_system import MultiplicityConfig, _in_range, _real_points
 
 _SERIES_TERMS = 30
 _SERIES_TAIL = 1e-19
@@ -122,10 +122,9 @@ _REAL_MAX_ARG = float(np.log(np.finfo(float).max))  # the real kernel's domain: 
 
 
 def _check_kappa(kappa: float) -> float:
-    k = float(kappa)
-    if not math.isfinite(k) or k < 0.0:
+    if not _in_range(kappa, 0.0, math.inf, closed=True):
         raise DomainError(f"multiplicity must be finite and >= 0, got {kappa!r}")
-    return k
+    return float(kappa)
 
 
 def _gamma(x: float) -> float:
@@ -151,16 +150,16 @@ def _series_coeffs(kappa: float, alternating: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _series_terms(kappa: float, bound: float) -> int:
+def _series_terms(kappa: float) -> int:
     """The fewest terms, at most _SERIES_TERMS, of both series of _series
-    whose tails (the sums of the terms left out) are below 1e-19 at
-    |z| = bound, and so at every smaller |z|: 22 at k = 0 and bound 6, 20 at
-    k = 2.  The alternating series have the same terms up to sign.  The
-    terms are taken in logs, which no kappa overflows."""
+    whose tails (the sums of the terms left out) are below 1e-19 at the
+    cutoff |z| = 6, and so at every smaller |z|: 22 at k = 0, 20 at k = 2.
+    The alternating series have the same terms up to sign.  The terms are
+    taken in logs, which no kappa overflows."""
     m = np.arange(3 * _SERIES_TERMS)
-    log_term = math.lgamma(kappa + 0.5) - sps.gammaln(m + 1.0) + 2.0 * m * math.log(bound / 2.0)
+    log_term = math.lgamma(kappa + 0.5) - sps.gammaln(m + 1.0) + 2.0 * m * math.log(_SERIES_CUTOFF / 2.0)
     even, odd = (np.exp(log_term - sps.gammaln(m + kappa + shift)) for shift in (0.5, 1.5))
-    terms = even + bound / 2.0 * odd
+    terms = even + _SERIES_CUTOFF / 2.0 * odd
     tails = np.cumsum(terms[::-1])[::-1][1 : _SERIES_TERMS + 1]  # entry n - 1: the terms from n on
     below = tails < _SERIES_TAIL
     return int(np.argmax(below)) + 1 if below.any() else _SERIES_TERMS
@@ -319,10 +318,10 @@ def _jv_top(kappa: float) -> float:
     return max(_HANKEL_MIN_ARG, (kappa + 0.5) ** 2)
 
 
-def _panel_bounds(kappa: float, index: int) -> tuple[float, float]:
-    """Panel index of the jv zone [6, top): width 2, the last one ending at top."""
+def _panel_bounds(kappa: float, index):
+    """Bounds of panel index (or an array of them) of the jv zone [6, top): width 2, the last ending at top."""
     lo = _SERIES_CUTOFF + _PANEL_WIDTH * index
-    return lo, min(lo + _PANEL_WIDTH, _jv_top(kappa))
+    return lo, np.minimum(lo + _PANEL_WIDTH, _jv_top(kappa))
 
 
 @lru_cache(maxsize=4096)
@@ -353,11 +352,9 @@ def _jv_tabulated(kappa: float, a: np.ndarray, odd: bool) -> np.ndarray:
     cols = 2 if odd else 1
     if not a.size:
         return np.empty((cols, 0))
-    top = _jv_top(kappa)
-    count = math.ceil((top - _SERIES_CUTOFF) / _PANEL_WIDTH)
+    count = math.ceil((_jv_top(kappa) - _SERIES_CUTOFF) / _PANEL_WIDTH)
     index = np.searchsorted(_SERIES_CUTOFF + _PANEL_WIDTH * np.arange(1, count), a, side="right")
-    lo = _SERIES_CUTOFF + _PANEL_WIDTH * index
-    hi = np.minimum(lo + _PANEL_WIDTH, top)
+    lo, hi = _panel_bounds(kappa, index)
     t = (2.0 * a - (lo + hi)) / (hi - lo)
     starts = np.flatnonzero(np.diff(index, prepend=-1))  # a ascends, so each panel's elements are one run
     table = np.stack([_jv_panel(kappa, i)[:, :cols] for i in index[starts].tolist()], axis=-1)
@@ -391,14 +388,14 @@ def _bessel_pair_generic(kappa: float, az: np.ndarray, odd: bool) -> np.ndarray:
     return _per_distinct(pair, az)
 
 
-def _series(kappa: float, z: np.ndarray, alternating: bool, bound: float, odd: bool = True) -> tuple[np.ndarray, ...]:
+def _series(kappa: float, z: np.ndarray, alternating: bool, odd: bool = True) -> tuple[np.ndarray, ...]:
     """(even, odd) power series in z/2 of E_k(x, -iy) if alternating, else of
-    E_k(x, y), at |z| <= bound; (even,) alone unless odd.  Both are summed to
-    the fewest terms whose tails stay below 1e-19 at |z| = bound
-    (_series_terms).  The count follows the caller's cutoff, not the batch,
-    so each value still depends on its own argument only."""
+    E_k(x, y), at |z| <= 6; (even,) alone unless odd.  Both are summed to the
+    fewest terms whose tails stay below 1e-19 at the cutoff (_series_terms).
+    The count follows kappa alone, not the batch, so each value still
+    depends on its own argument only."""
     zs = z / 2.0
-    coeffs = _series_coeffs(kappa, alternating)[: _series_terms(kappa, bound)]
+    coeffs = _series_coeffs(kappa, alternating)[: _series_terms(kappa)]
     if not odd:
         return (_horner(zs * zs, coeffs[:, 0]),)
     even, odd_series = _horner(zs * zs, coeffs)
@@ -414,7 +411,7 @@ def _parts(kappa: float, z: np.ndarray, odd: bool = True) -> list:
     parts = [np.empty_like(z) for _ in range(2 if odd else 1)]
     small = np.abs(z) <= _SERIES_CUTOFF
     if small.any():
-        for part, vals in zip(parts, _series(kappa, z[small], True, _SERIES_CUTOFF, odd)):
+        for part, vals in zip(parts, _series(kappa, z[small], True, odd)):
             part[small] = vals
     # the ladder's forward recurrence is stable once |z| exceeds 2k + 2, above every order
     # it runs through; between the cutoff and there (k > 2 only) the jv panels serve
@@ -468,7 +465,7 @@ def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
     far = az >= max(_I_EXPANSION_MIN_ARG, (kappa + 0.5) ** 2)
     mid = ~(small | far)
     if small.any():
-        even, odd = _series(kappa, z[small], False, _SERIES_CUTOFF)
+        even, odd = _series(kappa, z[small], False)
         out[small] = np.exp(-az[small]) * (even + odd)
     if mid.any():
         a = az[mid]
@@ -480,17 +477,24 @@ def _real_1d_scaled(kappa: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(x: float, y: float) -> float:
-    z = float(x) * float(y)
-    if not math.isfinite(z):
-        raise DomainError(f"x, y and x*y must be finite, got x = {x!r}, y = {y!r}")
-    return z
+def _point_pair(dimension: int, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the kernel functions as float arrays of shape (dimension,), their products finite."""
+    xa = _real_points(x, "for the kernel's x").reshape(-1)
+    ya = _real_points(y, "for the kernel's y").reshape(-1)
+    if xa.shape != (dimension,) or ya.shape != (dimension,):
+        raise DomainError(f"points must have shape ({dimension},), got {np.shape(x)} and {np.shape(y)}")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan, refused here
+        finite = np.all(np.isfinite(xa * ya))
+    if not finite:
+        raise DomainError(f"coordinates and their products must be finite, got {xa} and {ya}")
+    return xa, ya
 
 
 def kernel_1d(kappa: float, x: float, y: float) -> complex:
     """Rank-1 kernel E_kappa(x, -iy); |value| <= 1 for real x, y."""
     k = _check_kappa(kappa)
-    return complex(_phase_1d(k, np.asarray(_product(x, y)), -1))
+    xa, ya = _point_pair(1, x, y)
+    return complex(_phase_1d(k, xa * ya, -1)[0])
 
 
 def _finite_real(val: float, z) -> float:
@@ -508,25 +512,13 @@ def kernel_real_1d(kappa: float, x: float, y: float) -> float:
     Grows like exp(|x y|), so it overflows past |x y| ~ 710; raises
     DomainError there, for every kappa and either sign of x y."""
     k = _check_kappa(kappa)
-    z = _product(x, y)
-    # past the overflow point exp(|z|) gives inf, and inf times an
-    # underflowed scaled value gives nan; _finite_real turns either into a
-    # DomainError
+    xa, ya = _point_pair(1, x, y)
+    z = xa[0] * ya[0]
+    # past the overflow point exp(|z|) gives inf, and inf times an underflowed
+    # scaled value gives nan; _finite_real turns either into a DomainError
     with np.errstate(over="ignore", invalid="ignore"):
         val = float(_real_1d(k, np.asarray(z)))
     return _finite_real(val, z)
-
-
-def _point_pair(config: MultiplicityConfig, x, y) -> tuple[np.ndarray, np.ndarray]:
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    ya = np.asarray(y, dtype=float).reshape(-1)
-    if xa.shape != (config.dimension,) or ya.shape != (config.dimension,):
-        raise DomainError(
-            f"points must have shape ({config.dimension},), got {np.shape(x)} and {np.shape(y)}"
-        )
-    if not np.all(np.isfinite(xa * ya)):
-        raise DomainError(f"coordinates and their products must be finite, got {xa} and {ya}")
-    return xa, ya
 
 
 def _kernel_pairs(config: MultiplicityConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -540,14 +532,14 @@ def _kernel_pairs(config: MultiplicityConfig, xs: np.ndarray, ys: np.ndarray) ->
 
 def kernel_nd(config: MultiplicityConfig, x, y) -> complex:
     """Product kernel E_kappa(x, -iy) = prod_i E_{kappa_i}(x_i, -i y_i)."""
-    xa, ya = _point_pair(config, x, y)
+    xa, ya = _point_pair(config.dimension, x, y)
     return complex(_kernel_pairs(config, xa[None], ya[None])[0])
 
 
 def kernel_real_nd(config: MultiplicityConfig, x, y) -> float:
     """Product kernel at real arguments, E_kappa(x, y); raises DomainError
     where it overflows."""
-    xa, ya = _point_pair(config, x, y)
+    xa, ya = _point_pair(config.dimension, x, y)
     val = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, k in enumerate(config.kappa):
@@ -568,7 +560,7 @@ def dunkl_operator_1d(kappa: float, f: Callable, x):
     An x of 0, nan or inf anywhere raises DomainError before f is called.
     """
     k = _check_kappa(kappa)
-    xv = np.asarray(x, dtype=float)
+    xv = _real_points(x, "for the operator's x")
     if np.any(xv == 0.0):
         raise DomainError("dunkl_operator_1d is undefined at x = 0 (reflection difference quotient)")
     if not np.all(np.isfinite(xv)):

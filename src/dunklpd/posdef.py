@@ -98,7 +98,10 @@ class PointSet:
             raise InputError(f"points must be pairwise distinct (separation > {_MIN_SEPARATION})")
         object.__setattr__(self, "points", pts)
         if self.coefficients is not None:
-            coef = np.asarray(self.coefficients, dtype=complex).reshape(-1)
+            try:
+                coef = np.asarray(self.coefficients, dtype=complex).reshape(-1)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"coefficients must be numbers: {exc}") from None
             if coef.shape[0] != pts.shape[0]:
                 raise InputError(f"{coef.shape[0]} coefficients for {pts.shape[0]} points")
             if not np.all(np.isfinite(coef)):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .functions import even_by_construction, sample_factors, sample_grid, tensor_points
-from .root_system import MultiplicityConfig
+from .root_system import MultiplicityConfig, _in_range
 
 _RESOLUTION = {
     # every operator's box when the caller passes none, and every suite's
@@ -88,9 +88,7 @@ class QuadratureSpec:
     nodes_per_axis: int
 
     def __post_init__(self):
-        if isinstance(self.radius, bool) or not (
-            isinstance(self.radius, (int, float, np.integer, np.floating)) and 0 < self.radius < np.inf
-        ):
+        if not _in_range(self.radius, 0.0, np.inf):
             raise ConfigurationError(f"quadrature radius must be positive and finite, got {self.radius!r}")
         if not isinstance(self.nodes_per_axis, (int, np.integer)) or self.nodes_per_axis < 8 or self.nodes_per_axis % 2:
             raise ConfigurationError(f"nodes_per_axis must be an even integer >= 8, got {self.nodes_per_axis!r}")

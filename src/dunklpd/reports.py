@@ -159,7 +159,7 @@ class GramReport:
         return cls(
             matrix=g,
             hermitian_residual=residual,
-            quadrature_delta=float(quadrature_delta),
+            quadrature_delta=quadrature_delta,
             min_eigenvalue=lo,
             max_eigenvalue=hi,
             tolerance=tol,

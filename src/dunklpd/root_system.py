@@ -4,6 +4,13 @@ The group acts by flipping coordinate signs; the positive roots are the
 standard basis vectors, one per axis, each carrying a nonnegative
 multiplicity kappa_i.  Everything downstream (weight, kernel, transform)
 is parametrized by a MultiplicityConfig built here.
+
+Every input is converted here, one rule per kind.  A coordinate (points,
+grid axes, the kernel's x and y) goes through _real_points: anything but an
+array of real numbers (None, strings, complex values, ragged rows) raises
+InputError, and bools are 0 and 1.  A real parameter (multiplicities,
+catalog t and p, quadrature radii, grid extents, times, the norm order) goes
+through _in_range; its caller raises the error it raises out of range.
 """
 
 from __future__ import annotations
@@ -62,14 +69,12 @@ def make_config(dimension: int, kappa: Sequence[float]) -> MultiplicityConfig:
         raise ConfigurationError(
             f"dimension {dimension} unsupported: tensor quadrature is capped at d <= {MAX_DIMENSION}"
         )
-    try:
-        kap = tuple(float(k) for k in kappa)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"kappa must be a sequence of numbers, got {kappa!r}") from exc
-    if len(kap) != dimension:
-        raise ConfigurationError(f"kappa has length {len(kap)}, expected {dimension}")
-    if any(not math.isfinite(k) or k < 0 for k in kap):
-        raise ConfigurationError(f"multiplicities must be finite and >= 0, got {kap}")
+    kap = tuple(kappa) if np.iterable(kappa) else None
+    if kap is None or len(kap) != dimension:
+        raise ConfigurationError(f"kappa must be a sequence of {dimension} multiplicities, got {kappa!r}")
+    if not all(_in_range(k, 0.0, math.inf, closed=True) for k in kap):
+        raise ConfigurationError(f"multiplicities must be real numbers, finite and >= 0, got {kappa!r}")
+    kap = tuple(float(k) for k in kap)
     gamma = float(sum(kap))
     lam = gamma + (dimension - 2) / 2.0
     mehta = 1.0
@@ -95,13 +100,10 @@ def weight(config: MultiplicityConfig, x) -> float | np.ndarray:
 
 
 def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]:
-    """Points as an (N, d) array, and whether a single point was passed.
-
-    The one point check of the package (handles, transforms, translates,
-    Gram matrices, the heat kernel, the weight): None, strings, complex
-    numbers, ragged rows, a wrong shape or a nan or inf coordinate raise
-    InputError.  Rows at stride 0 (np.broadcast_to) are one row in memory,
-    checked once.
+    """Points as an (N, d) array, and whether a single point was passed: the one point
+    check of handles, transforms, translates, Gram matrices, the heat kernel and the
+    weight.  Past _real_points, a wrong shape or a nan or inf coordinate raises
+    InputError.  Rows at stride 0 (np.broadcast_to) are one row in memory, checked once.
     """
     pts = _real_points(points, f"in R^{config.dimension}")
     squeeze = pts.ndim == 1
@@ -114,20 +116,23 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
 
 
 def _real_points(points, where: str) -> np.ndarray:
-    """points as a float array, the conversion of _query_points and PointSet: None, strings,
-    complex numbers and ragged rows raise InputError, whose message says where points were wanted."""
+    """points as a float array, bools as 0 and 1: the one conversion of a coordinate
+    array.  Anything else raises InputError, whose message says where points were wanted."""
     try:
-        if points is None or np.iscomplexobj(points):  # as floats: nan, or the real parts alone
-            raise TypeError("got None" if points is None else "got complex values")
-        return np.asarray(points, dtype=float)
+        arr = np.asarray(points)  # ragged rows raise ValueError
+        if arr.dtype.kind not in "biuf":  # as floats, None is nan, 1j is 0.0 and "0.5" is 0.5
+            what = {"c": "got complex values", "U": "could not convert strings to float"}.get(arr.dtype.kind)
+            raise TypeError("got None" if points is None else what or f"could not convert {arr.dtype} values to float")
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"expected real points {where}: {exc}") from None
 
 
 def _in_range(v, low, high, closed: bool = False) -> bool:
-    """Whether v is a real number, not a bool, in (low, high), or [low, high) when closed."""
+    """Whether v is one real number in (low, high), or [low, high) when closed: a Python or
+    NumPy int or float, or a 0-d array of one; not None, a string, a bool, a complex value or an array."""
     try:
-        real = not isinstance(v, (bool, np.bool_)) and not np.iscomplexobj(v)
-        return real and bool(low <= v < high if closed else low < v < high)
-    except TypeError:  # None, strings
+        a = np.asarray(v)
+    except ValueError:  # ragged rows
         return False
+    return a.ndim == 0 and a.dtype.kind in "iuf" and bool(low <= a < high if closed else low < a < high)

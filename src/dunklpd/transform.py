@@ -80,7 +80,7 @@ from .functions import (
 from .kernel import _phase_1d
 from .quadrature import Grid, QuadratureSpec, default_spec, two_pass
 from .reports import IdentityReport
-from .root_system import MultiplicityConfig, _in_range, _query_points
+from .root_system import MultiplicityConfig, _in_range, _query_points, _real_points
 
 _WARN_FLOOR = 1e-6
 
@@ -213,7 +213,7 @@ def _transformer(grid, f, sign) -> Callable:
     """Map from (N, d) output points to c sum_k f(y_k) w_k E(sign i x, y_k) on grid; `even` if folded."""
     summand = grid.summand(f)
     run = lambda pts: grid.config.mehta * _blocked_scatter(
-        grid, summand, np.atleast_2d(np.asarray(pts, dtype=float)), sign
+        grid, summand, np.atleast_2d(_real_points(pts, f"in R^{grid.config.dimension}")), sign
     )[0]
     run.even = summand.folded
     return run
@@ -275,11 +275,11 @@ def forward_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, out
     spec = _resolve_spec(config, quad)
     if out_axes is None:
         out_axes = uniform_axes(config.dimension, spec.radius, min(2 * spec.nodes_per_axis, 257))
-    out_axes = tuple(np.asarray(a, dtype=float) for a in out_axes)
+    out_axes = tuple(_real_points(a, "on an output axis") for a in out_axes)
     run = lambda grid, pts: _transformer(grid, f, sign)(pts)
     fine = _pointwise("grid transform", config, spec, tensor_points(out_axes), run)
     flip = -1.0 if sign == FORWARD else 1.0
-    hint = lambda pts: evaluate_handle(config, f, flip * np.asarray(pts, dtype=float))
+    hint = lambda pts: evaluate_handle(config, f, flip * _real_points(pts, f"in R^{config.dimension}"))
     return SampledFunction(out_axes, fine.reshape(tuple(len(a) for a in out_axes)), spectral_hint=hint)
 
 
@@ -307,7 +307,7 @@ def spectral_density(config: MultiplicityConfig, quad: QuadratureSpec | None, f)
         return DensityProduct(config, (partner(config),))
     hint = getattr(f, "spectral_hint", None)
     if hint is not None:
-        return lambda pts: np.asarray(hint(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=complex)
+        return lambda pts: np.asarray(hint(np.atleast_2d(_real_points(pts, f"in R^{config.dimension}"))), dtype=complex)
     return numeric_density(config, quad, f)
 
 

@@ -13,10 +13,22 @@ from dunklpd import (
     NotInCatalogError,
     make_config,
 )
-from dunklpd.functions import SampledFunction, bessel_k_profile, gaussian, generalized_cauchy, uniform_axes
+from dunklpd.functions import (
+    CatalogFunction,
+    DensityProduct,
+    SampledFunction,
+    bessel_k_profile,
+    evaluate_handle,
+    gaussian,
+    gaussian_density,
+    generalized_cauchy,
+    sample_on_axes,
+    uniform_axes,
+)
 from dunklpd.quadrature import QuadratureSpec
-from dunklpd.kernel import kernel_1d, kernel_nd, kernel_real_1d
+from dunklpd.kernel import dunkl_operator_1d, kernel_1d, kernel_nd, kernel_real_1d, kernel_real_nd
 from dunklpd.posdef import (
+    PointSet,
     _heat_product,
     bound_check,
     builtin_points,
@@ -25,7 +37,8 @@ from dunklpd.posdef import (
     kernel_independence,
     quadratic_form_heat,
 )
-from dunklpd.transform import forward, forward_grid, inverse, weighted_norm
+from dunklpd.root_system import MultiplicityConfig, weight
+from dunklpd.transform import forward, forward_grid, inverse, numeric_density, spectral_density, weighted_norm
 from dunklpd.translation import convolve, convolve_direct, translate, translate_mass
 
 
@@ -260,3 +273,121 @@ def test_real_times_and_orders_of_every_numeric_type_are_accepted():
     for t in (1, 0.5, np.float32(0.5), np.int64(1), np.array(0.5)):
         assert heat_kernel(config, t, [0.2], [0.1]) == heat_kernel(config, float(t), [0.2], [0.1])
     assert weighted_norm(config, None, _G, np.int64(1)) == weighted_norm(config, None, _G, 1.0)
+
+
+# One check per kind of input (root_system): a coordinate that is not a real
+# number raises InputError from _real_points, and a real parameter goes through
+# _in_range, whose caller raises the type it uses for a value out of range.
+# First the measured escapes: each came back as a bare ValueError or TypeError,
+# with a ComplexWarning and the imaginary part dropped, or was taken as a number.
+_C1 = make_config(1, [0.5])
+_CUBE = QuadratureSpec(4.0, 8)
+_HINTED = forward_grid(_C1, QuadratureSpec(8.0, 32), _G, (np.linspace(-1.0, 1.0, 3),))
+_JSON_KAPPA = '{"dimension": 1, "kappa": [%s]}'  # as read by the command line's --config
+_ESCAPES = {
+    "kernel_nd_string": (InputError, lambda: kernel_nd(_C1, "abc", [1.0])),
+    "kernel_real_nd_string": (InputError, lambda: kernel_real_nd(_C1, "abc", [1.0])),
+    "kernel_nd_complex": (InputError, lambda: kernel_nd(_C1, np.array([0.5 + 1j]), [1.0])),
+    "kernel_1d_string": (InputError, lambda: kernel_1d(0.5, "a", 1.0)),
+    "kernel_1d_none": (InputError, lambda: kernel_1d(0.5, None, 1.0)),
+    "kernel_real_1d_string": (InputError, lambda: kernel_real_1d(0.5, "a", 1.0)),
+    "kernel_real_1d_none": (InputError, lambda: kernel_real_1d(0.5, None, 1.0)),
+    "kernel_1d_kappa_string": (DomainError, lambda: kernel_1d("a", 1.0, 1.0)),
+    "kernel_1d_kappa_bool": (DomainError, lambda: kernel_1d(True, 1.0, 1.0)),
+    "operator_kappa_bool": (DomainError, lambda: dunkl_operator_1d(True, np.cos, 1.0)),
+    "operator_x_string": (InputError, lambda: dunkl_operator_1d(0.5, np.cos, "abc")),
+    "operator_x_complex": (InputError, lambda: dunkl_operator_1d(0.5, np.cos, 1 + 1j)),
+    "evaluate_handle_callable": (InputError, lambda: evaluate_handle(_C1, lambda p: p[:, 0], [[0.5 + 1j]])),
+    "density_product": (InputError, lambda: DensityProduct(_C1, (_G,))([[0.5 + 1j]])),
+    "spectral_density": (InputError, lambda: spectral_density(_C1, None, _G)([[0.5 + 1j]])),
+    "spectral_density_hint": (InputError, lambda: spectral_density(_C1, None, _HINTED)([[0.5 + 1j]])),
+    "forward_grid_hint": (InputError, lambda: _HINTED.spectral_hint([[0.5 + 1j]])),
+    "numeric_density": (InputError, lambda: numeric_density(_C1, _CUBE, _G)([[0.5 + 1j]])),
+    "on_axes_complex": (InputError, lambda: _G.on_axes(_C1, (np.array([0.5 + 1j, 1.0]),))),
+    "on_axes_string": (InputError, lambda: _G.on_axes(_C1, (["a", "b"],))),
+    "sample_on_axes_complex": (InputError, lambda: sample_on_axes(_C1, _G, (np.array([0.5 + 1j, 1.0]),))),
+    "sample_on_axes_string": (InputError, lambda: sample_on_axes(_C1, _G, (["a", "b"],))),
+    "forward_grid_axes_complex": (InputError, lambda: forward_grid(_C1, _CUBE, _G, (np.array([0.5 + 1j, 1.0]),))),
+    "forward_grid_axes_string": (InputError, lambda: forward_grid(_C1, _CUBE, _G, (["a", "b"],))),
+    "sampled_axes_complex": (InputError, lambda: SampledFunction((np.array([1j, 1.0]),), np.zeros(2))),
+    "sampled_values_string": (InputError, lambda: SampledFunction((np.array([0.0, 1.0]),), np.array(["a", "b"]))),
+    "point_set_coefficients_string": (InputError, lambda: PointSet([[0.0], [1.0]], ["a", "b"])),
+    "catalog_param_string": (ConfigurationError, lambda: CatalogFunction("gaussian", "1")),
+    "catalog_param_none": (ConfigurationError, lambda: CatalogFunction("gaussian", None)),
+    "gaussian_string": (ConfigurationError, lambda: gaussian("2")),
+    "config_json_string": (ConfigurationError, lambda: MultiplicityConfig.from_json(_JSON_KAPPA % '"0.5"')),
+    "config_json_bool": (ConfigurationError, lambda: MultiplicityConfig.from_json(_JSON_KAPPA % "true")),
+    "heat_kernel_time_array": (DomainError, lambda: heat_kernel(_C1, np.array([0.5, 1.0]), [0.2], [0.1])),
+}
+
+# Then one row per public entry and kind of bad value: None, a string, a complex
+# scalar, a complex array, and for real parameters a real array.
+_NOT_COORDINATES = {"none": None, "string": "abc", "complex": 0.5 + 1j, "complex_array": np.array([0.5 + 1j])}
+_NOT_REALS = {**_NOT_COORDINATES, "string": "1", "array": np.array([0.5, 1.0])}
+_COORDINATE_ENTRIES = {
+    "kernel_nd": lambda v: kernel_nd(_C1, v, [1.0]),
+    "kernel_real_nd": lambda v: kernel_real_nd(_C1, [1.0], v),
+    "kernel_1d_x": lambda v: kernel_1d(0.5, v, 1.0),
+    "kernel_real_1d_y": lambda v: kernel_real_1d(0.5, 1.0, v),
+    "dunkl_operator_1d_x": lambda v: dunkl_operator_1d(0.5, np.cos, v),
+    "forward": lambda v: forward(_C1, _CUBE, _G, v),
+    "weight": lambda v: weight(_C1, v),
+    "heat_kernel_x": lambda v: heat_kernel(_C1, 0.5, v, [0.1]),
+    "evaluate_handle": lambda v: evaluate_handle(_C1, lambda p: p[:, 0], v),
+    "density_product": lambda v: DensityProduct(_C1, (_G,))(v),
+    "spectral_density": lambda v: spectral_density(_C1, None, _G)(v),
+    "spectral_density_hint": lambda v: spectral_density(_C1, None, _HINTED)(v),
+    "numeric_density": lambda v: numeric_density(_C1, _CUBE, _G)(v),
+    "on_axes": lambda v: _G.on_axes(_C1, (v,)),
+    "axis_factors": lambda v: _G.axis_factors(_C1, (v,)),
+    "sample_on_axes": lambda v: sample_on_axes(_C1, _G, (v,)),
+    "forward_grid": lambda v: forward_grid(_C1, _CUBE, _G, (v,)),
+    "sampled_function_axes": lambda v: SampledFunction((v,), np.zeros(2)),
+    "point_set": lambda v: PointSet(v),
+}
+_REAL_ENTRIES = {
+    "kernel_1d_kappa": (DomainError, "multiplicity must be finite", lambda v: kernel_1d(v, 1.0, 1.0)),
+    "kernel_real_1d_kappa": (DomainError, "multiplicity must be finite", lambda v: kernel_real_1d(v, 1.0, 1.0)),
+    "dunkl_operator_1d_kappa": (
+        DomainError,
+        "multiplicity must be finite",
+        lambda v: dunkl_operator_1d(v, np.cos, 1.0),
+    ),
+    "catalog_function": (ConfigurationError, "parameter t must be positive", lambda v: CatalogFunction("gaussian", v)),
+    "gaussian_density": (ConfigurationError, "parameter t must be positive", lambda v: gaussian_density(v)),
+    "generalized_cauchy": (ConfigurationError, "parameter p must be positive", lambda v: generalized_cauchy(v)),
+    "bessel_k_profile": (ConfigurationError, "parameter p must be positive", lambda v: bessel_k_profile(v)),
+    "make_config": (ConfigurationError, "multiplicities must be real numbers", lambda v: make_config(1, [v])),
+    "quadrature_radius": (ConfigurationError, "radius must be positive and finite", lambda v: QuadratureSpec(v, 64)),
+    "grid_extent": (InputError, "extent must be finite and positive", lambda v: uniform_axes(1, v, 5)),
+    "heat_kernel_t": (DomainError, "^time must be positive and finite", lambda v: heat_kernel(_C1, v, [0.2], [0.1])),
+    "heat_kernel_mass": (
+        DomainError,
+        "^time must be positive and finite",
+        lambda v: heat_kernel_mass(_C1, None, v, [0.2]),
+    ),
+    "quadratic_form_heat": (
+        DomainError,
+        "^smoothing time must be positive",
+        lambda v: quadratic_form_heat(_C1, None, _G, _TWO, v),
+    ),
+    "weighted_norm": (InputError, "^norm order must be finite and >= 1", lambda v: weighted_norm(_C1, None, _G, v)),
+}
+_RULE = [pytest.param(error, None, call, id=name) for name, (error, call) in _ESCAPES.items()]
+_RULE += [
+    pytest.param(InputError, "expected real points", lambda e=entry, v=value: e(v), id=f"{name}-{kind}")
+    for name, entry in _COORDINATE_ENTRIES.items()
+    for kind, value in _NOT_COORDINATES.items()
+]
+_RULE += [
+    pytest.param(error, match, lambda e=entry, v=value: e(v), id=f"{name}-{kind}")
+    for name, (error, match, entry) in _REAL_ENTRIES.items()
+    for kind, value in _NOT_REALS.items()
+]
+
+
+@pytest.mark.parametrize("error,match,call", _RULE)
+@pytest.mark.filterwarnings("error")
+def test_each_kind_of_input_has_one_check(error, match, call):
+    with pytest.raises(error, match=match):
+        call()

@@ -2,8 +2,8 @@
 it defines is used somewhere, the kernel phase primitive and the
 scattered contraction have no users beyond the listed ones, the orthant
 fold has one owner (quadrature.Grid), every bound report is built by
-IdentityReport.bound, and every entry point the benchmark's tracer wraps
-by name exists.
+IdentityReport.bound, every entry point the benchmark's tracer wraps
+by name exists, and input is converted in one home (root_system).
 
 The scans read src/dunklpd/*.py (except __init__.py, whose imports are the
 public re-exports) with the ast module: a name bound by `import` or
@@ -481,3 +481,109 @@ def test_checked_integral_and_json_writer_have_one_home():
     assert _package_users("integrate_with_check") == {"posdef.bessel_integral_identity"}
     assert users((SRC / "cli.py").read_text(), "dumps", attribute=True) == set()
     assert users((SRC / "reports.py").read_text(), "dumps", attribute=True) == {"_write_json"}
+
+
+# root_system is the one home of input conversion: every coordinate array goes
+# through _real_points and every real parameter through _in_range, from the
+# definitions pinned here (Class.method for a method; a closure counts for the
+# function around it).  No public function, public method, __post_init__ or
+# __call__ elsewhere converts one of its own arguments (self.field in a method)
+# with float(...) or np.asarray(..., dtype=float), unless _in_range checked that
+# argument first in the same definition; float(n).is_integer(), a count's
+# whole-number test, keeps no float.  Arrays built inside the package, such as
+# kernel._parts' z, are not arguments and are not scanned.
+
+
+def _definitions_in(tree: ast.Module):
+    """(owner, def) for every top-level function and every method, owner dotted as Class.method."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for sub in top.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{top.name}.{sub.name}", sub
+
+
+def callers(source: str, name: str) -> set[str]:
+    """The functions and methods of `source` that use `name` as a loaded Name."""
+    return {
+        owner
+        for owner, node in _definitions_in(ast.parse(source))
+        if any(isinstance(sub, ast.Name) and sub.id == name and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node))
+    }
+
+
+def own_conversions(source: str) -> list[str]:
+    """owner(argument) for each unchecked float(...) or np.asarray(..., dtype=float) of an argument."""
+    found = []
+    for owner, node in _definitions_in(ast.parse(source)):
+        if node.name.startswith("_") and node.name not in ("__post_init__", "__call__"):
+            continue
+        args = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs} - {"self"}
+        is_arg = lambda n: (isinstance(n, ast.Name) and n.id in args) or (
+            isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+        )
+        calls = [sub for sub in ast.walk(node) if isinstance(sub, ast.Call) and sub.args and is_arg(sub.args[0])]
+        checked = {ast.unparse(c.args[0]) for c in calls if getattr(c.func, "id", None) == "_in_range"}
+        tests = {id(sub.value) for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr == "is_integer"}
+        for call in calls:
+            to_float = getattr(call.func, "id", None) == "float" or (
+                getattr(call.func, "attr", None) in ("asarray", "array")
+                and any(k.arg == "dtype" and getattr(k.value, "id", None) == "float" for k in call.keywords)
+            )
+            arg = ast.unparse(call.args[0])
+            if to_float and id(call) not in tests and arg not in checked:
+                found.append(f"{owner}({arg})")
+    return found
+
+
+def test_conversion_scans_name_each_site():
+    source = (
+        "def f(x, y, n, t):\n"
+        "    a = np.asarray(x, dtype=float)\n"
+        "    if not _in_range(t, 0, 1) or not float(n).is_integer():\n"
+        "        raise ValueError\n"
+        "    return _real_points(y, 'here'), float(t), float(np.max(a))\n"
+        "def _private(x):\n"
+        "    return float(x)\n"
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'p', float(self.p))\n"
+        "    def evaluate(self, pts):\n"
+        "        return (lambda q: np.array(q, dtype=float))(pts), _real_points(pts, 'here')\n"
+    )
+    assert own_conversions(source) == ["f(x)", "C.__post_init__(self.p)"]
+    assert callers(source, "_real_points") == {"f", "C.evaluate"}
+
+
+def _package_callers(name: str) -> set[str]:
+    return {f"{p.stem}.{owner}" for p in MODULES for owner in callers(p.read_text(), name)}
+
+
+def test_inputs_are_converted_in_one_home():
+    assert _package_callers("_real_points") == {
+        "root_system._query_points",
+        "kernel._point_pair",
+        "kernel.dunkl_operator_1d",
+        "functions.CatalogFunction._grid_axes",
+        "functions.SampledFunction.__post_init__",
+        "functions.DensityProduct.__call__",
+        "functions.evaluate_handle",
+        "functions.sample_on_axes",
+        "transform._transformer",
+        "transform.forward_grid",
+        "transform.spectral_density",
+        "posdef.PointSet.__post_init__",
+    }
+    assert _package_callers("_in_range") == {
+        "root_system.make_config",
+        "kernel._check_kappa",
+        "functions.CatalogFunction.__post_init__",
+        "functions.uniform_axes",
+        "quadrature.QuadratureSpec.__post_init__",
+        "transform.weighted_norm",
+        "posdef._require_time",
+    }
+    found = {p.name: own_conversions(p.read_text()) for p in MODULES if p.name != "root_system.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {}

@@ -411,8 +411,8 @@ _SIZED_KAPPAS = [0.3, 0.5, 1.7, 2.0, 8.0, 12.3, 40.0]
 
 class TestSizedSums:
     """The power series and the Hankel expansion sum only the terms their
-    arguments need: the series the fewest whose tails stay below 1e-19 at the
-    caller's cutoff (_series_terms), the Hankel zone the fewest per band
+    arguments need: the series the fewest whose tails stay below 1e-19 at its
+    cutoff |z| = 6 (_series_terms), the Hankel zone the fewest per band
     [top 2^b, top 2^(b+1)) whose first terms left out are below 1e-18 at the
     band's bottom (_hankel_band_terms).  At every band edge the truncated sum
     must match the full-length one (_SERIES_TERMS, _HANKEL_TERMS) to 2 ulp of
@@ -426,21 +426,19 @@ class TestSizedSums:
     @pytest.mark.parametrize("kappa", _SIZED_KAPPAS)
     @pytest.mark.parametrize("alternating", [True, False])
     def test_series_matches_the_full_sum_up_to_its_cutoff(self, kappa, alternating, monkeypatch):
-        # 6, the cutoff of every series, and the wider 2k + 2
-        for bound in sorted({6.0, max(6.0, 2.0 * kappa + 2.0)}):
-            edge = np.array([bound, np.nextafter(bound, 0.0)])
-            z = np.concatenate((np.linspace(-bound, bound, 2001), edge, -edge))
-            short = kernel_module._series(kappa, z, alternating, bound)
-            with monkeypatch.context() as m:
-                m.setattr(kernel_module, "_series_terms", lambda k, b: kernel_module._SERIES_TERMS)
-                full = kernel_module._series(kappa, z, alternating, bound)
-            for got, want in zip(short, full):
-                self._assert_within_two_ulp(got, want)
+        cutoff = kernel_module._SERIES_CUTOFF
+        edge = np.array([cutoff, np.nextafter(cutoff, 0.0)])
+        z = np.concatenate((np.linspace(-cutoff, cutoff, 2001), edge, -edge))
+        short = kernel_module._series(kappa, z, alternating)
+        monkeypatch.setattr(kernel_module, "_series_terms", lambda k: kernel_module._SERIES_TERMS)
+        full = kernel_module._series(kappa, z, alternating)
+        for got, want in zip(short, full):
+            self._assert_within_two_ulp(got, want)
 
     def test_series_terms_follow_the_cutoff(self):
-        assert kernel_module._series_terms(0.0, 6.0) == 22
-        assert kernel_module._series_terms(2.0, 6.0) == 20
-        assert kernel_module._series_terms(8.0, 18.0) == kernel_module._SERIES_TERMS  # capped
+        assert kernel_module._series_terms(0.0) == 22
+        assert kernel_module._series_terms(2.0) == 20
+        assert kernel_module._series_terms(8.0) == 18  # the terms fall faster as kappa grows
 
     @pytest.mark.parametrize("kappa", _SIZED_KAPPAS)
     def test_each_hankel_band_matches_the_full_sum_at_its_edges(self, kappa):
