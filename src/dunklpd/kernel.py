@@ -80,13 +80,19 @@ which do the products and sums of numpy.polynomial's polyval and chebval
 in the same order, so the values are the same bit for bit, without two
 temporaries per term.
 
-The two costly special-function evaluations whose callers repeat
-arguments (the generic Bessel pair and the Bessel-K catalog profile in
-functions.py) go through one helper, `_per_distinct`, which evaluates once
-per distinct argument and gathers the result back: callers pass outer
-products over grid axes or the radii of a symmetric grid, where values
-repeat many times.  Each of these evaluations is elementwise, so the
-result is bit-identical to evaluating every element.  The scaled real form
+The two costly special-function evaluations (the generic Bessel pair and
+the Bessel-K catalog profile in functions.py) go through one helper,
+`_per_distinct`, which evaluates once per distinct argument, in ascending
+order, and gathers the result back.  The radii of a symmetric grid repeat
+many times.  The generic pair's arguments seldom do, since
+transform._axis_matrices evaluates a symmetric block on its upper triangle
+and a translate's shift rows apart from its outputs: one pass of the
+benchmark's generic-kappa workload hands it 632,648 arguments, 628,441 of
+them distinct.  Its sort stays, since the pair reads its panels and Hankel
+bands as contiguous runs of ascending arguments, and a variant that found
+them by masks on unsorted arguments measured no faster.  Each of these
+evaluations is elementwise, so the result is bit-identical to evaluating
+every element.  The scaled real form
 is evaluated per element: the heat kernel passes it one grid axis at a
 time or scattered pairs, and the real kernel one value, so its arguments
 do not repeat in volume.  Cheap elementwise functions (exp, powers, the

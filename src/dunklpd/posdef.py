@@ -391,8 +391,8 @@ def bessel_integral_identity(config: MultiplicityConfig, quad: QuadratureSpec | 
     elsewhere; off by 2^-(2p-2) and recorded as non-matching in the notes).
     """
     edge = config.gamma + config.dimension / 2.0 + 1.0
-    if not p >= edge:
-        raise DomainError(f"need p >= {edge}, got {p}")
+    if not _in_range(p, edge, math.inf, closed=True):
+        raise DomainError(f"need a finite real p >= {edge}, got {p!r}")
     spec = _resolve_spec(config, quad)
     norm = sps.gamma(p) * 2.0 ** (p - 1.0)
     mass, delta = integrate_with_check(config, spec, bessel_k_profile(p))  # the handle: its summand folds

@@ -23,13 +23,19 @@ the nonnegative half is evaluated and the rest is its reversed conjugate.
 When the evaluated row and column halves hold the same values (a sum read
 at the nodes of its own grid), that block is symmetric, since
 r_i c_j = r_j c_i exactly: its upper triangle is evaluated and transposed
-below it.
+below it.  The matrices are read-only, and _axis_matrices keeps the most
+recent ones in a store of at most _STORE_BYTES (2 MB), keyed by kappa, sign
+and the coordinates bit for bit, so a request that asks for the same matrix
+again (a Gram matrix's points as shift rows and as outputs, the Gram
+matrices of several densities at the same points on one grid) evaluates it
+once.  A larger build empties the store and is not kept.
 _blocked_scatter sums over output points: on the nodes of a tensor grid
 axis by axis (_grid_contract; forward_grid passes the nodes of its output
 axes), else point by point (_scatter_contract) in blocks of _SCATTER_BLOCK.
 _transformer (every transform, every convolution and the suites'
 composites) takes its unshifted row, translation._translate_at its shifted
-rows: every translate and Gram matrix.
+rows: every translate and Gram matrix.  The shift rows are built once, apart
+from the outputs, so mirrored outputs keep the half build.
 
 The same parity folds a sum whose integrand is even by construction
 (functions.even_by_construction) on any grid, every axis of which is
@@ -60,6 +66,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -92,6 +99,12 @@ def _resolve_spec(config: MultiplicityConfig, quad: QuadratureSpec | None) -> Qu
     return quad if quad is not None else default_spec(config.dimension)
 
 
+# _axis_matrices' recent builds, read-only, keyed by (kappa, sign, rows bytes,
+# cols bytes), least recently used first, at most _STORE_BYTES together
+_STORE_BYTES = 2 << 20
+_STORE: OrderedDict = OrderedDict()
+
+
 def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
     """Phase matrices E_k(r, sign i c) over rows[i] x cols[i], given as pts.T, grid.axes or y[:, None];
     at sign 0 the real matrices of the even part A_k(r c), the real parts of either sign bit for bit.
@@ -103,18 +116,33 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
     the full build value for value (where r c = 0 a zero imaginary part may
     flip its sign).  Every _axis_rule axis is mirrored, and so are tensor-grid
     outputs on such axes and every uniform_axes axis, whose odd counts put an
-    exact 0 at the centre; shift rows are not and keep the full build.
+    exact 0 at the centre; shift rows are not, and _blocked_scatter builds
+    them apart from its outputs.
 
     When the evaluated halves of rows[i] and cols[i] are equal (np.array_equal),
     the evaluated block is symmetric: r_j c_i = r_i c_j holds exactly in
     floating point and every kernel branch is elementwise, so only its upper
     triangle is evaluated and its transpose fills the rest, value for value
     the full build.  Halves that differ anywhere, by one ulp included, take
-    the full block.  The triangle's indices are built per call: cached, they
-    would stay resident at the largest grids' sizes.
+    the full block.
+
+    The matrices are read-only.  Each is kept in _STORE while it fits, so an
+    equal request (same kappa, sign and coordinates, bit for bit) returns it
+    without evaluating again.  A matrix larger than _STORE_BYTES first empties
+    the store and is not kept, so the store adds nothing to the peak memory of
+    the large builds.
     """
     mats = []
     for k, r, c in zip(config.kappa, rows, cols):
+        r, c = np.asarray(r, dtype=float), np.asarray(c, dtype=float)
+        key = (k, sign, r.tobytes(), c.tobytes())
+        if key in _STORE:
+            _STORE.move_to_end(key)
+            mats.append(_STORE[key])
+            continue
+        fits = len(r) * len(c) * (8 if sign == 0 else 16) <= _STORE_BYTES
+        if not fits:
+            _STORE.clear()
         hr, hc = _mirror_half(r), _mirror_half(c)
         m = np.empty((len(r), len(c)), dtype=float if sign == 0 else complex)
         rh, ch, block = r[hr:], c[hc:], m[hr:, hc:]
@@ -127,6 +155,11 @@ def _axis_matrices(config: MultiplicityConfig, rows, cols, sign: int) -> list:
         # A_k); a centre column is skipped
         m[hr:, :hc] = m[hr:, : len(c) - hc - 1 : -1].conj()
         m[:hr] = m[: len(r) - hr - 1 : -1].conj()
+        m.flags.writeable = False
+        if fits:
+            _STORE[key] = m
+            while sum(v.nbytes for v in _STORE.values()) > _STORE_BYTES:
+                _STORE.popitem(last=False)
         mats.append(m)
     return mats
 
@@ -158,26 +191,31 @@ _POINT_BLOCK = 16384
 _SCATTER_BLOCK = {1: 16384, 2: 4096, 3: 256}
 
 
-def _row_factors(mats: list, q: int, j: int, folded: bool) -> list:
-    """Per-axis factors of output row j, from the phase matrices E = A + i sign B over
-    [q shift rows; output rows]: conj(E_j) E, or E without shift rows.  On a folded
-    summand only their real parts survive the sum over each node and its mirror
-    image, A_j A + B_j B and A, both real; without shift rows the matrices are
+def _row_factors(mats: list, shift_mats: list | None, j: int, folded: bool) -> list:
+    """Per-axis factors of output row j, from the phase matrices E = A + i sign B of the
+    outputs and P of the shift points: conj(P_j) E, or E without shift rows.  On a
+    folded summand only their real parts survive the sum over each node and its mirror
+    image, A(P_j) A + B(P_j) B and A, both real; without shift rows the matrices are
     already A (sign 0) and are handed on as they are."""
+    if shift_mats is None:
+        return mats
     if not folded:
-        return [m[q:] * m[j].conj() if q else m for m in mats]
-    return [m.real[q:] * m.real[j] + m.imag[q:] * m.imag[j] for m in mats] if q else mats
+        return [m * p[j].conj() for m, p in zip(mats, shift_mats)]
+    return [m.real * p.real[j] + m.imag * p.imag[j] for m, p in zip(mats, shift_mats)]
 
 
 def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     """out[j, m] = sum_k vw[k] prod_i conj(P_i[j, k_i]) M_i[m, k_i], with M_i and P_i
     the phase matrices (sign i) of pts and of the shift points; one row, P = 1,
-    without shifts.  summand is a Grid.summand, over its own axes.  One _axis_matrices
-    call per block builds both.  The one blocking rule: tensor-grid nodes
-    (tensor_axes) with at most _POINT_BLOCK per axis are one block, M_i on the
-    axes, summed by _grid_contract; other points go through _scatter_contract in
-    blocks of _SCATTER_BLOCK[d], which keeps huge requests from materializing
-    multi-GB intermediates at once.
+    without shifts.  summand is a Grid.summand, over its own axes.  The shift rows
+    are built once, by their own _axis_matrices call, and each block of outputs by
+    another, so mirrored outputs (grid nodes, uniform_axes meshes) keep their half
+    build; at y = x (a Gram matrix) the second call finds the first's matrices in
+    the store.  The one blocking rule: tensor-grid nodes (tensor_axes) with at
+    most _POINT_BLOCK per axis are one block, M_i on the axes, summed by
+    _grid_contract; other points go through _scatter_contract in blocks of
+    _SCATTER_BLOCK[d], which keeps huge requests from materializing multi-GB
+    intermediates at once.
 
     A folded summand (an integrand even by construction) covers the
     nonnegative half of every axis, and each axis contracts the real factors
@@ -194,6 +232,7 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     folded = summand.folded
     q = 0 if shifts is None else len(shifts)
     out = np.empty((max(q, 1), len(pts)), dtype=complex)
+    shift_mats = _axis_matrices(grid.config, shifts.T, summand.axes, sign) if q else None
     axes = tensor_axes(pts)
     if axes is not None and max(len(a) for a in axes) <= _POINT_BLOCK:
         blocks = [(slice(None), axes, _grid_contract, np.multiply.outer)]
@@ -202,10 +241,9 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
         spans = (slice(s, s + step) for s in range(0, len(pts), step))
         blocks = [(sl, pts[sl].T, _scatter_contract, np.multiply) for sl in spans]
     for sl, cols, contract, join in blocks:
-        rows = cols if q == 0 else [np.concatenate([s, c]) for s, c in zip(shifts.T, cols)]
-        mats = _axis_matrices(grid.config, rows, summand.axes, 0 if folded and q == 0 else sign)
+        mats = _axis_matrices(grid.config, cols, summand.axes, 0 if folded and q == 0 else sign)
         for j in range(max(q, 1)):
-            out[j, sl] = summand.contract(_row_factors(mats, q, j, folded), contract, join).reshape(-1)
+            out[j, sl] = summand.contract(_row_factors(mats, shift_mats, j, folded), contract, join).reshape(-1)
     return out
 
 

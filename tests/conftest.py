@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dunklpd import make_config
+from dunklpd import make_config, transform
 
 # quadrature-heavy properties cannot meet the default deadline; determinism
 # comes from the fixed seeds below, not from hypothesis' database
@@ -39,3 +39,13 @@ def cfg_plane():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260816)
+
+
+# transform._axis_matrices keeps recent phase matrices; each test starts from
+# an empty store, so that no test reads a matrix another one built and a spy
+# on the kernel sees every evaluation its own calls ask for
+@pytest.fixture(autouse=True)
+def _empty_phase_store():
+    transform._STORE.clear()
+    yield
+    transform._STORE.clear()

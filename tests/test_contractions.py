@@ -282,7 +282,7 @@ def test_mirrored_build_equals_the_full_build(rows, cols, kappa, sign):
     config = make_config(1, [kappa])
     (got,) = transform._axis_matrices(config, [rows], [cols], sign)
     (want,) = _full_axis_matrices(config, [rows], [cols], sign)
-    assert got.shape == want.shape and got.dtype == want.dtype and got.flags.writeable
+    assert got.shape == want.shape and got.dtype == want.dtype and not got.flags.writeable
     # compared as floats: at a row 0 a zero imaginary part may differ in sign
     np.testing.assert_array_equal(got.view(float), want.view(float))
 
@@ -300,6 +300,118 @@ def test_mirrored_pair_evaluates_one_quadrant(monkeypatch):
     (m,) = transform._axis_matrices(make_config(1, [0.5]), [_MIRRORED], [_MIRRORED_ULP], INVERSE)
     assert m.shape == (20, 20)
     assert sizes[2:] == [(10, 10)]  # halves one ulp apart: the whole quadrant
+
+
+# _axis_matrices keeps recent matrices in transform._STORE (conftest empties it
+# before each test): read-only, keyed by kappa, sign and the coordinates bit for
+# bit, at most _STORE_BYTES together, least recently used out first
+
+
+def _spy_on_phases(monkeypatch) -> list:
+    """The argument shape of every _phase_1d evaluation from here on."""
+    sizes = []
+    real = transform._phase_1d
+    monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: sizes.append(z.shape) or real(k, z, sign))
+    return sizes
+
+
+def _store_bytes() -> int:
+    return sum(m.nbytes for m in transform._STORE.values())
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+def test_a_stored_matrix_is_the_fresh_build_and_read_only(sign, monkeypatch):
+    config = make_config(2, [0.3, 1.7])
+    rows, cols = [_ODD, np.array([1.3, -0.2])], [_MIRRORED, _MIRRORED[3:]]
+    first = transform._axis_matrices(config, rows, cols, sign)
+    sizes = _spy_on_phases(monkeypatch)
+    again = transform._axis_matrices(config, [r.copy() for r in rows], [c.copy() for c in cols], sign)
+    assert sizes == [] and all(a is b for a, b in zip(again, first))
+    for got, want in zip(again, _full_axis_matrices(config, rows, cols, sign)):
+        np.testing.assert_array_equal(got.view(float), want.view(float))
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1.0
+
+
+# builds of 16 x 600 complex entries, 150 KB each: 13 fit under the 2 MB cap,
+# and each build past them pushes out the least recently used, which a read
+# moves last: the first build, read again every fifth, stays
+def test_the_store_holds_at_most_its_cap():
+    config = make_config(1, [0.3])
+    cols = [np.linspace(0.1, 6.0, 600)]
+    build = lambda i: transform._axis_matrices(config, [np.linspace(0.0, 1.0, 16) + i], cols, INVERSE)[0]
+    first, others = build(0), []
+    for i in range(1, 40):
+        if i % 5:
+            others.append(build(i))
+        else:
+            assert build(0) is first
+        assert _store_bytes() <= transform._STORE_BYTES
+    held = transform._STORE_BYTES // first.nbytes
+    assert held == 13
+    assert {id(m) for m in transform._STORE.values()} == {id(first)} | {id(m) for m in others[-(held - 1) :]}
+
+
+def test_a_build_over_the_cap_empties_the_store_and_is_not_kept(monkeypatch):
+    config = make_config(1, [0.5])
+    transform._axis_matrices(config, [np.array([0.4, 1.1])], [_MIRRORED], INVERSE)
+    assert len(transform._STORE) == 1
+    rows, cols = uniform_axes(1, 3.0, 301)[0], np.linspace(0.05, 5.0, 500)
+    assert 301 * 500 * 16 > transform._STORE_BYTES
+    (big,) = transform._axis_matrices(config, [rows], [cols], INVERSE)
+    assert len(transform._STORE) == 0 and not big.flags.writeable
+    (want,) = _full_axis_matrices(config, [rows], [cols], INVERSE)
+    np.testing.assert_array_equal(big.view(float), want.view(float))
+    sizes = _spy_on_phases(monkeypatch)
+    transform._axis_matrices(config, [rows], [cols], INVERSE)
+    transform._axis_matrices(config, [np.array([0.4, 1.1])], [_MIRRORED], INVERSE)
+    assert sizes == [(151, 500), (2, 10)]  # neither was kept
+
+
+# each part of the key tells builds apart: kappa, sign, rows, and cols one ulp off
+def test_store_keys_tell_every_argument_apart(monkeypatch):
+    rows, cols = np.array([0.4, 1.1, 2.5]), _MIRRORED
+    transform._axis_matrices(make_config(1, [0.3]), [rows], [cols], INVERSE)
+    sizes = _spy_on_phases(monkeypatch)
+    transform._axis_matrices(make_config(1, [0.3]), [rows], [cols], INVERSE)
+    assert sizes == []
+    for kappa, sign, r, c in [
+        (0.3 + 2.0**-52, INVERSE, rows, cols),
+        (0.3, FORWARD, rows, cols),
+        (0.3, 0, rows, cols),
+        (0.3, INVERSE, np.append(rows[:-1], np.nextafter(rows[-1], np.inf)), cols),
+        (0.3, INVERSE, rows, _MIRRORED_ULP),
+    ]:
+        sizes.clear()
+        transform._axis_matrices(make_config(1, [kappa]), [r], [c], sign)
+        assert sizes == [(3, 10)], (kappa, sign)
+
+
+# a translate's shift rows are built apart from its outputs, so outputs on a
+# mirrored mesh evaluate their nonnegative half alone: 5 of the 9 rows of
+# uniform_axes(d, 3, 9) per axis, against the half grid axis of the folded summand
+@pytest.mark.parametrize("dim,kappa", [(1, [0.5]), (2, [0.3, 1.7])])
+def test_translate_at_mirrored_outputs_evaluates_their_half(dim, kappa, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    grid = Grid(config, SPEC)
+    summand = grid.summand(gaussian(1.0))
+    ys, xs = _points(config, rng, 2), tensor_points(uniform_axes(dim, 3.0, 9))
+    sizes = _spy_on_phases(monkeypatch)
+    got = _translate_at(grid, summand, ys, xs)
+    assert sizes == [(2, 5)] * dim + [(5, 5)] * dim
+    monkeypatch.setattr(transform, "_axis_matrices", _full_axis_matrices)
+    np.testing.assert_array_equal(got, _translate_at(grid, summand, ys, xs))
+
+
+# at y = x the outputs' matrices are the shift rows' own: one build per axis and pass
+@pytest.mark.parametrize("dim,kappa", [(1, [0.5]), (2, [0.3, 1.7])])
+def test_gram_builds_its_points_matrix_once(dim, kappa, monkeypatch):
+    config = make_config(dim, kappa)
+    sizes = _spy_on_phases(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        gram(config, SPEC, gaussian(1.0), builtin_points(dim, 5))
+    assert sizes == [(5, 5)] * dim + [(5, 10)] * dim
 
 
 _RESULT_CONFIGS = [(1, [0.5]), (2, [0.3, 1.7]), (3, [1.0, 0.5, 0.0])]
@@ -464,8 +576,9 @@ def test_only_unshifted_folded_sums_read_the_even_part_alone(dim, kappa, rng, mo
     real = transform._phase_1d
     monkeypatch.setattr(transform, "_phase_1d", lambda k, z, sign: signs.append(sign) or real(k, z, sign))
 
-    def signs_of(run):
+    def signs_of(run):  # each run starts from an empty store, so it evaluates every phase it reads
         signs.clear()
+        transform._STORE.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
             run()
@@ -488,8 +601,9 @@ def test_even_composites_fold_both_legs(monkeypatch):
     signs, current = {}, [None]
     checked, phase = identities._checked, transform._phase_1d
 
-    def named(what, *args):
+    def named(what, *args):  # each composite starts from an empty store and evaluates its own phases
         current[0] = what
+        transform._STORE.clear()
         try:
             return checked(what, *args)
         finally:

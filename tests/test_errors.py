@@ -30,6 +30,7 @@ from dunklpd.kernel import dunkl_operator_1d, kernel_1d, kernel_nd, kernel_real_
 from dunklpd.posdef import (
     PointSet,
     _heat_product,
+    bessel_integral_identity,
     bound_check,
     builtin_points,
     heat_kernel,
@@ -372,6 +373,11 @@ _REAL_ENTRIES = {
         lambda v: quadratic_form_heat(_C1, None, _G, _TWO, v),
     ),
     "weighted_norm": (InputError, "^norm order must be finite and >= 1", lambda v: weighted_norm(_C1, None, _G, v)),
+    "bessel_integral_identity": (
+        DomainError,
+        "^need a finite real p >= 2.0",
+        lambda v: bessel_integral_identity(_C1, None, v),
+    ),
 }
 _RULE = [pytest.param(error, None, call, id=name) for name, (error, call) in _ESCAPES.items()]
 _RULE += [

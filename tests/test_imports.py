@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every name
 it defines is used somewhere, the kernel phase primitive and the
-scattered contraction have no users beyond the listed ones, the orthant
+scattered contraction have no users beyond the listed ones, the store of
+recent phase matrices has one reader (transform._axis_matrices), the orthant
 fold has one owner (quadrature.Grid), every bound report is built by
 IdentityReport.bound, every entry point the benchmark's tracer wraps
 by name exists, and input is converted in one home (root_system).
@@ -139,9 +140,9 @@ def test_no_dead_definitions():
 # transform._blocked_scatter (the one translation and transform sum),
 # translation.translate_mass and posdef.bound_check (the translate diagonal).
 # `_per_distinct` serves exactly the two costly special-function evaluations
-# whose callers repeat arguments (the generic Bessel pair and the Bessel-K
-# profile; the scaled real kernel is passed distinct arguments and evaluated
-# per element), and it is the one place in kernel.py that calls np.unique.
+# (the generic Bessel pair and the Bessel-K profile; the scaled real kernel is
+# passed distinct arguments and evaluated per element), and it is the one
+# place in kernel.py that calls np.unique.
 # A use is a loaded Name (or, for np.unique, the attribute); import
 # statements do not count.
 
@@ -183,6 +184,15 @@ def _package_users(name: str, skip: str = "") -> set[str]:
 
 def test_phase_matrices_have_one_builder():
     assert _package_users("_phase_1d", skip="kernel.py") == {"transform._axis_matrices"}
+
+
+# the store of recent phase matrices and its cap are _axis_matrices' own: no
+# other definition, in transform.py or in another module, reads them, by name
+# or as an attribute (transform._STORE)
+def test_the_phase_store_has_one_reader():
+    for name in ("_STORE", "_STORE_BYTES"):
+        readers = {f"{p.stem}.{owner}" for p in MODULES for owner in users(p.read_text(), name, attribute=True)}
+        assert readers == {"transform._axis_matrices"}, name
 
 
 def test_scattered_contraction_has_one_caller_per_sum():
@@ -584,6 +594,7 @@ def test_inputs_are_converted_in_one_home():
         "quadrature.QuadratureSpec.__post_init__",
         "transform.weighted_norm",
         "posdef._require_time",
+        "posdef.bessel_integral_identity",
     }
     found = {p.name: own_conversions(p.read_text()) for p in MODULES if p.name != "root_system.py"}
     assert {name: sites for name, sites in found.items() if sites} == {}

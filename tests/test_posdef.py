@@ -439,6 +439,14 @@ class TestRadialMassIdentity:
         with pytest.raises(DomainError):
             bessel_integral_identity(cfg_half, None, 1.2)
 
+    # p is one real number in [edge, inf), checked before any use: the kinds of
+    # non-real input are rows of tests/test_errors.py; a list, a bool and the
+    # non-finite values raise DomainError here, not a TypeError or a later ConfigurationError
+    @pytest.mark.parametrize("p", [[5.0], True, math.nan, math.inf, -math.inf])
+    def test_rejects_a_parameter_outside_its_domain(self, cfg_half, p):
+        with pytest.raises(DomainError, match="need a finite real p >= 2.0"):
+            bessel_integral_identity(cfg_half, None, p)
+
     def test_profile_samples_on_the_grid_route(self, cfg_plane, monkeypatch):
         spec = QuadratureSpec(20.0, 32)
         p = cfg_plane.gamma + 1.0 + 2.0
