@@ -12,15 +12,22 @@ The transform maps gaussian(t) <-> gaussian_density(t) and
 generalized_cauchy(p) <-> bessel_k_profile(p) (CATALOG_PARTNER); all four
 are fixed under the sign flip x -> -x, so forward and inverse agree on them.
 
-Each member is one radial profile of r^2 (CatalogFunction.profile), reached
-two ways: evaluate takes r^2 from an (N, d) point array, and on_axes, the
-grid route, from the outer sum of the axis squares.  On a tensor grid the
-grid route builds no point array and evaluates the profile only on the
-nonnegative orthant of the exactly mirrored axes (_mirror_half, the one
-mirror test of the package), then fills the rest by reflection; both routes
-agree bit for bit.  A constant factor that is not a finite positive float
-(gaussian_density at a tiny t) raises ConfigurationError, as the parameter
-edges do.  The heat kernel has its own grid route (posdef.heat_kernel),
+Each member is one radial profile of r^2 (CatalogFunction.profile), with
+r^2 the coordinate squares summed in ascending order (_radius_squared, the
+one r^2 of the catalog; at d <= 2 the plain sum), so permuting the
+coordinates leaves it unchanged bit for bit.  It is reached two ways:
+evaluate takes r^2 from an (N, d) point array, and on_axes, the grid route,
+from the axis squares.  On a tensor grid the grid route builds no point
+array and evaluates the profile only on the nonnegative orthant of the
+exactly mirrored axes (_mirror_half, the one mirror test of the package),
+then fills the rest by reflection.  At d = 3 on equal axes (every Grid,
+every uniform_axes mesh) it evaluates the profile once per orbit of the
+coordinate permutations on that orthant, at the C(n + 2, 3) sorted index
+triples in place of its n^3 nodes (19,600 of 110,592 on a 96-node grid),
+and spreads the values over the orthant (_fill_orbits); unequal axes take
+the whole orthant.  Both routes agree bit for bit.  A constant factor that
+is not a finite positive float (gaussian_density at a tiny t) raises
+ConfigurationError, as the parameter edges do.  The heat kernel has its own grid route (posdef.heat_kernel),
 found by tensor_axes.  The two Gaussians also factor over the axes
 (axis_factors): exp(-t |x|^2) = prod_i exp(-t x_i^2), to rounding.
 
@@ -41,9 +48,12 @@ never a handle's type, and take the general route where it answers nothing.
                             such handles split into per-axis sums (Grid.summand)
 
 The Bessel-K profile is evaluated once per distinct radius through
-kernel._per_distinct: a symmetric tensor grid repeats radii many times over
-(the 96^3 nodes of a d=3 grid have 22,863 distinct radii).  At an order a
-with 2a an integer up to the kernel's ladder bound (every order the identity
+kernel._per_distinct: the orthant of a symmetric d = 2 grid repeats radii
+(1,176 distinct of the 2,304 of a 96-node grid), and points may repeat.  On
+the d = 3 orbit route the radii of a Gauss-Legendre grid are already
+distinct (19,600 of 19,600 on a 96-node grid; the 1,771 orbit radii of the
+41-node certification mesh hold 1,150 values), and the sort is taken there
+too.  At an order a with 2a an integer up to the kernel's ladder bound (every order the identity
 suites use) r^a K_a(r) is the upward recurrence from K_0 and K_1 or from the
 closed form K_{1/2} (_bessel_k_ladder), the rule the kernel's sine/cosine
 ladder follows; any other order is r^a times scipy's kv.  Where that
@@ -158,7 +168,7 @@ class CatalogFunction:
         self.validate_for(config)
         pts, squeeze = _query_points(config, points)
         with np.errstate(over="ignore"):  # an overflowed r^2 is inf, where every profile is 0
-            r2 = np.sum(pts * pts, axis=-1)
+            r2 = _radius_squared(list((pts * pts).T))
         out = self.profile(config, r2)
         return out[0] if squeeze else out
 
@@ -175,21 +185,48 @@ class CatalogFunction:
     def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Values on every node of the tensor grid over `axes`, shaped as the grid.
 
-        r^2 is the outer sum of the axis squares, taken over the nonnegative
+        r^2 is _radius_squared of the axis squares, taken over the nonnegative
         half of each exactly mirrored axis (_mirror_half) and over the whole
         of any other; the mirror image fills the rest, since x^2 = (-x)^2
-        holds exactly.  No (N, d) point array is built, and the result equals
+        holds exactly.  At d = 3 on one nondecreasing squared half axis (every
+        Grid, every uniform_axes mesh) the profile takes one r^2 per orbit of
+        the coordinate permutations, at the sorted index triples
+        (_orbit_triples: C(n + 2, 3) of the n^3 orthant nodes), and
+        _fill_orbits spreads them over the orthant; r^2 sums the squares in
+        ascending order, so it is the same at every node of an orbit.  No
+        (N, d) point array is built, and the result equals
         evaluate(config, tensor_points(axes)) bit for bit.
         """
         axes = self._grid_axes(config, axes)
         halves = [_mirror_half(a) for a in axes]
         with np.errstate(over="ignore"):
             squares = [a[h:] * a[h:] for a, h in zip(axes, halves)]
-        out = self.profile(config, functools.reduce(np.add.outer, squares))
-        for i, h in enumerate(halves):
-            if h:  # prepend the mirror image of a[h:], less a centre 0
-                mirror = np.flip(out, i)[(slice(None),) * i + (slice(h),)]
-                out = np.concatenate([mirror, out], axis=i)
+            s = squares[0]
+            orbits = (
+                len(squares) == 3
+                and all(np.array_equal(t, s) for t in squares[1:])
+                and bool(np.all(s[1:] >= s[:-1]))
+            )
+            if orbits:
+                r2 = _radius_squared([s[i] for i in _orbit_triples(len(s))])
+            else:  # the outer sum, each axis along its own dimension
+                d = len(squares)
+                r2 = _radius_squared([t.reshape((1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, t in enumerate(squares)])
+        values = self.profile(config, r2)
+        out = np.empty(tuple(len(a) for a in axes), dtype=values.dtype)
+        orthant_index = tuple(slice(h, None) for h in halves)
+        orthant = out[orthant_index]
+        if orbits:
+            _fill_orbits(orthant, values)
+        else:
+            orthant[...] = values
+        # a[:h] is the mirror image of a[h:], less a centre 0, over the part filled so far;
+        # the last axis first, while the reversed copies along it are fewest
+        for i in reversed(range(len(axes))):
+            h = halves[i]
+            if h:
+                before, after = orthant_index[:i], (slice(None),) * (len(axes) - 1 - i)
+                out[before + (slice(h),) + after] = np.flip(out[before + (slice(len(axes[i]) - h, None),) + after], i)
         return out
 
     def axis_factors(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> list | None:
@@ -282,6 +319,48 @@ def _small_radius_sum(alpha: float, r: np.ndarray) -> np.ndarray:
         total += term
         k += 1
     return total
+
+
+def _radius_squared(squares: Sequence[np.ndarray]) -> np.ndarray:
+    """|x|^2 from its coordinate squares, arrays that broadcast together, summed in
+    ascending order at every point: the one r^2 of the catalog handles.  Any order of
+    the coordinates gives the same bits.  At d <= 2 that is the plain sum, since a + b
+    == b + a exactly; at d = 3 a sorting network picks the two smaller squares first."""
+    if len(squares) < 3:
+        return functools.reduce(np.add, squares)
+    a, b, c = squares
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    total = np.minimum(high, c)
+    total += low
+    total += np.maximum(high, c)
+    return total
+
+
+def _orbit_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index triples i <= j <= k < n, one per orbit of the coordinate permutations
+    on an n^3 grid, ordered by k, then j, then i: (i, j, k) is entry
+    k(k+1)(k+2)/6 + j(j+1)/2 + i of the C(n + 2, 3)."""
+    counts = np.arange(1, n + 1)
+    k = np.repeat(np.arange(n), counts * (counts + 1) // 2)
+    j, i = np.tril_indices(n)  # the pairs i <= j, by j, then i: (i, j) is entry j(j+1)/2 + i
+    pair = np.arange(len(k)) - k * (k + 1) * (k + 2) // 6
+    return i[pair], j[pair], k
+
+
+def _fill_orbits(out: np.ndarray, values: np.ndarray) -> None:
+    """Write values, one per sorted index triple (_orbit_triples' order), to every node
+    of the n^3 array out, shell by shell: the nodes whose largest index is k form three
+    faces, out[k, :k+1, :k+1] and its two permutations, each the symmetric matrix of
+    block k of values, its entry (p, q) at position max(p, q)(max(p, q)+1)/2 + min(p, q)."""
+    n = len(out)
+    a = np.arange(n)
+    high = np.maximum.outer(a, a)
+    pair = high * (high + 1) // 2 + np.minimum.outer(a, a)
+    for k in range(n):
+        face = values[k * (k + 1) * (k + 2) // 6 :][pair[: k + 1, : k + 1]]
+        out[k, : k + 1, : k + 1] = face
+        out[: k + 1, k, : k + 1] = face
+        out[: k + 1, : k + 1, k] = face
 
 
 def gaussian(t: float) -> CatalogFunction:

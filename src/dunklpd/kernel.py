@@ -83,8 +83,12 @@ temporaries per term.
 The two costly special-function evaluations (the generic Bessel pair and
 the Bessel-K catalog profile in functions.py) go through one helper,
 `_per_distinct`, which evaluates once per distinct argument, in ascending
-order, and gathers the result back.  The radii of a symmetric grid repeat
-many times.  The generic pair's arguments seldom do, since
+order, and gathers the result back.  The radii of a symmetric d = 2 grid
+repeat: its orthant's outer sum is symmetric, so about half are distinct.
+At d = 3 functions.CatalogFunction.on_axes hands the profile one radius per
+orbit of the coordinate permutations, distinct on a Gauss-Legendre grid, so
+there the sort finds nothing to share; it stays, as the profile is not told
+which route called it.  The generic pair's arguments seldom repeat, since
 transform._axis_matrices evaluates a symmetric block on its upper triangle
 and a translate's shift rows apart from its outputs: one pass of the
 benchmark's generic-kappa workload hands it 632,648 arguments, 628,441 of

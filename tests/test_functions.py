@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from itertools import groupby
+from itertools import groupby, permutations
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from scipy import special as sps
 
 from dunklpd import ConfigurationError, DomainError, InputError, make_config
 from dunklpd.posdef import bochner_certify, bound_check, builtin_points, gram
-from dunklpd.quadrature import QuadratureSpec
+from dunklpd.quadrature import Grid, QuadratureSpec
 from dunklpd.transform import catalog_partner, forward, spectral_density
 from dunklpd.functions import (
     CatalogFunction,
@@ -332,8 +332,38 @@ class TestGridRoute:
         for f in self._members(config):
             want = f.evaluate(config, tensor_points(axes)).reshape((count,) * dim)
             np.testing.assert_array_equal(sample_grid(config, f, axes), want)
-        # count^d on the points route, ceil(count / 2) nodes per axis on the grid route
-        assert sizes == [count**dim, (count // 2 + 1) ** dim] * 4
+        # count^d on the points route; on the grid route ceil(count / 2) nodes per axis, and at
+        # d = 3 one node per orbit of the coordinate permutations on that orthant
+        half = count // 2 + 1
+        assert sizes == [count**dim, half**dim if dim < 3 else math.comb(half + 2, 3)] * 4
+
+    def test_radius_squared_is_invariant_under_permuting_coordinates(self):
+        # r^2 sums the coordinate squares in ascending order, so every order of the
+        # coordinates gives the same bits: the orbit route at d = 3 rests on it
+        config = make_config(3, [1.0, 0.5, 0.0])
+        pts = np.random.default_rng(20).uniform(-3.0, 3.0, (400, 3))
+        for f in self._members(config):
+            want = f.evaluate(config, pts)
+            for sigma in permutations(range(3)):
+                np.testing.assert_array_equal(f.evaluate(config, pts[:, sigma]), want, err_msg=f"{f.kind} {sigma}")
+
+    @pytest.mark.parametrize("nodes", [48, 96])
+    def test_the_profile_takes_one_radius_per_orbit(self, nodes, monkeypatch):
+        # at d = 3 on equal mirrored axes, C(n + 2, 3) radii for the n^3 orthant; on unequal
+        # axes every orthant node, the product of the half lengths
+        config = make_config(3, [1.0, 0.5, 0.0])
+        axes = Grid(config, QuadratureSpec(10.0, nodes)).axes
+        unequal = (axes[0], uniform_axes(1, 4.0, 9)[0], axes[2])
+        sizes = []
+        real = CatalogFunction.profile
+        monkeypatch.setattr(CatalogFunction, "profile", lambda f, c, r2: sizes.append(np.size(r2)) or real(f, c, r2))
+        for f in self._members(config):
+            f.on_axes(config, axes)
+            f.on_axes(config, unequal)
+            f.on_axes(config, self._AXES[3])
+        half = nodes // 2
+        # (the middle axis of _AXES[3], [-1, 1], is mirrored: one node of it)
+        assert sizes == [math.comb(half + 2, 3), half * 5 * half, 3 * 1 * 5] * 4
 
 
 class TestSampledFunction:

@@ -4,7 +4,8 @@ scattered contraction have no users beyond the listed ones, the store of
 recent phase matrices has one reader (transform._axis_matrices), the orthant
 fold has one owner (quadrature.Grid), every bound report is built by
 IdentityReport.bound, every entry point the benchmark's tracer wraps
-by name exists, and input is converted in one home (root_system).
+by name exists, input is converted in one home (root_system), and a catalog
+handle's r^2 is formed in one helper (functions._radius_squared).
 
 The scans read src/dunklpd/*.py (except __init__.py, whose imports are the
 public re-exports) with the ast module: a name bound by `import` or
@@ -569,6 +570,27 @@ def test_conversion_scans_name_each_site():
 
 def _package_callers(name: str) -> set[str]:
     return {f"{p.stem}.{owner}" for p in MODULES for owner in callers(p.read_text(), name)}
+
+
+# A catalog handle's r^2 is formed by functions._radius_squared alone, the squares
+# summed in ascending order: the points route (CatalogFunction.evaluate) and the grid
+# route (CatalogFunction.on_axes) call it, and no method of the handle sums itself
+# (no np.sum, no np.add.outer), so both routes give the same r^2 bit for bit.
+
+
+def test_catalog_radius_squared_has_one_helper():
+    assert _package_callers("_radius_squared") == {
+        "functions.CatalogFunction.evaluate",
+        "functions.CatalogFunction.on_axes",
+    }
+    sums = {
+        owner
+        for owner, node in _definitions_in(ast.parse((SRC / "functions.py").read_text()))
+        if owner.startswith("CatalogFunction.")
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr in ("sum", "add")
+    }
+    assert sums == set()
 
 
 def test_inputs_are_converted_in_one_home():

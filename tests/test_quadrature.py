@@ -146,11 +146,16 @@ def _sampling_axes(config, nodes):
 class TestGridSampling:
     # catalog handles sample from the axis squares on the nonnegative orthant;
     # that route must equal evaluating every node of the tensor grid, bit for bit
+    # at d = 3 the realistic sizes take the orbit route: the 48- and 96-node grids and the
+    # certification mesh, whose odd axes hold an exact 0
     @pytest.mark.parametrize("dim,kappa", _SAMPLING_CONFIGS)
-    @pytest.mark.parametrize("nodes", [8, 9, 16, 17])
+    @pytest.mark.parametrize("nodes", [8, 9, 16, 17, 48, 96, "certification_mesh"])
     def test_catalog_sample_equals_the_points_route(self, dim, kappa, nodes):
         config = make_config(dim, kappa)
-        axes = _sampling_axes(config, nodes)
+        if nodes == "certification_mesh":
+            axes = functions.uniform_axes(dim, *quadrature._RESOLUTION[nodes][dim])
+        else:
+            axes = _sampling_axes(config, nodes)
         shape = (len(axes[0]),) * dim
         for f in _catalog(config):
             got = functions.sample_grid(config, f, axes)
@@ -204,8 +209,9 @@ class TestGridSampling:
         for f in _catalog(config):
             grid.sample(f)
         grid.sample(spectral_density(config, None, gaussian(1.0)))
-        # the nonnegative half of each mirrored 16-node axis: prod ceil(n_i / 2)
-        assert sizes == [8**dim] * 5
+        # the nonnegative half of each mirrored 16-node axis, prod ceil(n_i / 2) nodes, and at
+        # d = 3 one node per orbit of the coordinate permutations there, C(8 + 2, 3)
+        assert sizes == [8**dim if dim < 3 else math.comb(8 + 2, 3)] * 5
 
     def test_config_checks_hold_on_the_grid_route(self):
         config = make_config(2, [1.0, 0.0])  # gamma + d/2 + 1 = 3
@@ -236,7 +242,9 @@ class TestGridSampling:
             got = functions.sample_grid(config, product, axes)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # the damping factor as a catalog Gaussian is the exp(-2t|xi|^2) it replaces
-        assert np.array_equal(products[-1](pts), rho(pts) * np.exp(-2.0 * 0.05 * np.sum(pts * pts, axis=-1)))
+        # (|xi|^2 the squares summed in ascending order, the r^2 of every catalog handle)
+        r2 = functools.reduce(np.add, np.sort(pts * pts, axis=-1).T)
+        assert np.array_equal(products[-1](pts), rho(pts) * np.exp(-2.0 * 0.05 * r2))
 
     def test_density_product_of_catalog_factors_builds_no_points(self, monkeypatch):
         config = make_config(3, [1.0, 0.5, 0.0])
