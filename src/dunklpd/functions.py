@@ -47,20 +47,15 @@ never a handle's type, and take the general route where it answers nothing.
                             whose every factor answers; sample_factors, so the folded sums of
                             such handles split into per-axis sums (Grid.summand)
 
-The Bessel-K profile is evaluated once per distinct radius through
-kernel._per_distinct: the orthant of a symmetric d = 2 grid repeats radii
-(1,176 distinct of the 2,304 of a 96-node grid), and points may repeat.  On
-the d = 3 orbit route the radii of a Gauss-Legendre grid are already
-distinct (19,600 of 19,600 on a 96-node grid; the 1,771 orbit radii of the
-41-node certification mesh hold 1,150 values), and the sort is taken there
-too.  At an order a with 2a an integer up to the kernel's ladder bound (every order the identity
-suites use) r^a K_a(r) is the upward recurrence from K_0 and K_1 or from the
-closed form K_{1/2} (_bessel_k_ladder), the rule the kernel's sine/cosine
-ladder follows; any other order is r^a times scipy's kv.  Where that
-product leaves the float range (large a, small r) it is the small-argument
-sum instead (_small_radius_sum).  The Gaussians
-and the Cauchy profile are evaluated per element of r^2.  A nan or inf
-point raises InputError in every handle.
+Every profile is evaluated per element of r^2, as the kernel's evaluators
+are: the route decides how often it runs (the mirror fill, the d = 3 orbits),
+and nothing deduplicates radii by value.  At an order a with 2a an integer
+up to the kernel's ladder bound (every order the identity suites use)
+r^a K_a(r) is the upward recurrence from K_0 and K_1 or from the closed form
+K_{1/2} (_bessel_k_ladder), the rule the kernel's sine/cosine ladder
+follows; any other order is r^a times scipy's kv.  Where that product leaves
+the float range (large a, small r) it is the small-argument sum instead
+(_small_radius_sum).  A nan or inf point raises InputError in every handle.
 
 Sampled functions live on a rectangular tensor grid and evaluate by
 multilinear interpolation, zero outside the grid box.  CSV serialization
@@ -84,9 +79,9 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import ConfigurationError, InputError
-from .kernel import _LADDER_MAX_KAPPA, _per_distinct
+from .kernel import _LADDER_MAX_KAPPA
 from .reports import _sign_excess
-from .root_system import MultiplicityConfig, _in_range, _query_points, _real_points
+from .root_system import MultiplicityConfig, _in_range, _query_axes, _query_points, _real_points
 
 GAUSSIAN = "gaussian"
 GAUSSIAN_DENSITY = "gaussian_density"
@@ -172,15 +167,10 @@ class CatalogFunction:
         out = self.profile(config, r2)
         return out[0] if squeeze else out
 
-    def _grid_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> list:
-        """The axes as float arrays, one per dimension and finite, for a handle valid for config."""
+    def _grid_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> tuple:
+        """The axes through _query_axes, for a handle valid for config."""
         self.validate_for(config)
-        axes = [_real_points(a, "on a grid axis") for a in axes]
-        if len(axes) != config.dimension:
-            raise InputError(f"expected {config.dimension} grid axes, got {len(axes)}")
-        if not all(np.all(np.isfinite(a)) for a in axes):
-            raise InputError("grid axes must be finite (found nan or inf)")
-        return axes
+        return _query_axes(config, axes)
 
     def on_axes(self, config: MultiplicityConfig, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Values on every node of the tensor grid over `axes`, shaped as the grid.
@@ -260,30 +250,24 @@ class CatalogFunction:
 
 
 def _bessel_k_profile_values(config: MultiplicityConfig, p: float, r: np.ndarray) -> np.ndarray:
-    """r^a K_a(r), a = p - gamma - d/2, at radii r, once per distinct radius:
+    """r^a K_a(r), a = p - gamma - d/2, elementwise at radii r of any shape:
     the bessel_k_profile(p) values before the constant factor.  Where a >= 1 is
     a multiple of 1/2 up to kernel._LADDER_MAX_KAPPA it is _bessel_k_ladder, else
     r^a times scipy's kv; below r = 1e-6 it is the limit 2^(a-1) Gamma(a), at an
     infinite r (an overflowed r^2) the limit 0."""
     alpha = p - config.gamma - config.dimension / 2.0
     ladder = 1.0 <= alpha <= _LADDER_MAX_KAPPA and (2.0 * alpha).is_integer()
-
-    def profile(u):
-        out = np.empty_like(u)
-        # r^a K_a(r) -> 2^(a-1) Gamma(a) as r -> 0+, with an O(r^2) correction
-        lead = 2.0 ** (alpha - 1.0) * sps.gamma(alpha)
-        tiny = u < 1e-6
-        out[tiny] = lead
-        rr = u[~tiny]
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[~tiny] = _bessel_k_ladder(alpha, rr) if ladder else rr**alpha * sps.kv(alpha, rr)
-        out[u == np.inf] = 0.0  # r^a K_a(r) -> 0 as r -> inf, where the products are nan
-        lost = ~np.isfinite(out)
-        if lost.any():  # r^a underflows or K_a(r) overflows (large a, small r): the small-r sum
-            out[lost] = lead * _small_radius_sum(alpha, u[lost])
-        return out
-
-    return _per_distinct(profile, r)
+    out = np.empty_like(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[...] = _bessel_k_ladder(alpha, r) if ladder else r**alpha * sps.kv(alpha, r)
+    # r^a K_a(r) -> 2^(a-1) Gamma(a) as r -> 0+, with an O(r^2) correction
+    lead = 2.0 ** (alpha - 1.0) * sps.gamma(alpha)
+    out[r < 1e-6] = lead
+    out[r == np.inf] = 0.0  # r^a K_a(r) -> 0 as r -> inf, where the products are nan
+    lost = ~np.isfinite(out)
+    if lost.any():  # r^a underflows or K_a(r) overflows (large a, small r): the small-r sum
+        out[lost] = lead * _small_radius_sum(alpha, r[lost])
+    return out
 
 
 def _bessel_k_ladder(alpha: float, r: np.ndarray) -> np.ndarray:
@@ -504,6 +488,8 @@ def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.nd
         raise InputError(f"not a function handle: {type(fn).__name__}")
     pts = np.atleast_2d(_real_points(points, f"in R^{config.dimension}"))
     out = np.asarray(fn(pts))
+    if out.dtype.kind not in "biufc":
+        raise InputError(f"a callable must return numbers, got {out.dtype} values")
     if out.shape != (len(pts),):
         raise InputError(f"a callable at points of shape {pts.shape} must return shape {(len(pts),)}, got {out.shape}")
     return out
@@ -587,7 +573,7 @@ def _mirror_half(a: np.ndarray) -> int:
 
 def sample_on_axes(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> SampledFunction:
     """Tabulate a handle or an (N, d) -> values callable on a tensor grid."""
-    axes = tuple(_real_points(a, "on a grid axis") for a in axes)
+    axes = _query_axes(config, axes)
     return SampledFunction(axes, sample_grid(config, fn, axes))
 
 

@@ -80,28 +80,16 @@ which do the products and sums of numpy.polynomial's polyval and chebval
 in the same order, so the values are the same bit for bit, without two
 temporaries per term.
 
-The two costly special-function evaluations (the generic Bessel pair and
-the Bessel-K catalog profile in functions.py) go through one helper,
-`_per_distinct`, which evaluates once per distinct argument, in ascending
-order, and gathers the result back.  The radii of a symmetric d = 2 grid
-repeat: its orthant's outer sum is symmetric, so about half are distinct.
-At d = 3 functions.CatalogFunction.on_axes hands the profile one radius per
-orbit of the coordinate permutations, distinct on a Gauss-Legendre grid, so
-there the sort finds nothing to share; it stays, as the profile is not told
-which route called it.  The generic pair's arguments seldom repeat, since
-transform._axis_matrices evaluates a symmetric block on its upper triangle
-and a translate's shift rows apart from its outputs: one pass of the
-benchmark's generic-kappa workload hands it 632,648 arguments, 628,441 of
-them distinct.  Its sort stays, since the pair reads its panels and Hankel
-bands as contiguous runs of ascending arguments, and a variant that found
-them by masks on unsorted arguments measured no faster.  Each of these
-evaluations is elementwise, so the result is bit-identical to evaluating
-every element.  The scaled real form
-is evaluated per element: the heat kernel passes it one grid axis at a
-time or scattered pairs, and the real kernel one value, so its arguments
-do not repeat in volume.  Cheap elementwise functions (exp, powers, the
-plane wave) are evaluated per element too: sorting would cost more than
-it saves.
+Every evaluator is elementwise, on the arguments it is handed: the route
+decides how often a value is computed (transform._axis_matrices evaluates a
+symmetric block on its upper triangle and a translate's shift rows apart
+from its outputs), and nothing deduplicates by value.  Only the generic pair
+orders its arguments, since it reads its panels and Hankel bands as
+contiguous runs of ascending |z|: one argsort, the pair on the sorted values,
+and a scatter back.  One pass of the benchmark's generic-kappa workload hands
+it 632,648 arguments, 628,441 of them distinct, so a search for repeats would
+find almost none.  Each value depends on its own argument only, so the result
+is bit-identical to evaluating every element alone.
 """
 
 from __future__ import annotations
@@ -230,16 +218,6 @@ def _bessel_pair_ladder(kappa: float, az: np.ndarray) -> tuple[np.ndarray, np.nd
         lo, hi = hi, (2.0 * order / az) * hi - lo
         order += 1.0
     return lo, hi
-
-
-def _per_distinct(f: Callable, z: np.ndarray) -> np.ndarray:
-    """f(z) for an elementwise f, evaluated once per distinct value of z
-    (passed in ascending order) and gathered back to z's shape, 0-d
-    included.  f may return leading axes, as in (2, n) for a pair."""
-    z = np.asarray(z)
-    u, back = np.unique(z, return_inverse=True)
-    vals = f(u)
-    return vals[..., back.reshape(-1)].reshape(vals.shape[:-1] + z.shape)
 
 
 def _expansion_coeffs(nu: float, count: int) -> np.ndarray:
@@ -373,29 +351,30 @@ def _jv_tabulated(kappa: float, a: np.ndarray, odd: bool) -> np.ndarray:
 
 def _bessel_pair_generic(kappa: float, az: np.ndarray, odd: bool) -> np.ndarray:
     """The kernel's even part and its odd part over sign(z), that is the
-    prefactor times (J_{k-1/2}(az), J_{k+1/2}(az)), as a (2,) + az.shape
-    array, or the (1,) + az.shape even part alone unless odd; computed once
-    per distinct argument.  Below top = max(20, (k + 1/2)^2) they come from
-    the Chebyshev panels of _jv_panel, from there on from the Hankel
-    expansion, where no term exceeds 1/2.  That zone is summed in bands
-    [top, 2 top), [2 top, 4 top), ..., each to the fewest terms whose first
-    one left out is below 1e-18 at the band's bottom (_hankel_band_terms):
-    at k = 0.3, 17 terms from 20, 8 from 40 and 5 from 160.  An argument's
-    band follows from its value, so each value still depends on its own
-    argument only."""
-
-    def pair(u):  # ascending, so one search finds where the Hankel zone and each of its bands start
-        terms = _hankel_band_terms(kappa)
-        starts = np.searchsorted(u, _jv_top(kappa) * 2.0 ** np.arange(len(terms))).tolist() + [u.size]
-        out = np.empty((2 if odd else 1, u.size))
-        out[:, : starts[0]] = _jv_tabulated(kappa, u[: starts[0]], odd)
-        for start, end, n in zip(starts, starts[1:], terms):
-            if end > start:
-                out[:, start:end] = _bessel_pair_hankel(kappa, u[start:end], odd, n)
-        out[:, starts[0] :] *= _prefactor(kappa, u[starts[0] :])
-        return out
-
-    return _per_distinct(pair, az)
+    prefactor times (J_{k-1/2}(az), J_{k+1/2}(az)), at a 1-D az, as a (2, n)
+    array, or the (1, n) even part alone unless odd.  Below
+    top = max(20, (k + 1/2)^2) they come from the Chebyshev panels of
+    _jv_panel, from there on from the Hankel expansion, where no term exceeds
+    1/2.  That zone is summed in bands [top, 2 top), [2 top, 4 top), ..., each
+    to the fewest terms whose first one left out is below 1e-18 at the band's
+    bottom (_hankel_band_terms): at k = 0.3, 17 terms from 20, 8 from 40 and 5
+    from 160.  The pair runs over the arguments in ascending order, so that one
+    search finds where the Hankel zone and each of its bands start, and its
+    values are scattered back to az's order.  An argument's band follows from
+    its value, so each value still depends on its own argument only."""
+    order = np.argsort(az)
+    u = az[order]
+    terms = _hankel_band_terms(kappa)
+    starts = np.searchsorted(u, _jv_top(kappa) * 2.0 ** np.arange(len(terms))).tolist() + [u.size]
+    vals = np.empty((2 if odd else 1, u.size))
+    vals[:, : starts[0]] = _jv_tabulated(kappa, u[: starts[0]], odd)
+    for start, end, n in zip(starts, starts[1:], terms):
+        if end > start:
+            vals[:, start:end] = _bessel_pair_hankel(kappa, u[start:end], odd, n)
+    vals[:, starts[0] :] *= _prefactor(kappa, u[starts[0] :])
+    out = np.empty_like(vals)
+    out[:, order] = vals
+    return out
 
 
 def _series(kappa: float, z: np.ndarray, alternating: bool, odd: bool = True) -> tuple[np.ndarray, ...]:

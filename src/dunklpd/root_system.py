@@ -8,7 +8,8 @@ is parametrized by a MultiplicityConfig built here.
 Every input is converted here, one rule per kind.  A coordinate (points,
 grid axes, the kernel's x and y) goes through _real_points: anything but an
 array of real numbers (None, strings, complex values, ragged rows) raises
-InputError, and bools are 0 and 1.  A real parameter (multiplicities,
+InputError, and bools are 0 and 1; grid axes then take one finite 1-D axis
+per dimension (_query_axes).  A real parameter (multiplicities,
 catalog t and p, quadrature radii, grid extents, times, the norm order) goes
 through _in_range; its caller raises the error it raises out of range.
 """
@@ -113,6 +114,17 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
     if not np.all(np.isfinite(pts[:1] if pts.strides[0] == 0 else pts)):
         raise InputError("points must be finite (found nan or inf)")
     return pts, squeeze
+
+
+def _query_axes(config: MultiplicityConfig, axes) -> tuple[np.ndarray, ...]:
+    """Axes as finite 1-D float arrays, one per dimension: the one axis check of the grid
+    routes (catalog handles, forward_grid's output axes, sample_on_axes).  Past _real_points,
+    a count other than the dimension, an axis that is not 1-D or a nan or inf node raises
+    InputError."""
+    axes = tuple(_real_points(a, "on a grid axis") for a in axes)
+    if len(axes) != config.dimension or not all(a.ndim == 1 and np.all(np.isfinite(a)) for a in axes):
+        raise InputError(f"expected {config.dimension} finite 1-D grid axes for points in R^{config.dimension}")
+    return axes
 
 
 def _real_points(points, where: str) -> np.ndarray:

@@ -87,7 +87,7 @@ from .functions import (
 from .kernel import _phase_1d
 from .quadrature import Grid, QuadratureSpec, default_spec, two_pass
 from .reports import IdentityReport
-from .root_system import MultiplicityConfig, _in_range, _query_points, _real_points
+from .root_system import MultiplicityConfig, _in_range, _query_axes, _query_points, _real_points
 
 _WARN_FLOOR = 1e-6
 
@@ -313,7 +313,7 @@ def forward_grid(config: MultiplicityConfig, quad: QuadratureSpec | None, f, out
     spec = _resolve_spec(config, quad)
     if out_axes is None:
         out_axes = uniform_axes(config.dimension, spec.radius, min(2 * spec.nodes_per_axis, 257))
-    out_axes = tuple(_real_points(a, "on an output axis") for a in out_axes)
+    out_axes = _query_axes(config, out_axes)
     run = lambda grid, pts: _transformer(grid, f, sign)(pts)
     fine = _pointwise("grid transform", config, spec, tensor_points(out_axes), run)
     flip = -1.0 if sign == FORWARD else 1.0
@@ -375,7 +375,10 @@ def weighted_norm(config: MultiplicityConfig, quad: QuadratureSpec | None, f, p:
     if not _in_range(p, 1, np.inf, closed=True):
         raise InputError(f"norm order must be finite and >= 1, got {p}")
     grid = Grid(config, _resolve_spec(config, quad).doubled())
-    return float(np.real(grid.integrate(np.abs(grid.sample(f)) ** p))) ** (1.0 / p)
+    norm = float(np.real(grid.integrate(np.abs(grid.sample(f)) ** p))) ** (1.0 / p)
+    if not np.isfinite(norm):
+        raise DomainError(f"weighted norm: the result is not finite ({norm}); f has nan or inf values, or |f|^p overflows")
+    return norm
 
 
 def plancherel_duality(config: MultiplicityConfig, quad: QuadratureSpec | None, f, g) -> IdentityReport:

@@ -230,6 +230,51 @@ def test_forward_grid_checks_its_output_nodes(axes):
         forward_grid(make_config(2, [1.0, 0.0]), QuadratureSpec(4.0, 8), _G, axes)
 
 
+# grid axes are one finite 1-D real axis per dimension (root_system._query_axes):
+# no axes, a 2-D axis or a scalar one raised numpy's ValueError or TypeError, or
+# in axis_factors came back as a (1, 2, 2) factor
+_SQUARE = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: forward_grid(c, None, _G, out_axes=()),
+        lambda c: forward_grid(c, QuadratureSpec(4.0, 8), _G, (_SQUARE,)),
+        lambda c: sample_on_axes(c, _G, (_SQUARE,)),
+        lambda c: _G.on_axes(c, (_SQUARE,)),
+        lambda c: bessel_k_profile(3.0).on_axes(c, (0.5,)),
+        lambda c: _G.axis_factors(c, (_SQUARE,)),
+    ],
+    ids=[
+        "forward_grid_no_axes",
+        "forward_grid_square_axis",
+        "sample_on_axes_square_axis",
+        "on_axes_square_axis",
+        "on_axes_scalar_axis",
+        "axis_factors_square_axis",
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_malformed_grid_axes_raise_input_error(call):
+    with pytest.raises(InputError, match="grid axes"):
+        call(make_config(1, [0.5]))
+
+
+# a callable's values must be numbers (evaluate_handle), and a norm that is not
+# finite raises instead of coming back as nan
+def test_callable_returning_strings_raises_input_error():
+    with pytest.raises(InputError, match="must return numbers, got <U1"):
+        forward(make_config(1, [0.5]), None, lambda p: np.array(["a"] * len(p)), [0.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.filterwarnings("error")
+def test_weighted_norm_of_non_finite_values_raises_domain_error(value):
+    with pytest.raises(DomainError, match="^weighted norm: the result is not finite"):
+        weighted_norm(make_config(1, [0.5]), None, lambda p: np.full(len(p), value))
+
+
 @pytest.mark.parametrize(
     "call",
     [

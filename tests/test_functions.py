@@ -122,9 +122,9 @@ class TestCatalog:
         np.testing.assert_allclose(at_zero, limit, rtol=1e-13)
 
     @pytest.mark.parametrize("p", [3.0, 2.7])  # alpha = 2 (an integer order) and 1.7
-    def test_bessel_profile_per_distinct_radius_matches_elementwise(self, cfg_half, p, rng):
-        # the profile is evaluated once per distinct radius and gathered back;
-        # that must equal evaluating each radius alone, bit for bit
+    def test_bessel_profile_matches_elementwise(self, cfg_half, p, rng):
+        # the profile is evaluated elementwise on radii of any shape, repeats
+        # included; that must equal evaluating each radius alone, bit for bit
         base = np.concatenate((rng.uniform(0.0, 12.0, 40), [0.0, 5e-7, 1e-6, 3.0]))
         r = rng.permutation(np.concatenate((base, base[::3], [0.0, 0.0, 3.0])))
         alone = np.concatenate([_bessel_k_profile_values(cfg_half, p, np.array([v])) for v in r])

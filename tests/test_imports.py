@@ -134,18 +134,16 @@ def test_no_dead_definitions():
     assert dead == {}
 
 
-# The phase primitive, the scattered contraction and the per-distinct
-# evaluation helper have fixed users:
+# The phase primitive and the scattered contraction have fixed users:
 # outside kernel.py, _phase_1d is used only by transform._axis_matrices (the
 # one builder of phase matrices), and _scatter_contract only by
 # transform._blocked_scatter (the one translation and transform sum),
 # translation.translate_mass and posdef.bound_check (the translate diagonal).
-# `_per_distinct` serves exactly the two costly special-function evaluations
-# (the generic Bessel pair and the Bessel-K profile; the scaled real kernel is
-# passed distinct arguments and evaluated per element), and it is the one
-# place in kernel.py that calls np.unique.
-# A use is a loaded Name (or, for np.unique, the attribute); import
-# statements do not count.
+# Every evaluator is elementwise and nothing deduplicates by value: no module
+# calls np.unique, and the one sort of kernel.py is the generic Bessel pair's,
+# which reads its panels and Hankel bands as runs of ascending arguments.
+# A use is a loaded Name (or, for np.unique and np.argsort, the attribute);
+# import statements do not count.
 
 
 def users(source: str, name: str, attribute: bool = False) -> set[str]:
@@ -310,11 +308,8 @@ def test_handle_sums_read_the_summand_and_value_arrays_integrate():
 
 
 def test_costly_evaluations_go_through_one_helper():
-    assert _package_users("_per_distinct") == {
-        "kernel._bessel_pair_generic",
-        "functions._bessel_k_profile_values",
-    }
-    assert users((SRC / "kernel.py").read_text(), "unique", attribute=True) == {"_per_distinct"}
+    assert {f"{p.stem}.{owner}" for p in MODULES for owner in users(p.read_text(), "unique", attribute=True)} == set()
+    assert users((SRC / "kernel.py").read_text(), "argsort", attribute=True) == {"_bessel_pair_generic"}
 
 
 def test_psd_verdict_and_grid_convolution_have_one_route():
@@ -495,7 +490,8 @@ def test_checked_integral_and_json_writer_have_one_home():
 
 
 # root_system is the one home of input conversion: every coordinate array goes
-# through _real_points and every real parameter through _in_range, from the
+# through _real_points, every set of grid axes through _query_axes (one 1-D
+# axis per dimension) and every real parameter through _in_range, from the
 # definitions pinned here (Class.method for a method; a closure counts for the
 # function around it).  No public function, public method, __post_init__ or
 # __call__ elsewhere converts one of its own arguments (self.field in a method)
@@ -598,15 +594,19 @@ def test_inputs_are_converted_in_one_home():
         "root_system._query_points",
         "kernel._point_pair",
         "kernel.dunkl_operator_1d",
-        "functions.CatalogFunction._grid_axes",
+        "root_system._query_axes",
         "functions.SampledFunction.__post_init__",
         "functions.DensityProduct.__call__",
         "functions.evaluate_handle",
-        "functions.sample_on_axes",
         "transform._transformer",
         "transform.forward_grid",
         "transform.spectral_density",
         "posdef.PointSet.__post_init__",
+    }
+    assert _package_callers("_query_axes") == {
+        "functions.CatalogFunction._grid_axes",
+        "functions.sample_on_axes",
+        "transform.forward_grid",
     }
     assert _package_callers("_in_range") == {
         "root_system.make_config",

@@ -353,9 +353,9 @@ class TestGenericBranch:
         even = kernel_module._jv_tabulated(kappa, a, odd=False)
         assert even.shape == (1, a.size) and even.tobytes() == pair[:1].tobytes()
 
-    def test_repeated_arguments_match_scalar_evaluation(self, rng):
-        # the Bessel pair is evaluated once per distinct |z|; the gathered
-        # result must be bit-identical to evaluating each element alone
+    def test_repeated_arguments_match_elementwise_evaluation(self, rng):
+        # the Bessel pair sorts |z|, repeats included, and scatters the values
+        # back; the result must be bit-identical to evaluating each element alone
         base = np.concatenate((rng.uniform(0.0, 320.0, 200), [0.0, 6.0, 20.0, 81.0, 300.0]))
         z = rng.permutation(np.concatenate((base, -base, base[::3], -base[::7])))
         for kappa in (0.3, 8.5):
@@ -375,9 +375,9 @@ class TestGenericBranch:
             kernel_real_nd(make_config(2, [kappa, 0.5]), [1.0, 0.5], [z, 0.5])
 
 
-class TestPerDistinct:
-    """The costly evaluations run once per distinct argument; the gathered
-    result must equal evaluating each element alone, bit for bit."""
+class TestElementwise:
+    """The evaluators are elementwise on arrays of any shape, repeats included:
+    the result must equal evaluating each element alone, bit for bit."""
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 0.3])
     def test_scaled_real_matches_elementwise(self, kappa, rng):
@@ -460,7 +460,7 @@ class TestSizedSums:
         spy = lambda k, az, odd, n: taken.append((az.size, n)) or real(k, az, odd, n)
         monkeypatch.setattr(kernel_module, "_bessel_pair_hankel", spy)
         _phase_1d(0.3, np.array([-30.0, 20.0, 39.0, 45.0, 170.0, 30.0]), -1)
-        assert taken == [(3, 17), (1, 8), (1, 5)]  # |z| = 20, 30, 39 (+-30 once); 45; 170
+        assert taken == [(4, 17), (1, 8), (1, 5)]  # |z| = 20, 30, 30, 39; 45; 170
 
 
 class TestContiguousRelation:
