@@ -498,10 +498,12 @@ def evaluate_handle(config: MultiplicityConfig, fn, points: np.ndarray) -> np.nd
 def sample_grid(config: MultiplicityConfig, fn, axes: Sequence[np.ndarray]) -> np.ndarray:
     """fn on every node of the tensor grid over `axes`, shaped as the grid: its `on_axes`
     answer (catalog handles, with no (N, d) point array; a DensityProduct), else fn at
-    tensor_points(axes).  Every route gives the points route's values bit for bit."""
+    tensor_points of the axes through _query_axes.  Every route gives the points route's
+    values bit for bit."""
     on_axes = getattr(fn, "on_axes", None)
     if on_axes is not None:
         return on_axes(config, axes)
+    axes = _query_axes(config, axes)
     return evaluate_handle(config, fn, tensor_points(axes)).reshape(tuple(len(a) for a in axes))
 
 

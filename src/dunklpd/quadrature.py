@@ -40,6 +40,7 @@ hand-tuned, as Gauss-Legendre needs the wider boxes and extra nodes it names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
@@ -144,6 +145,14 @@ class Summand(NamedTuple):
         if self.axis_vw is None:
             return contraction(mats, self.vw)
         return reduce(join, (contraction([m], v) for m, v in zip(mats, self.axis_vw)))
+
+    def row_entries(self) -> int:
+        """Entries per scattered output point of contract's first intermediate through
+        _scatter_contract: a row of vw past its first axis, or one sum per axis when
+        separable."""
+        if self.axis_vw is None:
+            return math.prod(self.vw.shape[1:])
+        return len(self.axis_vw)
 
     def total(self) -> float | complex:
         """The sum over the nodes: of vw, or the product of the per-axis sums."""

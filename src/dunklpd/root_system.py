@@ -118,11 +118,11 @@ def _query_points(config: MultiplicityConfig, points) -> tuple[np.ndarray, bool]
 
 def _query_axes(config: MultiplicityConfig, axes) -> tuple[np.ndarray, ...]:
     """Axes as finite 1-D float arrays, one per dimension: the one axis check of the grid
-    routes (catalog handles, forward_grid's output axes, sample_on_axes).  Past _real_points,
-    a count other than the dimension, an axis that is not 1-D or a nan or inf node raises
-    InputError."""
-    axes = tuple(_real_points(a, "on a grid axis") for a in axes)
-    if len(axes) != config.dimension or not all(a.ndim == 1 and np.all(np.isfinite(a)) for a in axes):
+    routes (catalog handles, forward_grid's output axes, sample_on_axes, sample_grid's points
+    route).  Past _real_points, axes that are not a sequence (None), a count other than the
+    dimension, an axis that is not 1-D or a nan or inf node raises InputError."""
+    axes = tuple(_real_points(a, "on a grid axis") for a in axes) if np.iterable(axes) else None
+    if axes is None or len(axes) != config.dimension or not all(a.ndim == 1 and np.all(np.isfinite(a)) for a in axes):
         raise InputError(f"expected {config.dimension} finite 1-D grid axes for points in R^{config.dimension}")
     return axes
 

@@ -31,7 +31,11 @@ matrices of several densities at the same points on one grid) evaluates it
 once.  A larger build empties the store and is not kept.
 _blocked_scatter sums over output points: on the nodes of a tensor grid
 axis by axis (_grid_contract; forward_grid passes the nodes of its output
-axes), else point by point (_scatter_contract) in blocks of _SCATTER_BLOCK.
+axes), else point by point (_scatter_contract) in blocks.  One byte budget,
+_BLOCK_BYTES (32 MB), sizes both from the inputs: a grid's outputs are cut
+into slabs of their first axis, one slab while their phase matrices fit in
+it, and any other point set into as many points as fit with their phase
+matrices and their first intermediate.
 _transformer (every transform, every convolution and the suites'
 composites) takes its unshifted row, translation._translate_at its shifted
 rows: every translate and Gram matrix.  The shift rows are built once, apart
@@ -64,6 +68,7 @@ any of these stay dense.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from collections import OrderedDict
@@ -187,8 +192,10 @@ def _grid_contract(mats: list, vw: np.ndarray) -> np.ndarray:
     return t
 
 
-_POINT_BLOCK = 16384
-_SCATTER_BLOCK = {1: 16384, 2: 4096, 3: 256}
+# the bytes of one block of _blocked_scatter's outputs: their phase matrices, with
+# shift rows one row's factors, and on scattered points the first intermediate of
+# _scatter_contract
+_BLOCK_BYTES = 32 << 20
 
 
 def _row_factors(mats: list, shift_mats: list | None, j: int, folded: bool) -> list:
@@ -211,11 +218,22 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     are built once, by their own _axis_matrices call, and each block of outputs by
     another, so mirrored outputs (grid nodes, uniform_axes meshes) keep their half
     build; at y = x (a Gram matrix) the second call finds the first's matrices in
-    the store.  The one blocking rule: tensor-grid nodes (tensor_axes) with at
-    most _POINT_BLOCK per axis are one block, M_i on the axes, summed by
-    _grid_contract; other points go through _scatter_contract in blocks of
-    _SCATTER_BLOCK[d], which keeps huge requests from materializing multi-GB
-    intermediates at once.
+    the store.
+
+    The one blocking rule reads one byte budget, _BLOCK_BYTES, with entries of
+    8 bytes for the real even build (a folded summand, no shift rows) and 16
+    otherwise, n_i the summand's axis lengths, and the phase matrices counted
+    twice with shift rows, since each row's factors (_row_factors) sit beside
+    them.  Tensor-grid nodes (tensor_axes) are summed by _grid_contract in
+    slabs of their first axis, contiguous runs of pts: a slab of s nodes holds
+    M_1 on them and M_i on every later axis, itemsize * (s n_1 + sum_{i>=2}
+    n_out_i n_i), so a grid whose M_i all fit is one block, and one past the
+    budget keeps the axis-by-axis cost and the half build of its later axes.
+    Any other point set goes through _scatter_contract in blocks of
+    budget // (itemsize * (sum(n_i) + n_2 ... n_d)) points (at least one): a
+    row of each M_i and a row of the first intermediate per point, which a
+    separable summand, summed axis by axis, holds as one entry per axis.  The
+    temporaries of a single numpy expression are not counted.
 
     A folded summand (an integrand even by construction) covers the
     nonnegative half of every axis, and each axis contracts the real factors
@@ -233,15 +251,25 @@ def _blocked_scatter(grid, summand, pts, sign, shifts=None) -> np.ndarray:
     q = 0 if shifts is None else len(shifts)
     out = np.empty((max(q, 1), len(pts)), dtype=complex)
     shift_mats = _axis_matrices(grid.config, shifts.T, summand.axes, sign) if q else None
+    out_sign = 0 if folded and q == 0 else sign
+    itemsize = 8 if out_sign == 0 else 16
+    n = [len(a) for a in summand.axes]
+    copies = 2 if q else 1  # M_i, and with shift rows a row's factors beside them
     axes = tensor_axes(pts)
-    if axes is not None and max(len(a) for a in axes) <= _POINT_BLOCK:
-        blocks = [(slice(None), axes, _grid_contract, np.multiply.outer)]
+    if axes is not None:
+        rest = sum(len(a) * k for a, k in zip(axes[1:], n[1:]))
+        step = max(1, (_BLOCK_BYTES // (copies * itemsize) - rest) // n[0])
+        width = math.prod(len(a) for a in axes[1:])
+        blocks = [
+            (slice(s * width, (s + step) * width), (axes[0][s : s + step],) + axes[1:], _grid_contract, np.multiply.outer)
+            for s in range(0, len(axes[0]), step)
+        ]
     else:
-        step = _SCATTER_BLOCK[grid.config.dimension]
+        step = max(1, _BLOCK_BYTES // (itemsize * (copies * sum(n) + summand.row_entries())))
         spans = (slice(s, s + step) for s in range(0, len(pts), step))
         blocks = [(sl, pts[sl].T, _scatter_contract, np.multiply) for sl in spans]
     for sl, cols, contract, join in blocks:
-        mats = _axis_matrices(grid.config, cols, summand.axes, 0 if folded and q == 0 else sign)
+        mats = _axis_matrices(grid.config, cols, summand.axes, out_sign)
         for j in range(max(q, 1)):
             out[j, sl] = summand.contract(_row_factors(mats, shift_mats, j, folded), contract, join).reshape(-1)
     return out

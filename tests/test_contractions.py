@@ -17,6 +17,7 @@ still sums every node of grid.sample(f) * grid.weight_grid().
 """
 
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -193,13 +194,113 @@ def test_point_blocks_do_not_change_translates(dim, kappa, shifts, rng, monkeypa
     blocks = []
     real = transform._scatter_contract
     monkeypatch.setattr(transform, "_scatter_contract", lambda mats, vw: blocks.append(len(mats[0])) or real(mats, vw))
-    monkeypatch.setattr(transform, "_SCATTER_BLOCK", {dim: 3})
+    # three outputs' rows of the complex phase matrices, of a shift's row
+    # factors beside them and of the first intermediate
+    n = [len(a) for a in summand.axes]
+    monkeypatch.setattr(transform, "_BLOCK_BYTES", 3 * 16 * (2 * sum(n) + math.prod(n[1:])))
     blocked = _translate_at(grid, summand, ys, xs)
     # blocks of 3, 3 and 1 outputs, each contracted once per shift; a one-row
     # block may take another BLAS path, so the sums agree to rounding rather
     # than bit for bit
     assert blocks == [n for n in (3, 3, 1) for _ in range(shifts)]
     np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-14 * np.max(np.abs(whole)))
+
+
+# transform._BLOCK_BYTES sizes every block of scattered outputs: its phase
+# matrices (8-byte entries for the real even build of a folded sum without
+# shift rows, 16 otherwise), with shift rows the factors of one row beside
+# them, and the first intermediate of its _scatter_contract together, in every
+# dimension, on every summand layout, with or without shift rows (which are
+# built once, apart from the blocks).  A separable summand contracts each axis
+# alone into one sum per point, so at d >= 2 its blocks hold more points than
+# a dense summand's first intermediate would let in.
+@pytest.mark.parametrize("shifts", [0, 2])
+@pytest.mark.parametrize("layout", ["complex", "folded", "separable"])
+@pytest.mark.parametrize("dim,kappa", [(1, [0.3]), (2, [1.0, 0.0]), (3, [0.3, 0.0, 1.7])])
+def test_every_point_block_fits_the_budget(dim, kappa, layout, shifts, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    grid = Grid(config, SPEC)
+    if layout == "separable":
+        summand = grid.summand(gaussian(0.3))
+        assert summand.axis_vw is not None
+    else:
+        summand, _ = _summand(grid, "catalog" if layout == "folded" else "random", rng)
+    ys = _points(config, rng, shifts) if shifts else None
+    xs = _points(config, rng, 200)
+    whole = _blocked_scatter(grid, summand, xs, INVERSE, shifts=ys)
+    budget = 4096
+    monkeypatch.setattr(transform, "_BLOCK_BYTES", budget)
+    # [points, phase matrix bytes, largest row factors, largest first intermediate]
+    # per _axis_matrices call
+    blocks = []
+    real_mats, real_factors, real_contract = transform._axis_matrices, transform._row_factors, transform._scatter_contract
+
+    def axis_matrices(config, rows, cols, sign):
+        mats = real_mats(config, rows, cols, sign)
+        blocks.append([len(rows[0]), sum(m.nbytes for m in mats), 0, 0])
+        return mats
+
+    def row_factors(*args):
+        factors = real_factors(*args)
+        if args[1] is not None:
+            blocks[-1][2] = max(blocks[-1][2], sum(f.nbytes for f in factors))
+        return factors
+
+    def scatter_contract(mats, vw):
+        first = len(mats[0]) * math.prod(vw.shape[1:]) * np.result_type(mats[0], vw).itemsize
+        blocks[-1][3] = max(blocks[-1][3], first)
+        return real_contract(mats, vw)
+
+    monkeypatch.setattr(transform, "_axis_matrices", axis_matrices)
+    monkeypatch.setattr(transform, "_row_factors", row_factors)
+    monkeypatch.setattr(transform, "_scatter_contract", scatter_contract)
+    blocked = _blocked_scatter(grid, summand, xs, INVERSE, shifts=ys)
+    blocks = blocks[1:] if shifts else blocks  # the shift rows' build comes first
+    assert len(blocks) > 1 and all(sum(block[1:]) <= budget for block in blocks), blocks
+    if layout == "separable" and dim > 1:
+        n = [len(a) for a in summand.axes]
+        assert blocks[0][0] > budget // (16 * (2 * sum(n) + math.prod(n[1:]))), blocks
+    np.testing.assert_allclose(blocked, whole, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole)))
+
+
+# a tensor grid whose outputs' phase matrices fit in the budget is one block,
+# summed axis by axis; one past it is cut into slabs of its first axis, each
+# summed axis by axis too, so the later axes keep their half build and d >= 2
+# keeps the axis-by-axis cost.  Each slab holds as many first-axis nodes as fit
+# beside the later axes' matrices.  At d = 1 a slab sums its rows by the same
+# matrix-vector product as the one block, and the values stay bit for bit; at
+# d >= 2 the first axis's matrix product is cut, which may round otherwise.
+@pytest.mark.parametrize("shifts", [0, 2])
+@pytest.mark.parametrize("dim,kappa,count,step", [(1, [0.3], 64, 16), (2, [0.3, 1.7], 25, 4), (3, [1.0, 0.5, 0.0], 15, 2)])
+def test_a_grid_past_the_budget_is_cut_into_slabs(dim, kappa, count, step, shifts, rng, monkeypatch):
+    config = make_config(dim, kappa)
+    grid = Grid(config, SPEC)
+    summand, _ = _summand(grid, "random", rng)
+    ys = _points(config, rng, shifts) if shifts else None
+    axes = uniform_axes(dim, 3.0, count)
+    pts = tensor_points(axes)
+    n = [len(a) for a in summand.axes]
+    copies = 2 if shifts else 1  # the phase matrices and a shift's row factors
+    rest = sum(len(a) * k for a, k in zip(axes[1:], n[1:]))
+    fits = copies * 16 * sum(len(a) * k for a, k in zip(axes, n))
+    slab = copies * 16 * (step * n[0] + rest)  # step first-axis nodes and every later axis
+    assert slab < fits
+    slabs, points = [], []
+    real_grid = transform._grid_contract
+    monkeypatch.setattr(transform, "_grid_contract", lambda m, vw: slabs.append(len(m[0])) or real_grid(m, vw))
+    monkeypatch.setattr(transform, "_scatter_contract", lambda m, vw: points.append(len(m[0])))
+    monkeypatch.setattr(transform, "_BLOCK_BYTES", fits)
+    whole = _blocked_scatter(grid, summand, pts, INVERSE, shifts=ys)
+    assert slabs == [count] * max(shifts, 1)
+    slabs.clear()
+    monkeypatch.setattr(transform, "_BLOCK_BYTES", slab + copies * 16 * n[0] - 1)
+    cut = _blocked_scatter(grid, summand, pts, INVERSE, shifts=ys)
+    assert points == []
+    assert slabs == [min(step, count - s) for s in range(0, count, step) for _ in range(max(shifts, 1))]
+    if dim == 1:
+        np.testing.assert_array_equal(cut.view(float), whole.view(float))
+    else:
+        np.testing.assert_allclose(cut, whole, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole)))
 
 
 # _blocked_scatter contracts tensor-grid outputs axis by axis; the same nodes

@@ -22,6 +22,7 @@ from dunklpd.functions import (
     gaussian,
     gaussian_density,
     generalized_cauchy,
+    sample_grid,
     sample_on_axes,
     uniform_axes,
 )
@@ -232,8 +233,10 @@ def test_forward_grid_checks_its_output_nodes(axes):
 
 # grid axes are one finite 1-D real axis per dimension (root_system._query_axes):
 # no axes, a 2-D axis or a scalar one raised numpy's ValueError or TypeError, or
-# in axis_factors came back as a (1, 2, 2) factor
+# in axis_factors came back as a (1, 2, 2) factor; a callable sampled on a 2-D
+# axis (sample_grid's points route) raised numpy's "could not broadcast"
 _SQUARE = np.zeros((2, 2))
+_X0 = lambda p: p[:, 0]
 
 
 @pytest.mark.parametrize(
@@ -245,6 +248,9 @@ _SQUARE = np.zeros((2, 2))
         lambda c: _G.on_axes(c, (_SQUARE,)),
         lambda c: bessel_k_profile(3.0).on_axes(c, (0.5,)),
         lambda c: _G.axis_factors(c, (_SQUARE,)),
+        lambda c: sample_grid(c, _X0, (_SQUARE,)),
+        lambda c: DensityProduct(c, (_X0,)).on_axes(c, (_SQUARE,)),
+        lambda c: sample_on_axes(c, _G, None),
     ],
     ids=[
         "forward_grid_no_axes",
@@ -253,6 +259,9 @@ _SQUARE = np.zeros((2, 2))
         "on_axes_square_axis",
         "on_axes_scalar_axis",
         "axis_factors_square_axis",
+        "sample_grid_square_axis",
+        "density_product_on_axes_square_axis",
+        "sample_on_axes_none",
     ],
 )
 @pytest.mark.filterwarnings("error")

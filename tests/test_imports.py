@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every name
 it defines is used somewhere, the kernel phase primitive and the
 scattered contraction have no users beyond the listed ones, the store of
-recent phase matrices has one reader (transform._axis_matrices), the orthant
+recent phase matrices has one reader (transform._axis_matrices), so has the
+byte budget of the kernel sum's blocks (transform._blocked_scatter), the orthant
 fold has one owner (quadrature.Grid), every bound report is built by
 IdentityReport.bound, every entry point the benchmark's tracer wraps
 by name exists, input is converted in one home (root_system), and a catalog
@@ -192,6 +193,16 @@ def test_the_phase_store_has_one_reader():
     for name in ("_STORE", "_STORE_BYTES"):
         readers = {f"{p.stem}.{owner}" for p in MODULES for owner in users(p.read_text(), name, attribute=True)}
         assert readers == {"transform._axis_matrices"}, name
+
+
+# one byte budget sizes every block of the kernel sum: _blocked_scatter alone
+# reads transform._BLOCK_BYTES, and no module defines a hand-set block size
+# beside it (the per-dimension _SCATTER_BLOCK table and _POINT_BLOCK it replaced)
+def test_the_block_budget_has_one_reader():
+    readers = {f"{p.stem}.{owner}" for p in MODULES for owner in users(p.read_text(), "_BLOCK_BYTES", attribute=True)}
+    assert readers == {"transform._blocked_scatter"}
+    defined = {name for p in MODULES for name, _ in _definitions(ast.parse(p.read_text()))}
+    assert defined.isdisjoint({"_SCATTER_BLOCK", "_POINT_BLOCK"})
 
 
 def test_scattered_contraction_has_one_caller_per_sum():
@@ -605,6 +616,7 @@ def test_inputs_are_converted_in_one_home():
     }
     assert _package_callers("_query_axes") == {
         "functions.CatalogFunction._grid_axes",
+        "functions.sample_grid",
         "functions.sample_on_axes",
         "transform.forward_grid",
     }
